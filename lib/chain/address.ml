@@ -23,3 +23,10 @@ end
 
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash (t : t) = Hashtbl.hash t
+end)

@@ -19,3 +19,7 @@ val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
+
+module Tbl : Hashtbl.S with type key = t
+(** Iteration order is unspecified: sort by {!compare} wherever order
+    can reach an output. *)

@@ -89,12 +89,7 @@ let fields_of ~issuer ~pool payload =
       Encoding.word c.fees0_requested; Encoding.word c.fees1_requested ]
 
 let create ?sign ~issuer ~issuer_pk ~pool ~issued_round ~issued_at payload =
-  let op = op_of_payload payload in
   let fields = fields_of ~issuer ~pool payload in
-  let wire =
-    Encoding.transaction_wire ~op ~fields
-      ~padding:(Encoding.universal_router_padding op)
-  in
   (* The id commits to the round so identical re-submissions differ. *)
   let id_input =
     Bytes.concat Bytes.empty (fields @ [ Encoding.int_word issued_round ])
@@ -103,8 +98,16 @@ let create ?sign ~issuer ~issuer_pk ~pool ~issued_round ~issued_at payload =
   let signature =
     Option.map (fun sk -> Amm_crypto.Bls.sign sk (Ids.Tx_id.to_bytes id)) sign
   in
+  (* The Universal Router wire is ~1 KB per transaction; only its length
+     matters, and that is fixed per op. *)
   { id; issuer; issuer_pk; pool; payload; issued_round; issued_at; signature;
-    wire_size = Bytes.length wire }
+    wire_size = Encoding.ethereum_op_size (op_of_payload payload) }
+
+let wire t =
+  let op = op_of_payload t.payload in
+  Encoding.transaction_wire ~op
+    ~fields:(fields_of ~issuer:t.issuer ~pool:t.pool t.payload)
+    ~padding:(Encoding.universal_router_padding op)
 
 let verify_signature t =
   match t.signature with

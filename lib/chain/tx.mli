@@ -69,8 +69,14 @@ val create :
   issued_at:float ->
   payload ->
   t
-(** Builds a transaction: serializes the payload (fixing [wire_size]),
-    hashes it into the id and optionally signs it. *)
+(** Builds a transaction: encodes the payload's ABI fields, hashes them
+    into the id and optionally signs it. [wire_size] is
+    {!Encoding.ethereum_op_size} of the op — the length
+    {!Encoding.transaction_wire} would produce, without building it. *)
+
+val wire : t -> bytes
+(** The full Universal Router wire bytes (Table 8 encoding) — built on
+    demand; [Bytes.length (wire t) = t.wire_size]. *)
 
 val verify_signature : t -> bool
 (** True when the transaction carries a valid signature of its id under

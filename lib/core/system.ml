@@ -1875,12 +1875,7 @@ let run ?sink ?durable cfg =
     let rec deposits_sum acc0 acc1 e =
       if e > t.deposits_submitted_until then (acc0, acc1)
       else begin
-        let s0, s1 =
-          List.fold_left
-            (fun (a0, a1) (_, (d0, d1)) -> (U256.add a0 d0, U256.add a1 d1))
-            (U256.zero, U256.zero)
-            (Token_bank.deposits_for_epoch t.bank ~epoch:e)
-        in
+        let s0, s1 = Token_bank.deposit_total t.bank ~epoch:e in
         deposits_sum (U256.add acc0 s0) (U256.add acc1 s1) (e + 1)
       end
     in

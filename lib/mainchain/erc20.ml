@@ -1,86 +1,115 @@
 module U256 = Amm_math.U256
 module Address = Chain.Address
+module Journal = Flatstore.Journal
+
+(* An address's balance and the allowances it granted, found with one
+   table lookup: a pit-stop deposit reads both. *)
+type account = {
+  balance : U256.t Journal.cell;
+  mutable approvals : (Address.t * U256.t Journal.cell) list;
+}
 
 type t = {
   token : Chain.Token.t;
-  mutable balances : U256.t Address.Map.t;
-  mutable allowances : U256.t Address.Map.t Address.Map.t; (* owner -> spender -> amount *)
-  mutable total_supply : U256.t;
+  accounts : account Address.Tbl.t;
+  supply : U256.t Journal.cell;
+  journal : Journal.t;
 }
 
 let deploy token =
-  { token; balances = Address.Map.empty; allowances = Address.Map.empty;
-    total_supply = U256.zero }
+  { token; accounts = Address.Tbl.create 64; supply = Journal.cell U256.zero;
+    journal = Journal.create () }
 
 let token t = t.token
+let write t c v = Journal.set t.journal ~bytes:32 c v
+
+let account t addr =
+  match Address.Tbl.find_opt t.accounts addr with
+  | Some a -> a
+  | None ->
+    let a = { balance = Journal.cell U256.zero; approvals = [] } in
+    Address.Tbl.add t.accounts addr a;
+    a
 
 let balance_of t addr =
-  Option.value ~default:U256.zero (Address.Map.find_opt addr t.balances)
+  match Address.Tbl.find_opt t.accounts addr with
+  | Some a -> a.balance.value
+  | None -> U256.zero
 
-let total_supply t = t.total_supply
+let total_supply t = t.supply.value
 
-let set_balance t addr v = t.balances <- Address.Map.add addr v t.balances
+let credit t addr amount =
+  let c = (account t addr).balance in
+  write t c (U256.add c.value amount)
 
 let mint t addr amount =
-  set_balance t addr (U256.add (balance_of t addr) amount);
-  t.total_supply <- U256.add t.total_supply amount
+  credit t addr amount;
+  write t t.supply (U256.add t.supply.value amount)
+
+let approval a spender =
+  List.find_map
+    (fun (s, c) -> if Address.equal s spender then Some c else None)
+    a.approvals
 
 let allowance t ~owner ~spender =
-  match Address.Map.find_opt owner t.allowances with
+  match Address.Tbl.find_opt t.accounts owner with
   | None -> U256.zero
-  | Some m -> Option.value ~default:U256.zero (Address.Map.find_opt spender m)
+  | Some a -> (match approval a spender with Some c -> c.value | None -> U256.zero)
 
 let charge meter label amount =
   match meter with Some m -> Gas.charge m label amount | None -> ()
 
 let approve ?meter t ~owner ~spender amount =
-  let m = Option.value ~default:Address.Map.empty (Address.Map.find_opt owner t.allowances) in
-  t.allowances <- Address.Map.add owner (Address.Map.add spender amount m) t.allowances;
+  let a = account t owner in
+  let c =
+    match approval a spender with
+    | Some c -> c
+    | None ->
+      let c = Journal.cell U256.zero in
+      a.approvals <- (spender, c) :: a.approvals;
+      c
+  in
+  write t c amount;
   charge meter "erc20.approve" (Gas.sload + Gas.sstore_update)
 
-let transfer ?meter t ~source ~dest amount =
-  charge meter "erc20.transfer" ((2 * Gas.sload) + (2 * Gas.sstore_update));
-  let src_balance = balance_of t source in
-  if U256.lt src_balance amount then
+let move t src ~dest amount =
+  if U256.lt src.balance.value amount then
     Error
       (Printf.sprintf "erc20 %s: insufficient balance" (Chain.Token.symbol t.token))
   else begin
-    set_balance t source (U256.sub src_balance amount);
-    set_balance t dest (U256.add (balance_of t dest) amount);
+    write t src.balance (U256.sub src.balance.value amount);
+    credit t dest amount;
     Ok ()
   end
 
-type checkpoint = {
-  c_balances : U256.t Address.Map.t;
-  c_allowances : U256.t Address.Map.t Address.Map.t;
-  c_supply : U256.t;
-}
+let transfer ?meter t ~source ~dest amount =
+  charge meter "erc20.transfer" ((2 * Gas.sload) + (2 * Gas.sstore_update));
+  move t (account t source) ~dest amount
 
-let checkpoint t =
-  { c_balances = t.balances; c_allowances = t.allowances; c_supply = t.total_supply }
+type checkpoint = int
 
-let restore t c =
-  t.balances <- c.c_balances;
-  t.allowances <- c.c_allowances;
-  t.total_supply <- c.c_supply
+let checkpoint t = Journal.mark t.journal
+let restore t c = Journal.undo_to t.journal c
+let release t c = Journal.release_below t.journal c
+let journal_length t = Journal.length t.journal
 
 let transfer_from ?meter t ~spender ~source ~dest amount =
-  let allowed = allowance t ~owner:source ~spender in
+  let src = account t source in
+  let granted = approval src spender in
+  let allowed = match granted with Some c -> c.value | None -> U256.zero in
   if U256.lt allowed amount then Error "erc20: insufficient allowance"
   else begin
     charge meter "erc20.allowance" (Gas.sload + Gas.sstore_update);
-    match transfer ?meter t ~source ~dest amount with
+    charge meter "erc20.transfer" ((2 * Gas.sload) + (2 * Gas.sstore_update));
+    match move t src ~dest amount with
     | Ok () ->
       (* Infinite approvals are never decremented (canonical ERC20
-         behavior) — the deposit hot path skips two nested map rebuilds
-         per token. Metering above is unchanged so gas baselines stay
+         behavior). Metering above is unchanged so gas baselines stay
          comparable. *)
-      if not (U256.equal allowed U256.max_value) then begin
-        let m = Address.Map.find source t.allowances in
-        t.allowances <-
-          Address.Map.add source (Address.Map.add spender (U256.sub allowed amount) m)
-            t.allowances
-      end;
+      (match granted with
+      | Some c when not (U256.equal allowed U256.max_value) ->
+        write t c (U256.sub allowed amount)
+      | _ -> ());
       Ok ()
     | Error e -> Error e
   end

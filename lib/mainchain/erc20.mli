@@ -23,13 +23,28 @@ val transfer :
   ?meter:Gas.meter -> t -> source:Address.t -> dest:Address.t -> U256.t -> (unit, string) result
 (** Moves value; fails when the balance is insufficient. *)
 
+(** {1 Checkpoints}
+
+    Balances, allowances and the supply are mutable tables under one
+    {!Flatstore.Journal}: a checkpoint is a journal mark, and each slot
+    records its old value once, on its first write after the newest
+    checkpoint. A token that is never checkpointed records nothing. *)
+
 type checkpoint
 
 val checkpoint : t -> checkpoint
-(** Snapshot of balances/allowances (cheap: persistent maps), used to
-    model mainchain rollbacks. *)
+(** O(1); used to model mainchain rollbacks and reverted flash loans. *)
 
 val restore : t -> checkpoint -> unit
+(** Rewinds every slot written since the checkpoint — O(slots dirtied
+    since). Newer checkpoints become invalid; this one stays restorable. *)
+
+val release : t -> checkpoint -> unit
+(** No checkpoint older than this one will be restored: drop the journal
+    history below it. *)
+
+val journal_length : t -> int
+(** Journal entries currently held. *)
 
 val transfer_from :
   ?meter:Gas.meter ->

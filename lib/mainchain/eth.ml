@@ -195,7 +195,9 @@ let mine_block t =
   Chain.Ledger.append t.ledger
     { b_height = height; b_time = time; b_txs = txs; b_gas_used = !gas_used;
       b_size = size };
-  if txs <> [] then
+  (* Joining every label is O(txs) per block: only pay for it when the
+     debug level is on. *)
+  if txs <> [] && Log.enabled Log.Debug then
     Log.debug ~scope ~t:time
       ~fields:
         [ ("height", Telemetry.Json.Int height);

@@ -21,42 +21,45 @@ let s_fees0 = 6
 let s_fees1 = 7
 let n_slots = 8
 
-type jentry =
-  | Mutate of { row : int; prev : bytes }
-  | Fresh of { row : int }  (* allocated since the mark: undo zeroes it *)
-
 type t = {
   reg : Reg.t;
   slab : Slab.t;
   mutable live_count : int;
-  mutable jdata : jentry array;
-  mutable jlen : int;
-  mutable jbase : int;  (* absolute index of jdata.(0) *)
-  mutable jbytes : int;
+  journal : Flatstore.Journal.t;
 }
 
 let create () =
   { reg = Reg.create ();
     slab = Slab.create ~slots:n_slots ();
     live_count = 0;
-    jdata = [||]; jlen = 0; jbase = 0; jbytes = 0 }
+    journal = Flatstore.Journal.create () }
 
 let length t = t.live_count
 let row_bytes t = Slab.row_bytes t.slab
-let journal_bytes t = t.jbytes
-
-let jpush t e =
-  if t.jlen = Array.length t.jdata then begin
-    let grown = Array.make (Stdlib.max 16 (2 * t.jlen)) e in
-    Array.blit t.jdata 0 grown 0 t.jlen;
-    t.jdata <- grown
-  end;
-  t.jdata.(t.jlen) <- e;
-  t.jlen <- t.jlen + 1;
-  t.jbytes <-
-    t.jbytes + (match e with Mutate { prev; _ } -> Bytes.length prev | Fresh _ -> 8)
+let journal_bytes t = Flatstore.Journal.bytes t.journal
 
 let is_live t row = Slab.get_int t.slab ~row ~slot:s_live = 1
+
+(* Put a row image back, keeping the live count in step. *)
+let put_row t row image =
+  let was_live = is_live t row in
+  Slab.blit_row t.slab row image;
+  match (was_live, is_live t row) with
+  | true, false -> t.live_count <- t.live_count - 1
+  | false, true -> t.live_count <- t.live_count + 1
+  | _ -> ()
+
+(* Rows are not journal cells: a summary writes each position at most
+   once per sync, so every write after the first mark records the row's
+   pre-image — or, for a row allocated since, that it was blank. *)
+let record t row ~fresh =
+  if Flatstore.Journal.recording t.journal then
+    if fresh then
+      Flatstore.Journal.push t.journal ~bytes:8 (fun () ->
+          put_row t row (Bytes.make (row_bytes t) '\000'))
+    else
+      let prev = Slab.copy_row t.slab row in
+      Flatstore.Journal.push t.journal ~bytes:(row_bytes t) (fun () -> put_row t row prev)
 
 let entry_of_row t row : Sync_payload.position_entry =
   let lower_tick, upper_tick = Slab.get_int2 t.slab ~row ~slot:s_ticks in
@@ -88,21 +91,21 @@ let write_row t row (p : Sync_payload.position_entry) =
 let set t (p : Sync_payload.position_entry) =
   match Reg.find t.reg p.pos_id with
   | Some row ->
-    jpush t (Mutate { row; prev = Slab.copy_row t.slab row });
+    record t row ~fresh:false;
     if not (is_live t row) then t.live_count <- t.live_count + 1;
     write_row t row p
   | None ->
     let row = Reg.intern t.reg p.pos_id in
     let row' = Slab.alloc t.slab in
     assert (row = row');
-    jpush t (Fresh { row });
+    record t row ~fresh:true;
     t.live_count <- t.live_count + 1;
     write_row t row p
 
 let remove t id =
   match Reg.find t.reg id with
   | Some row when is_live t row ->
-    jpush t (Mutate { row; prev = Slab.copy_row t.slab row });
+    record t row ~fresh:false;
     Slab.set_int t.slab ~row ~slot:s_live 0;
     t.live_count <- t.live_count - 1
   | _ -> ()
@@ -117,34 +120,10 @@ let fold t ~init ~f =
   iter t (fun p -> acc := f !acc p);
   !acc
 
-let mark t = t.jbase + t.jlen
+let mark t = Flatstore.Journal.mark t.journal
 
-let undo_to t mark =
-  if mark > t.jbase + t.jlen then invalid_arg "Pos_store.undo_to: future mark";
-  if mark < t.jbase then invalid_arg "Pos_store.undo_to: released mark";
-  while t.jbase + t.jlen > mark do
-    t.jlen <- t.jlen - 1;
-    (match t.jdata.(t.jlen) with
-    | Mutate { row; prev } ->
-      let was_live = is_live t row in
-      Slab.blit_row t.slab row prev;
-      let now_live = is_live t row in
-      if was_live && not now_live then t.live_count <- t.live_count - 1
-      else if (not was_live) && now_live then t.live_count <- t.live_count + 1
-    | Fresh { row } ->
-      if is_live t row then t.live_count <- t.live_count - 1;
-      Slab.blit_row t.slab row (Bytes.make (Slab.row_bytes t.slab) '\000'))
-  done
-
-let release_below t mark =
-  let mark = Stdlib.min mark (t.jbase + t.jlen) in
-  if mark > t.jbase then begin
-    let drop = mark - t.jbase in
-    let keep = t.jlen - drop in
-    Array.blit t.jdata drop t.jdata 0 keep;
-    t.jlen <- keep;
-    t.jbase <- mark
-  end
+let undo_to t mark = Flatstore.Journal.undo_to t.journal mark
+let release_below t mark = Flatstore.Journal.release_below t.journal mark
 
 (* ------------------------------------------------------------------ *)
 (* Audit surface                                                       *)
@@ -196,11 +175,6 @@ let decode_entries t b n rb =
     Slab.blit_row t.slab row (Bytes.sub b (off + 32) rb);
     if is_live t row then t.live_count <- t.live_count + 1
   done;
-  (* A decoded store starts with a clean history. *)
-  t.jdata <- [||];
-  t.jlen <- 0;
-  t.jbase <- 0;
-  t.jbytes <- 0;
   t
 
 (* Like [Slab.of_bytes], the decoder is total: snapshot bytes read back

@@ -6,10 +6,12 @@
     never recycled, so an undo journal can restore any prior state by
     replaying row images backwards.
 
-    The journal is what makes TokenBank checkpoints O(dirty): a
-    checkpoint is just the current {!mark}, and {!undo_to} rewinds
-    exactly the rows written since. {!journal_bytes} exposes the
-    cumulative bytes copied, so tests can assert the bound. *)
+    The {!Flatstore.Journal} is what makes TokenBank checkpoints
+    O(dirty): a checkpoint is just the current {!mark}, each write after
+    the first mark copies the row's pre-image, and {!undo_to} rewinds
+    exactly the rows written since.
+    {!journal_bytes} exposes the cumulative bytes copied, so tests can
+    assert the bound. *)
 
 module Position_id = Chain.Ids.Position_id
 
@@ -41,7 +43,7 @@ val mark : t -> int
 
 val undo_to : t -> int -> unit
 (** Rewind every mutation made since [mark] was taken. Raises
-    [Invalid_argument] on a mark from the future. *)
+    [Invalid_argument] on a mark from the future or a released one. *)
 
 val release_below : t -> int -> unit
 (** Drop journal entries older than [mark] once no checkpoint can reach

@@ -64,6 +64,10 @@ let abi_position_entry p =
     ; Encoding.int_word (if p.deleted then 1 else 0)
     ; Bytes.make (2 * 32) '\000' (* dynamic-array bookkeeping *) ]
 
+(* Selector, then 8 head words: epoch, pool, two balances, four array
+   offsets and lengths; then the next committee's vk. *)
+let abi_head_size = Encoding.selector_size + (8 * 32) + Amm_crypto.Bls.public_key_size
+
 let abi_encode t =
   let head =
     [ Bytes.make Encoding.selector_size '\xab'
@@ -75,7 +79,14 @@ let abi_encode t =
   Bytes.concat Bytes.empty
     (head @ List.map abi_user_entry t.users @ List.map abi_position_entry t.positions)
 
-let abi_size t = Bytes.length (abi_encode t) + Amm_crypto.Bls.signature_size
+(* Closed form of [Bytes.length (abi_encode t)] plus the signature: the
+   calldata is ~5 MB at 10k users, and every sync prices it several
+   times. *)
+let abi_size t =
+  abi_head_size
+  + (abi_user_entry_size * List.length t.users)
+  + (abi_position_entry_size * List.length t.positions)
+  + Amm_crypto.Bls.signature_size
 
 let signing_bytes t = Amm_crypto.Sha256.digest (abi_encode t)
 

@@ -51,7 +51,9 @@ val abi_encode : t -> bytes
     signature travels alongside (Table 7). *)
 
 val abi_size : t -> int
-(** [Bytes.length (abi_encode t)] plus the 64-byte signature. *)
+(** [Bytes.length (abi_encode t)] plus the 64-byte signature, computed
+    in closed form without encoding: 4-byte selector + 8 head words +
+    vk + 352 B per user + 416 B per position + signature. *)
 
 val abi_user_entry_size : int
 (** 352. *)

@@ -5,6 +5,7 @@ module Gas = Mainchain.Gas
 module Erc20 = Mainchain.Erc20
 module Bls = Amm_crypto.Bls
 module Log = Telemetry.Log
+module Journal = Flatstore.Journal
 
 let scope = "token_bank"
 
@@ -29,9 +30,9 @@ type exit_claim = {
   exit_gas : Gas.meter;
 }
 
-(* Journal record for the (tiny) exit-claim table: the claim previously
-   bound to the address, [None] when it was absent. *)
-type exit_jentry = Address.t * exit_claim option
+(* One user's pending deposit for one epoch; [None] once consumed or
+   refunded. *)
+type deposit_cell = (U256.t * U256.t) option Journal.cell
 
 type t = {
   bank_address : Address.t;
@@ -39,7 +40,11 @@ type t = {
   erc1 : Erc20.t;
   mutable pools : pool_info array;  (* indexed by pool_id *)
   mutable next_pool_id : int;
-  mutable user_deposits : (U256.t * U256.t) Address.Map.t Epoch_map.t;
+  (* A persistent map of mutable per-epoch tables: a checkpoint keeps the
+     map pointer (so epochs retired or opened since are undone for free)
+     and the journal rewinds the cells. *)
+  mutable user_deposits : deposit_cell Address.Tbl.t Epoch_map.t;
+  journal : Journal.t;  (* deposit cells and exit claims *)
   positions_store : Pos_store.t;
   mutable vk : Bls.public_key;
   mutable synced_epoch : int;
@@ -56,8 +61,6 @@ type t = {
   mutable paid_out1 : U256.t;
   exit_table : (Address.t, exit_claim) Hashtbl.t;
   mutable exit_order : Address.t list;  (* newest first *)
-  mutable exit_journal : exit_jentry list;
-  mutable exit_journal_len : int;
 }
 
 let deploy ~token0 ~token1 ~genesis_committee_vk =
@@ -65,6 +68,7 @@ let deploy ~token0 ~token1 ~genesis_committee_vk =
     erc0 = token0; erc1 = token1;
     pools = [||]; next_pool_id = 0;
     user_deposits = Epoch_map.empty;
+    journal = Journal.create ();
     positions_store = Pos_store.create ();
     vk = genesis_committee_vk;
     synced_epoch = -1;
@@ -72,8 +76,7 @@ let deploy ~token0 ~token1 ~genesis_committee_vk =
     frozen_pools = []; frozen_value0 = U256.zero; frozen_value1 = U256.zero;
     custody_at_halt = (U256.zero, U256.zero);
     paid_out0 = U256.zero; paid_out1 = U256.zero;
-    exit_table = Hashtbl.create 16; exit_order = [];
-    exit_journal = []; exit_journal_len = 0 }
+    exit_table = Hashtbl.create 16; exit_order = [] }
 
 let address t = t.bank_address
 
@@ -154,14 +157,52 @@ let rejection_to_string = function
 (* Deposits                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let epoch_deposits t epoch =
-  Option.value ~default:Address.Map.empty (Epoch_map.find_opt epoch t.user_deposits)
+let no_deposit = (U256.zero, U256.zero)
+
+let find_cell t ~epoch user =
+  match Epoch_map.find_opt epoch t.user_deposits with
+  | None -> None
+  | Some tbl -> Address.Tbl.find_opt tbl user
 
 let deposit_of t ~epoch user =
-  Option.value ~default:(U256.zero, U256.zero)
-    (Address.Map.find_opt user (epoch_deposits t epoch))
+  match find_cell t ~epoch user with
+  | Some { value = Some d; _ } -> d
+  | _ -> no_deposit
 
-let deposits_for_epoch t ~epoch = Address.Map.bindings (epoch_deposits t epoch)
+let set_pending t c v = Journal.set t.journal ~bytes:64 c v
+
+(* Consume a user's pending deposit for [epoch], returning it. *)
+let take_deposit t ~epoch user =
+  match find_cell t ~epoch user with
+  | Some ({ value = Some d; _ } as c) ->
+    set_pending t c None;
+    d
+  | _ -> no_deposit
+
+let pending_in tbl =
+  Address.Tbl.fold
+    (fun user (c : deposit_cell) acc ->
+      match c.value with Some d -> (user, d) :: acc | None -> acc)
+    tbl []
+
+(* Address order: every consumer that turns pending deposits into output
+   (snapshots, residual refunds) visits them in this order. *)
+let deposits_for_epoch t ~epoch =
+  match Epoch_map.find_opt epoch t.user_deposits with
+  | None -> []
+  | Some tbl -> List.sort (fun (a, _) (b, _) -> Address.compare a b) (pending_in tbl)
+
+let deposit_total t ~epoch =
+  let s0 = U256.scratch () and s1 = U256.scratch () in
+  Option.iter
+    (Address.Tbl.iter (fun _ (c : deposit_cell) ->
+         match c.value with
+         | Some (d0, d1) ->
+           U256.add_into ~dst:s0 s0 d0;
+           U256.add_into ~dst:s1 s1 d1
+         | None -> ()))
+    (Epoch_map.find_opt epoch t.user_deposits);
+  (s0, s1)
 
 let charge meter label amount =
   match meter with Some m -> Gas.charge m label amount | None -> ()
@@ -183,12 +224,24 @@ let deposit ?meter t ~user ~for_epoch ~amount0 ~amount1 =
     else Erc20.transfer_from ?meter t.erc1 ~spender:t.bank_address ~source:user
         ~dest:t.bank_address amount1
   in
-  let d0, d1 = deposit_of t ~epoch:for_epoch user in
-  t.user_deposits <-
-    Epoch_map.add for_epoch
-      (Address.Map.add user (U256.add d0 amount0, U256.add d1 amount1)
-         (epoch_deposits t for_epoch))
-      t.user_deposits;
+  let tbl =
+    match Epoch_map.find_opt for_epoch t.user_deposits with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Address.Tbl.create 64 in
+      t.user_deposits <- Epoch_map.add for_epoch tbl t.user_deposits;
+      tbl
+  in
+  let c =
+    match Address.Tbl.find_opt tbl user with
+    | Some c -> c
+    | None ->
+      let c = Journal.cell None in
+      Address.Tbl.add tbl user c;
+      c
+  in
+  let d0, d1 = Option.value ~default:no_deposit c.value in
+  set_pending t c (Some (U256.add d0 amount0, U256.add d1 amount1));
   charge meter "deposit.bookkeeping" (Gas.sload + (2 * Gas.sstore_update));
   (* Deposits are the hottest bank entry point (one per user per epoch at
      the big sweep cells): don't pay for hex/decimal rendering unless the
@@ -270,7 +323,7 @@ let apply_payload t (m : Gas.meter) payload =
   in
   List.iter
     (fun u ->
-      let d0, d1 = deposit_of t ~epoch:payload.epoch u.user in
+      let d0, d1 = take_deposit t ~epoch:payload.epoch u.user in
       (* Payin beyond the deposit is taken out of the payout (§4.2). *)
       let short0 = if U256.ge d0 u.payin0 then U256.zero else U256.sub u.payin0 d0 in
       let short1 = if U256.ge d1 u.payin1 then U256.zero else U256.sub u.payin1 d1 in
@@ -279,21 +332,17 @@ let apply_payload t (m : Gas.meter) payload =
       let pay0 = U256.sub (U256.max u.payout0 short0) short0 in
       let pay1 = U256.sub (U256.max u.payout1 short1) short1 in
       send ~dest:u.user t.erc0 (U256.add pay0 residual0) ~token0:true;
-      send ~dest:u.user t.erc1 (U256.add pay1 residual1) ~token0:false;
-      t.user_deposits <-
-        Epoch_map.add payload.epoch
-          (Address.Map.remove u.user (epoch_deposits t payload.epoch))
-          t.user_deposits)
+      send ~dest:u.user t.erc1 (U256.add pay1 residual1) ~token0:false)
     payload.users;
   (* A delta payload lists only users with nonzero flows; every other
      deposit pending for this epoch is untouched in full. Refund the
-     leftovers in aggregate and retire the epoch's map wholesale, so
+     leftovers in aggregate and retire the epoch's table wholesale, so
      pending-deposit storage stays O(active), not O(population). *)
-  Address.Map.iter
-    (fun user (d0, d1) ->
+  List.iter
+    (fun (user, (d0, d1)) ->
       send ~dest:user t.erc0 d0 ~token0:true;
       send ~dest:user t.erc1 d1 ~token0:false)
-    (epoch_deposits t payload.epoch);
+    (deposits_for_epoch t ~epoch:payload.epoch);
   t.user_deposits <- Epoch_map.remove payload.epoch t.user_deposits;
   Gas.charge m "payouts" (!payouts_dispensed * Gas.payout_transfer);
   t.vk <- payload.next_committee_vk;
@@ -413,7 +462,12 @@ let find_position t pid = Pos_store.find t.positions_store pid
    and 6 per exit claim. *)
 let storage_words t =
   let deposit_entries =
-    Epoch_map.fold (fun _ m acc -> acc + Address.Map.cardinal m) t.user_deposits 0
+    Epoch_map.fold
+      (fun _ tbl acc ->
+        Address.Tbl.fold
+          (fun _ (c : deposit_cell) n -> if Option.is_some c.value then n + 1 else n)
+          tbl acc)
+      t.user_deposits 0
   in
   (6 * Pos_store.length t.positions_store)
   + (2 * t.next_pool_id)
@@ -571,16 +625,12 @@ let emergency_exit t ~claimant =
     (* Residual epoch deposits — never consumed by a sync — come back in
        full, regardless of which epoch they were scoped to. *)
     let refund0 = ref U256.zero and refund1 = ref U256.zero in
-    t.user_deposits <-
-      Epoch_map.map
-        (fun map ->
-          match Address.Map.find_opt claimant map with
-          | None -> map
-          | Some (d0, d1) ->
-            refund0 := U256.add !refund0 d0;
-            refund1 := U256.add !refund1 d1;
-            Address.Map.remove claimant map)
-        t.user_deposits;
+    Epoch_map.iter
+      (fun epoch _ ->
+        let d0, d1 = take_deposit t ~epoch claimant in
+        refund0 := U256.add !refund0 d0;
+        refund1 := U256.add !refund1 d1)
+      t.user_deposits;
     (* Drain the claim from the live pool balances, pool by pool,
        newest-created first (the historical list order). *)
     let rem0 = ref claim0 and rem1 = ref claim1 in
@@ -605,8 +655,13 @@ let emergency_exit t ~claimant =
       { claimant; claim0; claim1; refund0 = !refund0; refund1 = !refund1;
         positions_closed = List.length mine; exit_gas = m }
     in
-    t.exit_journal <- (claimant, Hashtbl.find_opt t.exit_table claimant) :: t.exit_journal;
-    t.exit_journal_len <- t.exit_journal_len + 1;
+    if Journal.recording t.journal then begin
+      let table = t.exit_table in
+      match Hashtbl.find_opt table claimant with
+      | None -> Journal.push t.journal ~bytes:32 (fun () -> Hashtbl.remove table claimant)
+      | Some prev ->
+        Journal.push t.journal ~bytes:32 (fun () -> Hashtbl.replace table claimant prev)
+    end;
     Hashtbl.replace t.exit_table claimant claim;
     t.exit_order <- claimant :: t.exit_order;
     Log.warn ~scope
@@ -707,7 +762,7 @@ let reconcile t ~signed =
             end
             else begin
               incr users_applied;
-              let d0, d1 = deposit_of t ~epoch:p.epoch u.user in
+              let d0, d1 = take_deposit t ~epoch:p.epoch u.user in
               let short0 =
                 if U256.ge d0 u.payin0 then U256.zero else U256.sub u.payin0 d0
               in
@@ -740,24 +795,20 @@ let reconcile t ~signed =
               pay_out t m ~dest:u.user ~label:"reconcile.payout"
                 (U256.add pay0 residual0) ~token0:true;
               pay_out t m ~dest:u.user ~label:"reconcile.payout"
-                (U256.add pay1 residual1) ~token0:false;
-              t.user_deposits <-
-                Epoch_map.add p.epoch
-                  (Address.Map.remove u.user (epoch_deposits t p.epoch))
-                  t.user_deposits
+                (U256.add pay1 residual1) ~token0:false
             end)
           p.users;
         (* Deposits the delta payload leaves unlisted are pure residuals
            (exited claimants were already drained by their exit): refund
-           them in aggregate and retire the epoch's map, mirroring
+           them in aggregate and retire the epoch's table, mirroring
            [apply_payload]. *)
-        Address.Map.iter
-          (fun user (d0, d1) ->
+        List.iter
+          (fun (user, (d0, d1)) ->
             paid0 := U256.add !paid0 d0;
             paid1 := U256.add !paid1 d1;
             pay_out t m ~dest:user ~label:"reconcile.payout" d0 ~token0:true;
             pay_out t m ~dest:user ~label:"reconcile.payout" d1 ~token0:false)
-          (epoch_deposits t p.epoch);
+          (deposits_for_epoch t ~epoch:p.epoch);
         t.user_deposits <- Epoch_map.remove p.epoch t.user_deposits;
         Hashtbl.replace live p.pool (!b0, !b1);
         t.vk <- p.next_committee_vk;
@@ -813,18 +864,20 @@ let snapshot t ~epoch =
       List.map (fun p -> (p.pool_id, (p.balance0, p.balance1))) (pools_newest_first t);
     snap_positions = positions t }
 
-(* A checkpoint is O(dirty): the only copied state is the (tiny) pool
-   array; everything else is either a persistent-map pointer (ERC-20
-   balances, epoch deposits, exit order) or a journal mark. [restore]
-   rewinds the position-store and exit-claim journals to those marks, so
-   its cost is proportional to the mutations made since the checkpoint,
-   not to the total number of positions. *)
+(* A checkpoint is O(1): the only copied state is the (tiny) pool array;
+   everything else is a pointer (the per-epoch deposit map, the exit
+   order) or a mark in one of four journals — the bank's own (deposit
+   cells, exit claims), the position store's, and each ERC-20's. Ledger
+   cells record once per checkpoint, on their first write, and a sync
+   writes each position row at most once, so [restore] costs O(keys
+   dirtied since the checkpoint), whatever the number of positions,
+   users or writes. *)
 type checkpoint = {
   ck_pools : pool_info array;
   ck_next_pool_id : int;
-  ck_deposits : (U256.t * U256.t) Address.Map.t Epoch_map.t;
+  ck_deposits : deposit_cell Address.Tbl.t Epoch_map.t;
   ck_pos_mark : int;
-  ck_exit_mark : int;
+  ck_mark : int;
   ck_vk : Bls.public_key;
   ck_synced_epoch : int;
   ck_erc0 : Erc20.checkpoint;
@@ -843,7 +896,7 @@ let checkpoint t =
   { ck_pools = Array.copy t.pools; ck_next_pool_id = t.next_pool_id;
     ck_deposits = t.user_deposits;
     ck_pos_mark = Pos_store.mark t.positions_store;
-    ck_exit_mark = t.exit_journal_len;
+    ck_mark = Journal.mark t.journal;
     ck_vk = t.vk; ck_synced_epoch = t.synced_epoch;
     ck_erc0 = Erc20.checkpoint t.erc0; ck_erc1 = Erc20.checkpoint t.erc1;
     ck_halted = t.halted; ck_ever_halted = t.ever_halted;
@@ -862,6 +915,7 @@ let restore t ck =
   t.pools <- Array.copy ck.ck_pools;
   t.next_pool_id <- ck.ck_next_pool_id;
   t.user_deposits <- ck.ck_deposits;
+  Journal.undo_to t.journal ck.ck_mark;
   Pos_store.undo_to t.positions_store ck.ck_pos_mark;
   t.vk <- ck.ck_vk;
   t.synced_epoch <- ck.ck_synced_epoch;
@@ -878,23 +932,13 @@ let restore t ck =
   (let p0, p1 = ck.ck_paid_out in
    t.paid_out0 <- p0;
    t.paid_out1 <- p1);
-  (* Rewind the exit-claim journal to the checkpoint's mark. *)
-  if ck.ck_exit_mark > t.exit_journal_len then
-    invalid_arg "Token_bank.restore: future exit-journal mark";
-  while t.exit_journal_len > ck.ck_exit_mark do
-    (match t.exit_journal with
-    | (claimant, prev) :: rest ->
-      (match prev with
-      | None -> Hashtbl.remove t.exit_table claimant
-      | Some c -> Hashtbl.replace t.exit_table claimant c);
-      t.exit_journal <- rest
-    | [] -> invalid_arg "Token_bank.restore: exit journal underflow");
-    t.exit_journal_len <- t.exit_journal_len - 1
-  done;
   t.exit_order <- ck.ck_exit_order
 
 let release_checkpoint t ck =
-  Pos_store.release_below t.positions_store ck.ck_pos_mark
+  Journal.release_below t.journal ck.ck_mark;
+  Pos_store.release_below t.positions_store ck.ck_pos_mark;
+  Erc20.release t.erc0 ck.ck_erc0;
+  Erc20.release t.erc1 ck.ck_erc1
 
 let checkpoint_journal_bytes t = Pos_store.journal_bytes t.positions_store
 

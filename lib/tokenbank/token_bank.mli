@@ -79,7 +79,14 @@ val deposit :
     funding epoch e+1 during epoch e never collides with e's sync. *)
 
 val deposit_of : t -> epoch:int -> Address.t -> U256.t * U256.t
+
 val deposits_for_epoch : t -> epoch:int -> (Address.t * (U256.t * U256.t)) list
+(** The deposits pending for [epoch], in address order — the order the
+    residual-refund drains of {!sync} and {!reconcile} pay them in. *)
+
+val deposit_total : t -> epoch:int -> U256.t * U256.t
+(** Sum of the deposits pending for [epoch], per token, without sorting
+    them. *)
 
 (** {1 Sync} *)
 
@@ -224,19 +231,21 @@ val snapshot : t -> epoch:int -> snapshot
 type checkpoint
 
 val checkpoint : t -> checkpoint
-(** O(dirty) state capture (contract fields plus both ERC20s), used to
-    model mainchain rollbacks abandoning executed Sync calls. The cost is
-    a handful of pointer copies plus journal marks on the flat position
-    store — nothing proportional to the number of open positions. *)
+(** O(1) state capture (contract fields plus both ERC20s), used to model
+    mainchain rollbacks abandoning executed Sync calls: a handful of
+    pointer copies plus a {!Flatstore.Journal} mark in each of the
+    bank's, the position store's and the two ERC20s' journals. *)
 
 val restore : t -> checkpoint -> unit
 (** Rewinds to the checkpoint by undoing the journal entries recorded
-    since it was taken — O(mutations since the checkpoint). *)
+    since it was taken — O(keys written since the checkpoint), since each
+    journal records a key only on its first write after a mark. *)
 
 val release_checkpoint : t -> checkpoint -> unit
 (** Declares that no checkpoint older than this one will ever be
-    restored, letting the undo journal drop the history below its mark.
-    The checkpoint itself (and any newer one) stays restorable. *)
+    restored, letting every undo journal (the bank's, the position
+    store's and both ERC20s') drop the history below its mark. The
+    checkpoint itself (and any newer one) stays restorable. *)
 
 val checkpoint_journal_bytes : t -> int
 (** Cumulative bytes copied into the position-store undo journal —

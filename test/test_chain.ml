@@ -78,6 +78,30 @@ let test_tx_wire_sizes () =
     (mk (Tx.Collect { collect_position = pid; fees0_requested = U256.one;
                       fees1_requested = U256.one }))
 
+(* [wire_size] comes from the closed-form size model; the genuinely
+   serialized wire ([Tx.wire], i.e. [Encoding.transaction_wire]) is the
+   oracle it must agree with, op by op. *)
+let test_tx_wire_size_matches_wire () =
+  let _, pk, addr = user () in
+  let pid = Ids.Position_id.of_hash (Amm_crypto.Sha256.digest_string "p") in
+  List.iter
+    (fun payload ->
+      let tx =
+        Tx.create ~issuer:addr ~issuer_pk:pk ~pool:3 ~issued_round:7 ~issued_at:0.0 payload
+      in
+      Alcotest.(check int) (Tx.type_name payload)
+        (Bytes.length (Tx.wire tx)) tx.Tx.wire_size)
+    [ Tx.Swap
+        { zero_for_one = true; kind = Tx.Exact_input; amount_specified = U256.max_value;
+          amount_limit = U256.zero; sqrt_price_limit = U256.one; deadline = 1 };
+      Tx.Mint
+        { lower_tick = -887220; upper_tick = 887220; amount0_desired = U256.one;
+          amount1_desired = U256.max_value; target = Tx.Existing_position pid };
+      Tx.Burn { burn_position = pid; amount0_requested = U256.zero;
+                amount1_requested = U256.max_value };
+      Tx.Collect { collect_position = pid; fees0_requested = U256.max_value;
+                   fees1_requested = U256.zero } ]
+
 let test_tx_table8_sizes () =
   (* Concrete Table 8 values. *)
   Alcotest.(check int) "swap 1008" 1008 (Encoding.ethereum_op_size Encoding.Op_swap);
@@ -234,7 +258,8 @@ let () =
           Alcotest.test_case "sepolia sizes" `Quick test_tx_sepolia_sizes;
           Alcotest.test_case "signature" `Quick test_tx_signature;
           Alcotest.test_case "id freshness" `Quick test_tx_id_depends_on_round;
-          Alcotest.test_case "word encodings" `Quick test_word_encodings ] );
+          Alcotest.test_case "word encodings" `Quick test_word_encodings;
+          Alcotest.test_case "wire size = encoded wire" `Quick test_tx_wire_size_matches_wire ] );
       ( "ledger",
         [ Alcotest.test_case "append/confirm" `Quick test_ledger_append_confirm;
           Alcotest.test_case "rollback" `Quick test_ledger_rollback;

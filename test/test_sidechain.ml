@@ -621,8 +621,16 @@ let summary_props =
                   pa0.Tokenbank.Sync_payload.users
            in
            let snapshot1 = { snapshot0 with Tokenbank.Token_bank.snap_epoch = 1 } in
+           (* Epoch 0's positions ride along too: an epoch-1 trace that
+              never touches them would otherwise drop them from the
+              incremental payload while the full scan still reports them. *)
+           let carry =
+             List.map
+               (fun (e : Tokenbank.Sync_payload.position_entry) -> e.Tokenbank.Sync_payload.pos_id)
+               pa0.Tokenbank.Sync_payload.positions
+           in
            let a1 =
-             Processor.begin_epoch ~pool:pool_a ~snapshot:snapshot1 ~user_carry
+             Processor.begin_epoch ~pool:pool_a ~snapshot:snapshot1 ~carry ~user_carry
                ~verify_signatures:false ()
            in
            let b1 =

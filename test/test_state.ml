@@ -194,6 +194,100 @@ let test_pos_store_journal_bound () =
   Alcotest.(check bool) "journal stays monotone after release" true
     (Pos_store.journal_bytes t >= j0 + delta)
 
+(* ------------------------------------------------------------------ *)
+(* Journal                                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Journal = Flatstore.Journal
+
+let test_journal_first_write () =
+  let j = Journal.create () in
+  let c = Journal.cell 0 in
+  let write v = Journal.set j ~bytes:8 c v in
+  write 1;
+  Alcotest.(check bool) "unmarked journal is silent" false (Journal.recording j);
+  Alcotest.(check int) "nothing recorded before a mark" 0 (Journal.length j);
+  let m1 = Journal.mark j in
+  write 2;
+  write 3;
+  Alcotest.(check int) "one entry per cell per generation" 1 (Journal.length j);
+  let m2 = Journal.mark j in
+  write 4;
+  Alcotest.(check int) "a new mark records again" 2 (Journal.length j);
+  Journal.undo_to j m2;
+  Alcotest.(check int) "undo restores the value at the mark" 3 c.value;
+  write 5;
+  Alcotest.(check int) "undo opens a generation: the rewrite records" 2 (Journal.length j);
+  Journal.release_below j m2;
+  Alcotest.(check int) "release drops older entries" 1 (Journal.length j);
+  Alcotest.(check int) "bytes count every record, undone ones too" 24 (Journal.bytes j);
+  Alcotest.check_raises "released mark" (Invalid_argument "Journal.undo_to: released mark")
+    (fun () -> Journal.undo_to j m1);
+  Alcotest.check_raises "future mark" (Invalid_argument "Journal.undo_to: future mark")
+    (fun () -> Journal.undo_to j (Journal.mark j + 1));
+  Journal.undo_to j m2;
+  Alcotest.(check int) "the same mark restores twice" 3 c.value
+
+(* Pos_store against a persistent map: random writes, deletes, marks,
+   undos and releases, with the live marks tracked like TokenBank's
+   checkpoints (undo invalidates newer marks, release older ones). *)
+type pos_op = Set of int * int | Remove of int | Mark | Undo of int | Release of int
+
+let gen_pos_op =
+  QCheck2.Gen.(
+    frequency
+      [ (5, map2 (fun i l -> Set (i, l)) (int_range 0 7) (int_range 1 1000));
+        (2, map (fun i -> Remove i) (int_range 0 7));
+        (2, return Mark);
+        (1, map (fun k -> Undo k) nat);
+        (1, map (fun k -> Release k) nat) ])
+
+let pos_store_matches_model ops =
+  let t = Pos_store.create () in
+  let module M = Map.Make (Int) in
+  let agree model =
+    Pos_store.length t = M.cardinal model
+    && List.for_all
+         (fun i ->
+           match (Pos_store.find t (pos_id (string_of_int i)), M.find_opt i model) with
+           | None, None -> true
+           | Some e, Some l -> U256.equal e.liquidity (U256.of_int l)
+           | _ -> false)
+         (List.init 8 Fun.id)
+  in
+  let rec go model live = function
+    | [] -> true
+    | op :: rest ->
+      let model, live =
+        match (op, live) with
+        | Set (i, l), _ ->
+          Pos_store.set t (entry ~liquidity:(U256.of_int l) (string_of_int i));
+          (M.add i l model, live)
+        | Remove i, _ ->
+          Pos_store.remove t (pos_id (string_of_int i));
+          (M.remove i model, live)
+        | Mark, _ -> (model, live @ [ (Pos_store.mark t, model) ])
+        | (Undo _ | Release _), [] -> (model, live)
+        | Undo k, _ ->
+          let k = k mod List.length live in
+          let mark, saved = List.nth live k in
+          Pos_store.undo_to t mark;
+          (saved, List.filteri (fun j _ -> j <= k) live)
+        | Release k, _ ->
+          let k = k mod List.length live in
+          Pos_store.release_below t (fst (List.nth live k));
+          (model, List.filteri (fun j _ -> j >= k) live)
+      in
+      agree model && go model live rest
+  in
+  go M.empty [] ops
+
+let pos_store_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"journaled Pos_store = persistent-map model"
+         QCheck2.Gen.(list_size (int_range 1 60) gen_pos_op)
+         pos_store_matches_model) ]
+
 let test_pos_store_codec_roundtrip () =
   let t = Pos_store.create () in
   for i = 0 to 19 do
@@ -225,4 +319,8 @@ let () =
         [ Alcotest.test_case "set/find/remove" `Quick test_pos_store_basics;
           Alcotest.test_case "undo journal" `Quick test_pos_store_undo;
           Alcotest.test_case "O(dirty) journal bound" `Quick test_pos_store_journal_bound;
-          Alcotest.test_case "codec roundtrip" `Quick test_pos_store_codec_roundtrip ] ) ]
+          Alcotest.test_case "codec roundtrip" `Quick test_pos_store_codec_roundtrip ]
+        @ pos_store_props );
+      ( "journal",
+        [ Alcotest.test_case "first write, marks, undo, release" `Quick
+            test_journal_first_write ] ) ]

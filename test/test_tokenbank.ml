@@ -660,6 +660,517 @@ let test_abi_sizes () =
   (* Storage: 6 words per live position + 2 pool + 4 vk. *)
   Alcotest.(check int) "storage words" (6 + 2 + 4) (Sync_payload.storage_words p)
 
+let gen_u256 =
+  QCheck2.Gen.(oneof [ return U256.zero; return U256.max_value; map U256.of_int nat ])
+
+let gen_payload =
+  let open QCheck2.Gen in
+  let vk = snd (Bls.keygen (Amm_crypto.Rng.create "abi-size-vk")) in
+  let gen_user =
+    let+ i = int_range 0 999 and+ payin0 = gen_u256 and+ payout1 = gen_u256 in
+    user_entry (Address.of_label (string_of_int i)) ~payin0 ~payout1
+  in
+  let gen_position =
+    let+ i = nat and+ lower_tick = int_range (-887272) 887272
+    and+ liquidity = gen_u256 and+ fees0 = gen_u256 and+ deleted = bool in
+    { Sync_payload.pos_id =
+        Chain.Ids.Position_id.of_hash (Amm_crypto.Sha256.digest_string (string_of_int i));
+      owner = alice; lower_tick; upper_tick = lower_tick + 60; liquidity;
+      amount0 = U256.one; amount1 = U256.zero; fees0; fees1 = U256.max_value; deleted }
+  in
+  let+ epoch = int_range 0 10_000 and+ pool = int_range 0 3
+  and+ pool_balance0 = gen_u256
+  and+ users = list_size (int_range 0 20) gen_user
+  and+ positions = list_size (int_range 0 20) gen_position in
+  { Sync_payload.epoch; pool; pool_balance0; pool_balance1 = U256.one; users; positions;
+    next_committee_vk = vk }
+
+(* The closed-form size is what every sync now prices; the real encoder
+   is its oracle. *)
+let abi_size_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"closed-form abi_size = encoded length"
+         ~print:(fun (p : Sync_payload.t) ->
+           Printf.sprintf "%d users, %d positions" (List.length p.users)
+             (List.length p.positions))
+         gen_payload
+         (fun p ->
+           Sync_payload.abi_size p
+           = Bytes.length (Sync_payload.abi_encode p) + Bls.signature_size)) ]
+
+(* ------------------------------------------------------------------ *)
+(* Deposit order                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let fund env who =
+  Erc20.mint env.erc0 who one_e21;
+  Erc20.mint env.erc1 who one_e21;
+  Erc20.approve env.erc0 ~owner:who ~spender:(Token_bank.address env.bank) U256.max_value;
+  Erc20.approve env.erc1 ~owner:who ~spender:(Token_bank.address env.bank) U256.max_value
+
+let depositors n = List.init n (fun i -> Address.of_label (Printf.sprintf "depositor-%d" i))
+
+let check_addresses = Alcotest.(list (testable Address.pp Address.equal))
+
+let test_deposits_for_epoch_sorted () =
+  let env = make_env () in
+  let users = depositors 24 in
+  List.iter (fund env) users;
+  List.iter
+    (fun user ->
+      ignore
+        (Token_bank.deposit env.bank ~user ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18))
+    (List.rev users);
+  Alcotest.check check_addresses "address order" (List.sort Address.compare users)
+    (List.map fst (Token_bank.deposits_for_epoch env.bank ~epoch:0))
+
+(* The residual-refund drain pays unlisted depositors one by one. With
+   custody for only [k] refunds left, it fails at the (k+1)-th — and the
+   users already paid reveal the order it visited them in. *)
+let drain_order ~reconcile () =
+  let env = make_env () in
+  let users = depositors 12 and k = 5 in
+  List.iter (fund env) users;
+  List.iter
+    (fun user ->
+      ignore
+        (Token_bank.deposit env.bank ~user ~for_epoch:0 ~amount0:one_e18 ~amount1:U256.zero))
+    users;
+  let custody0, _ = Token_bank.total_custody env.bank in
+  ignore
+    (Erc20.transfer env.erc0 ~source:(Token_bank.address env.bank)
+       ~dest:(Address.of_label "void")
+       (U256.sub custody0 (U256.mul one_e18 (U256.of_int k))));
+  let before = List.map (fun u -> (u, Erc20.balance_of env.erc0 u)) users in
+  let p = payload env ~epoch:0 ~balance0:U256.zero ~balance1:U256.zero in
+  let signed = [ (p, sign env ~epoch:0 p) ] in
+  (match
+     if reconcile then begin
+       ignore (Token_bank.halt env.bank ~epoch:0);
+       Result.is_ok (Token_bank.reconcile env.bank ~signed)
+     end
+     else Result.is_ok (Token_bank.sync env.bank ~signed)
+   with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "the drain should have run out of custody");
+  let paid =
+    List.filter_map
+      (fun (u, b) -> if U256.gt (Erc20.balance_of env.erc0 u) b then Some u else None)
+      before
+  in
+  Alcotest.check check_addresses "the k smallest addresses were paid first"
+    (List.filteri (fun i _ -> i < k) (List.sort Address.compare users))
+    (List.sort Address.compare paid)
+
+(* ------------------------------------------------------------------ *)
+(* Undo journal vs the persistent-map reference model                  *)
+(* ------------------------------------------------------------------ *)
+
+let carol = Address.of_label "carol"
+let dave = Address.of_label "dave"
+
+(* Indices 0-3 are users; 4 is the bank's address. *)
+let universe = [| alice; bob; carol; dave; Address.of_label "TokenBank" |]
+let who i = universe.(i mod Array.length universe)
+
+type op =
+  | Mint of int * bool * int  (* account, token0?, amount *)
+  | Transfer of int * int * bool * int  (* user, account, token0?, amount *)
+  | Transfer_from of int * int * int * bool * int  (* spender, owner, dest, ... *)
+  | Approve of int * int * bool * int  (* owner, spender, token0?, amount (<0: max) *)
+  | Deposit of int * int * int * int  (* user, epochs ahead, amount0, amount1 *)
+  | Sync of (int * int * int) list * (int * bool) list * bool
+      (* (user, payin % of deposit, payout), (position, deleted), break conservation *)
+  | Flash of int * int * int * int  (* borrower, amount0, amount1, callback kind *)
+  | Halt
+  | Exit of int
+  | Checkpoint
+  | Restore of int
+  | Release of int
+
+let show_op = function
+  | Mint (a, t0, n) -> Printf.sprintf "Mint(%d,%b,%d)" a t0 n
+  | Transfer (s, d, t0, n) -> Printf.sprintf "Transfer(%d->%d,%b,%d)" s d t0 n
+  | Transfer_from (sp, o, d, t0, n) ->
+    Printf.sprintf "Transfer_from(%d:%d->%d,%b,%d)" sp o d t0 n
+  | Approve (o, s, t0, n) -> Printf.sprintf "Approve(%d->%d,%b,%d)" o s t0 n
+  | Deposit (u, e, a0, a1) -> Printf.sprintf "Deposit(%d,+%d,%d,%d)" u e a0 a1
+  | Sync (us, ps, bad) ->
+    Printf.sprintf "Sync([%s],[%s],%b)"
+      (String.concat ";" (List.map (fun (u, p, o) -> Printf.sprintf "%d:%d%%/%d" u p o) us))
+      (String.concat ";" (List.map (fun (p, d) -> Printf.sprintf "%d%s" p (if d then "x" else "")) ps))
+      bad
+  | Flash (b, a0, a1, k) -> Printf.sprintf "Flash(%d,%d,%d,k%d)" b a0 a1 k
+  | Halt -> "Halt"
+  | Exit u -> Printf.sprintf "Exit(%d)" u
+  | Checkpoint -> "Checkpoint"
+  | Restore i -> Printf.sprintf "Restore(%d)" i
+  | Release i -> Printf.sprintf "Release(%d)" i
+
+let show_ops ops = String.concat " " (List.map show_op ops)
+let amount n = if n < 0 then U256.max_value else U256.of_int n
+
+let gen_erc_op =
+  let open QCheck2.Gen in
+  let acct = int_range 0 4 and user = int_range 0 3 in
+  let amt = frequency [ (6, int_range 0 5_000); (1, return 5_000_000) ] in
+  frequency
+    [ (2, map3 (fun a t n -> Mint (a, t, n)) acct bool amt);
+      (5, (let+ s = user and+ d = acct and+ t = bool and+ n = amt in Transfer (s, d, t, n)));
+      (4, (let+ sp = acct and+ o = user and+ d = acct and+ t = bool and+ n = amt in
+           Transfer_from (sp, o, d, t, n)));
+      (2, (let+ o = user and+ s = acct and+ t = bool
+           and+ n = frequency [ (1, return (-1)); (3, int_range 0 20_000) ] in
+           Approve (o, s, t, n)));
+      (2, return Checkpoint);
+      (1, map (fun i -> Restore i) nat);
+      (1, map (fun i -> Release i) nat) ]
+
+let gen_bank_op =
+  let open QCheck2.Gen in
+  let user = int_range 0 3 in
+  frequency
+    [ (6, gen_erc_op);
+      (6, (let+ u = user and+ e = int_range 0 2 and+ a0 = int_range 0 30_000
+           and+ a1 = int_range 0 30_000 in
+           Deposit (u, e, a0, a1)));
+      (3, (let+ us = list_size (int_range 0 4) (triple user (int_range 0 100) (int_range 0 20_000))
+           and+ ps = list_size (int_range 0 3) (pair (int_range 0 5) bool)
+           and+ bad = frequency [ (9, return false); (1, return true) ] in
+           Sync (us, ps, bad)));
+      (2, (let+ b = user and+ a0 = int_range 0 20_000 and+ a1 = int_range 0 20_000
+           and+ k = int_range 0 3 in
+           Flash (b, a0, a1, k)));
+      (1, return Halt);
+      (1, map (fun u -> Exit u) user) ]
+
+(* Checkpoints that may still be restored, oldest first: restoring one
+   invalidates the newer ones, releasing one the older ones. *)
+let restore_live live i restore =
+  match live with
+  | [] -> []
+  | _ ->
+    let k = i mod List.length live in
+    restore (List.nth live k);
+    List.filteri (fun j _ -> j <= k) live
+
+let release_live live i release =
+  match live with
+  | [] -> []
+  | _ ->
+    let k = i mod List.length live in
+    release (List.nth live k);
+    List.filteri (fun j _ -> j >= k) live
+
+let erc_agree real model =
+  U256.equal (Erc20.total_supply real) (Ref_erc20.total_supply model)
+  && Array.for_all
+       (fun a ->
+         U256.equal (Erc20.balance_of real a) (Ref_erc20.balance_of model a)
+         && Array.for_all
+              (fun s ->
+                U256.equal
+                  (Erc20.allowance real ~owner:a ~spender:s)
+                  (Ref_erc20.allowance model ~owner:a ~spender:s))
+              universe)
+       universe
+
+(* Apply an ERC-20 op to both sides; [None] for ops that are not ERC-20
+   ops, else whether both sides agreed on success. *)
+let erc_step (r0, r1) (m0, m1) op =
+  let pick t0 = if t0 then (r0, m0) else (r1, m1) in
+  let agree a b = Some (Result.is_ok a = Result.is_ok b) in
+  match op with
+  | Mint (a, t0, n) ->
+    let r, m = pick t0 in
+    Erc20.mint r (who a) (amount n);
+    Ref_erc20.mint m (who a) (amount n);
+    Some true
+  | Transfer (s, d, t0, n) ->
+    let r, m = pick t0 in
+    agree
+      (Erc20.transfer r ~source:(who s) ~dest:(who d) (amount n))
+      (Ref_erc20.transfer m ~source:(who s) ~dest:(who d) (amount n))
+  | Transfer_from (sp, o, d, t0, n) ->
+    let r, m = pick t0 in
+    agree
+      (Erc20.transfer_from r ~spender:(who sp) ~source:(who o) ~dest:(who d) (amount n))
+      (Ref_erc20.transfer_from m ~spender:(who sp) ~source:(who o) ~dest:(who d) (amount n))
+  | Approve (o, s, t0, n) ->
+    let r, m = pick t0 in
+    Erc20.approve r ~owner:(who o) ~spender:(who s) (amount n);
+    Ref_erc20.approve m ~owner:(who o) ~spender:(who s) (amount n);
+    Some true
+  | _ -> None
+
+let fresh_tokens () =
+  let t0 = Chain.Token.make ~id:0 ~symbol:"TKA" and t1 = Chain.Token.make ~id:1 ~symbol:"TKB" in
+  let r0 = Erc20.deploy t0 and r1 = Erc20.deploy t1 in
+  let m0 = Ref_erc20.deploy t0 and m1 = Ref_erc20.deploy t1 in
+  (* dave starts empty, carol with a finite allowance that decrements. *)
+  List.iter
+    (fun (r, m) ->
+      List.iter
+        (fun a ->
+          Erc20.mint r a (U256.of_int 1_000_000);
+          Ref_erc20.mint m a (U256.of_int 1_000_000))
+        [ alice; bob; carol ];
+      List.iter
+        (fun (owner, n) ->
+          Erc20.approve r ~owner ~spender:(who 4) n;
+          Ref_erc20.approve m ~owner ~spender:(who 4) n)
+        [ (alice, U256.max_value); (bob, U256.max_value); (carol, U256.of_int 300_000) ])
+    [ (r0, m0); (r1, m1) ];
+  ((r0, r1), (m0, m1))
+
+let erc20_matches_model ops =
+  let (r0, r1), (m0, m1) = fresh_tokens () in
+  let rec go live = function
+    | [] -> true
+    | op :: rest ->
+      let ok, live =
+        match op with
+        | Checkpoint ->
+          (true, live @ [ (Erc20.checkpoint r0, Erc20.checkpoint r1,
+                           Ref_erc20.checkpoint m0, Ref_erc20.checkpoint m1) ])
+        | Restore i ->
+          ( true,
+            restore_live live i (fun (c0, c1, d0, d1) ->
+                Erc20.restore r0 c0;
+                Erc20.restore r1 c1;
+                Ref_erc20.restore m0 d0;
+                Ref_erc20.restore m1 d1) )
+        | Release i ->
+          ( true,
+            release_live live i (fun (c0, c1, _, _) ->
+                Erc20.release r0 c0;
+                Erc20.release r1 c1) )
+        | op -> (Option.value ~default:true (erc_step (r0, r1) (m0, m1) op), live)
+      in
+      ok && erc_agree r0 m0 && erc_agree r1 m1 && go live rest
+  in
+  go [] ops
+
+let dummy_sk, dummy_vk = Bls.keygen (Amm_crypto.Rng.create "journal-model")
+let dummy_sig = Bls.sign dummy_sk (Bytes.of_string "unchecked")
+
+type banks = {
+  real : Token_bank.t;
+  model : Ref_token_bank.t;
+  rt : Erc20.t * Erc20.t;
+  mt : Ref_erc20.t * Ref_erc20.t;
+  pool_id : int;
+}
+
+let fresh_banks () =
+  let ((r0, r1) as rt), ((m0, m1) as mt) = fresh_tokens () in
+  let real = Token_bank.deploy ~token0:r0 ~token1:r1 ~genesis_committee_vk:dummy_vk in
+  let model = Ref_token_bank.deploy ~token0:m0 ~token1:m1 in
+  let pool_id = Token_bank.create_pool real ~flash_fee_pips:3000 in
+  ignore (Ref_token_bank.create_pool model ~flash_fee_pips:3000);
+  { real; model; rt; mt; pool_id }
+
+let banks_agree b =
+  let r0, r1 = b.rt and m0, m1 = b.mt in
+  let pair_eq (a0, a1) (b0, b1) = U256.equal a0 b0 && U256.equal a1 b1 in
+  let synced = Token_bank.last_synced_epoch b.real in
+  let deposits_agree e =
+    let real = Token_bank.deposits_for_epoch b.real ~epoch:e in
+    let model = Ref_token_bank.deposits_for_epoch b.model ~epoch:e in
+    List.length real = List.length model
+    && List.for_all2 (fun (a, d) (a', d') -> Address.equal a a' && pair_eq d d') real model
+    && pair_eq (Token_bank.deposit_total b.real ~epoch:e)
+         (List.fold_left
+            (fun (s0, s1) (_, (d0, d1)) -> (U256.add s0 d0, U256.add s1 d1))
+            (U256.zero, U256.zero) model)
+  in
+  let claim_eq (c : Token_bank.exit_claim) (c' : Ref_token_bank.exit_claim) =
+    pair_eq (c.claim0, c.claim1) (c'.claim0, c'.claim1)
+    && pair_eq (c.refund0, c.refund1) (c'.refund0, c'.refund1)
+    && c.positions_closed = c'.positions_closed
+  in
+  erc_agree r0 m0 && erc_agree r1 m1
+  && synced = b.model.Ref_token_bank.synced_epoch
+  && Token_bank.is_halted b.real = b.model.Ref_token_bank.halted
+  && List.for_all deposits_agree (List.init (synced + 6) Fun.id)
+  && Token_bank.storage_words b.real = Ref_token_bank.storage_words b.model
+  && pair_eq (Token_bank.total_custody b.real) (Ref_token_bank.total_custody b.model)
+  && (match (Token_bank.pool b.real b.pool_id, Ref_token_bank.pool b.model b.pool_id) with
+     | Some p, Some p' ->
+       pair_eq (p.Token_bank.balance0, p.Token_bank.balance1)
+         (p'.Ref_token_bank.balance0, p'.Ref_token_bank.balance1)
+     | _ -> false)
+  && Bytes.equal (Token_bank.positions_bytes b.real) (Ref_token_bank.positions_bytes b.model)
+  && Array.for_all
+       (fun a ->
+         match (Token_bank.exit_of b.real a, Ref_token_bank.exit_of b.model a) with
+         | None, None -> true
+         | Some c, Some c' -> claim_eq c c'
+         | _ -> false)
+       universe
+
+(* A payload for the next epoch that conserves tokens (unless [bad]):
+   each user listed once, payins a share of their deposit, payouts
+   capped by what the pool plus payins can cover. *)
+let sync_payload b users positions ~bad =
+  let users =
+    List.rev
+      (List.fold_left
+         (fun seen ((u, _, _) as e) ->
+           if List.exists (fun (u', _, _) -> u' = u) seen then seen else e :: seen)
+         [] users)
+  in
+  let epoch = Token_bank.last_synced_epoch b.real + 1 in
+  let pool0, pool1 =
+    match Token_bank.pool b.real b.pool_id with
+    | Some p -> (p.Token_bank.balance0, p.Token_bank.balance1)
+    | None -> (U256.zero, U256.zero)
+  in
+  let pct d p = U256.mul_div d (U256.of_int p) (U256.of_int 100) in
+  let entries =
+    List.map
+      (fun (u, p, out) ->
+        let d0, d1 = Token_bank.deposit_of b.real ~epoch (who u) in
+        (who u, pct d0 p, pct d1 p, U256.of_int out, U256.of_int (out / 2)))
+      users
+  in
+  let avail0 = ref (List.fold_left (fun a (_, i0, _, _, _) -> U256.add a i0) pool0 entries) in
+  let avail1 = ref (List.fold_left (fun a (_, _, i1, _, _) -> U256.add a i1) pool1 entries) in
+  let take avail want =
+    let x = U256.min want !avail in
+    avail := U256.sub !avail x;
+    x
+  in
+  let users =
+    List.map
+      (fun (user, payin0, payin1, o0, o1) ->
+        let payout0 = take avail0 o0 in
+        let payout1 = take avail1 o1 in
+        { Sync_payload.user; payin0; payin1; payout0; payout1 })
+      entries
+  in
+  let positions =
+    List.map
+      (fun (i, deleted) ->
+        { Sync_payload.pos_id =
+            Chain.Ids.Position_id.of_hash
+              (Amm_crypto.Sha256.digest_string (Printf.sprintf "model-pos-%d" i));
+          owner = who (i mod 4); lower_tick = -60 * (i + 1); upper_tick = 60;
+          liquidity = U256.of_int (1000 + i); amount0 = U256.of_int (100 * i);
+          amount1 = U256.of_int (50 * i); fees0 = U256.of_int i; fees1 = U256.zero;
+          deleted })
+      positions
+  in
+  { Sync_payload.epoch; pool = b.pool_id;
+    pool_balance0 = (if bad then U256.add !avail0 U256.one else !avail0);
+    pool_balance1 = !avail1; users; positions; next_committee_vk = dummy_vk }
+
+let bank_step b op =
+  let r0, _ = b.rt and m0, _ = b.mt in
+  let agree a c = Result.is_ok a = Result.is_ok c in
+  match op with
+  | Deposit (u, ahead, a0, a1) ->
+    let for_epoch = Token_bank.last_synced_epoch b.real + 1 + ahead in
+    agree
+      (Token_bank.deposit b.real ~user:(who u) ~for_epoch ~amount0:(amount a0)
+         ~amount1:(amount a1))
+      (Ref_token_bank.deposit b.model ~user:(who u) ~for_epoch ~amount0:(amount a0)
+         ~amount1:(amount a1))
+  | Sync (users, positions, bad) ->
+    let p = sync_payload b users positions ~bad in
+    agree
+      (Token_bank.sync ~check_signatures:false b.real ~signed:[ (p, dummy_sig) ])
+      (Ref_token_bank.sync b.model ~payloads:[ p ])
+  | Flash (u, a0, a1, kind) ->
+    let borrower = who u in
+    (* 0: repays; 1: the callback refuses; 2: the borrower gives its
+       token0 away and cannot repay; 3: it gives half the loan away. *)
+    let callback transfer balance_of ~fee0:_ ~fee1:_ =
+      match kind with
+      | 0 -> Ok ()
+      | 1 -> Error "callback refused"
+      | 2 -> transfer (balance_of borrower)
+      | _ -> transfer (U256.of_int (a0 / 2))
+    in
+    agree
+      (Token_bank.flash b.real ~pool:b.pool_id ~borrower ~amount0:(amount a0)
+         ~amount1:(amount a1)
+         ~callback:
+           (callback
+              (fun n -> Erc20.transfer r0 ~source:borrower ~dest:carol n)
+              (Erc20.balance_of r0)))
+      (Ref_token_bank.flash b.model ~pool:b.pool_id ~borrower ~amount0:(amount a0)
+         ~amount1:(amount a1)
+         ~callback:
+           (callback
+              (fun n -> Ref_erc20.transfer m0 ~source:borrower ~dest:carol n)
+              (Ref_erc20.balance_of m0)))
+  | Halt -> agree (Token_bank.halt b.real ~epoch:0) (Ref_token_bank.halt b.model)
+  | Exit u ->
+    agree
+      (Token_bank.emergency_exit b.real ~claimant:(who u))
+      (Ref_token_bank.emergency_exit b.model ~claimant:(who u))
+  | op -> Option.value ~default:true (erc_step b.rt b.mt op)
+
+let bank_matches_model ops =
+  let b = fresh_banks () in
+  let rec go live = function
+    | [] -> true
+    | op :: rest ->
+      let ok, live =
+        match op with
+        | Checkpoint ->
+          (true, live @ [ (Token_bank.checkpoint b.real, Ref_token_bank.checkpoint b.model) ])
+        | Restore i ->
+          ( true,
+            restore_live live i (fun (c, c') ->
+                Token_bank.restore b.real c;
+                Ref_token_bank.restore b.model c') )
+        | Release i ->
+          ( true,
+            release_live live i (fun (c, c') ->
+                Token_bank.release_checkpoint b.real c;
+                Ref_token_bank.release_checkpoint b.model c') )
+        | op -> (bank_step b op, live)
+      in
+      ok && banks_agree b && go live rest
+  in
+  go [] ops
+
+let journal_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"journaled Erc20 = persistent-map model"
+         ~print:show_ops
+         QCheck2.Gen.(list_size (int_range 1 80) gen_erc_op)
+         erc20_matches_model);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"journaled Token_bank = persistent-map model"
+         ~print:show_ops
+         QCheck2.Gen.(list_size (int_range 1 80) gen_bank_op)
+         bank_matches_model) ]
+
+(* First write only: a balance rewritten 10 000 times between two
+   checkpoints is recorded once, and a token never checkpointed records
+   nothing at all. *)
+let test_journal_first_write_bound () =
+  let erc = Erc20.deploy (Chain.Token.make ~id:9 ~symbol:"T") in
+  Erc20.mint erc alice (U256.of_int 1_000_000);
+  for _ = 1 to 1_000 do
+    ignore (Erc20.transfer erc ~source:alice ~dest:bob U256.one)
+  done;
+  Alcotest.(check int) "never checkpointed: nothing recorded" 0 (Erc20.journal_length erc);
+  let ck = Erc20.checkpoint erc in
+  for _ = 1 to 10_000 do
+    ignore (Erc20.transfer erc ~source:alice ~dest:bob U256.one)
+  done;
+  let entries = Erc20.journal_length erc in
+  ignore (Erc20.checkpoint erc);
+  Alcotest.(check bool) (Printf.sprintf "10 000 transfers add %d <= 2 entries" entries) true
+    (entries <= 2);
+  Erc20.restore erc ck;
+  Alcotest.check check_u256 "restore rewinds all 10 000" (U256.of_int 999_000)
+    (Erc20.balance_of erc alice)
+
 let test_erc20_semantics () =
   let erc = Erc20.deploy (Chain.Token.make ~id:9 ~symbol:"T") in
   Erc20.mint erc alice (U256.of_int 100);
@@ -735,4 +1246,15 @@ let () =
       ( "encoding/substrate",
         [ Alcotest.test_case "abi sizes" `Quick test_abi_sizes;
           Alcotest.test_case "erc20" `Quick test_erc20_semantics;
-          Alcotest.test_case "gas meter" `Quick test_gas_meter ] ) ]
+          Alcotest.test_case "gas meter" `Quick test_gas_meter ]
+        @ abi_size_props );
+      ( "deposit order",
+        [ Alcotest.test_case "deposits_for_epoch sorted" `Quick
+            test_deposits_for_epoch_sorted;
+          Alcotest.test_case "sync drain in address order" `Quick
+            (drain_order ~reconcile:false);
+          Alcotest.test_case "reconcile drain in address order" `Quick
+            (drain_order ~reconcile:true) ] );
+      ( "journal",
+        Alcotest.test_case "first-write bound" `Quick test_journal_first_write_bound
+        :: journal_props ) ]
