@@ -232,7 +232,7 @@ let compute_chaos sink =
   let rows = E.chaos_soak ~sink () in
   fun () ->
     E.print_perf_table
-      ~title:"Chaos soak: fault-rate sweep (recovery + replay oracle)"
+      ~title:"Chaos soak: fault-rate sweep (recovery + twin audit)"
       ~col_header:"Fault intensity" rows
 
 let compute_exit_drill sink =

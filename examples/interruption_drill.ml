@@ -8,16 +8,16 @@
       mass-sync;
    3. seeded all-layer chaos via the fault-plan engine (lib/faults/):
       probabilistic network, consensus, committee and mainchain faults
-      swept by intensity, with the recovery counters and the
-      differential replay oracle verdict printed per run;
+      swept by intensity, with the recovery counters and the state
+      twin's audit verdict printed per run;
    4. liveness failures past the point of repair: scripted
       quorum-starvation windows and a permanent committee loss drive the
       watchdog through Degraded and Halted, parties withdraw through the
       emergency exit, and a reconciliation restores the survivors.
 
-   The drill is an executable spec: every scene's oracle verdicts
-   (custody, differential replay, exit conservation) are asserted, and
-   the process exits non-zero if any of them fail.
+   The drill is an executable spec: every scene's verdicts (custody,
+   twin audit, exit conservation) are asserted, and the process exits
+   non-zero if any of them fail.
 
      dune exec examples/interruption_drill.exe *)
 
@@ -59,7 +59,7 @@ let run_system_scene name interruptions =
     r.System.epochs_applied r.System.epochs_run r.System.mass_syncs
     r.System.payouts_settled r.System.processed r.System.custody_consistent;
   check (name ^ ": custody") r.System.custody_consistent;
-  check (name ^ ": replay oracle") r.System.replay_consistent;
+  check (name ^ ": twin audit") r.System.twin_consistent;
   check (name ^ ": all epochs synced") (r.System.epochs_applied = r.System.epochs_run)
 
 let run_chaos_scene intensity =
@@ -75,12 +75,12 @@ let run_chaos_scene intensity =
   let injected = List.fold_left (fun a (_, n) -> a + n) 0 r.System.faults_injected in
   Printf.printf
     "  intensity %3.0f%%  faults=%-5d epochs=%d/%d retries=%d mass-syncs=%d \
-     degraded=%d rollbacks=%d oracle=%s\n"
+     degraded=%d rollbacks=%d twin=%s\n"
     (intensity *. 100.) injected r.System.epochs_applied r.System.epochs_run
     r.System.sync_retries r.System.mass_syncs r.System.degraded_signings
     r.System.rollbacks
-    (if r.System.replay_consistent then "pass" else "FAIL");
-  check (Printf.sprintf "chaos %.2f: replay oracle" intensity) r.System.replay_consistent;
+    (if r.System.twin_consistent then "pass" else "FAIL");
+  check (Printf.sprintf "chaos %.2f: twin audit" intensity) r.System.twin_consistent;
   check (Printf.sprintf "chaos %.2f: custody" intensity) r.System.custody_consistent
 
 let run_watchdog_scene name scenario ~expect_final ~expect_exits =
@@ -95,14 +95,14 @@ let run_watchdog_scene name scenario ~expect_final ~expect_exits =
   in
   let r = System.run cfg in
   Printf.printf
-    "  %-28s mode=%s exits=%d/%d exit-conservation=%b oracle=%s custody=%b\n" name
+    "  %-28s mode=%s exits=%d/%d exit-conservation=%b twin=%s custody=%b\n" name
     r.System.final_mode r.System.exits_served cfg.Config.users
     r.System.exit_conservation
-    (if r.System.replay_consistent then "pass" else "FAIL")
+    (if r.System.twin_consistent then "pass" else "FAIL")
     r.System.custody_consistent;
   check (name ^ ": final mode " ^ expect_final) (r.System.final_mode = expect_final);
   check (name ^ ": exit conservation") r.System.exit_conservation;
-  check (name ^ ": replay oracle") r.System.replay_consistent;
+  check (name ^ ": twin audit") r.System.twin_consistent;
   check (name ^ ": custody") r.System.custody_consistent;
   if expect_exits then
     check (name ^ ": every party exited") (r.System.exits_served = cfg.Config.users)
@@ -156,10 +156,11 @@ let () =
      The chaos scenes recover probabilistic faults the scripts never staged:\n\
      withheld DKG shares (degraded-quorum signing), evicted and reorged Syncs\n\
      (backoff retries, checkpoint restore), and lossy committee networks —\n\
-     and the replay oracle re-derives the final TokenBank state from the\n\
-     surviving history to prove nothing was lost. When liveness cannot be\n\
-     repaired, the watchdog halts the bank and the emergency exit pays every\n\
-     party pro rata from the last confirmed summary — conservation intact.\n";
+     and the state twin re-derives the TokenBank from the surviving op\n\
+     stream and audits it every epoch to prove nothing was lost. When liveness\n\
+     cannot be repaired, the watchdog halts the bank and the emergency exit\n\
+     pays every party pro rata from the last confirmed summary — conservation\n\
+     intact.\n";
   if !failures > 0 then begin
     Printf.printf "\n%d assertion(s) FAILED\n" !failures;
     exit 1

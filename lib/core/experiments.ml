@@ -488,7 +488,7 @@ let print_ablation ~title rows =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Chaos soak: fault-rate sweep with recovery + replay-oracle report   *)
+(* Chaos soak: fault-rate sweep with recovery + twin-audit report      *)
 (* ------------------------------------------------------------------ *)
 
 let chaos_intensities = [ 0.0; 0.05; 0.1; 0.2 ]
@@ -511,8 +511,8 @@ let chaos_soak ?sink ?domains () =
                ("Degraded signings", string_of_int r.System.degraded_signings);
                ("Corrupted partials", string_of_int r.System.corrupted_partials);
                ("Rollbacks", string_of_int r.System.rollbacks);
-               ("Replay oracle",
-                if r.System.replay_consistent then "pass" else "FAIL") ])
+               ("Twin audit",
+                if r.System.twin_consistent then "pass" else "FAIL") ])
            { base with
              epochs = 4;
              daily_volume = scaled 50_000;
@@ -592,8 +592,8 @@ let exit_drill ?sink ?domains () =
                        (fun (s, n) ->
                          Printf.sprintf "%s:%d" (String.sub s 0 4) n)
                        r.System.monitor_violations));
-               ("Replay oracle",
-                if r.System.replay_consistent then "pass" else "FAIL");
+               ("Twin audit",
+                if r.System.twin_consistent then "pass" else "FAIL");
                ("Custody",
                 if r.System.custody_consistent then "pass" else "FAIL") ])
            { base with
@@ -724,7 +724,7 @@ let drill_fingerprint (r : System.result) =
       U256.to_string r.System.exit_claims0;
       U256.to_string r.System.exit_claims1;
       r.System.final_mode;
-      string_of_bool r.System.replay_consistent;
+      string_of_bool r.System.twin_consistent;
       string_of_bool r.System.custody_consistent;
       string_of_int r.System.swaps; string_of_int r.System.mints;
       string_of_int r.System.burns; string_of_int r.System.collects ]

@@ -143,7 +143,7 @@ val chaos_soak :
     swept across fault-plan intensities ({!chaos_intensities}, scaled by
     {!Faults.Fault_plan.chaos}). Extra rows report epochs applied, faults
     injected, recovery actions (mass-syncs, retries, degraded signings,
-    rollbacks) and the replay-oracle verdict — rows are deterministic in
+    rollbacks) and the twin-audit verdict — rows are deterministic in
     the seed at any [?domains] value. *)
 
 val exit_drill :
@@ -153,7 +153,7 @@ val exit_drill :
     stalled epochs, Halted at 4). Sweeps stall duration against exit gas
     cost and recovery latency; extra rows report the operating-mode
     trajectory, exits served with their claimed value, the exit
-    conservation and replay-oracle verdicts, and the reconciliation
+    conservation and twin-audit verdicts, and the reconciliation
     summary. Deterministic at any [?domains] value. *)
 
 (** {1 Crash drill} *)

@@ -182,7 +182,6 @@ type result = {
   corrupted_partials : int;
   rollbacks : int;
   faults_injected : (string * int) list;
-  replay_consistent : bool;
   rejection_reasons : (string * int) list;
   custody_consistent : bool;
   audit_passed : bool option;
@@ -257,14 +256,12 @@ type t = {
       (* epochs, inclusion height, inclusion time *)
   mutable checkpoints :
     (int * Token_bank.checkpoint * int * Twin.checkpoint option) list;
-      (* height -> (state before, oracle mark before, twin mark before) *)
+      (* height -> (state before, bank-op count before, twin mark before) *)
+  mutable bank_ops : int;
+      (* bank ops emitted on the surviving history (see [emit]) *)
   mutable deposits_submitted_until : int;
   rollbacks_done : (int, unit) Hashtbl.t;
   plan : Faults.Fault_plan.t;
-  oracle : Faults.Replay_oracle.t;
-      (* end-of-run differential replay — since the twin took over the
-         continuous-audit duty this is the oracle of the oracle: an
-         independent full re-derivation that also cross-checks the twin *)
   twin : Twin.t option;
       (* the state twin (cfg.twin_audit): advanced from the same op
          stream the live system applies, byte-compared against the flat
@@ -275,11 +272,10 @@ type t = {
   mutable twin_injections : (int * string) list;  (* newest first *)
   monitor : Monitor.t;
   durable : Durable.Session.t option;
-      (* crash-consistent persistence: every oracle-visible state delta
-         is also fed through the durable session (WAL verify-or-append),
-         snapshots are taken at epoch boundaries, and the fault plan may
-         kill the run at a round boundary via Session.maybe_crash *)
-  genesis_vk : Bls.public_key;
+      (* crash-consistent persistence: every emitted bank op is also fed
+         through the durable session (WAL verify-or-append), snapshots
+         are taken at epoch boundaries, and the fault plan may kill the
+         run at a round boundary via Session.maybe_crash *)
   mutable mode : mode;
   mutable mode_transitions : (float * mode) list;  (* newest first *)
   mutable signing_streak : int;
@@ -331,16 +327,15 @@ type t = {
     list;
 }
 
-(* Feed one state delta through the durable session (no-op when the run
-   is not durable). Called beside every Replay_oracle record site so the
-   WAL is exactly the oracle's op log plus rollback compensations. *)
-let dur_record t r =
-  match t.durable with Some s -> Durable.Session.record s r | None -> ()
-
-(* Mirror a bank-layer op into the state twin (no-op when the twin is
-   off). Called beside the oracle record sites, at execution time, so the
-   twin's replica bank advances in exactly the live application order. *)
-let twin_op t f = match t.twin with Some tw -> f tw | None -> ()
+(* The one record site for a bank op the live TokenBank just accepted:
+   count it (the count is the mark a rollback's [Truncate] carries),
+   advance the twin's replica in exactly the live application order, and
+   feed the durable session, so the WAL is this op stream plus rollback
+   compensations. *)
+let emit t op =
+  t.bank_ops <- t.bank_ops + 1;
+  Option.iter (fun tw -> Twin.apply tw op) t.twin;
+  Option.iter (fun s -> Durable.Session.record s (Durable.Record.Op op)) t.durable
 
 (* Round-boundary crash injection: raises [Durable.Session.Crashed]. *)
 let dur_crash t ~epoch ~round =
@@ -518,10 +513,10 @@ let create ?sink ?durable cfg =
       tx_latency = Metrics.agg (); payouts = Metrics.payout_tracker ();
       committee_keys = Hashtbl.create 16; committees = [];
       signed_payloads = Hashtbl.create 16; submissions = [];
-      pending_confirm = []; checkpoints = []; deposits_submitted_until = -1;
+      pending_confirm = []; checkpoints = []; bank_ops = 0;
+      deposits_submitted_until = -1;
       rollbacks_done = Hashtbl.create 4;
-      plan; oracle = Faults.Replay_oracle.create ();
-      twin; twin_divergence_streak = 0; twin_reports = []; twin_injections = [];
+      plan; twin; twin_divergence_streak = 0; twin_reports = []; twin_injections = [];
       monitor =
         Monitor.create
           ~thresholds:
@@ -531,7 +526,6 @@ let create ?sink ?durable cfg =
               signing_streak_degraded = cfg.Config.watchdog.Config.wd_signing_streak }
           sink;
       durable;
-      genesis_vk = keys0.vk;
       mode = Normal; mode_transitions = []; signing_streak = 0;
       halted_at = None; recovered_at = None; dissolved = false;
       reconcile_inflight = false; reconciliation = None;
@@ -577,15 +571,9 @@ let create ?sink ?durable cfg =
           ~amount1
       with
       | Ok () ->
-        Faults.Replay_oracle.record_deposit t.oracle ~user:u.Party.address
-          ~for_epoch:0 ~amount0 ~amount1;
-        twin_op t (fun tw ->
-            Twin.bank_deposit tw ~user:u.Party.address ~for_epoch:0 ~amount0
-              ~amount1);
-        dur_record t
-          (Durable.Record.Op
-             (Durable.Record.Deposit
-                { user = u.Party.address; for_epoch = 0; amount0; amount1 }))
+        emit t
+          (Durable.Record.Deposit
+             { user = u.Party.address; for_epoch = 0; amount0; amount1 })
       | Error e -> failwith ("System.create: bootstrap deposit failed: " ^ e))
     t.users;
   t.deposits_submitted_until <- 0;
@@ -630,17 +618,10 @@ let submit_epoch_deposits t ~for_epoch ~at =
                     ~amount0:amount ~amount1:amount
                 with
                 | Ok () ->
-                  Faults.Replay_oracle.record_deposit t.oracle
-                    ~user:u.Party.address ~for_epoch ~amount0:amount
-                    ~amount1:amount;
-                  twin_op t (fun tw ->
-                      Twin.bank_deposit tw ~user:u.Party.address ~for_epoch
-                        ~amount0:amount ~amount1:amount);
-                  dur_record t
-                    (Durable.Record.Op
-                       (Durable.Record.Deposit
-                          { user = u.Party.address; for_epoch;
-                            amount0 = amount; amount1 = amount }))
+                  emit t
+                    (Durable.Record.Deposit
+                       { user = u.Party.address; for_epoch;
+                         amount0 = amount; amount1 = amount })
                 | Error e ->
                   (* Deposits in flight when the bank halts revert; any
                      other failure is a simulator bug. *)
@@ -777,10 +758,9 @@ let submit_sync t ~epoch ~at ~corrupt =
             Some
               (fun height ->
                 (* Snapshot for rollback modeling before any state change,
-                   paired with the oracle's op-log position. *)
+                   paired with the bank-op count. *)
                 t.checkpoints <-
-                  (height, Token_bank.checkpoint t.bank,
-                   Faults.Replay_oracle.mark t.oracle,
+                  (height, Token_bank.checkpoint t.bank, t.bank_ops,
                    Option.map Twin.checkpoint t.twin)
                   :: t.checkpoints;
                 let time = Eth.now t.eth in
@@ -789,9 +769,7 @@ let submit_sync t ~epoch ~at ~corrupt =
                 | Ok receipt ->
                   submission.status <- Applied;
                   t.sync_receipts <- receipt :: t.sync_receipts;
-                  Faults.Replay_oracle.record_sync t.oracle signed;
-                  twin_op t (fun tw -> Twin.bank_sync tw signed);
-                  dur_record t (Durable.Record.Op (Durable.Record.Sync signed));
+                  emit t (Durable.Record.Sync signed);
                   Tmetrics.inc t.tele.c_sync_applied;
                   List.iter
                     (fun (p, _) ->
@@ -951,7 +929,7 @@ let settle_confirmed t =
   | [] -> ()
 
 (* Fork switch abandoning every block from [height] to the tip: restore
-   TokenBank (and the oracle's op log) to the paired pre-sync checkpoint,
+   TokenBank (and the bank-op count) to the paired pre-sync checkpoint,
    fail every sync the fork orphaned, and arm the retry machinery; the
    re-submission happens via retry or the normal mass-sync path. *)
 let rollback_to t ~height =
@@ -963,7 +941,7 @@ let rollback_to t ~height =
     (match List.find_opt (fun (h, _, _, _) -> h = height) t.checkpoints with
     | Some (_, ck, mark, tck) ->
       Token_bank.restore t.bank ck;
-      Faults.Replay_oracle.truncate t.oracle mark;
+      t.bank_ops <- mark;
       (* The twin rewinds its replica and bank shadow in step, recording
          a synthetic rollback op so bisection stays truthful. *)
       (match (t.twin, tck) with
@@ -971,7 +949,9 @@ let rollback_to t ~height =
       | _ -> ());
       (* The WAL cannot un-append: a reorg is logged as a compensation
          record so replay reproduces the truncation deterministically. *)
-      dur_record t (Durable.Record.Truncate { keep = mark })
+      Option.iter
+        (fun s -> Durable.Session.record s (Durable.Record.Truncate { keep = mark }))
+        t.durable
     | None -> ());
     (* Checkpoints at or past the fork point refer to abandoned blocks. *)
     t.checkpoints <- List.filter (fun (h, _, _, _) -> h < height) t.checkpoints;
@@ -1098,11 +1078,7 @@ let submit_exit t (u : Party.user) ~at =
             let time = Eth.now t.eth in
             match Token_bank.emergency_exit t.bank ~claimant:u.Party.address with
             | Ok claim ->
-              Faults.Replay_oracle.record_exit t.oracle ~claimant:u.Party.address;
-              twin_op t (fun tw -> Twin.bank_exit tw ~claimant:u.Party.address);
-              dur_record t
-                (Durable.Record.Op
-                   (Durable.Record.Exit { claimant = u.Party.address }));
+              emit t (Durable.Record.Exit { claimant = u.Party.address });
               Tmetrics.inc t.tele.c_exits;
               Tmetrics.add_gauge t.tele.g_exit_value0
                 (U256.to_float (U256.add claim.Token_bank.claim0 claim.Token_bank.refund0));
@@ -1136,10 +1112,7 @@ let enter_halt t ~now ~reason =
   t.next_retry_at <- Float.infinity;
   let frontier = Token_bank.last_synced_epoch t.bank in
   (match Token_bank.halt t.bank ~epoch:frontier with
-  | Ok () ->
-    Faults.Replay_oracle.record_halt t.oracle ~epoch:frontier;
-    twin_op t (fun tw -> Twin.bank_halt tw ~epoch:frontier);
-    dur_record t (Durable.Record.Op (Durable.Record.Halt { epoch = frontier }))
+  | Ok () -> emit t (Durable.Record.Halt { epoch = frontier })
   | Error rejection ->
     Log.warn ~scope ~t:now
       ~fields:
@@ -1177,10 +1150,7 @@ let submit_reconcile t ~epoch ~at =
                 | Ok r ->
                   t.reconciliation <- Some r;
                   t.recovered_at <- Some time;
-                  Faults.Replay_oracle.record_reconcile t.oracle pending;
-                  twin_op t (fun tw -> Twin.bank_reconcile tw pending);
-                  dur_record t
-                    (Durable.Record.Op (Durable.Record.Reconcile pending));
+                  emit t (Durable.Record.Reconcile pending);
                   Tmetrics.inc ~by:r.Token_bank.rec_users_applied
                     t.tele.c_reconcile_applied;
                   Tmetrics.inc ~by:r.Token_bank.rec_users_voided
@@ -1735,7 +1705,7 @@ let run ?sink ?durable cfg =
     let payload =
       Processor.build_payload processor ~epoch:e ~next_committee_vk:next_keys.vk
     in
-    twin_op t (fun tw -> twin_record_summary_touch t tw);
+    Option.iter (twin_record_summary_touch t) t.twin;
     let keys = committee_keys t ~epoch:e in
     let signature = sign_payload t ~epoch:e keys (Sync_payload.signing_bytes payload) in
     Hashtbl.replace t.signed_payloads e (payload, signature);
@@ -1900,19 +1870,6 @@ let run ?sink ?durable cfg =
   (* Deterministic result ordering: Hashtbl-derived assoc lists are
      sorted by key so reports and tests never depend on iteration order. *)
   let sorted_assoc l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  (* Differential replay oracle: the live TokenBank must match a fresh
-     replica fed the surviving deposit/sync history in order. *)
-  let replay_consistent =
-    match
-      Faults.Replay_oracle.verify ~live:t.bank ~genesis_committee_vk:t.genesis_vk
-        ~flash_fee_pips:cfg.Config.fee_pips t.oracle
-    with
-    | Ok () -> true
-    | Error reason ->
-      Log.error ~scope ~fields:[ ("reason", Json.String reason) ]
-        "differential replay oracle failed";
-      false
-  in
   let faults_injected = Faults.Fault_plan.injected t.plan in
   let gas_by_label = sorted_assoc (Eth.gas_used_by_label t.eth) in
   let bytes_by_label = sorted_assoc (Eth.bytes_by_label t.eth) in
@@ -1927,7 +1884,6 @@ let run ?sink ?durable cfg =
     (float_of_int (List.fold_left (fun acc (_, b) -> acc + b) 0 bytes_by_label));
   final_gauge "epochs.applied" (float_of_int (Token_bank.last_synced_epoch t.bank + 1));
   final_gauge "custody.consistent" (if custody_consistent then 1.0 else 0.0);
-  final_gauge "replay.consistent" (if replay_consistent then 1.0 else 0.0);
   let exit_list = Token_bank.exits t.bank in
   let exits_served = List.length exit_list in
   let exit_claims0, exit_claims1 =
@@ -2009,7 +1965,6 @@ let run ?sink ?durable cfg =
     corrupted_partials = t.corrupted_partials;
     rollbacks = t.rollback_count;
     faults_injected;
-    replay_consistent;
     rejection_reasons =
       sorted_assoc (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.rejections []);
     custody_consistent;

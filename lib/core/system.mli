@@ -71,9 +71,6 @@ type result = {
                                    interruptions + injected reorgs) *)
   faults_injected : (string * int) list;
       (** per-label injection counts from the fault plan, sorted *)
-  replay_consistent : bool;
-      (** differential replay oracle: final TokenBank state equals a fresh
-          replica's after replaying the surviving deposit/sync history *)
   rejection_reasons : (string * int) list;
   custody_consistent : bool;
       (** TokenBank ERC20 custody = pool balances + outstanding deposits *)
@@ -141,7 +138,7 @@ val run :
     snapshots are deterministic in the configuration seed.
 
     When [durable] is given, the run is crash-consistent: every
-    oracle-visible state delta goes through the session's write-ahead
+    accepted TokenBank op goes through the session's write-ahead
     log (verify-or-append against what a previous incarnation left on
     disk), epoch boundaries take checksummed snapshots on the session's
     cadence, and the fault plan's durability class may kill the run at a

@@ -4,11 +4,11 @@ module Bls = Amm_crypto.Bls
 module Sync_payload = Tokenbank.Sync_payload
 
 (* One write-ahead-log record: a mainchain state transition in the exact
-   order the live TokenBank applied it. The op variants mirror the
-   differential replay oracle's record points one-for-one, so a WAL is a
-   durable, checksummed copy of the op log — plus [Truncate], the
-   compensation record for reorg rollbacks (a log file cannot un-append,
-   so the rollback is itself logged and re-applied on recovery). *)
+   order the live TokenBank applied it. The system emits each bank op
+   once, to this log and to the state twin, so a WAL is a durable,
+   checksummed copy of the op stream — plus [Truncate], the compensation
+   record for reorg rollbacks (a log file cannot un-append, so the
+   rollback is itself logged and re-applied on recovery). *)
 
 type op =
   | Deposit of {

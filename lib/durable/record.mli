@@ -1,11 +1,12 @@
 (** Write-ahead-log records.
 
     Each record is one mainchain state transition, in the exact order the
-    live TokenBank applied it — the op variants mirror the differential
-    replay oracle's record points one-for-one. [Truncate] is the
-    compensation record for mainchain reorg rollbacks: an append-only log
-    cannot un-append, so the rollback to op-log mark [keep] is itself a
-    record, replayed like any other on recovery.
+    live TokenBank applied it. The system emits every accepted bank op
+    once, as an {!op}, to both this log and the state twin. [Truncate]
+    is the compensation record for mainchain reorg rollbacks: an
+    append-only log cannot un-append, so the rollback to [keep] bank ops
+    (the op count at the restored checkpoint) is itself a record,
+    replayed like any other on recovery.
 
     The codec is exact: [of_bytes (to_bytes r)] succeeds and re-encodes
     byte-identically, which is what resume-time verification compares. *)

@@ -5,8 +5,8 @@
     every concrete decision from the run's seed alone, via keyed RNG
     splits. The same seed therefore reproduces the identical fault
     schedule on every run, at any domain count, which is what lets chaos
-    sweeps diff their output byte-for-byte and lets the differential
-    replay oracle re-check a faulty run after the fact.
+    sweeps diff their output byte-for-byte and lets a faulty run be
+    re-executed exactly after the fact.
 
     Decision functions are pure in their key (epoch, round, attempt, …):
     calling one twice with the same arguments returns the same answer and

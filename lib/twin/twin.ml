@@ -195,58 +195,40 @@ let payload_pos_ids signed =
     signed
   |> List.sort_uniq Position_id.compare
 
-let bank_deposit t ~user ~for_epoch ~amount0 ~amount1 =
-  ensure_funded t user;
-  let r =
-    match Token_bank.deposit t.replica ~user ~for_epoch ~amount0 ~amount1 with
-    | Ok () -> Ok ()
-    | Error e -> Error e
+let apply t (op : Durable.Record.op) =
+  let rejected = function
+    | Ok _ -> Ok ()
+    | Error rej -> Error (Token_bank.rejection_to_string rej)
   in
-  record_bank t ~label:"bank.deposit" ~pos_ids:[] r
-
-let bank_sync t signed =
-  let r =
+  match op with
+  | Durable.Record.Deposit { user; for_epoch; amount0; amount1 } ->
+    ensure_funded t user;
+    record_bank t ~label:"bank.deposit" ~pos_ids:[]
+      (Token_bank.deposit t.replica ~user ~for_epoch ~amount0 ~amount1)
+  | Sync signed ->
     (* The live bank already verified these signatures before the payloads
        reached us; the replica re-derives state, not crypto acceptance. *)
-    match Token_bank.sync ~check_signatures:false t.replica ~signed with
-    | Ok _ -> Ok ()
-    | Error rej -> Error (Token_bank.rejection_to_string rej)
-  in
-  record_bank t ~label:"bank.sync" ~pos_ids:(payload_pos_ids signed) r
-
-let bank_halt t ~epoch =
-  let r =
-    match Token_bank.halt t.replica ~epoch with
-    | Ok () -> Ok ()
-    | Error rej -> Error (Token_bank.rejection_to_string rej)
-  in
-  record_bank t ~label:"bank.halt" ~pos_ids:[] r
-
-let bank_exit t ~claimant =
-  (* The exit closes the claimant's synced positions: capture those ids
-     before the op so their (now absent-or-rewritten) rows land in the
-     write set. *)
-  let owned =
-    List.filter_map
-      (fun (e : Sync_payload.position_entry) ->
-        if Address.equal e.Sync_payload.owner claimant then Some e.Sync_payload.pos_id
-        else None)
-      (Token_bank.positions t.replica)
-  in
-  let r =
-    match Token_bank.emergency_exit t.replica ~claimant with
-    | Ok _ -> Ok ()
-    | Error rej -> Error (Token_bank.rejection_to_string rej)
-  in
-  record_bank t ~label:"bank.exit" ~pos_ids:(List.sort_uniq Position_id.compare owned) r
-
-let bank_reconcile t signed =
-  let r =
-    match Token_bank.reconcile t.replica ~signed with
-    | Ok _ -> Ok ()
-    | Error rej -> Error (Token_bank.rejection_to_string rej)
-  in
-  record_bank t ~label:"bank.reconcile" ~pos_ids:(payload_pos_ids signed) r
+    record_bank t ~label:"bank.sync" ~pos_ids:(payload_pos_ids signed)
+      (rejected (Token_bank.sync ~check_signatures:false t.replica ~signed))
+  | Halt { epoch } ->
+    record_bank t ~label:"bank.halt" ~pos_ids:[]
+      (rejected (Token_bank.halt t.replica ~epoch))
+  | Exit { claimant } ->
+    (* The exit closes the claimant's synced positions: capture those ids
+       before the op so their (now absent-or-rewritten) rows land in the
+       write set. *)
+    let owned =
+      List.filter_map
+        (fun (e : Sync_payload.position_entry) ->
+          if Address.equal e.Sync_payload.owner claimant then Some e.Sync_payload.pos_id
+          else None)
+        (Token_bank.positions t.replica)
+    in
+    record_bank t ~label:"bank.exit" ~pos_ids:(List.sort_uniq Position_id.compare owned)
+      (rejected (Token_bank.emergency_exit t.replica ~claimant))
+  | Reconcile signed ->
+    record_bank t ~label:"bank.reconcile" ~pos_ids:(payload_pos_ids signed)
+      (rejected (Token_bank.reconcile t.replica ~signed))
 
 (* ------------------------------------------------------------------ *)
 (* Reorg symmetry                                                      *)

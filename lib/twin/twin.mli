@@ -7,17 +7,17 @@
 
     {ul
     {- The {e bank twin} is a full replica [Token_bank] advanced by the
-       semantic ops (deposit / sync / halt / exit / reconcile) — genuine
-       independent re-derivation, continuously, of what the replay
-       oracle used to check only at end of run. Bank ops are per-epoch
-       scale, so re-execution is cheap.}
+       semantic ops (deposit / sync / halt / exit / reconcile), fed the
+       very records the write-ahead log carries — genuine independent
+       re-derivation of the TokenBank, continuously. Bank ops are
+       per-epoch scale, so re-execution is cheap.}
     {- The {e pool and deposits twins} are after-image shadows: every
        transaction's written keys are captured into persistent maps at
        mutation time, before any later out-of-band damage can land. The
        epoch-boundary audit compares those captures against the live
        rows, catching silent corruption and lost/torn writes in the
-       epoch they occur; AMM logic itself stays covered by the
-       end-of-run replay oracle and the self-audit. A replica pool
+       epoch they occur; AMM logic itself is covered by the sidechain
+       auditor's summary self-audit and the Uniswap tests. A replica pool
        re-executing every swap would blow the audit's overhead budget —
        this shadow keeps it O(written keys).}}
 
@@ -29,7 +29,6 @@ module U256 = Amm_math.U256
 module Address = Chain.Address
 module Position_id = Chain.Ids.Position_id
 module Token_bank = Tokenbank.Token_bank
-module Sync_payload = Tokenbank.Sync_payload
 
 type t
 
@@ -68,20 +67,14 @@ val record : t -> label:string -> (key * bytes option) list -> unit
 val op_count : t -> int
 (** Ops recorded so far (the next op's index). *)
 
-(** {1 Advancing: bank ops}
+(** {1 Advancing: bank ops} *)
 
-    Each applies the semantic op to the replica bank, captures the
+val apply : t -> Durable.Record.op -> unit
+(** Applies one bank op the live TokenBank accepted — the same record
+    the write-ahead log carries — to the replica bank, captures the
     after-images of the keys it wrote {e from the replica}, and records
     a window op. A rejection that the live bank did not report is a
     divergence in its own right and surfaces at the next audit. *)
-
-val bank_deposit :
-  t -> user:Address.t -> for_epoch:int -> amount0:U256.t -> amount1:U256.t -> unit
-
-val bank_sync : t -> (Sync_payload.t * Amm_crypto.Bls.signature) list -> unit
-val bank_halt : t -> epoch:int -> unit
-val bank_exit : t -> claimant:Address.t -> unit
-val bank_reconcile : t -> (Sync_payload.t * Amm_crypto.Bls.signature) list -> unit
 
 (** {1 Reorg symmetry} *)
 

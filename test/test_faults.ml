@@ -1,9 +1,10 @@
 (* Fault-plan engine: deterministic seeded schedules, idempotent
    injection accounting, per-layer caps, network chaos closures; the
-   differential replay oracle (agreement, divergence detection and
-   rollback truncation); and the ISSUE acceptance scenario — a seeded
-   all-layer chaos run that recovers every fault, passes the oracle and
-   reproduces the identical schedule from the same seed. *)
+   WAL replay cross-check (agreement, divergence detection, rollback
+   truncation, and a durable run's log landing on the twin's seal); and
+   the acceptance scenario — a seeded all-layer chaos run that recovers
+   every fault, passes the twin audit and reproduces the identical
+   schedule from the same seed. *)
 
 module U256 = Amm_math.U256
 module Address = Chain.Address
@@ -11,7 +12,6 @@ module Erc20 = Mainchain.Erc20
 module Bls = Amm_crypto.Bls
 module Network = Consensus.Network
 module Fault_plan = Faults.Fault_plan
-module Replay_oracle = Faults.Replay_oracle
 open Tokenbank
 
 let u = U256.of_string
@@ -146,7 +146,7 @@ let test_net_chaos_deterministic () =
     (String.exists (fun ch -> ch <> '.') (trace "net-twin"))
 
 (* ------------------------------------------------------------------ *)
-(* Replay oracle                                                       *)
+(* WAL replay cross-check                                              *)
 (* ------------------------------------------------------------------ *)
 
 let alice = Address.of_label "alice"
@@ -156,6 +156,7 @@ type env = {
   bank : Token_bank.t;
   keys : (Bls.secret_key * Bls.public_key) array;
   pool_id : int;
+  mutable log : Durable.Record.t list;  (* newest first *)
 }
 
 let flash_fee_pips = 3000
@@ -174,13 +175,16 @@ let make_env () =
       Erc20.approve erc0 ~owner:who ~spender:(Token_bank.address bank) U256.max_value;
       Erc20.approve erc1 ~owner:who ~spender:(Token_bank.address bank) U256.max_value)
     [ alice; bob ];
-  { bank; keys; pool_id }
+  { bank; keys; pool_id; log = [] }
 
-let deposit env oracle ~user ~for_epoch ~amount0 ~amount1 =
+let log env r = env.log <- r :: env.log
+let ops env = List.length (Wal_replay.surviving (List.rev env.log))
+
+let deposit env ~user ~for_epoch ~amount0 ~amount1 =
   (match Token_bank.deposit env.bank ~user ~for_epoch ~amount0 ~amount1 with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  Replay_oracle.record_deposit oracle ~user ~for_epoch ~amount0 ~amount1
+  log env (Durable.Record.Op (Durable.Record.Deposit { user; for_epoch; amount0; amount1 }))
 
 let signed_payload ?(users = []) env ~epoch ~balance0 ~balance1 =
   let p =
@@ -190,72 +194,115 @@ let signed_payload ?(users = []) env ~epoch ~balance0 ~balance1 =
   in
   (p, Bls.sign (fst env.keys.(epoch)) (Sync_payload.signing_bytes p))
 
-let apply_sync env oracle signed =
+let apply_sync env signed =
   (match Token_bank.sync env.bank ~signed with
   | Ok _ -> ()
   | Error e ->
     Alcotest.fail ("sync rejected: " ^ Token_bank.rejection_to_string e));
-  Replay_oracle.record_sync oracle signed
+  log env (Durable.Record.Op (Durable.Record.Sync signed))
 
-let verify env oracle =
-  Replay_oracle.verify ~live:env.bank
-    ~genesis_committee_vk:(snd env.keys.(0)) ~flash_fee_pips oracle
+let verify env =
+  Result.bind
+    (Wal_replay.replay ~genesis_committee_vk:(snd env.keys.(0)) ~flash_fee_pips
+       (List.rev env.log))
+    (Wal_replay.agrees ~live:env.bank)
 
-let test_oracle_agrees_on_faithful_log () =
+let test_replay_agrees_on_faithful_log () =
   let env = make_env () in
-  let oracle = Replay_oracle.create () in
-  deposit env oracle ~user:alice ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
-  deposit env oracle ~user:bob ~for_epoch:0 ~amount0:one_e18 ~amount1:U256.zero;
+  deposit env ~user:alice ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
+  deposit env ~user:bob ~for_epoch:0 ~amount0:one_e18 ~amount1:U256.zero;
   let users =
     [ { Sync_payload.user = alice; payin0 = one_e18; payin1 = one_e18;
         payout0 = U256.zero; payout1 = U256.zero } ]
   in
-  apply_sync env oracle [ signed_payload ~users env ~epoch:0 ~balance0:one_e18 ~balance1:one_e18 ];
-  Alcotest.(check int) "three ops recorded" 3 (Replay_oracle.size oracle);
-  match verify env oracle with
+  apply_sync env [ signed_payload ~users env ~epoch:0 ~balance0:one_e18 ~balance1:one_e18 ];
+  Alcotest.(check int) "three ops recorded" 3 (ops env);
+  match verify env with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "oracle should agree: %s" e
+  | Error e -> Alcotest.failf "replay should agree: %s" e
 
-let test_oracle_detects_divergence () =
+let test_replay_detects_divergence () =
   let env = make_env () in
-  let oracle = Replay_oracle.create () in
-  deposit env oracle ~user:alice ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
+  deposit env ~user:alice ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
   (* A phantom op the live chain never executed. *)
-  Replay_oracle.record_deposit oracle ~user:bob ~for_epoch:0 ~amount0:one_e18
-    ~amount1:U256.zero;
-  match verify env oracle with
-  | Ok () -> Alcotest.fail "oracle must flag the phantom deposit"
+  log env
+    (Durable.Record.Op
+       (Durable.Record.Deposit
+          { user = bob; for_epoch = 0; amount0 = one_e18; amount1 = U256.zero }));
+  match verify env with
+  | Ok () -> Alcotest.fail "replay must flag the phantom deposit"
   | Error _ -> ()
 
-let test_oracle_truncate_tracks_rollback () =
+let test_replay_truncate_tracks_rollback () =
   let env = make_env () in
-  let oracle = Replay_oracle.create () in
-  deposit env oracle ~user:alice ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
-  let mark = Replay_oracle.mark oracle in
+  deposit env ~user:alice ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
+  let mark = ops env in
   let cp = Token_bank.checkpoint env.bank in
   (* A fork's worth of history that later falls off the chain. *)
-  deposit env oracle ~user:bob ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
+  deposit env ~user:bob ~for_epoch:0 ~amount0:one_e18 ~amount1:one_e18;
   let users =
     [ { Sync_payload.user = alice; payin0 = one_e18; payin1 = one_e18;
         payout0 = U256.zero; payout1 = U256.zero } ]
   in
-  apply_sync env oracle [ signed_payload ~users env ~epoch:0 ~balance0:one_e18 ~balance1:one_e18 ];
-  Alcotest.(check int) "fork ops recorded" 3 (Replay_oracle.size oracle);
+  apply_sync env [ signed_payload ~users env ~epoch:0 ~balance0:one_e18 ~balance1:one_e18 ];
+  Alcotest.(check int) "fork ops recorded" 3 (ops env);
   Token_bank.restore env.bank cp;
-  Replay_oracle.truncate oracle mark;
-  Alcotest.(check int) "log truncated to the mark" mark (Replay_oracle.size oracle);
-  (match verify env oracle with
+  log env (Durable.Record.Truncate { keep = mark });
+  Alcotest.(check int) "log truncated to the mark" mark (ops env);
+  (match verify env with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "oracle should agree after rollback: %s" e);
+  | Error e -> Alcotest.failf "replay should agree after rollback: %s" e);
   (* The surviving history can still be extended and re-checked. *)
-  let users =
-    [ { Sync_payload.user = alice; payin0 = one_e18; payin1 = one_e18;
-        payout0 = U256.zero; payout1 = U256.zero } ]
-  in
-  apply_sync env oracle [ signed_payload ~users env ~epoch:0 ~balance0:one_e18 ~balance1:one_e18 ];
-  match verify env oracle with
+  apply_sync env [ signed_payload ~users env ~epoch:0 ~balance0:one_e18 ~balance1:one_e18 ];
+  match verify env with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "oracle should agree after re-sync: %s" e
+  | Error e -> Alcotest.failf "replay should agree after re-sync: %s" e
+
+(* A durable run through a scripted reorg: the WAL it leaves, folded
+   through the replayer, must land on the state twin's last sealed bank
+   image. *)
+let test_wal_replay_matches_twin () =
+  let module Config = Ammboost.Config in
+  let module System = Ammboost.System in
+  let cfg =
+    { Config.default with
+      epochs = 4;
+      daily_volume = 20_000;
+      users = 8;
+      miners = 20;
+      committee_size = 7;
+      max_faulty = 2;
+      mc_confirmations = 2;
+      interruptions = [ Config.Mainchain_rollback 2 ];
+      seed = "wal-replay-twin" }
+  in
+  let dir = Filename.temp_file "ammboost-test-wal-replay" "" in
+  Sys.remove dir;
+  Durable.Fsio.mkdir_p dir;
+  (* No snapshots, so no WAL segment is pruned: the log reaches genesis. *)
+  let session = Durable.Session.open_ ~dir ~snapshot_every:0 () in
+  let r = System.run ~durable:session cfg in
+  let scan = Durable.Recovery.scan ~dir in
+  let records = Array.to_list scan.Durable.Recovery.records in
+  Alcotest.(check int) "log reaches genesis" 0 scan.Durable.Recovery.skip_until;
+  Alcotest.(check bool) "rollback happened" true (r.System.rollbacks > 0);
+  Alcotest.(check bool) "WAL holds a Truncate" true
+    (List.exists (function Durable.Record.Truncate _ -> true | _ -> false) records);
+  (* The genesis committee key, derived as System.create does. *)
+  let _, genesis_committee_vk =
+    let module Rng = Amm_crypto.Rng in
+    Bls.keygen (Rng.split (Rng.split (Rng.create cfg.Config.seed) "keys") "committee-0")
+  in
+  let view = Option.get r.System.twin_view in
+  let last = List.fold_left max 0 (Twin.epochs_sealed view) in
+  match
+    Wal_replay.replay ~genesis_committee_vk ~flash_fee_pips:cfg.Config.fee_pips records
+  with
+  | Error e -> Alcotest.failf "WAL replay rejected an op: %s" e
+  | Ok replayed ->
+    Alcotest.(check (option string)) "replayed bank.meta = twin seal"
+      (Option.map Bytes.to_string (Twin.read_at view ~epoch:last Twin.Bank_meta))
+      (Some (Bytes.to_string (Durable.State_codec.bank_meta_bytes replayed)))
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: seeded all-layer chaos run                              *)
@@ -282,7 +329,7 @@ let chaos_result = lazy (System.run chaos_cfg)
 let test_corrupted_shares_caught_at_crypto_layer () =
   (* Only share corruption enabled: every injected corruption must be
      caught by the pairing check on partials, signing must still land
-     every epoch, and the replay oracle must stay clean. *)
+     every epoch, and the twin audit must stay clean. *)
   let faults =
     { Fault_plan.none with
       committee = { withhold_rate = 0.0; corrupt_rate = 0.6 } }
@@ -302,7 +349,7 @@ let test_corrupted_shares_caught_at_crypto_layer () =
     r.System.epochs_run r.System.epochs_applied;
   Alcotest.(check bool) "degraded signings recorded" true
     (r.System.degraded_signings > 0);
-  Alcotest.(check bool) "replay oracle clean" true r.System.replay_consistent
+  Alcotest.(check bool) "twin audit clean" true r.System.twin_consistent
 
 let test_chaos_run_recovers_everything () =
   let r = Lazy.force chaos_result in
@@ -318,7 +365,7 @@ let test_chaos_run_recovers_everything () =
     (r.System.sync_retries + r.System.mass_syncs + r.System.rollbacks
      + r.System.degraded_signings > 0);
   Alcotest.(check bool) "custody invariant" true r.System.custody_consistent;
-  Alcotest.(check bool) "differential replay oracle" true r.System.replay_consistent
+  Alcotest.(check bool) "twin audit" true r.System.twin_consistent
 
 let test_chaos_run_reproducible () =
   let a = Lazy.force chaos_result in
@@ -429,10 +476,12 @@ let () =
           Alcotest.test_case "seed independent" `Quick
             test_scenario_is_seed_independent ] );
       ( "replay_oracle",
-        [ Alcotest.test_case "faithful log agrees" `Quick test_oracle_agrees_on_faithful_log;
-          Alcotest.test_case "divergence detected" `Quick test_oracle_detects_divergence;
+        [ Alcotest.test_case "faithful log agrees" `Quick test_replay_agrees_on_faithful_log;
+          Alcotest.test_case "divergence detected" `Quick test_replay_detects_divergence;
           Alcotest.test_case "truncate tracks rollback" `Quick
-            test_oracle_truncate_tracks_rollback ] );
+            test_replay_truncate_tracks_rollback;
+          Alcotest.test_case "durable WAL matches twin seal" `Quick
+            test_wal_replay_matches_twin ] );
       ( "chaos_acceptance",
         [ Alcotest.test_case "corrupted shares caught" `Quick
             test_corrupted_shares_caught_at_crypto_layer;

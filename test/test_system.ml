@@ -37,7 +37,7 @@ let test_nominal_run () =
   Alcotest.(check int) "no rollbacks" 0 r.System.rollbacks;
   Alcotest.(check (list (pair string int))) "no faults injected" []
     r.System.faults_injected;
-  Alcotest.(check bool) "replay oracle" true r.System.replay_consistent
+  Alcotest.(check bool) "twin audit" true r.System.twin_consistent
 
 let test_latency_sanity () =
   let r = run () in
@@ -122,7 +122,7 @@ let test_silent_sync_leader_mass_sync () =
   Alcotest.(check bool) "payouts all settled" true
     (r.System.payouts_settled = r.System.processed);
   Alcotest.(check bool) "custody preserved" true r.System.custody_consistent;
-  Alcotest.(check bool) "replay oracle" true r.System.replay_consistent
+  Alcotest.(check bool) "twin audit" true r.System.twin_consistent
 
 let test_invalid_sync_rejected_then_recovered () =
   let cfg = { base with interruptions = [ Config.Invalid_sync 1 ] } in
@@ -133,7 +133,7 @@ let test_invalid_sync_rejected_then_recovered () =
   Alcotest.(check bool) "recovered via retry" true (r.System.sync_retries >= 1);
   Alcotest.(check int) "state caught up" r.System.epochs_run r.System.epochs_applied;
   Alcotest.(check bool) "custody preserved" true r.System.custody_consistent;
-  Alcotest.(check bool) "replay oracle" true r.System.replay_consistent
+  Alcotest.(check bool) "twin audit" true r.System.twin_consistent
 
 let test_mainchain_rollback_recovered () =
   let cfg = { base with interruptions = [ Config.Mainchain_rollback 1 ] } in
@@ -144,7 +144,7 @@ let test_mainchain_rollback_recovered () =
   Alcotest.(check int) "state caught up after rollback" r.System.epochs_run
     r.System.epochs_applied;
   Alcotest.(check bool) "custody preserved" true r.System.custody_consistent;
-  Alcotest.(check bool) "replay oracle" true r.System.replay_consistent
+  Alcotest.(check bool) "twin audit" true r.System.twin_consistent
 
 let test_multiple_interruptions () =
   let cfg =
@@ -168,7 +168,7 @@ let test_censoring_committee_liveness () =
   Alcotest.(check bool) "all payouts settle" true
     (r.System.payouts_settled = r.System.processed);
   Alcotest.(check bool) "custody" true r.System.custody_consistent;
-  Alcotest.(check bool) "replay oracle" true r.System.replay_consistent
+  Alcotest.(check bool) "twin audit" true r.System.twin_consistent
 
 let test_message_level_consensus_mode () =
   (* Real PBFT per round instead of the latency model; metrics stay sane
@@ -596,8 +596,7 @@ let test_permanent_loss_halts_and_exits () =
   Alcotest.(check bool) "exits carry value" true
     (Amm_math.U256.gt r.System.exit_claims0 Amm_math.U256.zero);
   Alcotest.(check bool) "exit conservation" true r.System.exit_conservation;
-  Alcotest.(check bool) "replay oracle covers halt + exits" true
-    r.System.replay_consistent;
+  Alcotest.(check bool) "twin covers halt + exits" true r.System.twin_consistent;
   Alcotest.(check bool) "custody invariant" true r.System.custody_consistent;
   Alcotest.(check bool) "never reconciled" true (r.System.reconciliation = None)
 
@@ -616,7 +615,7 @@ let test_starvation_halts_then_recovers () =
   Alcotest.(check bool) "recovery latency measured" true
     (match r.System.recovery_latency with Some l -> l > 0.0 | None -> false);
   Alcotest.(check bool) "exit conservation" true r.System.exit_conservation;
-  Alcotest.(check bool) "replay oracle covers reconcile" true r.System.replay_consistent;
+  Alcotest.(check bool) "twin covers reconcile" true r.System.twin_consistent;
   Alcotest.(check bool) "custody invariant" true r.System.custody_consistent
 
 let test_watchdog_run_deterministic () =

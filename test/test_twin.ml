@@ -4,8 +4,7 @@
    system-level equivalence: twin vs live over random fault
    interleavings (QCheck over chaos intensity and seed, covering halts,
    exits, reconciles and reorgs) with zero false positives, and scripted
-   state corruption always detected in the epoch it lands. The
-   end-of-run replay oracle rides along as the oracle of the oracle. *)
+   state corruption always detected in the epoch it lands. *)
 
 module U256 = Amm_math.U256
 module Address = Chain.Address
@@ -86,7 +85,8 @@ let dep_mirror env who amt =
   | Error e -> Alcotest.fail e
 
 let dep_both env who amt =
-  Twin.bank_deposit env.tw ~user:who ~for_epoch:0 ~amount0:amt ~amount1:amt;
+  Twin.apply env.tw
+    (Durable.Record.Deposit { user = who; for_epoch = 0; amount0 = amt; amount1 = amt });
   dep_mirror env who amt
 
 (* ------------------------------------------------------------------ *)
@@ -200,7 +200,9 @@ let test_replica_rejection_surfaces () =
       next_committee_vk = snd env.keys.(1) }
   in
   let bad_sync_index = Twin.op_count env.tw in
-  Twin.bank_sync env.tw [ (p, Bls.sign (fst env.keys.(0)) (Sync_payload.signing_bytes p)) ];
+  Twin.apply env.tw
+    (Durable.Record.Sync
+       [ (p, Bls.sign (fst env.keys.(0)) (Sync_payload.signing_bytes p)) ]);
   let reports = Twin.audit env.tw ~epoch:0 (live env ()) in
   Alcotest.(check bool) "at least one report" true (reports <> []);
   Alcotest.(check bool) "bisected to the sync op" true
@@ -347,8 +349,7 @@ let qcheck_twin_matches_live =
       r.System.twin_audits > 0
       && r.System.twin_divergences = 0
       && r.System.twin_consistent
-      && r.System.twin_injections = []
-      && r.System.replay_consistent)
+      && r.System.twin_injections = [])
 
 let test_scripted_corruption_detected () =
   let spr = sys_base.Config.sc_rounds_per_epoch in
@@ -394,8 +395,7 @@ let test_twin_covers_halt_exit_reconcile () =
   Alcotest.(check bool) "reconciliation applied" true (r.System.reconciliation <> None);
   Alcotest.(check int) "no twin divergence across the cycle" 0 r.System.twin_divergences;
   Alcotest.(check bool) "twin audited the run" true (r.System.twin_audits > 0);
-  Alcotest.(check bool) "replay oracle (oracle of the oracle)" true
-    r.System.replay_consistent
+  Alcotest.(check bool) "twin consistent" true r.System.twin_consistent
 
 let test_twin_off_runs_clean () =
   let cfg = { sys_base with Config.twin_audit = false; seed = "twin-off" } in
@@ -403,7 +403,7 @@ let test_twin_off_runs_clean () =
   Alcotest.(check int) "no audits" 0 r.System.twin_audits;
   Alcotest.(check bool) "vacuously consistent" true r.System.twin_consistent;
   Alcotest.(check bool) "no view" true (r.System.twin_view = None);
-  Alcotest.(check bool) "replay oracle still on" true r.System.replay_consistent
+  Alcotest.(check bool) "custody invariant still on" true r.System.custody_consistent
 
 let () =
   Alcotest.run "twin"
