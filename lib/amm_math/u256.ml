@@ -1,22 +1,45 @@
-(* Unsigned 256-bit integers over sixteen base-2^16 digits (little-endian).
-   Digits stay below 2^16, so any digit product plus carries fits well within
-   OCaml's 63-bit native int; no Int64 boxing is needed anywhere. *)
+(* Unsigned 256-bit integers over nine base-2^29 limbs (little-endian).
+   Limbs 0-7 hold 29 bits each and limb 8 holds bits 232-255. A limb
+   product is below 2^58, so a product column of up to nine of them plus
+   the carry from the column below stays under 2^62: it fits OCaml's
+   63-bit native int, and a multiply carries once per column rather than
+   once per limb product. No Int64 boxing is needed anywhere. *)
 
-type t = int array (* length 16, each in [0, 0xFFFF] *)
+type t = int array (* length 9; limbs 0-7 in [0, 2^29), limb 8 in [0, 2^24) *)
 
 exception Overflow
 
-let ndigits = 16
-let digit_bits = 16
-let base = 0x1_0000
-let mask = 0xFFFF
+let limb_bits = 29
+let base = 1 lsl limb_bits
+let mask = base - 1
+let top_bits = 24
+let top_mask = (1 lsl top_bits) - 1 (* limb 8 *)
 
-let make_zero () = Array.make ndigits 0
+(* Every array in this file is an [int array] whose length the code
+   maintains, so indexing skips the bounds check. *)
+let ( .%() ) (a : int array) i = Array.unsafe_get a i
+let ( .%()<- ) (a : int array) i (v : int) = Array.unsafe_set a i v
 
-let zero = make_zero ()
-let one = Array.init ndigits (fun i -> if i = 0 then 1 else 0)
-let two = Array.init ndigits (fun i -> if i = 0 then 2 else 0)
-let max_value = Array.make ndigits mask
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
+
+(* Zeroed buffers. A literal with a non-constant element is allocated
+   inline; an all-constant array literal would be copied from a static
+   block by a C call. *)
+let fresh (z : int) : t = [| z; z; z; z; z; z; z; z; z |]
+let fresh10 (z : int) = [| z; z; z; z; z; z; z; z; z; z |]
+
+let fresh19 (z : int) =
+  [| z; z; z; z; z; z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
+
+(* For 0 <= n < 2^62: three limbs. *)
+let of_small n =
+  [| n land mask; (n lsr limb_bits) land mask; n lsr (2 * limb_bits); 0; 0; 0; 0; 0; 0 |]
+
+let zero = fresh 0
+let one = of_small 1
+let two = of_small 2
+let max_value = [| mask; mask; mask; mask; mask; mask; mask; mask; top_mask |]
 
 (* ------------------------------------------------------------------ *)
 (* Conversions                                                         *)
@@ -24,50 +47,76 @@ let max_value = Array.make ndigits mask
 
 let of_int n =
   if n < 0 then invalid_arg "U256.of_int: negative";
-  let r = make_zero () in
-  let rec fill i n = if n <> 0 then (r.(i) <- n land mask; fill (i + 1) (n lsr digit_bits)) in
-  fill 0 n;
-  r
+  of_small n
 
 let of_int64 n =
-  let r = make_zero () in
-  let n0 = Int64.to_int (Int64.logand n 0xFFFFL) in
-  let n1 = Int64.to_int (Int64.logand (Int64.shift_right_logical n 16) 0xFFFFL) in
-  let n2 = Int64.to_int (Int64.logand (Int64.shift_right_logical n 32) 0xFFFFL) in
-  let n3 = Int64.to_int (Int64.logand (Int64.shift_right_logical n 48) 0xFFFFL) in
-  r.(0) <- n0; r.(1) <- n1; r.(2) <- n2; r.(3) <- n3;
-  r
+  let l0 = Int64.to_int n land mask in
+  let l1 = Int64.to_int (Int64.shift_right_logical n limb_bits) land mask in
+  let l2 = Int64.to_int (Int64.shift_right_logical n (2 * limb_bits)) in
+  [| l0; l1; l2; 0; 0; 0; 0; 0; 0 |]
+
+(* The value as a native int when it is below 2^62 (native ints hold 62
+   value bits), otherwise -1. *)
+let small x =
+  if x.%(3) lor x.%(4) lor x.%(5) lor x.%(6) lor x.%(7) lor x.%(8) <> 0 || x.%(2) >= 16
+  then -1
+  else x.%(0) lor (x.%(1) lsl limb_bits) lor (x.%(2) lsl (2 * limb_bits))
 
 let to_int_opt x =
-  (* Native ints hold 62 value bits; accept values below 2^62. *)
-  let rec high_clear i = i >= ndigits || (x.(i) = 0 && high_clear (i + 1)) in
-  if not (high_clear 4) || x.(3) >= 0x4000 then None
-  else Some (x.(0) lor (x.(1) lsl 16) lor (x.(2) lsl 32) lor (x.(3) lsl 48))
+  let n = small x in
+  if n < 0 then None else Some n
 
-let to_int x = match to_int_opt x with Some n -> n | None -> raise Overflow
+let to_int x =
+  let n = small x in
+  if n < 0 then raise Overflow else n
 
+(* Bits [16i, 16i + 16): the sixteen-bit digits that [to_float] folds
+   and [to_hex] prints. *)
+let digit16 x i =
+  let p = 16 * i in
+  let l = p / limb_bits and s = p mod limb_bits in
+  let d = x.%(l) lsr s in
+  (if s > limb_bits - 16 then d lor (x.%(l + 1) lsl (limb_bits - s)) else d) land 0xFFFF
+
+(* Horner over sixteen-bit digits, most significant first. Past 2^53
+   each step rounds, so the digit width is part of the result; it stays
+   at sixteen bits, which the bench outputs and the differential tests
+   pin. *)
 let to_float x =
   let acc = ref 0.0 in
-  for i = ndigits - 1 downto 0 do
-    acc := (!acc *. 65536.0) +. float_of_int x.(i)
+  for i = 15 downto 0 do
+    acc := (!acc *. 65536.0) +. float_of_int (digit16 x i)
   done;
   !acc
 
-let is_zero x = Array.for_all (fun d -> d = 0) x
+(* ------------------------------------------------------------------ *)
+(* Comparison                                                          *)
+(* ------------------------------------------------------------------ *)
 
-let compare a b =
-  let rec go i =
-    if i < 0 then 0
-    else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
-    else go (i - 1)
-  in
-  go (ndigits - 1)
+let is_zero x =
+  x.%(0) lor x.%(1) lor x.%(2) lor x.%(3) lor x.%(4) lor x.%(5) lor x.%(6) lor x.%(7)
+  lor x.%(8)
+  = 0
 
-let equal a b = compare a b = 0
-let lt a b = compare a b < 0
-let le a b = compare a b <= 0
-let gt a b = compare a b > 0
-let ge a b = compare a b >= 0
+(* Compares limbs [0, i] of two limb arrays, most significant first. *)
+let rec compare_from a b i =
+  if i < 0 then 0
+  else
+    let x = a.%(i) and y = b.%(i) in
+    if x <> y then if x < y then -1 else 1 else compare_from a b (i - 1)
+
+let compare a b = compare_from a b 8
+
+let equal a b =
+  (a.%(0) lxor b.%(0)) lor (a.%(1) lxor b.%(1)) lor (a.%(2) lxor b.%(2))
+  lor (a.%(3) lxor b.%(3)) lor (a.%(4) lxor b.%(4)) lor (a.%(5) lxor b.%(5))
+  lor (a.%(6) lxor b.%(6)) lor (a.%(7) lxor b.%(7)) lor (a.%(8) lxor b.%(8))
+  = 0
+
+let lt a b = compare_from a b 8 < 0
+let le a b = compare_from a b 8 <= 0
+let gt a b = compare_from a b 8 > 0
+let ge a b = compare_from a b 8 >= 0
 let min a b = if le a b then a else b
 let max a b = if ge a b then a else b
 
@@ -75,301 +124,278 @@ let max a b = if ge a b then a else b
 (* Scratch buffers and copies (for the destination-passing variants)    *)
 (* ------------------------------------------------------------------ *)
 
-let copy = Array.copy
-let scratch () = make_zero ()
+let copy x = [| x.%(0); x.%(1); x.%(2); x.%(3); x.%(4); x.%(5); x.%(6); x.%(7); x.%(8) |]
+let scratch () = fresh 0
 
-let arr_effective_len a =
-  let rec go i = if i > 0 && a.(i - 1) = 0 then go (i - 1) else i in
-  go (Array.length a)
+(* Number of limbs up to and including the highest nonzero one. *)
+let rec len_of a n = if n > 0 && a.%(n - 1) = 0 then len_of a (n - 1) else n
 
 (* ------------------------------------------------------------------ *)
 (* Addition / subtraction                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Destination-passing core: writes a+b into [dst] (aliasing allowed,
-   the loop reads index i before writing it) and returns the carry. *)
+(* dst <- (a + b) mod 2^256; returns the carry out of bit 255. Aliasing
+   allowed: the loop reads limb i before writing it. *)
 let add_into_carry dst a b =
-  let carry = ref 0 in
-  for i = 0 to ndigits - 1 do
-    let s = a.(i) + b.(i) + !carry in
-    dst.(i) <- s land mask;
-    carry := s lsr digit_bits
+  let c = ref 0 in
+  for i = 0 to 7 do
+    let s = a.%(i) + b.%(i) + !c in
+    dst.%(i) <- s land mask;
+    c := s lsr limb_bits
   done;
-  !carry
+  let s = a.%(8) + b.%(8) + !c in
+  dst.%(8) <- s land top_mask;
+  s lsr top_bits
 
 let add_into ~dst a b = ignore (add_into_carry dst a b)
 
-let add_with_carry a b =
-  let r = make_zero () in
-  let c = add_into_carry r a b in
-  (r, c)
-
-let add a b = fst (add_with_carry a b)
+let add a b =
+  let r = fresh 0 in
+  ignore (add_into_carry r a b);
+  r
 
 let checked_add a b =
-  let r, c = add_with_carry a b in
-  if c <> 0 then raise Overflow else r
+  let r = fresh 0 in
+  if add_into_carry r a b <> 0 then raise Overflow;
+  r
 
+(* dst <- (a - b) mod 2^256; returns 1 when a < b. A negative limb
+   difference borrows: [d asr 29] is -1, else 0, and [d land mask] is the
+   limb modulo 2^29. Aliasing allowed, as for [add_into_carry]. *)
 let sub_into_borrow dst a b =
-  let borrow = ref 0 in
-  for i = 0 to ndigits - 1 do
-    let s = a.(i) - b.(i) - !borrow in
-    if s < 0 then (dst.(i) <- s + base; borrow := 1)
-    else (dst.(i) <- s; borrow := 0)
+  let c = ref 0 in
+  for i = 0 to 7 do
+    let d = a.%(i) - b.%(i) + !c in
+    dst.%(i) <- d land mask;
+    c := d asr limb_bits
   done;
-  !borrow
+  let d = a.%(8) - b.%(8) + !c in
+  dst.%(8) <- d land top_mask;
+  if d < 0 then 1 else 0
 
 let sub_into ~dst a b = ignore (sub_into_borrow dst a b)
 
-let sub_with_borrow a b =
-  let r = make_zero () in
-  let bw = sub_into_borrow r a b in
-  (r, bw)
-
-let sub a b = fst (sub_with_borrow a b)
+let sub a b =
+  let r = fresh 0 in
+  ignore (sub_into_borrow r a b);
+  r
 
 let checked_sub a b =
-  let r, bw = sub_with_borrow a b in
-  if bw <> 0 then raise Overflow else r
+  let r = fresh 0 in
+  if sub_into_borrow r a b <> 0 then raise Overflow;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Multiplication                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Schoolbook product over the *effective* (nonzero) digit lengths: the
-   typical simulator operand uses 4-10 of its 16 digits, so trimming the
-   loop bounds and the result allocation cuts the inner-loop work by an
-   order of magnitude versus always walking 16x16 digits. *)
-let arr_mul a b =
-  let la = arr_effective_len a and lb = arr_effective_len b in
-  if la = 0 || lb = 0 then [| 0 |]
-  else begin
-    let r = Array.make (la + lb) 0 in
-    for i = 0 to la - 1 do
-      let ai = Array.unsafe_get a i in
-      if ai <> 0 then begin
-        let carry = ref 0 in
-        for j = 0 to lb - 1 do
-          let p =
-            (ai * Array.unsafe_get b j) + Array.unsafe_get r (i + j) + !carry
-          in
-          Array.unsafe_set r (i + j) (p land mask);
-          carry := p lsr digit_bits
-        done;
-        r.(i + lb) <- r.(i + lb) + !carry
-      end
+(* Product scanning: r[k] <- column k of a[0..la) * b[0..lb) for
+   k < ncols; returns the carry out of the last column. Trimming to the
+   effective lengths matters: simulator amounts and prices mostly need
+   two to five of the nine limbs. *)
+let mul_columns r a la b lb ncols =
+  let carry = ref 0 in
+  for k = 0 to ncols - 1 do
+    let s = ref !carry in
+    for i = imax 0 (k - lb + 1) to imin k (la - 1) do
+      s := !s + (a.%(i) * b.%(k - i))
     done;
-    r
-  end
+    r.%(k) <- !s land mask;
+    carry := !s lsr limb_bits
+  done;
+  !carry
 
-(* Low 256 bits of a (possibly shorter or longer) digit array. *)
-let arr_low_256 p =
-  let r = make_zero () in
-  Array.blit p 0 r 0 (Stdlib.min (Array.length p) ndigits);
+let mul a b =
+  let r = fresh 0 in
+  ignore (mul_columns r a (len_of a 9) b (len_of b 9) 9);
+  r.%(8) <- r.%(8) land top_mask;
   r
 
-let mul a b = arr_low_256 (arr_mul a b)
-
 let checked_mul a b =
-  let p = arr_mul a b in
-  for i = ndigits to Array.length p - 1 do
-    if p.(i) <> 0 then raise Overflow
-  done;
-  arr_low_256 p
+  let la = len_of a 9 and lb = len_of b 9 in
+  (* The nonzero product of the top limbs lands in column la + lb - 2. *)
+  if la + lb > 10 then raise Overflow;
+  let r = fresh 0 in
+  if mul_columns r a la b lb 9 <> 0 || r.%(8) > top_mask then raise Overflow;
+  r
 
-(* Destination-passing wrapping multiply. [dst] must not alias [a] or
-   [b]: the product is accumulated in place across both loops, so an
-   aliased input would be read after it was partially overwritten. *)
+(* [dst] must not alias [a] or [b]: column k reads limbs of both inputs
+   that earlier columns have already overwritten in [dst]. *)
 let mul_into ~dst a b =
   if dst == a || dst == b then invalid_arg "U256.mul_into: dst aliases an input";
-  Array.fill dst 0 ndigits 0;
-  let la = arr_effective_len a and lb = arr_effective_len b in
-  for i = 0 to la - 1 do
-    let ai = Array.unsafe_get a i in
-    if ai <> 0 then begin
-      let carry = ref 0 in
-      let jmax = Stdlib.min (lb - 1) (ndigits - 1 - i) in
-      for j = 0 to jmax do
-        let p =
-          (ai * Array.unsafe_get b j) + Array.unsafe_get dst (i + j) + !carry
-        in
-        Array.unsafe_set dst (i + j) (p land mask);
-        carry := p lsr digit_bits
-      done;
-      (* The spill cell i+jmax+1 is provably still zero here (earlier
-         iterations only touch lower cells), so the carry fits as-is; a
-         later iteration's inner loop renormalizes it if it grows. *)
-      if i + jmax + 1 < ndigits then
-        dst.(i + jmax + 1) <- dst.(i + jmax + 1) + !carry
-    end
-  done
+  ignore (mul_columns dst a (len_of a 9) b (len_of b 9) 9);
+  dst.%(8) <- dst.%(8) land top_mask
 
 (* ------------------------------------------------------------------ *)
-(* Division: Knuth algorithm D over base-2^16 digits                   *)
+(* Division: Knuth algorithm D over base-2^29 limbs                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Short division of [u] (length m) by a single digit [d]. *)
-let arr_div_digit u m d =
-  let q = Array.make m 0 in
-  let rem = ref 0 in
+(* Short division of u[0..m) by [d] into q[0..m) (q may be u); returns
+   the remainder. Exact for any d < 2^33. *)
+let div_limb q u m d =
+  let r = ref 0 in
   for i = m - 1 downto 0 do
-    let cur = (!rem lsl digit_bits) lor u.(i) in
-    q.(i) <- cur / d;
-    rem := cur mod d
+    let cur = (!r lsl limb_bits) lor u.%(i) in
+    q.%(i) <- cur / d;
+    r := cur mod d
   done;
-  (q, !rem)
+  !r
 
-(* Count of leading zero bits of a nonzero digit within 16 bits. *)
-let digit_nlz d =
-  let rec go n d = if d land 0x8000 <> 0 then n else go (n + 1) (d lsl 1) in
-  go 0 d
+(* Significant bits of a non-negative int below 2^32. *)
+let bit_length d =
+  let n = ref 0 and d = ref d in
+  if !d lsr 16 <> 0 then (n := 16; d := !d lsr 16);
+  if !d lsr 8 <> 0 then (n := !n + 8; d := !d lsr 8);
+  if !d lsr 4 <> 0 then (n := !n + 4; d := !d lsr 4);
+  if !d lsr 2 <> 0 then (n := !n + 2; d := !d lsr 2);
+  if !d lsr 1 <> 0 then (n := !n + 1; d := !d lsr 1);
+  !n + !d
 
-(* Full division of digit arrays; returns (quotient, remainder), both
-   trimmed to their natural lengths. *)
-let arr_divmod u_in v_in =
-  let m = arr_effective_len u_in and n = arr_effective_len v_in in
-  if n = 0 then raise Division_by_zero;
-  if m < n then ([| 0 |], Array.sub u_in 0 (Stdlib.max m 1))
-  else if n = 1 then begin
-    let q, r = arr_div_digit u_in m v_in.(0) in
-    (q, [| r |])
-  end else begin
-    let s = digit_nlz v_in.(n - 1) in
-    (* Normalized copies: vn has n digits, un has m+1 digits. *)
-    let vn = Array.make n 0 in
+(* q[0..m-n] <- u / v and r[0..n) <- u mod v, for u[0..m) and v[0..n)
+   with v[n-1] <> 0 and n <= 9. [u] needs room for m + 1 limbs and is
+   destroyed; [q] and [r] must arrive zeroed. *)
+let divmod_limbs ~q ~r u m v n =
+  if m < n then
+    for i = 0 to m - 1 do
+      r.%(i) <- u.%(i)
+    done
+  else if n = 1 then r.%(0) <- div_limb q u m v.%(0)
+  else begin
+    (* Normalize: shift both so the divisor's top limb has bit 28 set. *)
+    let s = limb_bits - bit_length v.%(n - 1) in
+    let rs = limb_bits - s in
+    let vn = fresh 0 in
     for i = n - 1 downto 1 do
-      vn.(i) <- ((v_in.(i) lsl s) lor (v_in.(i - 1) lsr (digit_bits - s))) land mask
+      vn.%(i) <- ((v.%(i) lsl s) lor (v.%(i - 1) lsr rs)) land mask
     done;
-    vn.(0) <- (v_in.(0) lsl s) land mask;
-    let un = Array.make (m + 1) 0 in
-    un.(m) <- if s = 0 then 0 else u_in.(m - 1) lsr (digit_bits - s);
+    vn.%(0) <- (v.%(0) lsl s) land mask;
+    u.%(m) <- u.%(m - 1) lsr rs;
     for i = m - 1 downto 1 do
-      un.(i) <- ((u_in.(i) lsl s) lor (u_in.(i - 1) lsr (digit_bits - s))) land mask
+      u.%(i) <- ((u.%(i) lsl s) lor (u.%(i - 1) lsr rs)) land mask
     done;
-    un.(0) <- (u_in.(0) lsl s) land mask;
-    let q = Array.make (m - n + 1) 0 in
+    u.%(0) <- (u.%(0) lsl s) land mask;
+    let vtop = vn.%(n - 1) and vnext = vn.%(n - 2) in
     for j = m - n downto 0 do
-      let num = (un.(j + n) lsl digit_bits) lor un.(j + n - 1) in
-      let qhat = ref (num / vn.(n - 1)) and rhat = ref (num mod vn.(n - 1)) in
-      let continue = ref true in
-      while !continue do
-        if !qhat >= base
-           || !qhat * vn.(n - 2) > (!rhat lsl digit_bits) lor un.(j + n - 2)
-        then begin
-          decr qhat;
-          rhat := !rhat + vn.(n - 1);
-          if !rhat >= base then continue := false
-        end
-        else continue := false
+      let num = (u.%(j + n) lsl limb_bits) lor u.%(j + n - 1) in
+      let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+      while
+        !rhat < base
+        && (!qhat >= base || !qhat * vnext > (!rhat lsl limb_bits) lor u.%(j + n - 2))
+      do
+        decr qhat;
+        rhat := !rhat + vtop
       done;
-      (* Multiply and subtract qhat * vn from un[j .. j+n]. *)
-      let borrow = ref 0 and carry = ref 0 in
+      (* Multiply and subtract qhat * vn from u[j .. j+n]; [k] carries
+         the high product limb plus the borrow. *)
+      let qh = !qhat in
+      let k = ref 0 in
       for i = 0 to n - 1 do
-        let p = (!qhat * vn.(i)) + !carry in
-        carry := p lsr digit_bits;
-        let t = un.(i + j) - (p land mask) - !borrow in
-        if t < 0 then (un.(i + j) <- t + base; borrow := 1)
-        else (un.(i + j) <- t; borrow := 0)
+        let p = qh * vn.%(i) in
+        let t = u.%(i + j) - !k - (p land mask) in
+        u.%(i + j) <- t land mask;
+        k := (p lsr limb_bits) - (t asr limb_bits)
       done;
-      let t = un.(j + n) - !carry - !borrow in
+      let t = u.%(j + n) - !k in
       if t < 0 then begin
         (* qhat was one too large: add vn back. *)
-        un.(j + n) <- t + base;
-        q.(j) <- !qhat - 1;
+        q.%(j) <- qh - 1;
         let c = ref 0 in
         for i = 0 to n - 1 do
-          let s2 = un.(i + j) + vn.(i) + !c in
-          un.(i + j) <- s2 land mask;
-          c := s2 lsr digit_bits
+          let s2 = u.%(i + j) + vn.%(i) + !c in
+          u.%(i + j) <- s2 land mask;
+          c := s2 lsr limb_bits
         done;
-        un.(j + n) <- (un.(j + n) + !c) land mask
+        u.%(j + n) <- (t + !c) land mask
       end
       else begin
-        un.(j + n) <- t;
-        q.(j) <- !qhat
+        u.%(j + n) <- t;
+        q.%(j) <- qh
       end
     done;
     (* Denormalize the remainder. *)
-    let r = Array.make n 0 in
     for i = 0 to n - 1 do
-      let hi = if i + 1 < n then un.(i + 1) else 0 in
-      r.(i) <- if s = 0 then un.(i) else ((un.(i) lsr s) lor (hi lsl (digit_bits - s))) land mask
-    done;
-    (q, r)
+      let hi = if i + 1 < n then u.%(i + 1) else 0 in
+      r.%(i) <- ((u.%(i) lsr s) lor (hi lsl rs)) land mask
+    done
   end
 
-let fit_256 a =
-  let r = make_zero () in
-  let l = Stdlib.min (Array.length a) ndigits in
-  Array.blit a 0 r 0 l;
-  for i = ndigits to Array.length a - 1 do
-    if a.(i) <> 0 then raise Overflow
-  done;
-  r
+let divmod_into ~q ~r a b =
+  let n = len_of b 9 in
+  if n = 0 then raise Division_by_zero;
+  let u = [| a.%(0); a.%(1); a.%(2); a.%(3); a.%(4); a.%(5); a.%(6); a.%(7); a.%(8); 0 |] in
+  divmod_limbs ~q ~r u (len_of a 9) b n
 
 let divmod a b =
-  let q, r = arr_divmod a b in
-  (fit_256 q, fit_256 r)
+  let q = fresh 0 and r = fresh 0 in
+  divmod_into ~q ~r a b;
+  (q, r)
 
-let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
+let div a b =
+  let q = fresh 0 in
+  divmod_into ~q ~r:(fresh 0) a b;
+  q
+
+let rem a b =
+  let r = fresh 0 in
+  divmod_into ~q:(fresh 0) ~r a b;
+  r
 
 let div_rounding_up a b =
-  let q, r = divmod a b in
+  let q = fresh 0 and r = fresh 0 in
+  divmod_into ~q ~r a b;
   if is_zero r then q else checked_add q one
 
-(* Small-operand fast path for the mul_div family: when a*b fits in a
-   native int the whole 512-bit product/divide machinery is overkill.
-   Returns the quotient and remainder as native ints. *)
-let small_muldivmod a b c =
-  match to_int_opt a with
-  | None -> None
-  | Some ia ->
-    (match to_int_opt b with
-    | None -> None
-    | Some ib when ia = 0 || ib = 0 || ib <= max_int / ia ->
-      let p = ia * ib in
-      (match to_int_opt c with
-      | Some 0 -> raise Division_by_zero
-      | Some ic -> Some (p / ic, p mod ic)
-      | None ->
-        (* c needs more than 62 bits (so c <> 0 and c > a*b): quotient 0. *)
-        Some (0, p))
-    | Some _ -> None)
+(* a*b divided by c through the full 512-bit product: q (19 limbs)
+   receives the quotient and r (9 limbs) the remainder. *)
+let wide_divmod ~q ~r a b c =
+  let n = len_of c 9 in
+  if n = 0 then raise Division_by_zero;
+  let la = len_of a 9 and lb = len_of b 9 in
+  let u = fresh19 0 in
+  ignore (mul_columns u a la b lb (la + lb));
+  divmod_limbs ~q ~r u (len_of u (la + lb)) c n
 
-let mul_div a b c =
+(* Low nine limbs of a wide quotient; raises {!Overflow} if it needs
+   more than 256 bits. *)
+let fit_256 q =
+  if len_of q 19 > 9 || q.%(8) > top_mask then raise Overflow;
+  [| q.%(0); q.%(1); q.%(2); q.%(3); q.%(4); q.%(5); q.%(6); q.%(7); q.%(8) |]
+
+(* Shared body of the mul_div family. When a*b fits in a native int the
+   512-bit product/divide machinery is overkill; when b == c (Q96
+   scale/unscale round-trips) a*b/b = a exactly. *)
+let mul_div_gen ~round_up a b c =
   if b == c then begin
-    (* a*b/b = a exactly; Q96 scale/unscale round-trips hit this. *)
     if is_zero c then raise Division_by_zero;
     a
   end
-  else
-    match small_muldivmod a b c with
-    | Some (q, _) -> of_int q
-    | None ->
-      let p = arr_mul a b in
-      let q, _ = arr_divmod p c in
-      fit_256 q
-
-let mul_div_rounding_up a b c =
-  if b == c then begin
-    if is_zero c then raise Division_by_zero;
-    a (* remainder is zero: nothing to round *)
-  end
-  else
-    match small_muldivmod a b c with
-    | Some (q, 0) -> of_int q
-    | Some (q, _) -> of_int (q + 1)
-    | None ->
-      let p = arr_mul a b in
-      let q, r = arr_divmod p c in
+  else begin
+    let ia = small a and ib = small b in
+    if ia >= 0 && ib >= 0 && (ia = 0 || ib = 0 || ib <= max_int / ia) then begin
+      let p = ia * ib and ic = small c in
+      if ic = 0 then raise Division_by_zero;
+      if ic < 0 then
+        (* c needs more than 62 bits (so c > a*b): quotient 0. *)
+        of_small (if round_up && p <> 0 then 1 else 0)
+      else
+        let q = p / ic in
+        of_small (if round_up && p mod ic <> 0 then q + 1 else q)
+    end
+    else begin
+      let q = fresh19 0 and r = fresh 0 in
+      wide_divmod ~q ~r a b c;
       let q = fit_256 q in
-      if arr_effective_len r = 0 then q else checked_add q one
+      if round_up && not (is_zero r) then checked_add q one else q
+    end
+  end
+
+let mul_div a b c = mul_div_gen ~round_up:false a b c
+let mul_div_rounding_up a b c = mul_div_gen ~round_up:true a b c
 
 let mul_mod a b c =
-  let p = arr_mul a b in
-  let _, r = arr_divmod p c in
-  fit_256 r
+  let r = fresh 0 in
+  wide_divmod ~q:(fresh19 0) ~r a b c;
+  r
 
 let pow x n =
   if n < 0 then invalid_arg "U256.pow: negative exponent";
@@ -384,19 +410,18 @@ let pow x n =
 (* ------------------------------------------------------------------ *)
 
 (* Modular multiplication against a modulus fixed once per context: the
-   generic [mul_mod] pays a full 512-bit schoolbook product plus a Knuth
-   division on every call, while Montgomery's method replaces the
-   division with shifts against a precomputed -N^-1 mod 2^16. The CIOS
-   (coarsely integrated operand scanning) loop below interleaves the
-   product and the reduction, so every intermediate stays within two
-   spare limbs and all digit products fit in a native int. *)
+   generic [mul_mod] pays a full 512-bit product plus a Knuth division on
+   every call, while Montgomery's method replaces the division with
+   shifts against a precomputed -m^-1 mod 2^29. The CIOS (coarsely
+   integrated operand scanning) loop below interleaves the product and
+   the reduction, so the running value stays within one spare limb. *)
 module Mont = struct
   (* The [one] accessor below shadows the module-level constant. *)
   let u256_one = one
 
   type ctx = {
-    m : int array; (* modulus digits, little-endian, length 16 *)
-    m0' : int; (* -m^-1 mod 2^16 *)
+    m : t;
+    m0' : int; (* -m^-1 mod 2^29 *)
     one_m : t; (* R mod m: the Montgomery form of 1 *)
     r2 : t; (* R^2 mod m, for conversions into Montgomery form *)
   }
@@ -404,55 +429,70 @@ module Mont = struct
   let modulus ctx = copy ctx.m
   let one ctx = copy ctx.one_m
 
-  (* CIOS Montgomery product: a*b*R^-1 mod m with R = 2^256. Inputs must
-     be < m; the result is < m and freshly allocated. *)
+  (* CIOS Montgomery product a*b*R^-1 mod m with R = 2^256 = 2^(8*29 + 24).
+     Steps 0-7 add a_i*b, add the q*m that clears the low limb and drop
+     that limb; step 8 (a_8 holds the top 24 bits) clears and drops only
+     24 bits. The running value t stays below b + m < 2^257 between steps
+     (below 2^286 within one), so ten limbs hold it. With both inputs
+     below 2^256 the result matches the generic CIOS at R = 2^256 bit for
+     bit: both add the unique Q < 2^256 with a*b + Q*m = 0 mod 2^256. *)
   let mul ctx a b =
     let m = ctx.m and m0' = ctx.m0' in
-    (* t holds ndigits+2 limbs: the running (a*b + q*m)/2^(16i). *)
-    let t = Array.make (ndigits + 2) 0 in
-    for i = 0 to ndigits - 1 do
-      let ai = Array.unsafe_get a i in
-      (* t <- t + ai * b *)
-      let carry = ref 0 in
-      for j = 0 to ndigits - 1 do
-        let v = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !carry in
-        Array.unsafe_set t j (v land mask);
-        carry := v lsr digit_bits
+    let t = fresh10 0 in
+    for i = 0 to 8 do
+      let ai = a.%(i) in
+      let c = ref 0 in
+      for j = 0 to 8 do
+        let v = t.%(j) + (ai * b.%(j)) + !c in
+        t.%(j) <- v land mask;
+        c := v lsr limb_bits
       done;
-      let v = t.(ndigits) + !carry in
-      t.(ndigits) <- v land mask;
-      t.(ndigits + 1) <- t.(ndigits + 1) + (v lsr digit_bits);
-      (* q kills the low limb: (t + q*m) mod 2^16 = 0. *)
-      let q = (t.(0) * m0') land mask in
-      let v0 = t.(0) + (q * Array.unsafe_get m 0) in
-      let carry = ref (v0 lsr digit_bits) in
-      (* t <- (t + q*m) / 2^16, fused with the shift. *)
-      for j = 1 to ndigits - 1 do
-        let v = Array.unsafe_get t j + (q * Array.unsafe_get m j) + !carry in
-        Array.unsafe_set t (j - 1) (v land mask);
-        carry := v lsr digit_bits
-      done;
-      let v = t.(ndigits) + !carry in
-      t.(ndigits - 1) <- v land mask;
-      t.(ndigits) <- t.(ndigits + 1) + (v lsr digit_bits);
-      t.(ndigits + 1) <- 0
+      t.%(9) <- t.%(9) + !c;
+      if i < 8 then begin
+        let q = (t.%(0) * m0') land mask in
+        let c = ref ((t.%(0) + (q * m.%(0))) lsr limb_bits) in
+        for j = 1 to 8 do
+          let v = t.%(j) + (q * m.%(j)) + !c in
+          t.%(j - 1) <- v land mask;
+          c := v lsr limb_bits
+        done;
+        let v = t.%(9) + !c in
+        t.%(8) <- v land mask;
+        t.%(9) <- v lsr limb_bits
+      end
+      else begin
+        let q = (t.%(0) * m0') land top_mask in
+        let c = ref 0 in
+        for j = 0 to 8 do
+          let v = t.%(j) + (q * m.%(j)) + !c in
+          t.%(j) <- v land mask;
+          c := v lsr limb_bits
+        done;
+        t.%(9) <- t.%(9) + !c;
+        for j = 0 to 8 do
+          t.%(j) <- (t.%(j) lsr top_bits) lor ((t.%(j + 1) lsl (limb_bits - top_bits)) land mask)
+        done
+      end
     done;
-    (* Result in t[0..16], < 2m: one conditional subtract normalizes. *)
-    let r = Array.sub t 0 ndigits in
-    if t.(ndigits) <> 0 || ge r m then sub_into ~dst:r r m;
+    (* t < b + m fits limbs 0-8 (limb 8 may hold bit 256); one
+       conditional subtract normalizes. *)
+    let r = fresh 0 in
+    if compare_from t m 8 >= 0 then sub_into ~dst:r t m
+    else for i = 0 to 8 do r.%(i) <- t.%(i) done;
     r
 
   let create ~modulus =
-    if is_zero modulus || modulus.(0) land 1 = 0 then
+    if is_zero modulus || modulus.%(0) land 1 = 0 then
       invalid_arg "U256.Mont.create: modulus must be odd";
-    (* m0' = -m^-1 mod 2^16 by Newton–Hensel lifting: for odd m0 the seed
-       m0 is its own inverse mod 8, and each step doubles the bits. *)
-    let m0 = modulus.(0) in
+    (* m0' = -m^-1 mod 2^29 by Newton–Hensel lifting: for odd m0 the seed
+       m0 is its own inverse mod 8, and each step doubles the bits. The
+       products wrap modulo 2^63, which keeps them exact modulo 2^29. *)
+    let m0 = modulus.%(0) in
     let x = ref m0 in
     for _ = 1 to 4 do
       x := !x * (2 - (m0 * !x)) land mask
     done;
-    let m0' = (base - !x) land mask in
+    let m0' = -(!x) land mask in
     (* R mod m computed without a 257-bit value: (2^256 - 1) mod m, +1. *)
     let one_m = rem (add (rem max_value modulus) u256_one) modulus in
     let r2 = mul_mod one_m one_m modulus in
@@ -466,23 +506,41 @@ end
 (* Bitwise                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let map2 f a b = Array.init ndigits (fun i -> f a.(i) b.(i))
-let logand a b = map2 ( land ) a b
-let logor a b = map2 ( lor ) a b
-let logxor a b = map2 ( lxor ) a b
-let lognot a = Array.init ndigits (fun i -> a.(i) lxor mask)
+let logand a b =
+  let r = fresh 0 in
+  for i = 0 to 8 do
+    r.%(i) <- a.%(i) land b.%(i)
+  done;
+  r
+
+let logor a b =
+  let r = fresh 0 in
+  for i = 0 to 8 do
+    r.%(i) <- a.%(i) lor b.%(i)
+  done;
+  r
+
+let logxor a b =
+  let r = fresh 0 in
+  for i = 0 to 8 do
+    r.%(i) <- a.%(i) lxor b.%(i)
+  done;
+  r
+
+let lognot a = logxor a max_value
 
 let shift_left x k =
   if k < 0 then invalid_arg "U256.shift_left";
   if k >= 256 then zero
   else begin
-    let dsh = k / digit_bits and bsh = k mod digit_bits in
-    let r = make_zero () in
-    for i = ndigits - 1 downto dsh do
-      let lo = x.(i - dsh) lsl bsh in
-      let hi = if bsh > 0 && i - dsh - 1 >= 0 then x.(i - dsh - 1) lsr (digit_bits - bsh) else 0 in
-      r.(i) <- (lo lor hi) land mask
+    let ls = k / limb_bits and bs = k mod limb_bits in
+    let rs = limb_bits - bs in
+    let r = fresh 0 in
+    r.%(ls) <- (x.%(0) lsl bs) land mask;
+    for i = ls + 1 to 8 do
+      r.%(i) <- ((x.%(i - ls) lsl bs) lor (x.%(i - ls - 1) lsr rs)) land mask
     done;
+    r.%(8) <- r.%(8) land top_mask;
     r
   end
 
@@ -490,31 +548,21 @@ let shift_right x k =
   if k < 0 then invalid_arg "U256.shift_right";
   if k >= 256 then zero
   else begin
-    let dsh = k / digit_bits and bsh = k mod digit_bits in
-    let r = make_zero () in
-    for i = 0 to ndigits - 1 - dsh do
-      let lo = x.(i + dsh) lsr bsh in
-      let hi =
-        if bsh > 0 && i + dsh + 1 < ndigits then (x.(i + dsh + 1) lsl (digit_bits - bsh)) land mask
-        else 0
-      in
-      r.(i) <- (lo lor hi) land mask
+    let ls = k / limb_bits and bs = k mod limb_bits in
+    let rs = limb_bits - bs in
+    let r = fresh 0 in
+    for i = 0 to 7 - ls do
+      r.%(i) <- ((x.%(i + ls) lsr bs) lor (x.%(i + ls + 1) lsl rs)) land mask
     done;
+    r.%(8 - ls) <- x.%(8) lsr bs;
     r
   end
 
-let bit x i =
-  if i < 0 || i >= 256 then false
-  else (x.(i / digit_bits) lsr (i mod digit_bits)) land 1 = 1
+let bit x i = i >= 0 && i < 256 && (x.%(i / limb_bits) lsr (i mod limb_bits)) land 1 = 1
 
 let bits x =
-  let rec top i = if i < 0 then 0 else if x.(i) <> 0 then i else top (i - 1) in
-  let i = top (ndigits - 1) in
-  if i = 0 && x.(0) = 0 then 0
-  else begin
-    let rec width n d = if d = 0 then n else width (n + 1) (d lsr 1) in
-    (i * digit_bits) + width 0 x.(i)
-  end
+  let l = len_of x 9 in
+  if l = 0 then 0 else ((l - 1) * limb_bits) + bit_length x.%(l - 1)
 
 let sqrt n =
   if is_zero n then zero
@@ -531,26 +579,22 @@ let sqrt n =
 (* Strings and bytes                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Nine decimal digits per short division by 10^9. *)
 let to_string x =
   if is_zero x then "0"
   else begin
-    let buf = Buffer.create 78 in
-    let cur = ref (Array.copy x) in
-    let chunks = ref [] in
-    while not (is_zero !cur) do
-      let m = arr_effective_len !cur in
-      let q, r = arr_div_digit !cur m 10000 in
-      let q256 = make_zero () in
-      Array.blit q 0 q256 0 (Stdlib.min (Array.length q) ndigits);
-      chunks := r :: !chunks;
-      cur := q256
-    done;
-    (match !chunks with
-     | [] -> ()
-     | first :: rest ->
-       Buffer.add_string buf (string_of_int first);
-       List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%04d" c)) rest);
-    Buffer.contents buf
+    let cur = copy x in
+    let rec chunks acc m =
+      let m = len_of cur m in
+      if m = 0 then acc else chunks (div_limb cur cur m 1_000_000_000 :: acc) m
+    in
+    match chunks [] 9 with
+    | [] -> "0"
+    | first :: rest ->
+      let buf = Buffer.create 78 in
+      Buffer.add_string buf (string_of_int first);
+      List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest;
+      Buffer.contents buf
   end
 
 let of_hex s =
@@ -558,7 +602,7 @@ let of_hex s =
     then String.sub s 2 (String.length s - 2) else s in
   if s = "" then invalid_arg "U256.of_hex: empty";
   if String.length s > 64 then raise Overflow;
-  let r = make_zero () in
+  let r = fresh 0 in
   let nibble c = match c with
     | '0' .. '9' -> Char.code c - Char.code '0'
     | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
@@ -568,7 +612,9 @@ let of_hex s =
   let len = String.length s in
   for i = 0 to len - 1 do
     let v = nibble s.[len - 1 - i] in
-    r.(i / 4) <- r.(i / 4) lor (v lsl ((i mod 4) * 4))
+    let l = 4 * i / limb_bits and o = 4 * i mod limb_bits in
+    r.%(l) <- r.%(l) lor ((v lsl o) land mask);
+    if o > limb_bits - 4 then r.%(l + 1) <- r.%(l + 1) lor (v lsr (limb_bits - o))
   done;
   r
 
@@ -595,36 +641,53 @@ let of_string s =
 let to_hex x =
   if is_zero x then "0"
   else begin
-    let buf = Buffer.create 64 in
-    let started = ref false in
-    for i = ndigits - 1 downto 0 do
-      if !started then Buffer.add_string buf (Printf.sprintf "%04x" x.(i))
-      else if x.(i) <> 0 then begin
-        Buffer.add_string buf (Printf.sprintf "%x" x.(i));
-        started := true
-      end
-    done;
-    Buffer.contents buf
+    let nibble j = (digit16 x (j / 4) lsr (4 * (j mod 4))) land 0xF in
+    let top = ref 63 in
+    while nibble !top = 0 do decr top done;
+    String.init (!top + 1) (fun k -> "0123456789abcdef".[nibble (!top - k)])
   end
 
-let to_bytes_be x =
-  let b = Bytes.create 32 in
-  for i = 0 to ndigits - 1 do
-    let d = x.(ndigits - 1 - i) in
-    Bytes.set b (2 * i) (Char.chr (d lsr 8));
-    Bytes.set b ((2 * i) + 1) (Char.chr (d land 0xFF))
-  done;
-  b
+let check_offset what b off =
+  if off < 0 || off > Bytes.length b - 32 then invalid_arg (what ^ ": offset out of range")
+
+(* The 32 bytes are four big-endian 64-bit words; w0 holds bits 0-63.
+   Limb k covers bits [29k, 29k + 29), so limbs 2, 4 and 6 straddle two
+   words. The Int64 values stay unboxed: no allocation but the result. *)
+let read_be b off =
+  check_offset "U256.read_be" b off;
+  let w3 = Bytes.get_int64_be b off and w2 = Bytes.get_int64_be b (off + 8) in
+  let w1 = Bytes.get_int64_be b (off + 16) and w0 = Bytes.get_int64_be b (off + 24) in
+  let lo w = Int64.to_int w and hi w k = Int64.to_int (Int64.shift_right_logical w k) in
+  [| lo w0 land mask; hi w0 29 land mask; hi w0 58 lor ((lo w1 land 0x7FFFFF) lsl 6);
+     hi w1 23 land mask; hi w1 52 lor ((lo w2 land 0x1FFFF) lsl 12); hi w2 17 land mask;
+     hi w2 46 lor ((lo w3 land 0x7FF) lsl 18); hi w3 11 land mask; hi w3 40 |]
 
 let of_bytes_be b =
   let len = Bytes.length b in
   if len = 0 || len > 32 then invalid_arg "U256.of_bytes_be: need 1..32 bytes";
-  let r = make_zero () in
-  for i = 0 to len - 1 do
-    let byte = Char.code (Bytes.get b (len - 1 - i)) in
-    r.(i / 2) <- r.(i / 2) lor (byte lsl ((i mod 2) * 8))
-  done;
-  r
+  if len = 32 then read_be b 0
+  else begin
+    let padded = Bytes.make 32 '\000' in
+    Bytes.blit b 0 padded (32 - len) len;
+    read_be padded 0
+  end
+
+let write_be x b off =
+  check_offset "U256.write_be" b off;
+  (* Each word is a limb run below 2^62 plus the low bits of the next
+     limb, shifted in as an Int64 so the top bit survives. *)
+  let word run next shift =
+    Int64.logor (Int64.of_int run) (Int64.shift_left (Int64.of_int next) shift)
+  in
+  Bytes.set_int64_be b off (word ((x.%(6) lsr 18) lor (x.%(7) lsl 11)) x.%(8) 40);
+  Bytes.set_int64_be b (off + 8) (word ((x.%(4) lsr 12) lor (x.%(5) lsl 17)) x.%(6) 46);
+  Bytes.set_int64_be b (off + 16) (word ((x.%(2) lsr 6) lor (x.%(3) lsl 23)) x.%(4) 52);
+  Bytes.set_int64_be b (off + 24) (word (x.%(0) lor (x.%(1) lsl 29)) x.%(2) 58)
+
+let to_bytes_be x =
+  let b = Bytes.create 32 in
+  write_be x b 0;
+  b
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)
 let pp_hex fmt x = Format.fprintf fmt "0x%s" (to_hex x)

@@ -2,8 +2,12 @@
 
     Values are immutable. Arithmetic wraps modulo 2^256 unless the function
     name says otherwise ([checked_*] variants raise {!Overflow}). The
-    representation is an array of sixteen base-2^16 digits, little-endian,
-    which keeps every intermediate product within OCaml's native [int]. *)
+    representation is an array of nine base-2^29 limbs, little-endian, the
+    last holding bits 232-255: a 10-word block. A limb product is below
+    2^58, so a product column of up to nine of them plus its carry stays
+    under 2^62 and every intermediate fits OCaml's native [int]. Comparisons
+    and {!is_zero} allocate nothing; {!add}, {!sub}, {!of_int} and {!copy}
+    allocate exactly the result. *)
 
 type t
 
@@ -53,6 +57,16 @@ val to_bytes_be : t -> bytes
 
 val of_bytes_be : bytes -> t
 (** Inverse of {!to_bytes_be}; accepts 1..32 bytes. *)
+
+val read_be : bytes -> int -> t
+(** [read_be b off] decodes the 32 big-endian bytes of [b] starting at
+    [off]: [of_bytes_be (Bytes.sub b off 32)] without the copy. Raises
+    [Invalid_argument] unless [0 <= off <= Bytes.length b - 32]. *)
+
+val write_be : t -> bytes -> int -> unit
+(** [write_be x b off] writes [to_bytes_be x] into [b] starting at [off],
+    in place. Raises [Invalid_argument] unless
+    [0 <= off <= Bytes.length b - 32]. *)
 
 (** {1 Comparison} *)
 
@@ -147,9 +161,10 @@ val sqrt : t -> t
     arithmetic, most notably), a precomputed context replaces the
     512-bit product + Knuth division of {!mul_mod} with a CIOS
     Montgomery reduction: no division at all, just shifts against
-    [-m⁻¹ mod 2^16]. Values live in Montgomery form [x·R mod m]
-    (R = 2^256) between {!Mont.to_mont} and {!Mont.of_mont}; {!Mont.mul}
-    is closed over that form. *)
+    [-m⁻¹ mod 2^29]. Values live in Montgomery form [x·R mod m] between
+    {!Mont.to_mont} and {!Mont.of_mont}; {!Mont.mul} is closed over that
+    form. R = 2^256: the reduction drops eight 29-bit limbs and then the
+    24 bits of the top limb. *)
 
 module Mont : sig
   type ctx

@@ -12,7 +12,10 @@ let create () = { data = Array.make 16 (0.0, 0, Obj.magic 0); len = 0; stamp = 0
 let is_empty t = t.len = 0
 let length t = t.len
 
-let before (p1, s1, _) (p2, s2, _) = p1 < p2 || (p1 = p2 && s1 < s2)
+(* Typed so the comparisons compile to float and int instructions rather
+   than calls to the polymorphic compare. *)
+let before ((p1 : float), (s1 : int), _) ((p2 : float), (s2 : int), _) =
+  p1 < p2 || (p1 = p2 && s1 < s2)
 
 let push t priority v =
   if t.len = Array.length t.data then begin

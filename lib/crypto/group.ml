@@ -50,13 +50,12 @@ let pairing (p : g1) (q : g2) : gt = Field.mul p q
    sizes so byte accounting matches BN256 (64 B G1 points, 128 B G2). *)
 let element_to_bytes size x =
   let b = Bytes.make size '\000' in
-  let repr = U256.to_bytes_be (Field.to_u256 x) in
-  Bytes.blit repr 0 b (size - 32) 32;
+  U256.write_be (Field.to_u256 x) b (size - 32);
   b
 
 let element_of_bytes size b =
   if Bytes.length b <> size then invalid_arg "Group.element_of_bytes: bad length";
-  Field.of_u256 (U256.of_bytes_be (Bytes.sub b (size - 32) 32))
+  Field.of_u256 (U256.read_be b (size - 32))
 
 let g1_to_bytes = element_to_bytes 64
 let g2_to_bytes = element_to_bytes 128

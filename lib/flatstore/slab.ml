@@ -68,12 +68,11 @@ let off t row slot = (row * t.row_bytes) + (slot * slot_size)
 
 let get_u256 t ~row ~slot =
   check t row slot;
-  U256.of_bytes_be (Bytes.sub t.data (off t row slot) slot_size)
+  U256.read_be t.data (off t row slot)
 
 let set_u256 t ~row ~slot v =
   check t row slot;
-  let b = U256.to_bytes_be v in
-  Bytes.blit b 0 t.data (off t row slot) slot_size;
+  U256.write_be v t.data (off t row slot);
   mark_dirty t row
 
 let get_int t ~row ~slot =

@@ -461,11 +461,7 @@ let read_at v ~epoch k =
 (* Pool position image layout (see Pool.position_bytes): owner 20,
    ticks 2×8, then liquidity / fee checkpoints / owed, 32 bytes each. *)
 let owed_of_image b =
-  if Bytes.length b <> 196 then None
-  else
-    Some
-      ( U256.of_bytes_be (Bytes.sub b 132 32),
-        U256.of_bytes_be (Bytes.sub b 164 32) )
+  if Bytes.length b <> 196 then None else Some (U256.read_be b 132, U256.read_be b 164)
 
 let position_fees v ~from_epoch ~until_epoch pid =
   match

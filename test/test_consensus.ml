@@ -37,7 +37,30 @@ let pqueue_props =
           match Pqueue.pop q with Some (p, _) -> drain (p :: acc) | None -> List.rev acc
         in
         let out = drain [] in
-        out = List.sort compare priorities) ]
+        out = List.sort compare priorities);
+    (* Few distinct priorities and pushes interleaved with pops: every pop
+       must return the least (priority, insertion index) still queued. *)
+    prop "pops follow (priority, insertion index)"
+      QCheck2.Gen.(list_size (int_range 0 80) (option (int_range 0 3)))
+      (fun ops ->
+        let q = Pqueue.create () in
+        let stamp = ref 0 and model = ref [] in
+        List.for_all
+          (function
+            | Some p ->
+              let entry = (float_of_int p, !stamp) in
+              Pqueue.push q (fst entry) (snd entry);
+              incr stamp;
+              model := List.sort compare (entry :: !model);
+              true
+            | None -> (
+              match (Pqueue.pop q, !model) with
+              | None, [] -> true
+              | Some popped, expected :: rest ->
+                model := rest;
+                popped = expected
+              | _ -> false))
+          ops) ]
 
 (* ------------------------------------------------------------------ *)
 (* Network                                                             *)

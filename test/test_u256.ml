@@ -401,11 +401,388 @@ let test_mont_edges () =
     (Invalid_argument "U256.Mont.create: modulus must be odd") (fun () ->
       ignore (U256.Mont.create ~modulus:U256.zero))
 
+(* ------------------------------------------------------------------ *)
+(* In-place big-endian I/O                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A buffer of 32..96 random bytes and an offset at which 32 bytes fit. *)
+let gen_buf_off =
+  QCheck2.Gen.(
+    let* len = int_range 32 96 in
+    let* buf = bytes_size (return len) in
+    let* off = int_range 0 (len - 32) in
+    return (buf, off))
+
+let bytes_io_props =
+  [ prop "read_be = of_bytes_be of the slice" gen_buf_off (fun (buf, off) ->
+        U256.equal (U256.read_be buf off) (U256.of_bytes_be (Bytes.sub buf off 32)));
+    prop "write_be = to_bytes_be, in place" (QCheck2.Gen.pair gen_u256 gen_buf_off)
+      (fun (x, (buf, off)) ->
+        let out = Bytes.copy buf in
+        U256.write_be x out off;
+        let len = Bytes.length buf in
+        Bytes.equal (Bytes.sub out off 32) (U256.to_bytes_be x)
+        && Bytes.equal (Bytes.sub out 0 off) (Bytes.sub buf 0 off)
+        && Bytes.equal
+             (Bytes.sub out (off + 32) (len - off - 32))
+             (Bytes.sub buf (off + 32) (len - off - 32)));
+    prop "read_be/write_be reject offsets out of range"
+      QCheck2.Gen.(pair (int_range 0 64) (int_range (-40) 100))
+      (fun (len, off) ->
+        let buf = Bytes.make len '\x01' in
+        let fits = off >= 0 && off + 32 <= len in
+        let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+        raises (fun () -> U256.read_be buf off) = not fits
+        && raises (fun () -> U256.write_be U256.max_value buf off) = not fits) ]
+
 let signed_props =
   [ prop "signed add commutative" (QCheck2.Gen.pair signed_gen signed_gen) (fun (a, b) ->
         Signed.equal (Signed.add a b) (Signed.add b a));
     prop "signed sub self is zero" signed_gen (fun a -> Signed.is_zero (Signed.sub a a));
     prop "signed neg involution" signed_gen (fun a -> Signed.equal a (Signed.neg (Signed.neg a))) ]
+
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: the sixteen-digit reference                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every function of u256.mli against [Ref_u256], the earlier
+   implementation over sixteen 16-bit digits: the same bytes out and the
+   same exception. Values cross between the two as big-endian bytes. *)
+
+module R = Ref_u256
+
+let of_ref r = U256.of_bytes_be (R.to_bytes_be r)
+let ub x = Bytes.to_string (U256.to_bytes_be x)
+let rb x = Bytes.to_string (R.to_bytes_be x)
+
+(* The limb edges of both radices, 2^(16k) and 2^(29k) each +-1, the
+   native-int and top-limb boundaries, and the largest values. *)
+let edge_values =
+  let pow2 k = R.shift_left R.one k in
+  let around k = [ R.sub (pow2 k) R.one; pow2 k; R.add (pow2 k) R.one ] in
+  let range n f = List.concat_map (fun k -> around (f (k + 1))) (List.init n Fun.id) in
+  [ R.zero; R.one; R.two; R.max_value; R.sub R.zero (pow2 232) ]
+  @ range 15 (fun k -> 16 * k)
+  @ range 8 (fun k -> 29 * k)
+  @ around 53 @ around 62 @ around 232 @ around 255
+
+let gen_ref =
+  let open QCheck2.Gen in
+  let random_width =
+    let* width = int_range 0 256 in
+    let* raw = bytes_size (return 32) in
+    let v = R.of_bytes_be raw in
+    return (if width = 256 then v else R.logand v (R.sub (R.shift_left R.one width) R.one))
+  in
+  (* Digits of either radix drawn from the values around their edges:
+     these reach Knuth's rare add-back step and every carry chain. *)
+  let limb_pattern =
+    let* width = oneofl [ 16; 29 ] in
+    let half = 1 lsl (width - 1) in
+    let digit =
+      oneof
+        [ oneofl [ 0; 1; half - 1; half; (2 * half) - 2; (2 * half) - 1 ];
+          int_range 0 ((2 * half) - 1) ]
+    in
+    let* digits = list_size (int_range 1 ((256 + width - 1) / width)) digit in
+    return
+      (List.fold_left
+         (fun acc d -> R.logor (R.shift_left acc width) (R.of_int d))
+         R.zero digits)
+  in
+  let edge = oneofl edge_values in
+  frequency
+    [ (3, edge);
+      (3, random_width);
+      (3, limb_pattern);
+      (* e + d modulo 2^256, for |d| <= 3 *)
+      (2, map2 (fun e d -> R.sub (R.add e (R.of_int (d + 3))) (R.of_int 3)) edge (int_range (-3) 3));
+      (2, map2 R.logxor edge random_width) ]
+
+let gen_ref2 = QCheck2.Gen.pair gen_ref gen_ref
+let gen_ref3 = QCheck2.Gen.triple gen_ref gen_ref gen_ref
+let print1 = R.to_hex
+let print2 (a, b) = Printf.sprintf "(0x%s, 0x%s)" (R.to_hex a) (R.to_hex b)
+let print3 (a, b, c) = Printf.sprintf "(0x%s, 0x%s, 0x%s)" (R.to_hex a) (R.to_hex b) (R.to_hex c)
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception (U256.Overflow | R.Overflow) -> Error "Overflow"
+  | exception Invalid_argument m -> Error ("Invalid_argument " ^ m)
+  | exception Division_by_zero -> Error "Division_by_zero"
+
+let oracle name gen print f_new f_ref =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name ~print gen (fun x ->
+         outcome (fun () -> f_new x) = outcome (fun () -> f_ref x)))
+
+let un f x = ub (f (of_ref x))
+let bin f (a, b) = ub (f (of_ref a) (of_ref b))
+let rbin f (a, b) = rb (f a b)
+
+let test_oracle_constants () =
+  List.iter
+    (fun (name, x, r) -> Alcotest.(check string) name (rb r) (ub x))
+    [ ("zero", U256.zero, R.zero); ("one", U256.one, R.one); ("two", U256.two, R.two);
+      ("max_value", U256.max_value, R.max_value); ("scratch", U256.scratch (), R.scratch ()) ]
+
+let oracle_values =
+  [ oracle "to_string/pp" gen_ref print1
+      (fun x -> U256.to_string (of_ref x) ^ Format.asprintf "|%a" U256.pp (of_ref x))
+      (fun x -> R.to_string x ^ Format.asprintf "|%a" R.pp x);
+    oracle "to_hex/pp_hex" gen_ref print1
+      (fun x -> U256.to_hex (of_ref x) ^ Format.asprintf "|%a" U256.pp_hex (of_ref x))
+      (fun x -> R.to_hex x ^ Format.asprintf "|%a" R.pp_hex x);
+    oracle "of_string/of_hex of rendered values" gen_ref print1
+      (fun x ->
+        ub (U256.of_string (R.to_string x)) ^ ub (U256.of_string ("0x" ^ R.to_hex x))
+        ^ ub (U256.of_hex (R.to_hex x)))
+      (fun x ->
+        rb (R.of_string (R.to_string x)) ^ rb (R.of_string ("0x" ^ R.to_hex x))
+        ^ rb (R.of_hex (R.to_hex x)));
+    oracle "of_string/of_hex of arbitrary strings"
+      QCheck2.Gen.(
+        let digits = oneofl [ "0"; "9"; "00000"; "99999999999"; "fF"; "x"; "0x"; "g"; " "; "-" ] in
+        map (String.concat "") (list_size (int_range 0 12) digits))
+      Fun.id
+      (fun s -> ub (U256.of_string s) ^ "|" ^ (try ub (U256.of_hex s) with Invalid_argument m -> m))
+      (fun s -> rb (R.of_string s) ^ "|" ^ (try rb (R.of_hex s) with Invalid_argument m -> m));
+    oracle "to_int_opt/to_int" gen_ref print1
+      (fun x ->
+        let u = of_ref x in
+        (match U256.to_int_opt u with Some n -> string_of_int n | None -> "none")
+        ^ string_of_int (U256.to_int u))
+      (fun x ->
+        (match R.to_int_opt x with Some n -> string_of_int n | None -> "none")
+        ^ string_of_int (R.to_int x));
+    oracle "to_float" gen_ref print1
+      (fun x -> Int64.to_string (Int64.bits_of_float (U256.to_float (of_ref x))))
+      (fun x -> Int64.to_string (Int64.bits_of_float (R.to_float x)));
+    oracle "of_int"
+      QCheck2.Gen.(
+        oneof
+          [ int;
+            oneofl [ 0; 1; -1; max_int; min_int; 65535; 65536; (1 lsl 29) - 1; 1 lsl 29; 1 lsl 58 ] ])
+      string_of_int
+      (fun n -> ub (U256.of_int n))
+      (fun n -> rb (R.of_int n));
+    oracle "of_int64"
+      QCheck2.Gen.(
+        oneof
+          [ int64; oneofl [ 0L; -1L; Int64.max_int; Int64.min_int; 0x1FFFFFFFL; 0x20000000L ] ])
+      Int64.to_string
+      (fun n -> ub (U256.of_int64 n))
+      (fun n -> rb (R.of_int64 n));
+    oracle "of_bytes_be" QCheck2.Gen.(bytes_size (int_range 0 40)) Bytes.to_string
+      (fun b -> ub (U256.of_bytes_be b))
+      (fun b -> rb (R.of_bytes_be b));
+    oracle "is_zero/bits/copy" gen_ref print1
+      (fun x ->
+        let u = of_ref x in
+        Printf.sprintf "%b %d %s" (U256.is_zero u) (U256.bits u) (ub (U256.copy u)))
+      (fun x -> Printf.sprintf "%b %d %s" (R.is_zero x) (R.bits x) (rb (R.copy x)));
+    oracle "sqrt" gen_ref print1 (un U256.sqrt) (fun x -> rb (R.sqrt x));
+    oracle "lognot" gen_ref print1 (un U256.lognot) (fun x -> rb (R.lognot x)) ]
+
+let oracle_pairs =
+  [ oracle "compare family" gen_ref2 print2
+      (fun (a, b) ->
+        let a = of_ref a and b = of_ref b in
+        Printf.sprintf "%d %b %b %b %b %b %s %s" (U256.compare a b) (U256.equal a b)
+          (U256.lt a b) (U256.le a b) (U256.gt a b) (U256.ge a b) (ub (U256.min a b))
+          (ub (U256.max a b)))
+      (fun (a, b) ->
+        Printf.sprintf "%d %b %b %b %b %b %s %s" (R.compare a b) (R.equal a b) (R.lt a b)
+          (R.le a b) (R.gt a b) (R.ge a b) (rb (R.min a b)) (rb (R.max a b)));
+    oracle "compare family, equal values" gen_ref print1
+      (fun x ->
+        let a = of_ref x and b = of_ref x in
+        Printf.sprintf "%d %b %b %b" (U256.compare a b) (U256.equal a b) (U256.le a b)
+          (U256.ge a b))
+      (fun x ->
+        let b = R.copy x in
+        Printf.sprintf "%d %b %b %b" (R.compare x b) (R.equal x b) (R.le x b) (R.ge x b));
+    oracle "add" gen_ref2 print2 (bin U256.add) (rbin R.add);
+    oracle "checked_add" gen_ref2 print2 (bin U256.checked_add) (rbin R.checked_add);
+    oracle "sub" gen_ref2 print2 (bin U256.sub) (rbin R.sub);
+    oracle "checked_sub" gen_ref2 print2 (bin U256.checked_sub) (rbin R.checked_sub);
+    oracle "mul" gen_ref2 print2 (bin U256.mul) (rbin R.mul);
+    oracle "checked_mul" gen_ref2 print2 (bin U256.checked_mul) (rbin R.checked_mul);
+    oracle "div" gen_ref2 print2 (bin U256.div) (rbin R.div);
+    oracle "rem" gen_ref2 print2 (bin U256.rem) (rbin R.rem);
+    oracle "divmod" gen_ref2 print2
+      (fun (a, b) ->
+        let q, r = U256.divmod (of_ref a) (of_ref b) in
+        ub q ^ ub r)
+      (fun (a, b) ->
+        let q, r = R.divmod a b in
+        rb q ^ rb r);
+    oracle "div_rounding_up" gen_ref2 print2 (bin U256.div_rounding_up) (rbin R.div_rounding_up);
+    oracle "logand/logor/logxor" gen_ref2 print2
+      (fun p -> bin U256.logand p ^ bin U256.logor p ^ bin U256.logxor p)
+      (fun p -> rbin R.logand p ^ rbin R.logor p ^ rbin R.logxor p);
+    oracle "shift_left/shift_right/bit"
+      QCheck2.Gen.(pair gen_ref (int_range (-3) 300))
+      (fun (x, k) -> Printf.sprintf "(0x%s, %d)" (R.to_hex x) k)
+      (fun (x, k) ->
+        let u = of_ref x in
+        string_of_bool (U256.bit u k)
+        ^ (try ub (U256.shift_left u k) with Invalid_argument m -> m)
+        ^ ub (U256.shift_right u k))
+      (fun (x, k) ->
+        string_of_bool (R.bit x k)
+        ^ (try rb (R.shift_left x k) with Invalid_argument m -> m)
+        ^ rb (R.shift_right x k));
+    oracle "pow"
+      QCheck2.Gen.(pair gen_ref (int_range (-2) 600))
+      (fun (x, n) -> Printf.sprintf "(0x%s, %d)" (R.to_hex x) n)
+      (fun (x, n) -> ub (U256.pow (of_ref x) n))
+      (fun (x, n) -> rb (R.pow x n)) ]
+
+let oracle_triples =
+  let ter f (a, b, c) = ub (f (of_ref a) (of_ref b) (of_ref c)) in
+  let rter f (a, b, c) = rb (f a b c) in
+  (* b == c physically takes the a*b/b = a shortcut in both. *)
+  let same_bc f (a, b, _) = let b = of_ref b in ub (f (of_ref a) b b) in
+  let rsame_bc f (a, b, _) = rb (f a b b) in
+  [ oracle "mul_div" gen_ref3 print3 (ter U256.mul_div) (rter R.mul_div);
+    oracle "mul_div_rounding_up" gen_ref3 print3 (ter U256.mul_div_rounding_up)
+      (rter R.mul_div_rounding_up);
+    oracle "mul_div b == c" gen_ref3 print3
+      (fun t -> same_bc U256.mul_div t ^ same_bc U256.mul_div_rounding_up t)
+      (fun t -> rsame_bc R.mul_div t ^ rsame_bc R.mul_div_rounding_up t);
+    oracle "mul_mod" gen_ref3 print3 (ter U256.mul_mod) (rter R.mul_mod) ]
+
+(* The destination-passing calls under each aliasing pattern, recorded
+   as bytes, with the [mul_into] alias guard's message. *)
+module type INTO = sig
+  type t
+
+  val scratch : unit -> t
+  val copy : t -> t
+  val add_into : dst:t -> t -> t -> unit
+  val sub_into : dst:t -> t -> t -> unit
+  val mul_into : dst:t -> t -> t -> unit
+  val to_bytes_be : t -> bytes
+end
+
+let into_trace (type v) (module M : INTO with type t = v) (a : v) (b : v) =
+  let out = Buffer.create 512 in
+  let record d = Buffer.add_bytes out (M.to_bytes_be d) in
+  let fresh f = let d = M.scratch () in f d; record d in
+  let aliased src f = let d = M.copy src in f d; record d in
+  fresh (fun d -> M.add_into ~dst:d a b);
+  fresh (fun d -> M.sub_into ~dst:d a b);
+  fresh (fun d -> M.mul_into ~dst:d a b);
+  aliased a (fun d -> M.add_into ~dst:d d b);
+  aliased b (fun d -> M.add_into ~dst:d a d);
+  aliased a (fun d -> M.add_into ~dst:d d d);
+  aliased a (fun d -> M.sub_into ~dst:d d b);
+  aliased b (fun d -> M.sub_into ~dst:d a d);
+  aliased a (fun d -> M.sub_into ~dst:d d d);
+  let guard f = try f (); "no guard" with Invalid_argument m -> m in
+  let d = M.copy a in
+  Buffer.add_string out (guard (fun () -> M.mul_into ~dst:d d b));
+  Buffer.add_string out (guard (fun () -> M.mul_into ~dst:d b d));
+  Buffer.contents out
+
+let oracle_into =
+  [ oracle "add_into/sub_into/mul_into and aliasing" gen_ref2 print2
+      (fun (a, b) -> into_trace (module U256) (of_ref a) (of_ref b))
+      (fun (a, b) -> into_trace (module R) a b) ]
+
+let oracle_mont =
+  let bn_new = U256.Mont.create ~modulus:bn254_order in
+  let bn_ref = R.Mont.create ~modulus:(R.of_bytes_be (U256.to_bytes_be bn254_order)) in
+  let reduce x = R.rem x (R.of_bytes_be (U256.to_bytes_be bn254_order)) in
+  [ oracle "Mont.create/modulus/one" gen_ref print1
+      (fun m ->
+        let ctx = U256.Mont.create ~modulus:(of_ref m) in
+        ub (U256.Mont.modulus ctx) ^ ub (U256.Mont.one ctx))
+      (fun m ->
+        let ctx = R.Mont.create ~modulus:m in
+        rb (R.Mont.modulus ctx) ^ rb (R.Mont.one ctx));
+    oracle "Mont.to_mont/of_mont/mul (bn254)" gen_ref2 print2
+      (fun (a, b) ->
+        let a = of_ref (reduce a) and b = of_ref (reduce b) in
+        let m = U256.Mont.mul bn_new a b in
+        ub (U256.Mont.to_mont bn_new a) ^ ub (U256.Mont.of_mont bn_new a) ^ ub m)
+      (fun (a, b) ->
+        let a = reduce a and b = reduce b in
+        let m = R.Mont.mul bn_ref a b in
+        rb (R.Mont.to_mont bn_ref a) ^ rb (R.Mont.of_mont bn_ref a) ^ rb m);
+    oracle "Mont.mul (any odd modulus, unreduced inputs)" gen_ref3 print3
+      (fun (m, a, b) ->
+        let m = R.logor m R.one in
+        ub (U256.Mont.mul (U256.Mont.create ~modulus:(of_ref m)) (of_ref a) (of_ref b)))
+      (fun (m, a, b) ->
+        let m = R.logor m R.one in
+        rb (R.Mont.mul (R.Mont.create ~modulus:m) a b)) ]
+
+(* Divisions whose Knuth step overestimates a quotient limb even after
+   the two-limb test, so the remainder needs the divisor added back. *)
+let test_oracle_add_back () =
+  let h = R.of_hex in
+  List.iter
+    (fun (a, b, c) ->
+      let q, r = U256.divmod (of_ref a) (of_ref c) and q', r' = R.divmod a c in
+      Alcotest.(check string) "divmod" (rb q' ^ rb r') (ub q ^ ub r);
+      Alcotest.(check string) "mul_div"
+        (rb (R.mul_div_rounding_up a b c))
+        (ub (U256.mul_div_rounding_up (of_ref a) (of_ref b) (of_ref c))))
+    [ (h "3ffffffc000000000000003fffffffffffffc0000000", R.one, h "7ffffff80000001fffffff0000000");
+      (h "1ffffffefffffff80000005ffffffe0000001", R.one, h "7ffffffbffffffffffffff");
+      (h "fffffff00000003ffffffc00000020000001", R.one, h "800000000000003ffffffd0000000");
+      (h "4d776d5bffffffe1e9f5a8fffffff80000005ffffffefffffff", R.one, h "7fffffffffffffd0000000");
+      (h "fffffff3fffffffffffffc0000000fffffff80000007fffffff51f414c", R.one,
+       h "800000000000001fffffffffffffe");
+      (R.one, h "7ffffff800000000000001fffffff0000000200000000000001",
+       h "7ffffff80000001ffffffefffffffbfffffffffffffe717ba93") ]
+
+let oracle_tests =
+  (Alcotest.test_case "constants" `Quick test_oracle_constants
+   :: Alcotest.test_case "knuth add-back" `Quick test_oracle_add_back :: oracle_values)
+  @ oracle_pairs @ oracle_triples @ oracle_into @ oracle_mont
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budget                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words per call, averaged over 10 000 calls: comparisons
+   and [write_be] must not allocate at all, and the basic constructors
+   exactly one 10-word block (header + nine limbs). *)
+let words_per_call f =
+  let n = 10_000 in
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let after = Gc.minor_words () in
+  Float.round ((after -. before) /. float n)
+
+let test_allocation_budget () =
+  let a = u "0x1234567890abcdef1234567890abcdef1234567890abcdef" in
+  let b = u "0x1234567890abcdef1234567890abcdef1234567890abcdee" in
+  let check name expect f = Alcotest.(check (float 0.)) name expect (words_per_call f) in
+  check "compare" 0. (fun () -> U256.compare a b);
+  check "equal" 0. (fun () -> U256.equal a b);
+  check "lt" 0. (fun () -> U256.lt a b);
+  check "le" 0. (fun () -> U256.le a b);
+  check "gt" 0. (fun () -> U256.gt a b);
+  check "ge" 0. (fun () -> U256.ge a b);
+  check "min" 0. (fun () -> U256.min a b);
+  check "max" 0. (fun () -> U256.max a b);
+  check "is_zero" 0. (fun () -> U256.is_zero a);
+  check "bit" 0. (fun () -> U256.bit a 77);
+  check "add" 10. (fun () -> U256.add a b);
+  check "sub" 10. (fun () -> U256.sub a b);
+  check "of_int" 10. (fun () -> U256.of_int 123456789);
+  check "copy" 10. (fun () -> U256.copy a);
+  let buf = U256.to_bytes_be a in
+  check "read_be" 10. (fun () -> U256.read_be buf 0);
+  check "write_be" 0. (fun () -> U256.write_be b buf 0)
 
 let () =
   Alcotest.run "u256"
@@ -430,10 +807,12 @@ let () =
         [ Alcotest.test_case "boundaries" `Quick test_into_boundaries;
           Alcotest.test_case "aliasing" `Quick test_into_aliasing;
           Alcotest.test_case "mul_div fast paths" `Quick test_mul_div_fast_paths ]
-        @ into_props );
+        @ into_props @ bytes_io_props );
       ( "mont",
         Alcotest.test_case "edge values" `Quick test_mont_edges :: mont_props );
       ( "signed",
         [ Alcotest.test_case "basics" `Quick test_signed_basics;
           Alcotest.test_case "apply" `Quick test_signed_apply ]
-        @ signed_props ) ]
+        @ signed_props );
+      ("oracle", oracle_tests);
+      ("allocation", [ Alcotest.test_case "budget" `Quick test_allocation_budget ]) ]
