@@ -247,19 +247,8 @@ let compute_crash_drill sink =
   fun () -> E.print_crash_drill rows
 
 let compute_ablations sink =
-  (* The three ablations are independent runs: fan them out too. *)
-  let auth, (agg, pruning) =
-    Parallel.run_pair
-      (fun () -> E.ablation_authentication ~sink ())
-      (fun () ->
-        Parallel.run_pair
-          (fun () -> E.ablation_aggregation ~sink ())
-          (fun () -> E.ablation_pruning ~sink ()))
-  in
-  fun () ->
-    E.print_ablation ~title:"QC authentication cost" auth;
-    E.print_ablation ~title:"summary aggregation vs per-tx posting" agg;
-    E.print_ablation ~title:"meta-block pruning" pruning
+  let ablations = E.ablations ~sink () in
+  fun () -> E.print_ablations ablations
 
 let observe_out = Sys.getenv_opt "AMMBOOST_OBSERVE_OUT"
 let report_out = Sys.getenv_opt "AMMBOOST_REPORT_OUT"

@@ -127,14 +127,16 @@ let telemetry_term =
   let make trace_out metrics_out log_level = (trace_out, metrics_out, log_level) in
   Term.(const make $ trace_out $ metrics_out $ log_level)
 
-(* Runs [f] against a fresh sink, then writes whichever outputs were
-   requested. Without flags this adds nothing to stdout or disk. *)
+(* Runs [f] (told whether to trace) into a fresh sink, then writes
+   whichever outputs were requested. [f] absorbs the run's own sink into
+   it. Without flags this adds nothing to stdout or disk. *)
 let with_telemetry (trace_out, metrics_out, log_level) f =
   (match log_level with
   | Some _ as l -> Telemetry.Log.set_level l
   | None -> ());
-  let sink = Telemetry.Report.sink ~trace:(trace_out <> None) () in
-  let result = f sink in
+  let trace = trace_out <> None in
+  let sink = Telemetry.Report.sink ~trace () in
+  let result = f ~trace sink in
   let write g =
     try g ()
     with Sys_error e ->
@@ -214,13 +216,12 @@ let report_baseline (b : Baseline.result) =
 let run_cmd =
   let doc = "Run the ammBoost system simulation and report its metrics." in
   let run cfg tele report_out =
-    with_telemetry tele (fun sink ->
-        let r = System.run ~sink cfg in
+    with_telemetry tele (fun ~trace sink ->
+        let r = System.run ~trace cfg in
+        Telemetry.Report.merge_into ~into:sink r.System.telemetry;
         report_run r;
         match report_out with
-        | Some path ->
-          write_text path
-            (Experiments.observe_report ~metrics:sink.Telemetry.Report.metrics r)
+        | Some path -> write_text path (Experiments.observe_report r)
         | None -> ())
   in
   Cmd.v (Cmd.info "run" ~doc)
@@ -229,7 +230,7 @@ let run_cmd =
 let baseline_cmd =
   let doc = "Run the baseline (Uniswap directly on the mainchain)." in
   let run cfg tele =
-    with_telemetry tele (fun _sink -> report_baseline (Baseline.run cfg))
+    with_telemetry tele (fun ~trace:_ _sink -> report_baseline (Baseline.run cfg))
   in
   Cmd.v (Cmd.info "baseline" ~doc) Term.(const run $ config_term $ telemetry_term)
 
@@ -237,8 +238,9 @@ let compare_cmd =
   let doc = "Run both systems on the same traffic and print the reductions (Fig. 6)." in
   let compare cfg tele report_out =
     let r, b =
-      with_telemetry tele (fun sink ->
-          let r = System.run ~sink cfg in
+      with_telemetry tele (fun ~trace sink ->
+          let r = System.run ~trace cfg in
+          Telemetry.Report.merge_into ~into:sink r.System.telemetry;
           let b = Baseline.run cfg in
           (match report_out with
           | Some path ->
@@ -246,7 +248,7 @@ let compare_cmd =
                ledger's analytic counterfactual — both runs saw the same
                traffic, so the comparison is apples to apples. *)
             write_text path
-              (Experiments.observe_report ~metrics:sink.Telemetry.Report.metrics
+              (Experiments.observe_report
                  ~counterfactual:
                    ("baseline.measured.bytes", b.Baseline.growth_epochs)
                  r)

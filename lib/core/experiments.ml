@@ -34,9 +34,9 @@ let row_of_result ~label (r : System.result) ~extra =
 (* ------------------------------------------------------------------ *)
 
 (* One table cell: an independent simulator run. Cells share nothing (each
-   [System.run] builds its own world from its config seed), so a table's
-   cells fan out across domains. Every cell gets a private telemetry sink;
-   the private sinks are merged into the caller's sink sequentially, in
+   [System.run] builds its own world from its config seed and counts into
+   a sink of its own), so a table's cells fan out across domains. The
+   runs' sinks are absorbed into the caller's sink sequentially, in
    submission order, after the parallel phase — which makes the aggregated
    metrics snapshot (and the row list) identical at any domain count. *)
 type cell = {
@@ -48,45 +48,37 @@ type cell = {
 let cell ?(extra = fun _ -> []) ~label cfg =
   { cell_label = label; cell_cfg = cfg; cell_extra = extra }
 
-let run_cells ?sink ?domains cells =
-  let trace_wanted =
-    match sink with
-    | Some s -> Telemetry.Trace.enabled s.Telemetry.Report.trace
-    | None -> false
-  in
-  let ran =
-    Parallel.map_list ?domains
-      (fun c ->
-        let private_sink = Telemetry.Report.sink ~trace:trace_wanted () in
-        let r = System.run ~sink:private_sink c.cell_cfg in
-        (private_sink, r))
-      cells
-  in
-  List.map2
-    (fun c (private_sink, r) ->
-      (match sink with
-      | Some s -> Telemetry.Report.merge_into ~into:s private_sink
-      | None -> ());
-      row_of_result ~label:c.cell_label r ~extra:(c.cell_extra r))
-    cells ran
+(* Runs trace when the caller's sink does. *)
+let tracing = function
+  | Some s -> Telemetry.Trace.enabled s.Telemetry.Report.trace
+  | None -> false
 
-(* A System.run/Baseline.run pair for the comparison experiments; the
-   System side keeps the same private-sink discipline as [run_cells]. *)
+(* Fold a finished run's own sink into the caller's aggregate. Callers
+   absorb in submission order, never in completion order. *)
+let absorb sink (r : System.result) =
+  Option.iter (fun s -> Telemetry.Report.merge_into ~into:s r.System.telemetry) sink
+
+(* [System.run] over [cfgs] across domains, absorbed in list order. *)
+let run_all ?sink ?domains cfgs =
+  let trace = tracing sink in
+  let results = Parallel.map_list ?domains (fun cfg -> System.run ~trace cfg) cfgs in
+  List.iter (absorb sink) results;
+  results
+
+let run_cells ?sink ?domains cells =
+  List.map2
+    (fun c r -> row_of_result ~label:c.cell_label r ~extra:(c.cell_extra r))
+    cells
+    (run_all ?sink ?domains (List.map (fun c -> c.cell_cfg) cells))
+
+(* A System.run/Baseline.run pair for the comparison experiments. *)
 let run_vs_baseline ?sink ?domains cfg =
-  let trace_wanted =
-    match sink with
-    | Some s -> Telemetry.Trace.enabled s.Telemetry.Report.trace
-    | None -> false
-  in
-  let private_sink = Telemetry.Report.sink ~trace:trace_wanted () in
   let r, b =
     Parallel.run_pair ?domains
-      (fun () -> System.run ~sink:private_sink cfg)
+      (fun () -> System.run ~trace:(tracing sink) cfg)
       (fun () -> Baseline.run cfg)
   in
-  (match sink with
-  | Some s -> Telemetry.Report.merge_into ~into:s private_sink
-  | None -> ());
+  absorb sink r;
   (r, b)
 
 let print_perf_table ~title ~col_header rows =
@@ -416,12 +408,11 @@ let print_table8 rows =
 (* ------------------------------------------------------------------ *)
 
 type ablation_row = { ab_label : string; ab_value : float; ab_unit : string }
+type ablation = { ab_title : string; ab_rows : ablation_row list }
 
 (* Sync authentication cost: gas with vs without the threshold-signature
    quorum certificate. *)
-let ablation_authentication ?sink () =
-  let cfg = { base with daily_volume = scaled 500_000; epochs = 4; seed = base.seed ^ "-aba" } in
-  let r = System.run ?sink cfg in
+let authentication_rows (r : System.result) =
   match r.System.last_sync_receipt with
   | None -> []
   | Some receipt ->
@@ -442,9 +433,7 @@ let ablation_authentication ?sink () =
 (* Summary aggregation: the Sync's per-user aggregation vs naively posting
    every processed transaction on the mainchain (batched but
    unsummarized). *)
-let ablation_aggregation ?sink () =
-  let cfg = { base with daily_volume = scaled 500_000; epochs = 4; seed = base.seed ^ "-abg" } in
-  let r = System.run ?sink cfg in
+let aggregation_rows (r : System.result) =
   (* Compare what syncing actually posts against posting every processed
      transaction individually (batched but unsummarized). *)
   let summarized =
@@ -466,9 +455,7 @@ let ablation_aggregation ?sink () =
       ab_unit = "%" } ]
 
 (* Pruning: sidechain bytes stored with and without meta-block pruning. *)
-let ablation_pruning ?sink () =
-  let cfg = { base with daily_volume = scaled 500_000; epochs = 4; seed = base.seed ^ "-abp" } in
-  let r = System.run ?sink cfg in
+let pruning_rows (r : System.result) =
   [ { ab_label = "sidechain bytes without pruning";
       ab_value = float_of_int r.System.sc_cumulative_bytes; ab_unit = "B" };
     { ab_label = "sidechain bytes with pruning";
@@ -481,11 +468,32 @@ let ablation_pruning ?sink () =
               /. float_of_int (Stdlib.max 1 r.System.sc_cumulative_bytes)));
       ab_unit = "%" } ]
 
-let print_ablation ~title rows =
-  Printf.printf "\n=== Ablation: %s ===\n" title;
+(* Each ablation is one independent run under its own seed suffix. *)
+let ablation_specs =
+  [ ("QC authentication cost", "-aba", authentication_rows);
+    ("summary aggregation vs per-tx posting", "-abg", aggregation_rows);
+    ("meta-block pruning", "-abp", pruning_rows) ]
+
+let ablations ?sink ?domains () =
+  let results =
+    run_all ?sink ?domains
+      (List.map
+         (fun (_, suffix, _) ->
+           { base with daily_volume = scaled 500_000; epochs = 4; seed = base.seed ^ suffix })
+         ablation_specs)
+  in
+  List.map2
+    (fun (title, _, rows) r -> { ab_title = title; ab_rows = rows r })
+    ablation_specs results
+
+let print_ablations ablations =
   List.iter
-    (fun r -> Printf.printf "  %-36s %14.2f %s\n" r.ab_label r.ab_value r.ab_unit)
-    rows
+    (fun a ->
+      Printf.printf "\n=== Ablation: %s ===\n" a.ab_title;
+      List.iter
+        (fun r -> Printf.printf "  %-36s %14.2f %s\n" r.ab_label r.ab_value r.ab_unit)
+        a.ab_rows)
+    ablations
 
 (* ------------------------------------------------------------------ *)
 (* Chaos soak: fault-rate sweep with recovery + twin-audit report      *)
@@ -680,8 +688,9 @@ let drill_scene_dir root name =
 
 (* Run [cfg] durably in [dir] to completion, resuming across injected
    crashes (each resume re-opens the directory and re-executes with the
-   previous crash point disarmed). Returns the completed run, the number
-   of crashes survived, and the final run's private sink. *)
+   previous crash point disarmed). Returns the completed run (whose sink
+   holds only the final incarnation's metrics) and the number of crashes
+   survived. *)
 let drill_complete ~dir cfg =
   let limit = List.length crash_drill_points + 2 in
   let rec go ~armed_after ~crashes =
@@ -691,9 +700,8 @@ let drill_complete ~dir cfg =
       Durable.Session.open_ ?armed_after ~dir
         ~snapshot_every:drill_snapshot_every ()
     in
-    let private_sink = Telemetry.Report.sink () in
-    match System.run ~sink:private_sink ~durable:s cfg with
-    | r -> (r, crashes, private_sink)
+    match System.run ~durable:s cfg with
+    | r -> (r, crashes)
     | exception Durable.Session.Crashed { epoch; round } ->
       go ~armed_after:(Some (epoch, round)) ~crashes:(crashes + 1)
   in
@@ -774,7 +782,7 @@ let crash_drill ?sink ?domains () =
   (* Scene A: the uninterrupted durable reference run every other scene
      must reproduce byte-for-byte. *)
   let ref_dir = drill_scene_dir root "reference" in
-  let r_ref, _, ref_sink = drill_complete ~dir:ref_dir crash_drill_cfg in
+  let r_ref, _ = drill_complete ~dir:ref_dir crash_drill_cfg in
   let ref_fp = drill_fingerprint r_ref in
   let ref_digest = drill_dir_digest ref_dir in
   let ref_row =
@@ -804,52 +812,47 @@ let crash_drill ?sink ?domains () =
                   torn_write_rate = 1.0;
                   crash_script = crash_drill_points } } }
       in
-      let r, crashes, scene_sink = drill_complete ~dir cfg in
+      let r, crashes = drill_complete ~dir cfg in
       let ok =
         crashes = List.length crash_drill_points && identical dir r
       in
-      (row ~label ~crashes ~ok r, scene_sink)
+      (row ~label ~crashes ~ok r, r)
     | Scene_corrupt_snapshot mode ->
       (* Complete a run, corrupt the newest snapshot, resume: recovery
          must detect it, fall back to the previous snapshot, and heal
          the corrupt file during re-execution. *)
-      let _, _, _ = drill_complete ~dir crash_drill_cfg in
+      ignore (drill_complete ~dir crash_drill_cfg);
       (match List.rev (Durable.Snapshot.list ~dir) with
       | (_, p) :: _ -> Durable.Torn.apply p mode
       | [] -> raise (Drill_failure (label ^ ": no snapshot on disk")));
-      let r, crashes, scene_sink = drill_complete ~dir crash_drill_cfg in
+      let r, crashes = drill_complete ~dir crash_drill_cfg in
       let ok =
         stat r "durability.snapshots_rejected" >= 1
         && stat r "durability.snapshots_healed" >= 1
         && identical dir r
       in
-      (row ~label ~crashes ~ok r, scene_sink)
+      (row ~label ~crashes ~ok r, r)
     | Scene_torn_wal ->
       (* Complete a run, tear the newest WAL segment's tail, resume:
          recovery must repair the segment and re-execution must re-log
          the lost records. *)
-      let _, _, _ = drill_complete ~dir crash_drill_cfg in
+      ignore (drill_complete ~dir crash_drill_cfg);
       (match List.rev (Durable.Wal.list ~dir) with
       | (_, p) :: _ -> Durable.Torn.apply p Faults.Fault_plan.Truncated_tail
       | [] -> raise (Drill_failure (label ^ ": no WAL segment on disk")));
-      let r, crashes, scene_sink = drill_complete ~dir crash_drill_cfg in
+      let r, crashes = drill_complete ~dir crash_drill_cfg in
       let ok =
         stat r "durability.wal_repaired" >= 1
         && stat r "durability.records_appended" >= 1
         && identical dir r
       in
-      (row ~label ~crashes ~ok r, scene_sink)
+      (row ~label ~crashes ~ok r, r)
   in
   let scene_rows = Parallel.map_list ?domains run_scene drill_scenes in
-  (* Private sinks merge sequentially, in scene order, after the
-     parallel phase — same discipline as [run_cells]. *)
-  (match sink with
-  | Some out ->
-    Telemetry.Report.merge_into ~into:out ref_sink;
-    List.iter
-      (fun (_, scene_sink) -> Telemetry.Report.merge_into ~into:out scene_sink)
-      scene_rows
-  | None -> ());
+  (* The runs' sinks are absorbed in scene order after the parallel
+     phase — same discipline as [run_cells]. *)
+  absorb sink r_ref;
+  List.iter (fun (_, r) -> absorb sink r) scene_rows;
   ref_row :: List.map fst scene_rows
 
 let print_crash_drill rows =
@@ -889,7 +892,7 @@ type observe_run = {
   obs_result : System.result;
 }
 
-let observe_report ?metrics ?counterfactual (r : System.result) =
+let observe_report ?counterfactual (r : System.result) =
   let cfg = r.System.cfg in
   Observe.Run_report.render ~title:"ammBoost run report"
     ~params:
@@ -909,7 +912,8 @@ let observe_report ?metrics ?counterfactual (r : System.result) =
         ("lifecycle sampled ops",
          Printf.sprintf "%d/%d" r.System.lifecycle_sampled r.System.lifecycle_seen);
         ("final mode", r.System.final_mode) ]
-    ~ledger:r.System.growth ?counterfactual ?metrics
+    ~ledger:r.System.growth ?counterfactual
+    ~metrics:r.System.telemetry.Telemetry.Report.metrics
     ~events:
       (List.map
          (fun (ts, m) ->
@@ -923,15 +927,11 @@ let observe_report ?metrics ?counterfactual (r : System.result) =
     ()
 
 let observe ?sink () =
-  let private_sink = Telemetry.Report.sink () in
-  let r = System.run ~sink:private_sink observe_cfg in
-  (match sink with
-  | Some s -> Telemetry.Report.merge_into ~into:s private_sink
-  | None -> ());
+  let r = System.run observe_cfg in
+  absorb sink r;
   { obs_ledger = r.System.growth;
     obs_series_json = Observe.Growth_ledger.to_json r.System.growth;
-    obs_report =
-      observe_report ~metrics:private_sink.Telemetry.Report.metrics r;
+    obs_report = observe_report r;
     obs_sampled = r.System.lifecycle_sampled;
     obs_seen = r.System.lifecycle_seen;
     obs_result = r }
@@ -1055,16 +1055,13 @@ let scale_sweep ?sink () =
   List.map
     (fun users ->
       let cfg = sweep_cfg ~users in
-      let private_sink = Telemetry.Report.sink () in
       let sw = Telemetry.Clock.stopwatch () in
       let g0 = Gc.quick_stat () in
-      let r = System.run ~sink:private_sink cfg in
+      let r = System.run cfg in
       let g1 = Gc.quick_stat () in
       let wall = Telemetry.Clock.elapsed_wall sw in
       let pauses = Telemetry.Gc_pause.poll gc_pause in
-      (match sink with
-      | Some s -> Telemetry.Report.merge_into ~into:s private_sink
-      | None -> ());
+      absorb sink r;
       let storage_words =
         match List.rev (Observe.Growth_ledger.rows r.System.growth) with
         | last :: _ ->
@@ -1267,13 +1264,10 @@ let twin_overhead ?sink () =
   let cfg = sweep_cfg ~users in
   let measure twin_on =
     let cfg = { cfg with Config.twin_audit = twin_on } in
-    let private_sink = Telemetry.Report.sink () in
     let sw = Telemetry.Clock.stopwatch () in
-    let r = System.run ~sink:private_sink cfg in
+    let r = System.run cfg in
     let wall = Telemetry.Clock.elapsed_wall sw in
-    (match sink with
-    | Some s -> Telemetry.Report.merge_into ~into:s private_sink
-    | None -> ());
+    absorb sink r;
     (r, wall)
   in
   let _, wall_off = measure false in

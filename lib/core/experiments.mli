@@ -19,11 +19,13 @@ type perf_row = {
 (** {2 Parallel cell runner}
 
     A table is a list of independent simulator runs ("cells"); [run_cells]
-    fans them out across OCaml 5 domains. Every cell runs against a private
-    telemetry sink; after the parallel phase the private sinks are merged
-    into [?sink] sequentially in submission order, so both the row list and
-    the aggregated metrics snapshot are identical at any [?domains] value
-    (including the sequential [~domains:1]). *)
+    fans them out across OCaml 5 domains. Every run owns its sink
+    ({!System.result.telemetry}); after the parallel phase the caller
+    absorbs each run's sink into [?sink] in submission order, so both the
+    row list and the aggregated metrics snapshot are identical at any
+    [?domains] value (including the sequential [~domains:1]). Every
+    experiment below that takes [?sink] follows the same rule, and traces
+    its runs when [?sink]'s tracer is enabled. *)
 
 type cell = {
   cell_label : string;  (** the row/column header for this run *)
@@ -123,17 +125,18 @@ val print_table8 : Traffic.type_stats list -> unit
 (** {1 Ablations} *)
 
 type ablation_row = { ab_label : string; ab_value : float; ab_unit : string }
+type ablation = { ab_title : string; ab_rows : ablation_row list }
 
-val ablation_authentication : ?sink:Telemetry.Report.sink -> unit -> ablation_row list
-(** Sync gas with vs without the threshold-signature quorum certificate. *)
+val ablations :
+  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> ablation list
+(** The three ablations, each one independent run fanned out like table
+    cells and absorbed into [?sink] in this order: Sync gas with vs
+    without the threshold-signature quorum certificate; Sync bytes vs
+    posting every processed transaction individually; sidechain storage
+    with vs without meta-block pruning. Rows and the aggregated snapshot
+    are identical at any [?domains] value. *)
 
-val ablation_aggregation : ?sink:Telemetry.Report.sink -> unit -> ablation_row list
-(** Sync bytes vs posting every processed transaction individually. *)
-
-val ablation_pruning : ?sink:Telemetry.Report.sink -> unit -> ablation_row list
-(** Sidechain storage with vs without meta-block pruning. *)
-
-val print_ablation : title:string -> ablation_row list -> unit
+val print_ablations : ablation list -> unit
 
 val chaos_intensities : float list
 
@@ -210,21 +213,18 @@ type observe_run = {
 }
 
 val observe_report :
-  ?metrics:Telemetry.Metrics.t ->
-  ?counterfactual:string * (int * float) list ->
-  System.result ->
-  string
+  ?counterfactual:string * (int * float) list -> System.result -> string
 (** Render the markdown run-report for any completed run: parameter and
     summary tables, growth sparklines and per-epoch table, lifecycle
-    latency and amplification tables when [metrics] is given, and the
-    mode/fault event timeline. The growth comparison uses
+    latency and amplification tables from the run's own registry, and
+    the mode/fault event timeline. The growth comparison uses
     [counterfactual] (a labelled per-epoch byte series, e.g. a measured
     {!Baseline.result.growth_epochs}) when given, else the ledger's own
     recorded analytic Sepolia counterfactual. *)
 
 val observe : ?sink:Telemetry.Report.sink -> unit -> observe_run
-(** Run {!observe_cfg} with the usual private-sink discipline and return
-    the growth ledger, its guard JSON, and the rendered report.
+(** Run {!observe_cfg}, absorb its sink into [?sink], and return the
+    growth ledger, its guard JSON, and the rendered report.
     Deterministic in the seed: the JSON is byte-identical across runs
     and domain counts. *)
 

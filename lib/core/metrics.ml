@@ -1,34 +1,14 @@
-(* Streaming aggregates — experiments process millions of transactions,
-   so only running sums are kept, never per-transaction lists. *)
-
-type agg = {
-  mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
-
-let agg () = { count = 0; sum = 0.0; min_v = infinity; max_v = neg_infinity }
-
-let observe a v =
-  a.count <- a.count + 1;
-  a.sum <- a.sum +. v;
-  if v < a.min_v then a.min_v <- v;
-  if v > a.max_v then a.max_v <- v
-
-let mean a = if a.count = 0 then 0.0 else a.sum /. float_of_int a.count
-let count a = a.count
-let max_value a = if a.count = 0 then 0.0 else a.max_v
-
 (* Per-epoch pending-payout bookkeeping: when epoch e's Sync lands at time
    T, every transaction processed in e has payout latency T − issued_at;
-   only Σ issued_at and the count are needed. *)
+   only Σ issued_at and the count are needed, never per-transaction
+   lists. *)
 type payout_tracker = {
   pending : (int, float ref * int ref) Hashtbl.t;
-  latencies : agg;
+  mutable settled : int;
+  mutable latency_sum : float;
 }
 
-let payout_tracker () = { pending = Hashtbl.create 16; latencies = agg () }
+let payout_tracker () = { pending = Hashtbl.create 16; settled = 0; latency_sum = 0.0 }
 
 let note_processed t ~epoch ~issued_at =
   match Hashtbl.find_opt t.pending epoch with
@@ -41,8 +21,8 @@ let settle_epoch t ~epoch ~sync_time =
   match Hashtbl.find_opt t.pending epoch with
   | None -> ()
   | Some (sum, n) ->
-    t.latencies.count <- t.latencies.count + !n;
-    t.latencies.sum <- t.latencies.sum +. ((sync_time *. float_of_int !n) -. !sum);
+    t.settled <- t.settled + !n;
+    t.latency_sum <- t.latency_sum +. ((sync_time *. float_of_int !n) -. !sum);
     Hashtbl.remove t.pending epoch
 
 (* Mean issue time and count of an epoch's still-pending payouts; lets
@@ -53,6 +33,8 @@ let pending_mean_issued t ~epoch =
   | Some (sum, n) when !n > 0 -> Some (!sum /. float_of_int !n, !n)
   | Some _ -> None
 
-let payout_mean t = mean t.latencies
-let payout_count t = count t.latencies
+let payout_mean t =
+  if t.settled = 0 then 0.0 else t.latency_sum /. float_of_int t.settled
+
+let payout_count t = t.settled
 let unsettled_epochs t = Hashtbl.fold (fun e _ acc -> e :: acc) t.pending []

@@ -1,18 +1,6 @@
-(** Streaming metric aggregation. Experiments process millions of
+(** Payout latency tracking. Experiments process millions of
     transactions, so only running sums are kept — never per-transaction
-    lists. *)
-
-(** {1 Scalar aggregates} *)
-
-type agg
-
-val agg : unit -> agg
-val observe : agg -> float -> unit
-val mean : agg -> float
-val count : agg -> int
-val max_value : agg -> float
-
-(** {1 Payout latency tracking}
+    lists.
 
     When epoch [e]'s Sync lands at time [T], every transaction processed
     in [e] has payout latency [T - issued_at]; per epoch only

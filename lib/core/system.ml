@@ -30,13 +30,19 @@ module Lifecycle = Observe.Lifecycle
 let scope = "system"
 
 (* Pre-resolved handles into the run's metrics registry, so the per-tx
-   hot path pays a field access instead of a name lookup. *)
+   hot path pays a field access instead of a name lookup. The registry is
+   the run's only counter store: the result reads its counts back from
+   these handles. *)
 type tele = {
   sink : Telemetry.Report.sink;
   tr : Trace.t;
   c_generated : Tmetrics.counter;
   c_processed : Tmetrics.counter;
   c_rejected : Tmetrics.counter;
+  c_swaps : Tmetrics.counter;
+  c_mints : Tmetrics.counter;
+  c_burns : Tmetrics.counter;
+  c_collects : Tmetrics.counter;
   c_sync_submitted : Tmetrics.counter;
   c_sync_applied : Tmetrics.counter;
   c_sync_failed : Tmetrics.counter;
@@ -75,6 +81,10 @@ let make_tele sink =
     c_generated = Tmetrics.counter reg "traffic.generated";
     c_processed = Tmetrics.counter reg "txs.processed";
     c_rejected = Tmetrics.counter reg "txs.rejected";
+    c_swaps = Tmetrics.counter reg "txs.swap";
+    c_mints = Tmetrics.counter reg "txs.mint";
+    c_burns = Tmetrics.counter reg "txs.burn";
+    c_collects = Tmetrics.counter reg "txs.collect";
     c_sync_submitted = Tmetrics.counter reg "sync.submitted";
     c_sync_applied = Tmetrics.counter reg "sync.applied";
     c_sync_failed = Tmetrics.counter reg "sync.failed";
@@ -229,6 +239,8 @@ type result = {
   twin_view : Twin.view option;
       (* sealed-epoch snapshots for time-travel queries (custody_at,
          read_at, position_fees); None when the twin is off *)
+  telemetry : Telemetry.Report.sink;
+      (* the run's own sink; the counts above are read from its registry *)
 }
 
 type t = {
@@ -246,7 +258,6 @@ type t = {
   sc_chain : Blocks.t;
   traffic : Traffic.t;
   mempool : Tx.t Chain.Mempool.t;
-  tx_latency : Metrics.agg;
   payouts : Metrics.payout_tracker;
   committee_keys : (int, epoch_keys) Hashtbl.t;
   mutable committees : committee_record list;
@@ -291,29 +302,11 @@ type t = {
   mutable retry_attempt : int;
   mutable next_retry_at : float;
   mutable outage_start : float option;
-  mutable sync_retries : int;
-  mutable degraded_signings : int;
-  mutable corrupted_partials : int;
-  mutable rollback_count : int;
-  mutable mass_syncs : int;
-  mutable max_summary_bytes : int;
   mutable summary_users_total : int;
   mutable summary_users_max : int;
   mutable max_sc_stored : int;
-  mutable processed_total : int;
   mutable processed_in_window : int;
-  mutable rejected_total : int;
-  mutable swaps : int;
-  mutable mints : int;
-  mutable burns : int;
-  mutable collects : int;
   growth : Growth_ledger.t;
-  growth_labels : (string, int * int) Hashtbl.t;
-      (* label -> (gas, bytes) cache merged from Eth.growth_deltas, so
-         the per-epoch growth sample is O(changed labels), not a walk of
-         the full per-label tables *)
-  mutable mc_gas_cached : int;
-  mutable mc_bytes_cached : int;
   lifecycle : Lifecycle.t;
   mutable counterfactual_bytes : int;
       (* cumulative Sepolia-encoded bytes the included ops would have
@@ -432,16 +425,12 @@ let sign_payload t ~epoch keys msg =
       List.filter (Bls.verify_partial ~commitments:keys.commitments msg) partials
     in
     let caught = List.length partials - List.length verified in
-    if caught > 0 then begin
-      t.corrupted_partials <- t.corrupted_partials + caught;
-      Tmetrics.inc ~by:caught t.tele.c_corrupted_partial
-    end;
+    if caught > 0 then Tmetrics.inc ~by:caught t.tele.c_corrupted_partial;
     match Bls.combine ~threshold verified with
     | Some signature ->
       if withheld = [] && caught = 0 then t.signing_streak <- 0
       else begin
         t.signing_streak <- t.signing_streak + 1;
-        t.degraded_signings <- t.degraded_signings + 1;
         Tmetrics.inc t.tele.c_degraded_signing;
         Log.warn ~scope
           ~fields:
@@ -468,10 +457,8 @@ let schedule_retry t ~now =
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let create ?sink ?durable cfg =
-  let sink =
-    match sink with Some s -> s | None -> Telemetry.Report.sink ()
-  in
+let create ~trace ?durable cfg =
+  let sink = Telemetry.Report.sink ~trace () in
   let rng_root = Rng.create cfg.Config.seed in
   let rng_traffic = Rng.split rng_root "traffic" in
   let rng_keys = Rng.split rng_root "keys" in
@@ -510,7 +497,7 @@ let create ?sink ?durable cfg =
           ~mainchain_ref:(Amm_crypto.Sha256.digest_string (cfg.Config.seed ^ "/genesis"));
       traffic = Traffic.create ~rng:rng_traffic ~cfg ~users;
       mempool = Chain.Mempool.create ~size:(fun tx -> tx.Tx.wire_size);
-      tx_latency = Metrics.agg (); payouts = Metrics.payout_tracker ();
+      payouts = Metrics.payout_tracker ();
       committee_keys = Hashtbl.create 16; committees = [];
       signed_payloads = Hashtbl.create 16; submissions = [];
       pending_confirm = []; checkpoints = []; bank_ops = 0;
@@ -530,19 +517,15 @@ let create ?sink ?durable cfg =
       halted_at = None; recovered_at = None; dissolved = false;
       reconcile_inflight = false; reconciliation = None;
       last_summary_epoch = -1; retry_attempt = 0; next_retry_at = Float.infinity;
-      outage_start = None; sync_retries = 0; degraded_signings = 0;
-      corrupted_partials = 0;
-      rollback_count = 0; mass_syncs = 0; max_summary_bytes = 0;
+      outage_start = None;
       summary_users_total = 0; summary_users_max = 0;
-      max_sc_stored = 0;
-      processed_total = 0; processed_in_window = 0; rejected_total = 0; swaps = 0; mints = 0; burns = 0;
+      max_sc_stored = 0; processed_in_window = 0;
       growth = Growth_ledger.create ~metrics:sink.Telemetry.Report.metrics ();
-      growth_labels = Hashtbl.create 16; mc_gas_cached = 0; mc_bytes_cached = 0;
       lifecycle =
         Lifecycle.create ~metrics:sink.Telemetry.Report.metrics
           ~seed:cfg.Config.seed ();
       counterfactual_bytes = 0;
-      collects = 0; tele = make_tele sink; rejections = Hashtbl.create 8;
+      tele = make_tele sink; rejections = Hashtbl.create 8;
       sync_receipts = []; audit_trail = [] }
   in
   Hashtbl.replace t.committee_keys 0 keys0;
@@ -690,7 +673,6 @@ let submit_sync t ~epoch ~at ~corrupt =
   if wanted <> [] then begin
     let mass = List.length wanted > 1 in
     if mass then begin
-      t.mass_syncs <- t.mass_syncs + 1;
       Tmetrics.inc t.tele.c_mass_syncs;
       Log.warn ~scope ~t:at
         ~fields:
@@ -823,7 +805,6 @@ let maybe_retry_sync t ~now =
       && t.last_summary_epoch >= 0
       && Token_bank.last_synced_epoch t.bank < t.last_summary_epoch
     then begin
-      t.sync_retries <- t.sync_retries + 1;
       Tmetrics.inc t.tele.c_sync_retries;
       Log.info ~scope ~t:now
         ~fields:
@@ -834,41 +815,32 @@ let maybe_retry_sync t ~now =
     end
   end
 
+(* Deterministic result ordering: Hashtbl-derived assoc lists are sorted
+   by key so reports and tests never depend on iteration order. *)
+let sorted_assoc l = List.sort (fun (a, _) (b, _) -> compare a b) l
+let sum_values l = List.fold_left (fun acc (_, v) -> acc + v) 0 l
+
 (* One growth-ledger row: every layer's state footprint at an epoch
    boundary. Key names are the stable registry documented in DESIGN.md
-   §4f; the checked-in guard baseline depends on them. *)
+   §4f; the checked-in guard baseline depends on them. The mainchain
+   tables hold one entry per transaction label (at most four), so they
+   are read whole. *)
 let sample_growth t ~epoch ~now =
-  (* Merge the mainchain's per-label deltas into the cache — only labels
-     whose totals moved since the last sample are touched, instead of
-     re-walking (and re-summing) the full per-label tables every epoch.
-     The tables are monotone, so the cache reproduces the snapshot
-     accessors byte-for-byte. *)
-  List.iter
-    (fun (l, g, b) ->
-      let og, ob =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt t.growth_labels l)
-      in
-      t.mc_gas_cached <- t.mc_gas_cached + g - og;
-      t.mc_bytes_cached <- t.mc_bytes_cached + b - ob;
-      Hashtbl.replace t.growth_labels l (g, b))
-    (Eth.growth_deltas t.eth);
-  let labels =
-    List.sort compare
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.growth_labels [])
-  in
+  let gas = sorted_assoc (Eth.gas_used_by_label t.eth) in
+  let bytes = sorted_assoc (Eth.bytes_by_label t.eth) in
+  let per_label prefix l = List.map (fun (k, v) -> (prefix ^ k, float_of_int v)) l in
   let fields =
-    [ ("mc.bytes.total", float_of_int t.mc_bytes_cached);
-      ("mc.gas.total", float_of_int t.mc_gas_cached);
+    [ ("mc.bytes.total", float_of_int (sum_values bytes));
+      ("mc.gas.total", float_of_int (sum_values gas));
       ("sc.cumulative_bytes", float_of_int (Blocks.cumulative_bytes t.sc_chain));
       ("sc.stored_bytes", float_of_int (Blocks.stored_bytes t.sc_chain));
       ("sc.meta_stored", float_of_int (Blocks.meta_count_stored t.sc_chain));
-      ("summary.max_bytes", float_of_int t.max_summary_bytes);
+      ("summary.max_bytes", Telemetry.Histogram.max_value t.tele.h_summary_bytes);
       ("bank.storage_words", float_of_int (Token_bank.storage_words t.bank));
       ("bank.synced_epoch", float_of_int (Token_bank.last_synced_epoch t.bank));
       ("mempool.bytes", float_of_int (Chain.Mempool.byte_size t.mempool));
       ("baseline.bytes.sepolia", float_of_int t.counterfactual_bytes) ]
-    @ List.map (fun (l, (_, b)) -> ("mc.bytes." ^ l, float_of_int b)) labels
-    @ List.map (fun (l, (g, _)) -> ("mc.gas." ^ l, float_of_int g)) labels
+    @ per_label "mc.bytes." bytes @ per_label "mc.gas." gas
   in
   Growth_ledger.sample t.growth ~epoch ~t:now fields
 
@@ -935,7 +907,6 @@ let settle_confirmed t =
 let rollback_to t ~height =
   let n = Eth.height t.eth - height + 1 in
   if n > 0 then begin
-    t.rollback_count <- t.rollback_count + 1;
     Tmetrics.inc t.tele.c_rollbacks;
     let _dropped = Eth.rollback t.eth n in
     (match List.find_opt (fun (h, _, _, _) -> h = height) t.checkpoints with
@@ -1386,8 +1357,8 @@ let twin_audit_epoch t ~deposits ~epoch ~now =
 (* The main loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run ?sink ?durable cfg =
-  let t = create ?sink ?durable cfg in
+let run ?(trace = false) ?durable cfg =
+  let t = create ~trace ?durable cfg in
   let tele = t.tele in
   (* Whatever recovery found wrong on disk — rejected snapshots, torn
      WAL tails — surfaces as durability violations before the run
@@ -1679,7 +1650,6 @@ let run ?sink ?durable cfg =
       List.iter
         (fun tx ->
           let latency = t_round -. tx.Tx.issued_at +. consensus_latency in
-          Metrics.observe t.tx_latency latency;
           Telemetry.Histogram.observe tele.h_tx_latency latency;
           Metrics.note_processed t.payouts ~epoch:e ~issued_at:tx.Tx.issued_at;
           t.counterfactual_bytes <-
@@ -1711,7 +1681,6 @@ let run ?sink ?durable cfg =
     Hashtbl.replace t.signed_payloads e (payload, signature);
     t.last_summary_epoch <- e;
     let s_size = Sidechain.Codec.summary_block_size payload in
-    if s_size > t.max_summary_bytes then t.max_summary_bytes <- s_size;
     let n_users = List.length payload.Sync_payload.users in
     t.summary_users_total <- t.summary_users_total + n_users;
     if n_users > t.summary_users_max then t.summary_users_max <- n_users;
@@ -1755,20 +1724,13 @@ let run ?sink ?durable cfg =
     in
     if not silent then submit_sync t ~epoch:e ~at:epoch_end ~corrupt;
     let stats = Processor.stats processor in
-    t.processed_total <- t.processed_total + stats.Processor.processed;
-    t.rejected_total <- t.rejected_total + stats.Processor.rejected;
-    t.swaps <- t.swaps + stats.Processor.swaps;
-    t.mints <- t.mints + stats.Processor.mints;
-    t.burns <- t.burns + stats.Processor.burns;
-    t.collects <- t.collects + stats.Processor.collects;
     record_rejections t stats;
     Tmetrics.inc ~by:stats.Processor.processed tele.c_processed;
     Tmetrics.inc ~by:stats.Processor.rejected tele.c_rejected;
-    let reg = tele.sink.Telemetry.Report.metrics in
-    Tmetrics.inc ~by:stats.Processor.swaps (Tmetrics.counter reg "txs.swap");
-    Tmetrics.inc ~by:stats.Processor.mints (Tmetrics.counter reg "txs.mint");
-    Tmetrics.inc ~by:stats.Processor.burns (Tmetrics.counter reg "txs.burn");
-    Tmetrics.inc ~by:stats.Processor.collects (Tmetrics.counter reg "txs.collect");
+    Tmetrics.inc ~by:stats.Processor.swaps tele.c_swaps;
+    Tmetrics.inc ~by:stats.Processor.mints tele.c_mints;
+    Tmetrics.inc ~by:stats.Processor.burns tele.c_burns;
+    Tmetrics.inc ~by:stats.Processor.collects tele.c_collects;
     Trace.complete tele.tr ~cat:"epoch"
       ~args:
         [ ("epoch", Json.Int e); ("processed", Json.Int stats.Processor.processed);
@@ -1811,7 +1773,6 @@ let run ?sink ?durable cfg =
     && !recovery_tries < 5
   do
     incr recovery_tries;
-    t.sync_retries <- t.sync_retries + 1;
     Tmetrics.inc t.tele.c_sync_retries;
     submit_sync t ~epoch:t.last_summary_epoch ~at:(Eth.now t.eth) ~corrupt:false;
     Eth.advance_to t.eth (Eth.now t.eth +. (5.0 *. cfg.Config.mc_block_interval))
@@ -1867,9 +1828,6 @@ let run ?sink ?durable cfg =
                = Ok ())
            t.audit_trail)
   in
-  (* Deterministic result ordering: Hashtbl-derived assoc lists are
-     sorted by key so reports and tests never depend on iteration order. *)
-  let sorted_assoc l = List.sort (fun (a, _) (b, _) -> compare a b) l in
   let faults_injected = Faults.Fault_plan.injected t.plan in
   let gas_by_label = sorted_assoc (Eth.gas_used_by_label t.eth) in
   let bytes_by_label = sorted_assoc (Eth.bytes_by_label t.eth) in
@@ -1880,8 +1838,7 @@ let run ?sink ?durable cfg =
   final_gauge "sidechain.stored_bytes" (float_of_int (Blocks.stored_bytes t.sc_chain));
   final_gauge "sidechain.max_stored_bytes" (float_of_int t.max_sc_stored);
   final_gauge "mainchain.gas_total" (float_of_int (Eth.gas_used_total t.eth));
-  final_gauge "mainchain.bytes_total"
-    (float_of_int (List.fold_left (fun acc (_, b) -> acc + b) 0 bytes_by_label));
+  final_gauge "mainchain.bytes_total" (float_of_int (sum_values bytes_by_label));
   final_gauge "epochs.applied" (float_of_int (Token_bank.last_synced_epoch t.bank + 1));
   final_gauge "custody.consistent" (if custody_consistent then 1.0 else 0.0);
   let exit_list = Token_bank.exits t.bank in
@@ -1917,41 +1874,34 @@ let run ?sink ?durable cfg =
   List.iter
     (fun (label, n) -> Tmetrics.inc ~by:n (Tmetrics.counter reg ("faults." ^ label)))
     faults_injected;
-  let twin_audits, twin_divergences =
-    match t.twin with
-    | Some tw -> (Twin.audits_run tw, Twin.divergences tw)
-    | None -> (0, 0)
-  in
+  let count = Tmetrics.counter_value in
+  let twin_divergences = count tele.c_twin_divergences in
   let twin_consistent = twin_divergences = 0 in
-  (* twin.audits / twin.divergences are live counters in [tele]. *)
   final_gauge "twin.consistent" (if twin_consistent then 1.0 else 0.0);
   { cfg;
     generated = Traffic.generated t.traffic;
-    processed = t.processed_total;
-    rejected = t.rejected_total;
+    processed = count tele.c_processed;
+    rejected = count tele.c_rejected;
     throughput = float_of_int t.processed_in_window /. Config.generation_duration cfg;
-    mean_tx_latency = Metrics.mean t.tx_latency;
+    mean_tx_latency = Telemetry.Histogram.mean tele.h_tx_latency;
     mean_payout_latency = Metrics.payout_mean t.payouts;
     payouts_settled = Metrics.payout_count t.payouts;
     sc_cumulative_bytes = Blocks.cumulative_bytes t.sc_chain;
     sc_stored_bytes = Blocks.stored_bytes t.sc_chain;
     sc_max_stored_bytes = t.max_sc_stored;
-    max_summary_block_bytes = t.max_summary_bytes;
+    max_summary_block_bytes =
+      int_of_float (Telemetry.Histogram.max_value tele.h_summary_bytes);
     summary_user_entries = t.summary_users_total;
     summary_user_entries_max = t.summary_users_max;
-    mc_tx_bytes = List.fold_left (fun acc (_, b) -> acc + b) 0 bytes_by_label;
+    mc_tx_bytes = sum_values bytes_by_label;
     mc_gas_total = Eth.gas_used_total t.eth;
     mc_gas_by_label = gas_by_label;
     mc_bytes_by_label = bytes_by_label;
     deposit_gas_mean =
       (match List.assoc_opt "deposit" gas_by_label with
       | Some g ->
-        let n =
-          match List.assoc_opt "deposit" (Eth.latencies_by_label t.eth) with
-          | Some l -> List.length l
-          | None -> 1
-        in
-        float_of_int g /. float_of_int (Stdlib.max 1 n)
+        float_of_int g
+        /. float_of_int (Stdlib.max 1 (Eth.included_count ~label:"deposit" t.eth))
       | None -> 0.0);
     deposit_latency_mean = Option.value ~default:0.0 (Eth.mean_latency t.eth "deposit");
     sync_latency_mean = Option.value ~default:0.0 (Eth.mean_latency t.eth "sync");
@@ -1959,11 +1909,11 @@ let run ?sink ?durable cfg =
     sync_count = List.length t.sync_receipts;
     epochs_run = !epoch;
     epochs_applied = Token_bank.last_synced_epoch t.bank + 1;
-    mass_syncs = t.mass_syncs;
-    sync_retries = t.sync_retries;
-    degraded_signings = t.degraded_signings;
-    corrupted_partials = t.corrupted_partials;
-    rollbacks = t.rollback_count;
+    mass_syncs = count tele.c_mass_syncs;
+    sync_retries = count tele.c_sync_retries;
+    degraded_signings = count tele.c_degraded_signing;
+    corrupted_partials = count tele.c_corrupted_partial;
+    rollbacks = count tele.c_rollbacks;
     faults_injected;
     rejection_reasons =
       sorted_assoc (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.rejections []);
@@ -1987,13 +1937,15 @@ let run ?sink ?durable cfg =
       | _ -> None);
     reconciliation = t.reconciliation;
     committees = List.rev t.committees;
-    swaps = t.swaps; mints = t.mints; burns = t.burns; collects = t.collects;
+    swaps = count tele.c_swaps; mints = count tele.c_mints;
+    burns = count tele.c_burns; collects = count tele.c_collects;
     growth = t.growth;
     lifecycle_sampled = Lifecycle.sampled_count t.lifecycle;
     lifecycle_seen = Lifecycle.seen_count t.lifecycle;
-    twin_audits;
+    twin_audits = count tele.c_twin_audits;
     twin_divergences;
     twin_consistent;
     twin_reports = List.rev t.twin_reports;
     twin_injections = List.rev t.twin_injections;
-    twin_view = Option.map Twin.view t.twin }
+    twin_view = Option.map Twin.view t.twin;
+    telemetry = tele.sink }

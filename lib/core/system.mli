@@ -126,16 +126,26 @@ type result = {
   twin_view : Twin.view option;
       (** the twin's sealed-epoch time-travel view ([None] when
           [Config.twin_audit] is off) *)
+  telemetry : Telemetry.Report.sink;
+      (** the run's own sink. Its metrics registry (counters, gauges,
+          latency/size histograms, growth series) is the only place the
+          run counts: [processed], [rejected], [swaps]…[collects],
+          [mass_syncs], [sync_retries], [degraded_signings],
+          [corrupted_partials], [rollbacks], [monitor_audits],
+          [twin_audits], [twin_divergences], [mean_tx_latency] and
+          [max_summary_block_bytes] are read from it. Callers that
+          aggregate several runs absorb it with
+          {!Telemetry.Report.merge_into}, in submission order. *)
 }
 
-val run :
-  ?sink:Telemetry.Report.sink -> ?durable:Durable.Session.t -> Config.t -> result
-(** [run ?sink cfg] simulates the system. When [sink] is given, the run
-    fills its metrics registry (counters, gauges, latency/size
-    histograms) and — if the sink's tracer is enabled — records
-    simulated-clock phase spans (traffic, meta-block, summary, sign,
-    sync, confirm, prune) exportable as Chrome trace JSON. Metrics
-    snapshots are deterministic in the configuration seed.
+val run : ?trace:bool -> ?durable:Durable.Session.t -> Config.t -> result
+(** [run ?trace cfg] simulates the system into a sink of its own,
+    returned as [result.telemetry]; no state is shared with any other
+    run, so concurrent runs cannot interleave their series. With
+    [trace] (default [false]) the sink's tracer records simulated-clock
+    phase spans (traffic, meta-block, summary, sign, sync, confirm,
+    prune) exportable as Chrome trace JSON. Metrics snapshots are
+    deterministic in the configuration seed.
 
     When [durable] is given, the run is crash-consistent: every
     accepted TokenBank op goes through the session's write-ahead

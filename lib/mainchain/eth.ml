@@ -34,6 +34,9 @@ let block_height b = b.b_height
 let block_time b = b.b_time
 let block_tx_tags b = List.filter_map (fun t -> t.i_tag) b.b_txs
 
+(* Per-label inclusion tally: only ever read as a mean and a count. *)
+type tally = { mutable n : int; mutable latency_sum : float }
+
 type t = {
   intervl : float;
   mutable gas_limit : int;
@@ -47,14 +50,8 @@ type t = {
   mutable current_time : float;
   gas_by_label : (string, int) Hashtbl.t;
   bytes_by_label : (string, int) Hashtbl.t;
-  dirty_labels : (string, unit) Hashtbl.t;
-      (* labels whose gas/bytes totals moved since the last
-         [growth_deltas] drain; both tables are monotone (rollbacks drop
-         blocks, never refund gas), so a label's current total is always
-         its delta-merged value *)
-  latencies : (string, float list ref) Hashtbl.t;
+  latencies : (string, tally) Hashtbl.t;
   mutable tag_times : (string * float) list;
-  mutable included_count : int;
 }
 
 (* Propagation/queueing offset before a broadcast transaction can appear
@@ -69,8 +66,7 @@ let create ?(interval = 12.0) ?(gas_limit = 30_000_000) ?(header_size = 508)
     ledger = Chain.Ledger.create ~genesis ~size:(fun b -> b.b_size) ~k_depth;
     next_block_time = interval; current_time = 0.0;
     gas_by_label = Hashtbl.create 16; bytes_by_label = Hashtbl.create 16;
-    dirty_labels = Hashtbl.create 16;
-    latencies = Hashtbl.create 16; tag_times = []; included_count = 0 }
+    latencies = Hashtbl.create 16; tag_times = [] }
 
 let interval t = t.intervl
 let gas_limit t = t.gas_limit
@@ -155,8 +151,10 @@ let bump tbl key v =
 
 let record_latency t label v =
   match Hashtbl.find_opt t.latencies label with
-  | Some l -> l := v :: !l
-  | None -> Hashtbl.add t.latencies label (ref [ v ])
+  | Some l ->
+    l.n <- l.n + 1;
+    l.latency_sum <- l.latency_sum +. v
+  | None -> Hashtbl.add t.latencies label { n = 1; latency_sum = v }
 
 let mine_block t =
   let time = t.next_block_time in
@@ -177,12 +175,10 @@ let mine_block t =
       let latency = time -. p.submitted_at in
       bump t.gas_by_label p.spec.label p.spec.gas;
       bump t.bytes_by_label p.spec.label p.spec.size_bytes;
-      Hashtbl.replace t.dirty_labels p.spec.label ();
       record_latency t p.spec.label latency;
       (match p.spec.tag with
        | Some tag -> t.tag_times <- (tag, time) :: t.tag_times
        | None -> ());
-      t.included_count <- t.included_count + 1;
       included :=
         { i_label = p.spec.label; i_tag = p.spec.tag; i_size = p.spec.size_bytes;
           i_gas = p.spec.gas; i_latency = latency }
@@ -241,36 +237,13 @@ let assoc_of_tbl tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
 let gas_used_by_label t = assoc_of_tbl t.gas_by_label
 let bytes_by_label t = assoc_of_tbl t.bytes_by_label
 
-(* Snapshot accessors with a guaranteed order, for consumers that fold
-   the per-label tables into deterministic output (the growth ledger). *)
-let sorted_assoc_of_tbl tbl =
-  List.sort (fun (a, _) (b, _) -> compare a b) (assoc_of_tbl tbl)
-
-let gas_snapshot t = sorted_assoc_of_tbl t.gas_by_label
-let bytes_snapshot t = sorted_assoc_of_tbl t.bytes_by_label
-
-let growth_deltas t =
-  let changed =
-    List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.dirty_labels [])
-  in
-  Hashtbl.reset t.dirty_labels;
-  List.map
-    (fun l ->
-      ( l,
-        Option.value ~default:0 (Hashtbl.find_opt t.gas_by_label l),
-        Option.value ~default:0 (Hashtbl.find_opt t.bytes_by_label l) ))
-    changed
-
-let latencies_by_label t =
-  Hashtbl.fold (fun k v acc -> (k, List.rev !v) :: acc) t.latencies []
-
 let mean_latency t label =
-  match Hashtbl.find_opt t.latencies label with
-  | None -> None
-  | Some l ->
-    let values = !l in
-    if values = [] then None
-    else Some (List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values))
+  Option.map
+    (fun l -> l.latency_sum /. float_of_int l.n)
+    (Hashtbl.find_opt t.latencies label)
 
-let included_count t = t.included_count
+let included_count ?label t =
+  match label with
+  | Some l -> Option.fold ~none:0 ~some:(fun l -> l.n) (Hashtbl.find_opt t.latencies l)
+  | None -> Hashtbl.fold (fun _ l acc -> acc + l.n) t.latencies 0
 let pending_count t = t.heap_len

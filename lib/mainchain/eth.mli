@@ -68,25 +68,12 @@ val gas_used_total : t -> int
 val gas_used_by_label : t -> (string * int) list
 val bytes_by_label : t -> (string * int) list
 
-val gas_snapshot : t -> (string * int) list
-(** Like {!gas_used_by_label} but sorted by label — safe to fold into
-    deterministic output. *)
-
-val bytes_snapshot : t -> (string * int) list
-(** Like {!bytes_by_label} but sorted by label. *)
-
-val growth_deltas : t -> (string * int * int) list
-(** [(label, gas_total, bytes_total)] for every label whose totals moved
-    since the last call, sorted by label, and resets the dirty set — the
-    incremental feed behind the growth ledger's per-label series. Both
-    tables are monotone (a rollback abandons blocks but never refunds
-    mined gas), so merging these rows into a cache reproduces
-    {!gas_snapshot}/{!bytes_snapshot} exactly, at O(changed labels) per
-    sample instead of O(all labels). *)
-
-val latencies_by_label : t -> (string * float list) list
-(** Completion latency (flow start to inclusion) per label. *)
-
 val mean_latency : t -> string -> float option
-val included_count : t -> int
+(** Mean completion latency (flow start to inclusion) of the label's
+    mined transactions; [None] before the first one. Only a count and a
+    running sum are kept per label. *)
+
+val included_count : ?label:string -> t -> int
+(** Transactions mined so far, or only those under [label]. *)
+
 val pending_count : t -> int

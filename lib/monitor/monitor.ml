@@ -75,10 +75,6 @@ type t = {
   c_warning : Tmetrics.counter;
   c_degraded : Tmetrics.counter;
   c_fatal : Tmetrics.counter;
-  mutable audits : int;
-  mutable total_warning : int;
-  mutable total_degraded : int;
-  mutable total_fatal : int;
 }
 
 let create ?(thresholds = default_thresholds) (sink : Telemetry.Report.sink) =
@@ -87,16 +83,17 @@ let create ?(thresholds = default_thresholds) (sink : Telemetry.Report.sink) =
     c_audits = Tmetrics.counter reg "monitor.audits";
     c_warning = Tmetrics.counter reg "monitor.violations.warning";
     c_degraded = Tmetrics.counter reg "monitor.violations.degraded";
-    c_fatal = Tmetrics.counter reg "monitor.violations.fatal";
-    audits = 0; total_warning = 0; total_degraded = 0; total_fatal = 0 }
+    c_fatal = Tmetrics.counter reg "monitor.violations.fatal" }
 
-let audits_run t = t.audits
+(* The sink's registry is the only store of the monitor's counts. *)
+let audits_run t = Tmetrics.counter_value t.c_audits
 
 let violation_totals t =
   List.filter
     (fun (_, n) -> n > 0)
-    [ ("degraded", t.total_degraded); ("fatal", t.total_fatal);
-      ("warning", t.total_warning) ]
+    (List.map
+       (fun (k, c) -> (k, Tmetrics.counter_value c))
+       [ ("degraded", t.c_degraded); ("fatal", t.c_fatal); ("warning", t.c_warning) ])
 
 (* ------------------------------------------------------------------ *)
 (* Individual checks. Each returns a violation list (usually empty).   *)
@@ -236,16 +233,11 @@ let check_signing t ~degraded_signing_streak =
 (* ------------------------------------------------------------------ *)
 
 let count t v =
-  match v.v_severity with
-  | Warning ->
-    t.total_warning <- t.total_warning + 1;
-    Tmetrics.inc t.c_warning
-  | Degraded ->
-    t.total_degraded <- t.total_degraded + 1;
-    Tmetrics.inc t.c_degraded
-  | Fatal ->
-    t.total_fatal <- t.total_fatal + 1;
-    Tmetrics.inc t.c_fatal
+  Tmetrics.inc
+    (match v.v_severity with
+    | Warning -> t.c_warning
+    | Degraded -> t.c_degraded
+    | Fatal -> t.c_fatal)
 
 let emit ~now ~epoch v =
   let fields =
@@ -270,7 +262,6 @@ let record_external t ~now ~epoch ~severity ~layer ~check ~detail =
 
 let audit t ~epoch ~now ~bank ~pool ~last_summary_epoch ~pending ~deposit_horizon
     ~degraded_signing_streak ~committee_live =
-  t.audits <- t.audits + 1;
   Tmetrics.inc t.c_audits;
   let liveness =
     (* A committee that was deliberately dissolved (post-halt) or is

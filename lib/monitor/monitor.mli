@@ -91,8 +91,10 @@ val record_external :
     only to audit reports. *)
 
 val audits_run : t -> int
+(** Audits run so far, read from the sink's [monitor.audits] counter. *)
 
 val violation_totals : t -> (string * int) list
-(** Cumulative violation counts per severity, sorted by name —
+(** Cumulative violation counts per severity, read from the sink's
+    [monitor.violations.*] counters and sorted by name —
     [[("degraded", _); ("fatal", _); ("warning", _)]] with zero entries
     omitted. *)

@@ -1,6 +1,8 @@
 (* Glue: one sink bundles the per-run metrics registry and span tracer,
-   plus writers for their on-disk forms. A fresh sink per run keeps
-   snapshots deterministic (no cross-run state). *)
+   plus writers for their on-disk forms. A run owns its sink: System.run
+   creates one and returns it in [result.telemetry], so no two runs ever
+   share state and snapshots stay deterministic. Callers that aggregate
+   runs absorb each run's sink with [merge_into], in submission order. *)
 
 type sink = {
   metrics : Metrics.t;
@@ -11,9 +13,9 @@ let sink ?(trace = false) () =
   { metrics = Metrics.create (); trace = Trace.create ~enabled:trace () }
 
 (* Fold one sink into another (counters add, gauges last-write, histogram
-   buckets add, trace events append). The parallel experiment runner gives
-   every simulator run a private sink and merges them back in submission
-   order, which keeps aggregated snapshots identical at any job count. *)
+   buckets add, trace events append). The parallel experiment runner
+   absorbs its runs' sinks in submission order, which keeps aggregated
+   snapshots identical at any job count. *)
 let merge_into ~into src =
   Metrics.merge_into ~into:into.metrics src.metrics;
   Trace.merge_into ~into:into.trace src.trace

@@ -99,8 +99,6 @@ type t = {
      divergence surfaced at the next audit. *)
   mutable rejected : (int * string * string) list;  (* op index, label, error *)
   mutable history : snapshot list;  (* newest first *)
-  mutable audits : int;
-  mutable diverged : int;
 }
 
 let faucet = U256.of_string "1000000000000000000000000000000"
@@ -115,7 +113,7 @@ let create ~seed ~genesis_committee_vk ~flash_fee_pips =
     { seed; replica; erc0; erc1; funded = Hashtbl.create 64;
       side = Kmap.empty; bank = Kmap.empty;
       ops = [||]; op_len = 0; window_base = 0;
-      rejected = []; history = []; audits = 0; diverged = 0 }
+      rejected = []; history = [] }
   in
   t.bank <- Kmap.add Bank_meta (State_codec.bank_meta_bytes replica) t.bank;
   t
@@ -430,12 +428,7 @@ let audit t ~epoch live =
   done;
   t.window_base <- t.op_len;
   t.side <- Kmap.filter (fun k _ -> match k with Dep_row _ -> false | _ -> true) t.side;
-  t.audits <- t.audits + 1;
-  t.diverged <- t.diverged + List.length reports;
   reports
-
-let audits_run t = t.audits
-let divergences t = t.diverged
 
 (* ------------------------------------------------------------------ *)
 (* Time travel                                                         *)

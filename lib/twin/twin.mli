@@ -137,11 +137,8 @@ val audit : t -> epoch:int -> live -> report list
     Whatever the outcome, the audit then seals the epoch: snapshots the
     shadow state (O(1)), opens a fresh window and drops the epoch-local
     deposit rows (the live table is rebuilt from the bank snapshot next
-    epoch). The caller clears the live dirty marks. *)
-
-val audits_run : t -> int
-val divergences : t -> int
-(** Total divergent keys reported across all audits. *)
+    epoch). The caller clears the live dirty marks, and counts the audit
+    and its reports. *)
 
 (** {1 Time travel}
 

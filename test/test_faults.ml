@@ -383,6 +383,64 @@ let test_chaos_run_reproducible () =
   Alcotest.(check (float 1e-9)) "identical latency" a.System.mean_payout_latency
     b.System.mean_payout_latency
 
+(* Each run counts into a sink of its own: two runs at once must end
+   with the solo run's snapshot, and every counter-backed result field
+   must be its series in the run's own registry. *)
+let test_concurrent_runs_count_apart () =
+  let solo = Lazy.force chaos_result in
+  Alcotest.(check bool) "retries, degraded signings, corrupted partials" true
+    (solo.System.sync_retries > 0 && solo.System.degraded_signings > 0
+     && solo.System.corrupted_partials > 0);
+  let snapshot (r : System.result) =
+    Telemetry.Metrics.to_json_string r.System.telemetry.Telemetry.Report.metrics
+  in
+  let a, b =
+    Parallel.run_pair ~domains:2
+      (fun () -> System.run chaos_cfg)
+      (fun () -> System.run chaos_cfg)
+  in
+  List.iter
+    (fun (run, (r : System.result)) ->
+      Alcotest.(check string) (run ^ ": snapshot = solo") (snapshot solo) (snapshot r);
+      let reg = r.System.telemetry.Telemetry.Report.metrics in
+      let doc =
+        match Telemetry.Json.parse (snapshot r) with
+        | Ok doc -> doc
+        | Error e -> Alcotest.fail e
+      in
+      let counter name =
+        match
+          Option.bind (Telemetry.Json.member name doc) (Telemetry.Json.member "value")
+        with
+        | Some (Telemetry.Json.Jnumber v) -> int_of_float v
+        | _ -> Alcotest.failf "%s: no counter %s" run name
+      in
+      let histogram name =
+        match Telemetry.Metrics.find_histogram reg name with
+        | Some h -> h
+        | None -> Alcotest.failf "%s: no histogram %s" run name
+      in
+      List.iter
+        (fun (series, field) ->
+          Alcotest.(check int) (Printf.sprintf "%s: %s" run series) (counter series) field)
+        [ ("txs.processed", r.System.processed); ("txs.rejected", r.System.rejected);
+          ("txs.swap", r.System.swaps); ("txs.mint", r.System.mints);
+          ("txs.burn", r.System.burns); ("txs.collect", r.System.collects);
+          ("recovery.sync_retries", r.System.sync_retries);
+          ("sync.mass", r.System.mass_syncs);
+          ("interruption.rollbacks", r.System.rollbacks);
+          ("recovery.degraded_signing", r.System.degraded_signings);
+          ("recovery.corrupted_partial", r.System.corrupted_partials);
+          ("monitor.audits", r.System.monitor_audits);
+          ("twin.audits", r.System.twin_audits) ];
+      Alcotest.(check (float 0.0)) (run ^ ": latency.tx.sidechain mean")
+        (Telemetry.Histogram.mean (histogram "latency.tx.sidechain"))
+        r.System.mean_tx_latency;
+      Alcotest.(check int) (run ^ ": summary_block.bytes max")
+        (int_of_float (Telemetry.Histogram.max_value (histogram "summary_block.bytes")))
+        r.System.max_summary_block_bytes)
+    [ ("first", a); ("second", b) ]
+
 (* ------------------------------------------------------------------ *)
 (* Scripted scenarios                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -486,4 +544,6 @@ let () =
         [ Alcotest.test_case "corrupted shares caught" `Quick
             test_corrupted_shares_caught_at_crypto_layer;
           Alcotest.test_case "recovers and replays" `Quick test_chaos_run_recovers_everything;
-          Alcotest.test_case "seed reproduces schedule" `Quick test_chaos_run_reproducible ] ) ]
+          Alcotest.test_case "seed reproduces schedule" `Quick test_chaos_run_reproducible;
+          Alcotest.test_case "concurrent runs count apart" `Quick
+            test_concurrent_runs_count_apart ] ) ]

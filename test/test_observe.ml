@@ -294,8 +294,8 @@ let small_cfg =
 
 let test_system_growth_ledger () =
   let open Ammboost in
-  let sink = Telemetry.Report.sink () in
-  let r = System.run ~sink small_cfg in
+  let r = System.run small_cfg in
+  let sink = r.System.telemetry in
   let l = r.System.growth in
   Alcotest.(check bool)
     (Printf.sprintf "sampled at least one row per epoch (%d)" (GL.epochs_sampled l))

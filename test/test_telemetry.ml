@@ -324,8 +324,7 @@ let test_system_metrics_deterministic () =
       committee_size = 10; max_faulty = 2; seed = "telemetry-determinism" }
   in
   let snapshot () =
-    let sink = Telemetry.Report.sink ~trace:true () in
-    let _r = System.run ~sink cfg in
+    let sink = (System.run ~trace:true cfg).System.telemetry in
     (M.to_json_string sink.Telemetry.Report.metrics,
      T.to_chrome_json sink.Telemetry.Report.trace)
   in

@@ -107,8 +107,8 @@ let test_clean_audit () =
   in
   Alcotest.(check (list string)) "no reports" []
     (List.map Twin.report_to_string (Twin.audit env.tw ~epoch:0 lv));
-  Alcotest.(check int) "one audit" 1 (Twin.audits_run env.tw);
-  Alcotest.(check int) "no divergences" 0 (Twin.divergences env.tw)
+  Alcotest.(check (list int)) "one audit sealed" [ 0 ]
+    (Twin.epochs_sealed (Twin.view env.tw))
 
 let test_bisects_exact_op_index () =
   let env = make_env () in
@@ -166,8 +166,7 @@ let test_out_of_band_has_no_culprit () =
     (* An absent row compares as 192 zero bytes. *)
     Alcotest.(check bool) "expected zeros" true
       (r.Twin.r_expected = Some (Bytes.make 192 '\000'))
-  | rs -> Alcotest.fail (Printf.sprintf "expected 1 report, got %d" (List.length rs)));
-  Alcotest.(check int) "counted" 1 (Twin.divergences env.tw)
+  | rs -> Alcotest.fail (Printf.sprintf "expected 1 report, got %d" (List.length rs)))
 
 let test_live_bank_drift_is_bank_layer_divergence () =
   let env = make_env () in
