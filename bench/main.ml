@@ -36,7 +36,8 @@ module Json = Telemetry.Json
    this static list instead. *)
 let micro_names =
   [ "u256 mul_div"; "u256 sqrt"; "tick->sqrt ratio"; "sqrt ratio->tick";
-    "keccak256 (1KiB)"; "sha256 (1KiB)"; "bls sign"; "bls verify";
+    "keccak256 (1KiB)"; "sha256 (1KiB)"; "rng float"; "rng split+float";
+    "bls sign"; "bls verify";
     "threshold sign 11-of-16"; "pool swap (exact in)" ]
   |> List.map (fun n -> "ammboost/" ^ n)
 
@@ -49,6 +50,7 @@ let builtin_baseline_micro_ns =
   [ ("ammboost/u256 mul_div", 1349.9); ("ammboost/u256 sqrt", 6469.2);
     ("ammboost/tick->sqrt ratio", 4546.7); ("ammboost/sqrt ratio->tick", 130382.8);
     ("ammboost/keccak256 (1KiB)", 140086.3); ("ammboost/sha256 (1KiB)", 22705.3);
+    ("ammboost/rng float", 1495.2); ("ammboost/rng split+float", 4273.9);
     ("ammboost/bls sign", 17244.3); ("ammboost/bls verify", 23639.9);
     ("ammboost/threshold sign 11-of-16", 145973092.7);
     ("ammboost/pool swap (exact in)", 89366.4) ]
@@ -80,6 +82,18 @@ let micro_tests () =
   let t_sha =
     Test.make ~name:"sha256 (1KiB)"
       (Staged.stage (fun () -> Amm_crypto.Sha256.digest payload))
+  in
+  (* A network-delay draw, and a fault decision: a split on its key, then
+     one draw. *)
+  let draws = Amm_crypto.Rng.create "bench-draws" in
+  let t_rng_float =
+    Test.make ~name:"rng float"
+      (Staged.stage (fun () -> Amm_crypto.Rng.float draws))
+  in
+  let t_rng_split =
+    Test.make ~name:"rng split+float"
+      (Staged.stage (fun () ->
+           Amm_crypto.Rng.float (Amm_crypto.Rng.split draws "cs.crash/12/345")))
   in
   let rng = Amm_crypto.Rng.create "bench" in
   let sk, pk = Amm_crypto.Bls.keygen rng in
@@ -128,8 +142,8 @@ let micro_tests () =
              ~min_amount_out:U256.zero ()))
   in
   Test.make_grouped ~name:"ammboost" ~fmt:"%s/%s"
-    [ t_muldiv; t_sqrt; t_tick; t_tick_inv; t_keccak; t_sha; t_sign; t_verify;
-      t_threshold; t_swap ]
+    [ t_muldiv; t_sqrt; t_tick; t_tick_inv; t_keccak; t_sha; t_rng_float;
+      t_rng_split; t_sign; t_verify; t_threshold; t_swap ]
 
 (* AMMBOOST_MICRO_QUOTA=<seconds> shrinks the per-test sampling budget —
    CI's perf-guard runs at a reduced quota so the job stays fast. *)

@@ -88,13 +88,17 @@ let fields_of ~issuer ~pool payload =
     [ addr; pool_w; Encoding.bytes32_word (Ids.Position_id.to_bytes c.collect_position);
       Encoding.word c.fees0_requested; Encoding.word c.fees1_requested ]
 
+(* Ids stream their words into a domain-local context; [feed] takes no
+   callback, so it never runs re-entrantly on a domain. *)
+let id_ctx = Domain.DLS.new_key Amm_crypto.Sha256.init
+
 let create ?sign ~issuer ~issuer_pk ~pool ~issued_round ~issued_at payload =
-  let fields = fields_of ~issuer ~pool payload in
+  let ctx = Domain.DLS.get id_ctx in
+  Amm_crypto.Sha256.reset ctx;
+  List.iter (Amm_crypto.Sha256.feed ctx) (fields_of ~issuer ~pool payload);
   (* The id commits to the round so identical re-submissions differ. *)
-  let id_input =
-    Bytes.concat Bytes.empty (fields @ [ Encoding.int_word issued_round ])
-  in
-  let id = Ids.Tx_id.of_hash (Amm_crypto.Sha256.digest id_input) in
+  Amm_crypto.Sha256.feed ctx (Encoding.int_word issued_round);
+  let id = Ids.Tx_id.of_hash (Amm_crypto.Sha256.finalize ctx) in
   let signature =
     Option.map (fun sk -> Amm_crypto.Bls.sign sk (Ids.Tx_id.to_bytes id)) sign
   in

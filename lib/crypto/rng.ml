@@ -1,52 +1,46 @@
 module U256 = Amm_math.U256
 
-type t = { seed : bytes; mutable counter : int }
+type t = { seed : bytes; mid : Sha256.midstate; mutable counter : int }
 
-let create seed = { seed = Sha256.digest_string seed; counter = 0 }
+let of_seed seed = { seed; mid = Sha256.midstate seed; counter = 0 }
+let create seed = of_seed (Sha256.digest_string seed)
+let split t label = of_seed (Sha256.concat [ t.seed; Bytes.of_string ("/" ^ label) ])
 
-let split t label =
-  { seed = Sha256.concat [ t.seed; Bytes.of_string ("/" ^ label) ]; counter = 0 }
-
-let next_block t =
-  let ctr = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set ctr i (Char.chr ((t.counter lsr (8 * i)) land 0xFF))
-  done;
-  t.counter <- t.counter + 1;
-  Sha256.concat [ t.seed; ctr ]
+(* The next block's counter; advances the generator past it. *)
+let next t =
+  let n = t.counter in
+  t.counter <- n + 1;
+  n
 
 let bytes t n =
   let out = Bytes.create n in
-  let filled = ref 0 in
-  while !filled < n do
-    let blk = next_block t in
-    let take = Stdlib.min 32 (n - !filled) in
-    Bytes.blit blk 0 out !filled take;
-    filled := !filled + take
+  let whole = n / 32 in
+  for i = 0 to whole - 1 do
+    Sha256.counter_into t.mid (next t) out (32 * i)
   done;
+  if n mod 32 > 0 then begin
+    let blk = Bytes.create 32 in
+    Sha256.counter_into t.mid (next t) blk 0;
+    Bytes.blit blk 0 out (32 * whole) (n mod 32)
+  end;
   out
 
-let u256 t = U256.of_bytes_be (next_block t)
+let u256 t =
+  let blk = Bytes.create 32 in
+  Sha256.counter_into t.mid (next t) blk 0;
+  U256.read_be blk 0
+
 let field t = Field.of_u256 (u256 t)
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* 62 uniform bits are plenty; modulo bias is negligible for the bounds
-     used in the simulation (all far below 2^31). *)
-  let blk = next_block t in
-  let v = ref 0 in
-  for i = 0 to 6 do
-    v := (!v lsl 8) lor Char.code (Bytes.get blk i)
-  done;
-  !v land max_int mod n
+  (* 56 uniform bits; modulo bias is negligible for the bounds used in the
+     simulation (all far below 2^31). *)
+  Sha256.counter_56 t.mid (next t) mod n
 
 let float t =
-  let blk = next_block t in
-  let v = ref 0 in
-  for i = 0 to 6 do
-    v := (!v lsl 8) lor Char.code (Bytes.get blk i)
-  done;
-  float_of_int (!v land ((1 lsl 53) - 1)) /. float_of_int (1 lsl 53)
+  float_of_int (Sha256.counter_56 t.mid (next t) land ((1 lsl 53) - 1))
+  /. float_of_int (1 lsl 53)
 
 let bool t = int t 2 = 1
 

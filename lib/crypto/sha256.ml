@@ -1,12 +1,20 @@
-(* FIPS 180-4 SHA-256 over 32-bit words; words are kept in native ints and
-   masked to 32 bits after every operation.
+(* FIPS 180-4 SHA-256 over 32-bit words kept in native ints.
 
-   The compression function runs against a reusable context (hash state,
-   message schedule and one partial block), exposed both as a streaming
-   [feed]/[finalize] API and as one-shot digests on a domain-local
-   context — so hot callers like the Merkle tree builder and the
-   deterministic RNG pay no per-call scratch allocation and no padded
-   input copy. *)
+   One round function, [rounds], runs the compression from any round and
+   any working state. A rotation right by n < 32 of a 32-bit word x is
+   bits n..n+31 of the doubled word x lor (x lsl 32) (bit 63, which a
+   63-bit int drops, is never among them), so each rotation is one shift.
+   Bits above 31 are left in the sums, because additions and xors carry
+   only upwards: a round masks only the new a and e, the words it doubles
+   next, and the schedule masks each word it adds.
+
+   Two callers start it differently. [compress] runs all 64 rounds of a
+   block from the chaining state, behind the streaming [feed]/[finalize]
+   API and the one-shot digests on a domain-local context, so hot callers
+   pay no per-call scratch allocation and no padded input copy. The
+   counter-mode entries hash a fixed 32-byte seed and a 64-bit counter,
+   one block whose rounds 0-7 read only the seed: a [midstate] caches the
+   state after them, and each counter runs rounds 8-63. *)
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
@@ -23,71 +31,88 @@ let k =
 
 let mask32 = 0xFFFFFFFF
 let block_bytes = 64
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
 let iv =
   [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
      0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
 
+(* Extend message words 0-15 of [w] to the 64-word schedule. *)
+let schedule w =
+  for t = 16 to 63 do
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16)
+       + ((xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3))
+       + Array.unsafe_get w (t - 7)
+       + ((yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10)))
+      land mask32)
+  done
+
+(* Rounds [first] to [last] over the schedule [w], from the working state
+   a..h held in [s]; leaves the working state after round [last] there.
+   Round t reads schedule word t only. *)
+let rounds w s first last =
+  let a = ref (Array.unsafe_get s 0) and b = ref (Array.unsafe_get s 1) in
+  let c = ref (Array.unsafe_get s 2) and d = ref (Array.unsafe_get s 3) in
+  let e = ref (Array.unsafe_get s 4) and f = ref (Array.unsafe_get s 5) in
+  let g = ref (Array.unsafe_get s 6) and h = ref (Array.unsafe_get s 7) in
+  for t = first to last do
+    let ee = !e lor (!e lsl 32) in
+    let t1 =
+      !h
+      + ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25))
+      + (!g lxor (!e land (!f lxor !g)))
+      + Array.unsafe_get k t + Array.unsafe_get w t
+    in
+    let aa = !a lor (!a lsl 32) in
+    let t2 =
+      ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22))
+      + ((!a land (!b lor !c)) lor (!b land !c))
+    in
+    h := !g; g := !f; f := !e;
+    e := (!d + t1) land mask32;
+    d := !c; c := !b; b := !a;
+    a := (t1 + t2) land mask32
+  done;
+  Array.unsafe_set s 0 !a; Array.unsafe_set s 1 !b;
+  Array.unsafe_set s 2 !c; Array.unsafe_set s 3 !d;
+  Array.unsafe_set s 4 !e; Array.unsafe_set s 5 !f;
+  Array.unsafe_set s 6 !g; Array.unsafe_set s 7 !h
+
 type ctx = {
   h : int array; (* 8 chaining words *)
   w : int array; (* 64-entry message schedule *)
+  s : int array; (* 8-word working state *)
   buf : Bytes.t; (* one partial block *)
   mutable fill : int; (* bytes buffered in [buf] *)
   mutable total : int; (* total message bytes fed so far *)
 }
 
 let init () =
-  { h = Array.copy iv; w = Array.make 64 0; buf = Bytes.create block_bytes;
-    fill = 0; total = 0 }
+  { h = Array.copy iv; w = Array.make 64 0; s = Array.make 8 0;
+    buf = Bytes.create block_bytes; fill = 0; total = 0 }
 
 let reset ctx =
   Array.blit iv 0 ctx.h 0 8;
   ctx.fill <- 0;
   ctx.total <- 0
 
+let load_word src off = Int32.to_int (Bytes.get_int32_be src off) land mask32
+
 (* Compress the 64-byte block at [off] in [src] into the chaining state. *)
 let compress ctx src off =
-  let h = ctx.h and w = ctx.w in
+  let h = ctx.h and w = ctx.w and s = ctx.s in
   for t = 0 to 15 do
-    Array.unsafe_set w t
-      ((Char.code (Bytes.get src (off + (4 * t))) lsl 24)
-      lor (Char.code (Bytes.get src (off + (4 * t) + 1)) lsl 16)
-      lor (Char.code (Bytes.get src (off + (4 * t) + 2)) lsl 8)
-      lor Char.code (Bytes.get src (off + (4 * t) + 3)))
+    Array.unsafe_set w t (load_word src (off + (4 * t)))
   done;
-  for t = 16 to 63 do
-    let w15 = Array.unsafe_get w (t - 15) and w2 = Array.unsafe_get w (t - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
-    Array.unsafe_set w t
-      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
-      land mask32)
-  done;
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 =
-      (!hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t) land mask32
-    in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
-    hh := !g; g := !f; f := !e;
-    e := (!d + t1) land mask32;
-    d := !c; c := !b; b := !a;
-    a := (t1 + t2) land mask32
-  done;
-  h.(0) <- (h.(0) + !a) land mask32;
-  h.(1) <- (h.(1) + !b) land mask32;
-  h.(2) <- (h.(2) + !c) land mask32;
-  h.(3) <- (h.(3) + !d) land mask32;
-  h.(4) <- (h.(4) + !e) land mask32;
-  h.(5) <- (h.(5) + !f) land mask32;
-  h.(6) <- (h.(6) + !g) land mask32;
-  h.(7) <- (h.(7) + !hh) land mask32
+  schedule w;
+  Array.blit h 0 s 0 8;
+  rounds w s 0 63;
+  for i = 0 to 7 do
+    Array.unsafe_set h i
+      ((Array.unsafe_get h i + Array.unsafe_get s i) land mask32)
+  done
 
 let feed ctx input =
   let len = Bytes.length input in
@@ -116,7 +141,6 @@ let feed_string ctx s = feed ctx (Bytes.unsafe_of_string s)
 
 let finalize ctx =
   (* Padding: 0x80, zeros, 64-bit big-endian bit length. *)
-  let bitlen = ctx.total * 8 in
   Bytes.set ctx.buf ctx.fill '\x80';
   ctx.fill <- ctx.fill + 1;
   if ctx.fill > block_bytes - 8 then begin
@@ -124,25 +148,18 @@ let finalize ctx =
     compress ctx ctx.buf 0;
     ctx.fill <- 0
   end;
-  Bytes.fill ctx.buf ctx.fill (block_bytes - ctx.fill) '\000';
-  for i = 0 to 7 do
-    Bytes.set ctx.buf (block_bytes - 1 - i)
-      (Char.chr ((bitlen lsr (8 * i)) land 0xFF))
-  done;
+  Bytes.fill ctx.buf ctx.fill (block_bytes - 8 - ctx.fill) '\000';
+  Bytes.set_int64_be ctx.buf (block_bytes - 8) (Int64.of_int (ctx.total * 8));
   compress ctx ctx.buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let h = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((h lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((h lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((h lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (h land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   reset ctx;
   out
 
-(* One-shot digests on a domain-local context: [digest]/[concat] take no
-   callbacks, so they never run re-entrantly on a domain. *)
+(* One-shot digests and counter blocks on a domain-local context: none of
+   them takes a callback, so they never run re-entrantly on a domain. *)
 let dls_ctx : ctx Domain.DLS.key = Domain.DLS.new_key init
 
 let digest input =
@@ -160,3 +177,56 @@ let concat parts =
   reset ctx;
   List.iter (fun p -> feed ctx p) parts;
   finalize ctx
+
+(* Counter mode: [seed ‖ le64 n] is 40 bytes, so its digest is one block.
+   Message words 0-7 are the seed and 8-9 the byte-swapped counter; 0x80,
+   zero padding and the 320-bit length make words 10-15 constant. A
+   midstate holds seed words 0-7, then the working state after rounds
+   0-7, which read nothing else. *)
+type midstate = int array
+
+let midstate seed =
+  if Bytes.length seed <> 32 then invalid_arg "Sha256.midstate: seed must be 32 bytes";
+  let m = Array.make 16 0 in
+  for t = 0 to 7 do
+    m.(t) <- load_word seed (4 * t)
+  done;
+  let s = Array.copy iv in
+  rounds m s 0 7;
+  Array.blit s 0 m 8 8;
+  m
+
+(* The big-endian word of the four low bytes of [x] taken little-endian. *)
+let swap_word x =
+  ((x land 0xFF) lsl 24) lor ((x land 0xFF00) lsl 8)
+  lor ((x lsr 8) land 0xFF00) lor ((x lsr 24) land 0xFF)
+
+(* Runs the block for counter [n] and leaves its final working state in the
+   domain-local [s]; digest word i is [iv.(i) + s.(i)] mod 2^32. *)
+let counter_state m n =
+  let ctx = Domain.DLS.get dls_ctx in
+  let w = ctx.w and s = ctx.s in
+  Array.blit m 0 w 0 8;
+  Array.unsafe_set w 8 (swap_word n);
+  Array.unsafe_set w 9 (swap_word (n lsr 32));
+  Array.unsafe_set w 10 0x80000000;
+  Array.fill w 11 4 0;
+  Array.unsafe_set w 15 320;
+  schedule w;
+  Array.blit m 8 s 0 8;
+  rounds w s 8 63;
+  s
+
+let counter_56 m n =
+  let s = counter_state m n in
+  (((Array.unsafe_get iv 0 + Array.unsafe_get s 0) land mask32) lsl 24)
+  lor (((Array.unsafe_get iv 1 + Array.unsafe_get s 1) land mask32) lsr 8)
+
+let counter_into m n dst off =
+  if off < 0 || off > Bytes.length dst - 32 then
+    invalid_arg "Sha256.counter_into: no 32 bytes at offset";
+  let s = counter_state m n in
+  for i = 0 to 7 do
+    Bytes.set_int32_be dst (off + (4 * i))
+      (Int32.of_int (Array.unsafe_get iv i + Array.unsafe_get s i))
+  done

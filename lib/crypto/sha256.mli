@@ -25,3 +25,26 @@ val reset : ctx -> unit
 val feed : ctx -> bytes -> unit
 val feed_string : ctx -> string -> unit
 val finalize : ctx -> bytes
+
+(** {1 Counter mode}
+
+    [digest (seed ‖ le64 n)] for a fixed 32-byte [seed] and a counter
+    [n >= 0] written as 8 little-endian bytes. The 40-byte message is one
+    block, and its first 8 rounds read only the seed, so a {!midstate}
+    caches them and each counter runs the other 56. Both entries run on
+    the domain-local context and allocate nothing. *)
+
+type midstate
+
+val midstate : bytes -> midstate
+(** The seed's message words and the state after rounds 0-7. Raises
+    [Invalid_argument] unless the seed is 32 bytes. *)
+
+val counter_56 : midstate -> int -> int
+(** [counter_56 m n] is the first 7 bytes of [digest (seed ‖ le64 n)] read
+    as a big-endian integer in [\[0, 2^56)]. *)
+
+val counter_into : midstate -> int -> bytes -> int -> unit
+(** [counter_into m n dst off] writes [digest (seed ‖ le64 n)] to
+    [dst.[off .. off + 31]]. Raises [Invalid_argument] if [dst] has no 32
+    bytes at [off]. *)

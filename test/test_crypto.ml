@@ -481,11 +481,234 @@ let test_rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 20 Fun.id) sorted
 
+(* ------------------------------------------------------------------ *)
+(* Against the oracle: [Ref_sha256] is the earlier byte-at-a-time      *)
+(* SHA-256, and the model below is the Rng stream as rng.mli defines   *)
+(* it, computed with that oracle.                                      *)
+(* ------------------------------------------------------------------ *)
+
+module R = Ref_sha256
+
+let check_bytes what expect got =
+  if not (Bytes.equal expect got) then
+    Alcotest.failf "%s: expected %s, got %s" what (Hex.of_bytes expect) (Hex.of_bytes got)
+
+(* Not periodic in 64: every block of a long message differs. *)
+let pattern n = Bytes.init n (fun i -> Char.chr (((i * 131) + (i lsr 6) + (n * 7)) land 0xFF))
+
+let test_sha256_oracle_lengths () =
+  let ctx = Sha256.init () in
+  for n = 0 to 2000 do
+    let m = pattern n in
+    let expect = R.digest m in
+    let what name = Printf.sprintf "%s, length %d" name n in
+    check_bytes (what "digest") expect (Sha256.digest m);
+    let cut = n / 3 in
+    check_bytes (what "concat") expect
+      (Sha256.concat [ Bytes.sub m 0 cut; Bytes.empty; Bytes.sub m cut (n - cut) ]);
+    let step = (n mod 67) + 1 in
+    let pos = ref 0 in
+    while !pos < n do
+      let take = Stdlib.min step (n - !pos) in
+      Sha256.feed ctx (Bytes.sub m !pos take);
+      pos := !pos + take
+    done;
+    check_bytes (what "streamed") expect (Sha256.finalize ctx)
+  done
+
+(* A message and the sizes of its chunks, every size from 0 to 130. *)
+let gen_chunked =
+  QCheck2.Gen.(
+    pair (string_size (int_range 0 700)) (list_size (int_range 0 40) (int_range 0 130)))
+
+let chunks_of (m, sizes) =
+  let n = String.length m in
+  let rec go pos = function
+    | [] -> [ String.sub m pos (n - pos) ]
+    | k :: rest ->
+      let k = Stdlib.min k (n - pos) in
+      String.sub m pos k :: go (pos + k) rest
+  in
+  List.map Bytes.of_string (go 0 sizes)
+
+let sha256_oracle_props =
+  [ prop "oracle chunkings" gen_chunked (fun ((m, _) as input) ->
+        let parts = chunks_of input in
+        let expect = R.digest (Bytes.of_string m) in
+        let ctx = Sha256.init () in
+        List.iter (Sha256.feed ctx) parts;
+        Bytes.equal (Sha256.finalize ctx) expect
+        && Bytes.equal (Sha256.concat parts) expect) ]
+
+let le64 n =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int n);
+  b
+
+(* The first 7 bytes of a block, big-endian. *)
+let bits56 blk =
+  let v = ref 0 in
+  for i = 0 to 6 do
+    v := (!v lsl 8) lor Char.code (Bytes.get blk i)
+  done;
+  !v
+
+(* Counters from 2^32 up set message word 9, which no run reaches. *)
+let test_sha256_counter_blocks () =
+  let seeds = [ Bytes.make 32 '\000'; Bytes.make 32 '\xff'; R.digest_string "seed" ] in
+  List.iter
+    (fun seed ->
+      let m = Sha256.midstate seed in
+      List.iter
+        (fun n ->
+          let expect = R.concat [ seed; le64 n ] in
+          let what = Printf.sprintf "counter %d" n in
+          let out = Bytes.make 40 '\xaa' in
+          Sha256.counter_into m n out 5;
+          check_bytes what expect (Bytes.sub out 5 32);
+          check_bytes (what ^ " leaves the rest") (Bytes.make 8 '\xaa')
+            (Bytes.cat (Bytes.sub out 0 5) (Bytes.sub out 37 3));
+          Alcotest.(check int) (what ^ " first 56 bits") (bits56 expect)
+            (Sha256.counter_56 m n))
+        [ 0; 1; 2; 255; 256; 0xFFFF; 1 lsl 24; (1 lsl 32) - 1; 1 lsl 32;
+          (1 lsl 32) + 1; 1 lsl 40; (1 lsl 56) + 3; max_int ])
+    seeds;
+  Alcotest.check_raises "short seed"
+    (Invalid_argument "Sha256.midstate: seed must be 32 bytes")
+    (fun () -> ignore (Sha256.midstate (Bytes.make 31 'x')));
+  let m = Sha256.midstate (Bytes.make 32 'x') in
+  List.iter
+    (fun (len, off) ->
+      Alcotest.check_raises (Printf.sprintf "%d bytes at %d" len off)
+        (Invalid_argument "Sha256.counter_into: no 32 bytes at offset")
+        (fun () -> Sha256.counter_into m 0 (Bytes.create len) off))
+    [ (31, 0); (40, 9); (40, -1) ]
+
+(* The stream's definition, on the oracle. *)
+type model = { mseed : bytes; mutable mctr : int }
+
+let m_create s = { mseed = R.digest_string s; mctr = 0 }
+let m_split m label = { mseed = R.concat [ m.mseed; Bytes.of_string ("/" ^ label) ]; mctr = 0 }
+
+let m_block m =
+  let blk = R.concat [ m.mseed; le64 m.mctr ] in
+  m.mctr <- m.mctr + 1;
+  blk
+
+let m_int m n = bits56 (m_block m) mod n
+let m_float m = float_of_int (bits56 (m_block m) land ((1 lsl 53) - 1)) /. float_of_int (1 lsl 53)
+
+let m_bytes m n =
+  let buf = Buffer.create n in
+  while Buffer.length buf < n do
+    Buffer.add_bytes buf (m_block m)
+  done;
+  Bytes.sub (Buffer.to_bytes buf) 0 n
+
+let m_u256 m = U256.of_bytes_be (m_block m)
+
+let m_shuffle m arr =
+  for i = Array.length arr - 1 downto 1 do
+    let j = m_int m (i + 1) in
+    let tmp = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- tmp
+  done
+
+let oracle_seeds = [ ""; "seed"; "golden"; "ammboost-faulty-durable" ]
+let bounds = [| 1; 2; 3; 7; 10; 1000; 1_000_003; 1 lsl 30; (1 lsl 56) - 1; 1 lsl 56; max_int |]
+
+(* The first 1 000 draws of each entry point on a fresh generator. *)
+let test_rng_oracle_draws () =
+  List.iter
+    (fun seed ->
+      let fresh () = (Rng.create seed, m_create seed) in
+      let what name i = Printf.sprintf "%S %s draw %d" seed name i in
+      let r, m = fresh () in
+      for i = 0 to 999 do
+        let n = bounds.(i mod Array.length bounds) in
+        Alcotest.(check int) (what "int" i) (m_int m n) (Rng.int r n)
+      done;
+      let r, m = fresh () in
+      for i = 0 to 999 do
+        Alcotest.(check (float 0.0)) (what "float" i) (m_float m) (Rng.float r)
+      done;
+      let r, m = fresh () in
+      for i = 0 to 999 do
+        Alcotest.(check bool) (what "bool" i) (m_int m 2 = 1) (Rng.bool r)
+      done;
+      let r, m = fresh () in
+      let arr = Array.init 13 (fun i -> i * i) in
+      for i = 0 to 999 do
+        Alcotest.(check int) (what "pick" i) arr.(m_int m 13) (Rng.pick r arr)
+      done;
+      let r, m = fresh () in
+      for i = 0 to 249 do
+        let a = Array.init 5 Fun.id and b = Array.init 5 Fun.id in
+        m_shuffle m a;
+        Rng.shuffle r b;
+        Alcotest.(check (array int)) (what "shuffle" i) a b
+      done;
+      let r, m = fresh () in
+      for i = 0 to 999 do
+        let n = i mod 71 in
+        check_bytes (what "bytes" i) (m_bytes m n) (Rng.bytes r n)
+      done;
+      let r, m = fresh () in
+      for i = 0 to 999 do
+        Alcotest.(check string) (what "u256" i)
+          (U256.to_hex (m_u256 m)) (U256.to_hex (Rng.u256 r))
+      done;
+      let r, m = fresh () in
+      for i = 0 to 999 do
+        Alcotest.(check bool) (what "field" i) true
+          (Field.equal (Field.of_u256 (m_u256 m)) (Rng.field r))
+      done)
+    oracle_seeds
+
+let label_of_length n = String.init n (fun i -> Char.chr (33 + (((i * 7) + n) mod 94)))
+
+let test_rng_oracle_split () =
+  let r = Rng.create "splits" and m = m_create "splits" in
+  for n = 0 to 60 do
+    let label = label_of_length n in
+    let what name = Printf.sprintf "label of %d bytes, %s" n name in
+    let rc = Rng.split r label and mc = m_split m label in
+    Alcotest.(check int) (what "int") (m_int mc (1 lsl 56)) (Rng.int rc (1 lsl 56));
+    check_bytes (what "bytes") (m_bytes mc 40) (Rng.bytes rc 40);
+    let rg = Rng.split rc "/" and mg = m_split mc "/" in
+    Alcotest.(check (float 0.0)) (what "nested split") (m_float mg) (Rng.float rg);
+    (* Splitting leaves the parent's counter alone. *)
+    Alcotest.(check int) (what "parent") (m_int m 1_000_003) (Rng.int r 1_000_003)
+  done
+
+(* Recorded from the byte-at-a-time implementation. *)
+let test_rng_golden () =
+  let r = Rng.create "golden" in
+  Alcotest.(check int) "int 2^56" 71359378078801704 (Rng.int r (1 lsl 56));
+  Alcotest.(check int) "int 1e9+7" 354120868 (Rng.int r 1_000_000_007);
+  Alcotest.(check (float 0.0)) "float" 0x1.7790159b8f255p-1 (Rng.float r);
+  Alcotest.(check string) "bytes 40"
+    "a16f075a0bca7ed9ba3fee3ed5d356b31e53e0db50051bb9dd005c34ddb992267385acf5818ee214"
+    (Hex.of_bytes (Rng.bytes r 40));
+  Alcotest.(check string) "u256"
+    "73399607588102062652615599182882603231259665137616892709561468009052820787067"
+    (U256.to_string (Rng.u256 r));
+  let c = Rng.split (Rng.create "golden") "child" in
+  Alcotest.(check int) "split int 2^56" 30020073178005138 (Rng.int c (1 lsl 56));
+  Alcotest.(check (float 0.0)) "split float" 0x1.79abf5184186cp-3 (Rng.float c);
+  Alcotest.(check string) "split bytes 32"
+    "3156bf77f67fc57e9c32503cb5800981cb9701c1fa8cb94e1756af8681e6720c"
+    (Hex.of_bytes (Rng.bytes c 32))
+
 let () =
   Alcotest.run "crypto"
     [ ( "sha256",
         [ Alcotest.test_case "vectors" `Quick test_sha256_vectors;
-          Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries ] );
+          Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
+          Alcotest.test_case "oracle lengths 0-2000" `Quick test_sha256_oracle_lengths ]
+        @ sha256_oracle_props
+        @ [ Alcotest.test_case "counter blocks" `Quick test_sha256_counter_blocks ] );
       ( "keccak256",
         [ Alcotest.test_case "vectors" `Quick test_keccak_vectors;
           Alcotest.test_case "rate boundaries" `Quick test_keccak_rate_boundaries ]
@@ -528,4 +751,7 @@ let () =
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
-          Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutes ] ) ]
+          Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutes;
+          Alcotest.test_case "oracle draws" `Quick test_rng_oracle_draws;
+          Alcotest.test_case "oracle split labels 0-60" `Quick test_rng_oracle_split;
+          Alcotest.test_case "golden values" `Quick test_rng_golden ] ) ]
