@@ -130,6 +130,16 @@ type signer =
   | Plain_key of Bls.secret_key
   | Shared of { shares : Bls.share list; threshold : int }
 
+(* What the self-audit (cfg.self_audit) replays for one epoch. Blocks
+   store headers only, so the trail holds the bodies itself: each
+   meta-block with its transactions, and the summary's payload. *)
+type audit_entry = {
+  a_pool : Uniswap.Pool.t;  (* epoch-start clone *)
+  a_snapshot : Token_bank.snapshot;
+  mutable a_metas : (Blocks.meta * Tx.t list) list;  (* newest first *)
+  mutable a_payload : Sync_payload.t option;
+}
+
 type epoch_keys = {
   vk : Bls.public_key;
   commitments : Bls.commitments; (* [||] for Plain_key signing *)
@@ -138,7 +148,7 @@ type epoch_keys = {
 
 type committee_record = {
   epoch : int;
-  committee : int list;
+  committee_size : int;
   leader : int;
 }
 
@@ -313,11 +323,9 @@ type t = {
          cost on the mainchain (the per-epoch analytic counterfactual) *)
   tele : tele;
   rejections : (string, int) Hashtbl.t;
-  mutable sync_receipts : Token_bank.sync_receipt list;
-  mutable audit_trail :
-    (int * Uniswap.Pool.t * Token_bank.snapshot * Blocks.meta list ref
-    * Blocks.summary option ref)
-    list;
+  mutable last_sync_receipt : Token_bank.sync_receipt option;
+  mutable sync_count : int;  (* syncs applied, reorged-out ones included *)
+  mutable audit_trail : audit_entry list;
 }
 
 (* The one record site for a bank op the live TokenBank just accepted:
@@ -358,7 +366,8 @@ let elect_committee t ~epoch =
     Consensus.Election.elect ~credentials
       ~committee_size:(Stdlib.min t.cfg.Config.committee_size (Array.length t.miners))
   in
-  t.committees <- { epoch; committee; leader } :: t.committees
+  t.committees <-
+    { epoch; committee_size = List.length committee; leader } :: t.committees
 
 let make_committee_keys ~cfg ~rng_keys ~epoch =
   let rng = Rng.split rng_keys (Printf.sprintf "committee-%d" epoch) in
@@ -526,7 +535,7 @@ let create ~trace ?durable cfg =
           ~seed:cfg.Config.seed ();
       counterfactual_bytes = 0;
       tele = make_tele sink; rejections = Hashtbl.create 8;
-      sync_receipts = []; audit_trail = [] }
+      last_sync_receipt = None; sync_count = 0; audit_trail = [] }
   in
   Hashtbl.replace t.committee_keys 0 keys0;
   (* Faucet + unlimited approvals (users sign them once; the per-epoch
@@ -750,7 +759,8 @@ let submit_sync t ~epoch ~at ~corrupt =
                 match Token_bank.sync t.bank ~signed with
                 | Ok receipt ->
                   submission.status <- Applied;
-                  t.sync_receipts <- receipt :: t.sync_receipts;
+                  t.last_sync_receipt <- Some receipt;
+                  t.sync_count <- t.sync_count + 1;
                   emit t (Durable.Record.Sync signed);
                   Tmetrics.inc t.tele.c_sync_applied;
                   List.iter
@@ -867,6 +877,10 @@ let settle_confirmed t =
             Telemetry.Histogram.observe t.tele.h_payout (inclusion_time -. mean_issued)
           | None -> ());
           Metrics.settle_epoch t.payouts ~epoch:e ~sync_time:inclusion_time;
+          (* Forks only abandon unconfirmed blocks, so no resubmission or
+             reconciliation asks for a confirmed epoch's signed payload
+             again. *)
+          Hashtbl.remove t.signed_payloads e;
           Lifecycle.on_stage t.lifecycle ~epoch:e ~stage:Lifecycle.Confirmed
             ~at:now;
           let reclaimed = Blocks.prune_epoch t.sc_chain ~epoch:e in
@@ -1357,7 +1371,13 @@ let twin_audit_epoch t ~deposits ~epoch ~now =
 (* The main loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(trace = false) ?durable cfg =
+type boundary = {
+  b_epoch : int;
+  b_retained_words : unit -> int;
+  b_twin : Twin.t option;
+}
+
+let run ?(trace = false) ?durable ?at_boundary cfg =
   let t = create ~trace ?durable cfg in
   let tele = t.tele in
   (* Whatever recovery found wrong on disk — rejected snapshots, torn
@@ -1396,10 +1416,10 @@ let run ?(trace = false) ?durable cfg =
     if not (t.dissolved || lost) then begin
       elect_committee t ~epoch:e;
       match t.committees with
-      | { epoch = ce; committee = members; leader } :: _ when ce = e ->
+      | { epoch = ce; committee_size; leader } :: _ when ce = e ->
         Log.debug ~scope ~t:epoch_start
           ~fields:
-            [ ("epoch", Json.Int e); ("committee", Json.Int (List.length members));
+            [ ("epoch", Json.Int e); ("committee", Json.Int committee_size);
               ("leader", Json.Int leader) ]
           "epoch started: committee elected"
       | _ -> ()
@@ -1461,7 +1481,10 @@ let run ?(trace = false) ?durable cfg =
     let snapshot = Token_bank.snapshot t.bank ~epoch:e in
     let audit_entry =
       if cfg.Config.self_audit then begin
-        let entry = (e, Uniswap.Pool.clone t.pool, snapshot, ref [], ref None) in
+        let entry =
+          { a_pool = Uniswap.Pool.clone t.pool; a_snapshot = snapshot;
+            a_metas = []; a_payload = None }
+        in
         t.audit_trail <- entry :: t.audit_trail;
         Some entry
       end
@@ -1644,7 +1667,7 @@ let run ?(trace = false) ?durable cfg =
           ~dur:(Float.min consensus_latency (0.65 *. b_t))
           ();
         match audit_entry with
-        | Some (_, _, _, metas, _) -> metas := meta :: !metas
+        | Some a -> a.a_metas <- (meta, included) :: a.a_metas
         | None -> ()
       end;
       List.iter
@@ -1678,6 +1701,8 @@ let run ?(trace = false) ?durable cfg =
     Option.iter (twin_record_summary_touch t) t.twin;
     let keys = committee_keys t ~epoch:e in
     let signature = sign_payload t ~epoch:e keys (Sync_payload.signing_bytes payload) in
+    (* The epoch's key material signs nothing after its summary. *)
+    Hashtbl.remove t.committee_keys e;
     Hashtbl.replace t.signed_payloads e (payload, signature);
     t.last_summary_epoch <- e;
     let s_size = Sidechain.Codec.summary_block_size payload in
@@ -1701,14 +1726,10 @@ let run ?(trace = false) ?durable cfg =
       ~dur:(0.5 *. b_t) ();
     Lifecycle.on_stage t.lifecycle ~epoch:e ~stage:Lifecycle.Summarized
       ~at:t_summary;
-    let summary_block =
-      { Blocks.s_epoch = e; s_payload = payload; s_size;
-        s_rounds_covered = (e * spr, ((e + 1) * spr) - 1) }
-    in
-    Blocks.append_summary t.sc_chain summary_block;
-    (match audit_entry with
-    | Some (_, _, _, _, summary_ref) -> summary_ref := Some summary_block
-    | None -> ());
+    Blocks.append_summary t.sc_chain
+      { Blocks.s_epoch = e; s_size;
+        s_rounds_covered = (e * spr, ((e + 1) * spr) - 1) };
+    Option.iter (fun a -> a.a_payload <- Some payload) audit_entry;
     let silent =
       List.exists
         (function Config.Silent_sync_leader se -> se = e | _ -> false)
@@ -1748,6 +1769,13 @@ let run ?(trace = false) ?durable cfg =
     twin_audit_epoch t ~deposits:(Some (Processor.deposits processor))
       ~epoch:e ~now:epoch_end
     end;
+    Option.iter
+      (fun f ->
+        f { b_epoch = e;
+            b_retained_words =
+              (fun () -> Obj.reachable_words (Obj.repr (t, committee)));
+            b_twin = t.twin })
+      at_boundary;
     (* Stop once generation is done and the queue has drained (the paper
        empties the queues to measure comparable latency). *)
     epoch := e + 1;
@@ -1819,12 +1847,12 @@ let run ?(trace = false) ?durable cfg =
     else
       Some
         (List.for_all
-           (fun (_, pool_at_start, snapshot, metas, summary_ref) ->
-             match !summary_ref with
+           (fun a ->
+             match a.a_payload with
              | None -> false
-             | Some summary ->
-               Sidechain.Auditor.verify_summary ~pool_at_start ~snapshot
-                 ~metas:(List.rev !metas) ~summary
+             | Some payload ->
+               Sidechain.Auditor.verify_summary ~pool_at_start:a.a_pool
+                 ~snapshot:a.a_snapshot ~metas:(List.rev a.a_metas) ~payload
                = Ok ())
            t.audit_trail)
   in
@@ -1905,8 +1933,8 @@ let run ?(trace = false) ?durable cfg =
       | None -> 0.0);
     deposit_latency_mean = Option.value ~default:0.0 (Eth.mean_latency t.eth "deposit");
     sync_latency_mean = Option.value ~default:0.0 (Eth.mean_latency t.eth "sync");
-    last_sync_receipt = (match t.sync_receipts with r :: _ -> Some r | [] -> None);
-    sync_count = List.length t.sync_receipts;
+    last_sync_receipt = t.last_sync_receipt;
+    sync_count = t.sync_count;
     epochs_run = !epoch;
     epochs_applied = Token_bank.last_synced_epoch t.bank + 1;
     mass_syncs = count tele.c_mass_syncs;

@@ -10,9 +10,12 @@
     mass-sync recovery from interruptions, pruning, and metric
     collection. Runs are deterministic in the configuration seed. *)
 
+(** One epoch's election. The membership itself is not kept — it is a
+    pure function of the seed and the epoch, and a run of hundreds of
+    epochs would otherwise hold [committee_size] ids for each. *)
 type committee_record = {
   epoch : int;
-  committee : int list;  (** elected miner ids, best priority first *)
+  committee_size : int;  (** miners elected *)
   leader : int;
 }
 
@@ -138,7 +141,20 @@ type result = {
           {!Telemetry.Report.merge_into}, in submission order. *)
 }
 
-val run : ?trace:bool -> ?durable:Durable.Session.t -> Config.t -> result
+(** What {!run} shows a caller at each epoch boundary, after the epoch's
+    twin audit. *)
+type boundary = {
+  b_epoch : int;
+  b_retained_words : unit -> int;
+      (** words reachable from the run's whole state
+          ([Obj.reachable_words]): a walk of everything the run holds,
+          for tests and memory probes, not for hot paths *)
+  b_twin : Twin.t option;  (** the run's state twin, when on *)
+}
+
+val run :
+  ?trace:bool -> ?durable:Durable.Session.t -> ?at_boundary:(boundary -> unit) ->
+  Config.t -> result
 (** [run ?trace cfg] simulates the system into a sink of its own,
     returned as [result.telemetry]; no state is shared with any other
     run, so concurrent runs cannot interleave their series. With
@@ -154,4 +170,8 @@ val run : ?trace:bool -> ?durable:Durable.Session.t -> Config.t -> result
     cadence, and the fault plan's durability class may kill the run at a
     round boundary — {!Durable.Session.Crashed} escapes [run], and a
     fresh session over the same directory resumes by integrity-checked
-    re-execution. *)
+    re-execution.
+
+    [at_boundary], when given, is called at every epoch boundary (see
+    {!boundary}); it only observes, and the run is the same with or
+    without it. *)

@@ -19,20 +19,20 @@ type pending = {
   seq : int;  (* submission order; breaks ready_at ties *)
 }
 
-type included = { i_label : string; i_tag : string option; i_size : int; i_gas : int;
-                  i_latency : float }
-
+(* A mined block keeps its transactions' tags (what a rollback reports),
+   not one record per transaction: sizes, gas and latencies are folded
+   into the per-label tallies as the block is mined. *)
 type block = {
   b_height : int;
   b_time : float;
-  b_txs : included list;
+  b_tags : string list;  (* inclusion order *)
   b_gas_used : int;
   b_size : int;
 }
 
 let block_height b = b.b_height
 let block_time b = b.b_time
-let block_tx_tags b = List.filter_map (fun t -> t.i_tag) b.b_txs
+let block_tx_tags b = b.b_tags
 
 (* Per-label inclusion tally: only ever read as a mean and a count. *)
 type tally = { mutable n : int; mutable latency_sum : float }
@@ -60,7 +60,9 @@ let propagation_fraction = 0.6
 
 let create ?(interval = 12.0) ?(gas_limit = 30_000_000) ?(header_size = 508)
     ?(k_depth = 1) ~rng () =
-  let genesis = { b_height = 0; b_time = 0.0; b_txs = []; b_gas_used = 0; b_size = header_size } in
+  let genesis =
+    { b_height = 0; b_time = 0.0; b_tags = []; b_gas_used = 0; b_size = header_size }
+  in
   { intervl = interval; gas_limit; header_size; rng;
     heap = [||]; heap_len = 0; seq_counter = 0;
     ledger = Chain.Ledger.create ~genesis ~size:(fun b -> b.b_size) ~k_depth;
@@ -90,9 +92,16 @@ let leg_time t = (propagation_fraction +. Rng.float t.rng) *. t.intervl
 let heap_less a b =
   a.ready_at < b.ready_at || (a.ready_at = b.ready_at && a.seq < b.seq)
 
+(* Fills every slot outside [0, heap_len): a mined transaction's slot
+   must not keep its [execute] closure, and what that captures, alive. *)
+let vacant =
+  { spec = { label = ""; size_bytes = 0; gas = 0; flow_txs = 0; tag = None;
+             execute = None };
+    submitted_at = 0.0; ready_at = 0.0; seq = -1 }
+
 let heap_push t p =
   if t.heap_len = Array.length t.heap then begin
-    let h = Array.make (Stdlib.max 16 (2 * Array.length t.heap)) p in
+    let h = Array.make (Stdlib.max 16 (2 * Array.length t.heap)) vacant in
     Array.blit t.heap 0 h 0 t.heap_len;
     t.heap <- h
   end;
@@ -118,6 +127,7 @@ let heap_pop t =
   let root = t.heap.(0) in
   t.heap_len <- t.heap_len - 1;
   t.heap.(0) <- t.heap.(t.heap_len);
+  t.heap.(t.heap_len) <- vacant;
   let i = ref 0 and sifting = ref (t.heap_len > 1) in
   while !sifting do
     let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
@@ -160,8 +170,9 @@ let mine_block t =
   let time = t.next_block_time in
   (* Executed callbacks observe the block's timestamp through [now]. *)
   if time > t.current_time then t.current_time <- time;
-  let gas_used = ref 0 in
-  let included = ref [] in
+  let gas_used = ref 0 and size = ref t.header_size and n_txs = ref 0 in
+  let tags = ref [] and labels = ref [] in
+  let debug = Log.enabled Log.Debug in
   (* Drain in readiness order, stopping at the first transaction that is
      not ready or does not fit — head-of-line semantics, as before. *)
   let taking = ref true in
@@ -177,32 +188,29 @@ let mine_block t =
       bump t.bytes_by_label p.spec.label p.spec.size_bytes;
       record_latency t p.spec.label latency;
       (match p.spec.tag with
-       | Some tag -> t.tag_times <- (tag, time) :: t.tag_times
+       | Some tag ->
+         t.tag_times <- (tag, time) :: t.tag_times;
+         tags := tag :: !tags
        | None -> ());
-      included :=
-        { i_label = p.spec.label; i_tag = p.spec.tag; i_size = p.spec.size_bytes;
-          i_gas = p.spec.gas; i_latency = latency }
-        :: !included
+      size := !size + p.spec.size_bytes;
+      incr n_txs;
+      if debug then labels := p.spec.label :: !labels
     | Some _ | None -> taking := false
   done;
-  let txs = List.rev !included in
-  let size = t.header_size + List.fold_left (fun acc i -> acc + i.i_size) 0 txs in
   let height = Chain.Ledger.height t.ledger + 1 in
   Chain.Ledger.append t.ledger
-    { b_height = height; b_time = time; b_txs = txs; b_gas_used = !gas_used;
-      b_size = size };
+    { b_height = height; b_time = time; b_tags = List.rev !tags;
+      b_gas_used = !gas_used; b_size = !size };
   (* Joining every label is O(txs) per block: only pay for it when the
      debug level is on. *)
-  if txs <> [] && Log.enabled Log.Debug then
+  if !n_txs > 0 && debug then
     Log.debug ~scope ~t:time
       ~fields:
         [ ("height", Telemetry.Json.Int height);
-          ("txs", Telemetry.Json.Int (List.length txs));
+          ("txs", Telemetry.Json.Int !n_txs);
           ("gas", Telemetry.Json.Int !gas_used);
-          ("bytes", Telemetry.Json.Int size);
-          ("labels",
-           Telemetry.Json.String (String.concat "," (List.map (fun i -> i.i_label) txs)))
-        ]
+          ("bytes", Telemetry.Json.Int !size);
+          ("labels", Telemetry.Json.String (String.concat "," (List.rev !labels))) ]
       "block mined";
   t.next_block_time <- time +. t.intervl
 

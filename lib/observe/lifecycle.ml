@@ -31,7 +31,7 @@ type record = {
 
 type t = {
   metrics : Metrics.t;
-  seed_hash : int64;
+  seed_hash : int;
   keep_mask : int; (* keep when hash land keep_mask = 0 *)
   by_epoch : (int, record list ref) Hashtbl.t; (* sampled, inclusion order *)
   included_per_epoch : (int, int) Hashtbl.t; (* all included, for amortization *)
@@ -39,24 +39,25 @@ type t = {
   mutable seen : int;
 }
 
-(* FNV-1a, 64-bit: tiny, dependency-free, stable across platforms — the
+(* FNV-1a: tiny, dependency-free, stable across platforms — the
    sampling decision must be identical for the same seed and tx id on
-   every run and job count. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
+   every run and job count. The fold runs on native ints, i.e. FNV-1a
+   64 modulo 2^63: xor and multiply carry only upwards, so the low 63
+   bits match the 64-bit hash, and the decision reads at most 20. *)
+let fnv_offset = Int64.to_int 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3
 
-let fnv1a_fold h s =
+let fnv1a_fold h b =
   let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to Bytes.length b - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * fnv_prime
+  done;
   !h
 
 let create ?(sample_shift = 3) ~metrics ~seed () =
   if sample_shift < 0 || sample_shift > 20 then invalid_arg "Lifecycle.create";
   { metrics;
-    seed_hash = fnv1a_fold fnv_offset seed;
+    seed_hash = fnv1a_fold fnv_offset (Bytes.unsafe_of_string seed);
     keep_mask = (1 lsl sample_shift) - 1;
     by_epoch = Hashtbl.create 8; included_per_epoch = Hashtbl.create 8;
     sampled = 0; seen = 0 }
@@ -64,8 +65,7 @@ let create ?(sample_shift = 3) ~metrics ~seed () =
 let sampled_count t = t.sampled
 let seen_count t = t.seen
 
-let keeps t ~id =
-  Int64.to_int (fnv1a_fold t.seed_hash (Bytes.to_string id)) land t.keep_mask = 0
+let keeps t ~id = fnv1a_fold t.seed_hash id land t.keep_mask = 0
 
 let observe t ~cls ~stage v =
   Metrics.observe t.metrics (Printf.sprintf "lifecycle.%s.%s" cls stage) v
@@ -100,7 +100,10 @@ let iter_epoch t ~epoch f =
 let on_stage t ~epoch ~stage ~at =
   iter_epoch t ~epoch (fun r ->
       observe t ~cls:r.lc_class ~stage:(stage_name stage) (at -. r.lc_issued_at));
-  if stage = Pruned then Hashtbl.remove t.by_epoch epoch
+  if stage = Pruned then begin
+    Hashtbl.remove t.by_epoch epoch;
+    Hashtbl.remove t.included_per_epoch epoch
+  end
 
 (* Sync submission: latency plus bytes amplification — the epoch's L1
    payload amortized over every included op, relative to each sampled

@@ -6,7 +6,13 @@ let replay_epoch ~pool_at_start ~snapshot ~metas ~epoch ~next_committee_vk =
     Processor.begin_epoch ~pool ~snapshot ~verify_signatures:false ()
   in
   List.iter
-    (fun (meta : Blocks.meta) ->
+    (fun ((meta : Blocks.meta), txs) ->
+      (* Blocks store headers only: the body comes from the caller and
+         must be the one the block committed to. *)
+      if not (Bytes.equal (Blocks.tx_root txs) meta.Blocks.m_tx_root) then
+        failwith
+          (Printf.sprintf "Auditor: transactions do not match meta-block round %d"
+             meta.Blocks.m_round);
       List.iter
         (fun tx ->
           match Processor.process processor ~current_round:meta.Blocks.m_round tx with
@@ -17,24 +23,23 @@ let replay_epoch ~pool_at_start ~snapshot ~metas ~epoch ~next_committee_vk =
             failwith
               (Printf.sprintf "Auditor: invalid tx in meta-block round %d: %s"
                  meta.Blocks.m_round e))
-        meta.Blocks.m_txs)
+        txs)
     metas;
   (* The audit derives the summary by the full O(positions) scan, not the
      committee's incremental builder: an independent path that also
      cross-checks the incremental change tracking in production. *)
   Processor.build_payload_reference processor ~epoch ~next_committee_vk
 
-let verify_summary ~pool_at_start ~snapshot ~metas ~summary =
-  let claimed = summary.Blocks.s_payload in
+let verify_summary ~pool_at_start ~snapshot ~metas ~payload =
   match
-    replay_epoch ~pool_at_start ~snapshot ~metas ~epoch:claimed.Tokenbank.Sync_payload.epoch
-      ~next_committee_vk:claimed.Tokenbank.Sync_payload.next_committee_vk
+    replay_epoch ~pool_at_start ~snapshot ~metas ~epoch:payload.Tokenbank.Sync_payload.epoch
+      ~next_committee_vk:payload.Tokenbank.Sync_payload.next_committee_vk
   with
   | exception Failure e -> Error e
   | derived ->
     if
       Bytes.equal
         (Tokenbank.Sync_payload.signing_bytes derived)
-        (Tokenbank.Sync_payload.signing_bytes claimed)
+        (Tokenbank.Sync_payload.signing_bytes payload)
     then Ok ()
     else Error "Auditor: summary does not match the meta-block replay"

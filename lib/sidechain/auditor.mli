@@ -3,24 +3,31 @@
     meta-blocks of an epoch are pruned, anyone can re-execute them from
     the epoch-start state — with the same unchanged AMM logic — and check
     that they derive exactly the summary the committee published. A
-    mismatch exposes an invalid summary before its Sync confirms. *)
+    mismatch exposes an invalid summary before its Sync confirms.
+
+    Blocks store headers only ({!Blocks}), so the auditor is handed each
+    meta-block with its transactions and the summary's payload, and
+    checks every body against the root its block committed to. *)
 
 val replay_epoch :
   pool_at_start:Uniswap.Pool.t ->
   snapshot:Tokenbank.Token_bank.snapshot ->
-  metas:Blocks.meta list ->
+  metas:(Blocks.meta * Chain.Tx.t list) list ->
   epoch:int ->
   next_committee_vk:Amm_crypto.Bls.public_key ->
   Tokenbank.Sync_payload.t
 (** Re-processes the meta-blocks' transactions (in block and intra-block
     order) on a clone of the epoch-start pool and returns the summary
-    payload they induce. The input pool is not modified. *)
+    payload they induce. The input pool is not modified. Raises
+    [Failure] when a block's transactions do not rebuild its
+    [m_tx_root] or one of them does not execute. *)
 
 val verify_summary :
   pool_at_start:Uniswap.Pool.t ->
   snapshot:Tokenbank.Token_bank.snapshot ->
-  metas:Blocks.meta list ->
-  summary:Blocks.summary ->
+  metas:(Blocks.meta * Chain.Tx.t list) list ->
+  payload:Tokenbank.Sync_payload.t ->
   (unit, string) result
-(** [Ok ()] iff replaying the meta-blocks reproduces the summary-block's
-    payload bit-for-bit (canonical signing bytes). *)
+(** [Ok ()] iff every body matches its block and replaying them
+    reproduces the summary payload bit-for-bit (canonical signing
+    bytes). *)

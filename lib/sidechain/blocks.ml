@@ -1,7 +1,6 @@
 type meta = {
   m_epoch : int;
   m_round : int;
-  m_txs : Chain.Tx.t list;
   m_tx_root : bytes;
   m_size : int;
   m_view_changes : int;
@@ -9,7 +8,6 @@ type meta = {
 
 type summary = {
   s_epoch : int;
-  s_payload : Tokenbank.Sync_payload.t;
   s_size : int;
   s_rounds_covered : int * int;
 }
@@ -40,22 +38,26 @@ let append_summary t s = Chain.Ledger.append t.ledger (Summary s)
 
 let tx_leaves txs = List.map (fun tx -> Chain.Ids.Tx_id.to_bytes tx.Chain.Tx.id) txs
 
+let tx_root txs = Amm_crypto.Merkle.root (Amm_crypto.Merkle.of_leaves (tx_leaves txs))
+
 let make_meta ~epoch ~round ~view_changes txs =
   let tx_bytes = List.fold_left (fun acc tx -> acc + tx.Chain.Tx.wire_size) 0 txs in
-  let root = Amm_crypto.Merkle.root (Amm_crypto.Merkle.of_leaves (tx_leaves txs)) in
-  { m_epoch = epoch; m_round = round; m_txs = txs; m_tx_root = root;
+  { m_epoch = epoch; m_round = round; m_tx_root = tx_root txs;
     m_size = meta_header_size + tx_bytes; m_view_changes = view_changes }
 
-let prove_inclusion meta tx_id =
+let prove_inclusion meta ~txs tx_id =
   let rec index i = function
     | [] -> None
     | tx :: rest ->
       if Chain.Ids.Tx_id.equal tx.Chain.Tx.id tx_id then Some i else index (i + 1) rest
   in
-  match index 0 meta.m_txs with
+  match index 0 txs with
   | None -> None
   | Some i ->
-    Amm_crypto.Merkle.prove (Amm_crypto.Merkle.of_leaves (tx_leaves meta.m_txs)) i
+    let tree = Amm_crypto.Merkle.of_leaves (tx_leaves txs) in
+    if Bytes.equal (Amm_crypto.Merkle.root tree) meta.m_tx_root then
+      Amm_crypto.Merkle.prove tree i
+    else None
 
 let verify_inclusion meta tx_id proof =
   Amm_crypto.Merkle.verify ~root:meta.m_tx_root ~leaf:(Chain.Ids.Tx_id.to_bytes tx_id) proof

@@ -73,7 +73,8 @@ type op = { op_index : int; op_label : string; op_writes : (key * bytes option) 
 
 type snapshot = {
   snap_epoch : int;
-  snap_side : bytes Kmap.t;  (* Dep_row / Pool_* images *)
+  snap_deps : bytes Kmap.t;  (* the epoch's Dep_row images *)
+  snap_pool : bytes Kmap.t;  (* Pool_* images *)
   snap_bank : bytes Kmap.t;  (* Bank_* images *)
   snap_custody : U256.t * U256.t;
 }
@@ -84,22 +85,30 @@ type t = {
   erc0 : Erc20.t;
   erc1 : Erc20.t;
   funded : (Address.t, unit) Hashtbl.t;
-  (* Shadow state. Two persistent maps so a reorg can rewind the bank
-     side in O(1) without touching sidechain after-images (a mainchain
-     fork never unwinds sidechain state). Only present keys are stored;
-     a deleted/absent key is simply missing. *)
-  mutable side : bytes Kmap.t;
+  (* Shadow state: one persistent map per layer. A reorg rewinds the bank
+     map in O(1) without touching sidechain after-images (a mainchain
+     fork never unwinds sidechain state); a seal drops the epoch-local
+     deposit rows in O(1), so sealed snapshots share the pool map. Only
+     present keys are stored; a deleted/absent key is simply missing. *)
+  mutable deps : bytes Kmap.t;
+  mutable pool : bytes Kmap.t;
   mutable bank : bytes Kmap.t;
   (* The op log: growable vector, indices are global and never reused.
-     [window_base] marks the first op of the open window. *)
+     [ops.(0)] holds op [ops_base]; ops below it were released (see
+     {!release}). [window_base] marks the first op of the open window. *)
   mutable ops : op array;
+  mutable ops_base : int;
   mutable op_len : int;
   mutable window_base : int;
   (* Replica rejections that the live bank did not report — each is a
      divergence surfaced at the next audit. *)
   mutable rejected : (int * string * string) list;  (* op index, label, error *)
-  mutable history : snapshot list;  (* newest first *)
+  mutable history : snapshot list;  (* newest first, at most [retained_epochs] *)
 }
+
+(* Sealed snapshots kept for time travel. A twin-audit cell seals at most
+   seven epochs and its view probe reads every one of them. *)
+let retained_epochs = 8
 
 let faucet = U256.of_string "1000000000000000000000000000000"
 
@@ -111,40 +120,45 @@ let create ~seed ~genesis_committee_vk ~flash_fee_pips =
   ignore (Token_bank.create_pool replica ~flash_fee_pips);
   let t =
     { seed; replica; erc0; erc1; funded = Hashtbl.create 64;
-      side = Kmap.empty; bank = Kmap.empty;
-      ops = [||]; op_len = 0; window_base = 0;
+      deps = Kmap.empty; pool = Kmap.empty; bank = Kmap.empty;
+      ops = [||]; ops_base = 0; op_len = 0; window_base = 0;
       rejected = []; history = [] }
   in
   t.bank <- Kmap.add Bank_meta (State_codec.bank_meta_bytes replica) t.bank;
   t
 
 let op_count t = t.op_len
+let ops_retained t = t.op_len - t.ops_base
+let op t i = t.ops.(i - t.ops_base)
+
+(* Fills vacated op slots, so a released op is garbage at once. *)
+let no_op = { op_index = -1; op_label = ""; op_writes = [] }
 
 let push_op t op =
-  if t.op_len = Array.length t.ops then begin
-    let grown = Array.make (Stdlib.max 64 (2 * t.op_len)) op in
-    Array.blit t.ops 0 grown 0 t.op_len;
+  let n = ops_retained t in
+  if n = Array.length t.ops then begin
+    let grown = Array.make (Stdlib.max 64 (2 * n)) no_op in
+    Array.blit t.ops 0 grown 0 n;
     t.ops <- grown
   end;
-  t.ops.(t.op_len) <- op;
+  t.ops.(n) <- op;
   t.op_len <- t.op_len + 1
 
 let apply_writes t writes =
   List.iter
     (fun (k, image) ->
-      let target =
-        match layer_of_key k with Bank_layer -> `Bank | _ -> `Side
-      in
-      match (target, image) with
+      match (layer_of_key k, image) with
       (* A [None] Bank_meta image is a lazy marker, not a deletion: bank
          ops on the hot path only assert "this op wrote the meta section"
          for bisection; the actual bytes are materialized from the
          replica once per audit instead of once per deposit. *)
-      | `Bank, None when compare_key k Bank_meta = 0 -> ()
-      | `Bank, Some b -> t.bank <- Kmap.add k b t.bank
-      | `Bank, None -> t.bank <- Kmap.remove k t.bank
-      | `Side, Some b -> t.side <- Kmap.add k b t.side
-      | `Side, None -> t.side <- Kmap.remove k t.side)
+      | Bank_layer, None when compare_key k Bank_meta = 0 -> ()
+      | Bank_layer, Some b -> t.bank <- Kmap.add k b t.bank
+      | Bank_layer, None -> t.bank <- Kmap.remove k t.bank
+      | Pool_layer, Some b -> t.pool <- Kmap.add k b t.pool
+      | Pool_layer, None -> t.pool <- Kmap.remove k t.pool
+      | Deposits_layer, Some b -> t.deps <- Kmap.add k b t.deps
+      | Deposits_layer, None -> t.deps <- Kmap.remove k t.deps)
     writes
 
 let record t ~label writes =
@@ -252,7 +266,7 @@ let restore t ck =
         match layer_of_key k with
         | Bank_layer -> if not (List.mem k !touched) then touched := k :: !touched
         | _ -> ())
-      t.ops.(i).op_writes
+      (op t i).op_writes
   done;
   t.bank <- ck.ck_map;
   t.rejected <- List.filter (fun (i, _, _) -> i < ck.ck_ops) t.rejected;
@@ -267,7 +281,19 @@ let restore t ck =
   in
   if writes <> [] then record t ~label:"bank.rollback" writes
 
-let release t ck = Token_bank.release_checkpoint t.replica ck.ck_bank
+(* A released checkpoint is never restored, and the live ones are all
+   younger, so no {!restore} reads below [ck_ops]; bisection never reads
+   below the open window. Ops below both are dropped. *)
+let release t ck =
+  Token_bank.release_checkpoint t.replica ck.ck_bank;
+  let cut = Stdlib.min ck.ck_ops t.window_base in
+  if cut > t.ops_base then begin
+    let keep = t.op_len - cut in
+    Array.blit t.ops (cut - t.ops_base) t.ops 0 keep;
+    Array.fill t.ops keep (ops_retained t - keep) no_op;
+    t.ops_base <- cut;
+    t.rejected <- List.filter (fun (i, _, _) -> i >= cut) t.rejected
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The audit                                                           *)
@@ -332,7 +358,7 @@ let bisect t k =
   let rec go i =
     if i < t.window_base then None
     else
-      let op = t.ops.(i) in
+      let op = op t i in
       if List.exists (fun (k', _) -> compare_key k k' = 0) op.op_writes then
         Some (op.op_index, op.op_label)
       else go (i - 1)
@@ -352,7 +378,7 @@ let audit t ~epoch live =
   let keys = ref Kmap.empty in
   let add k = keys := Kmap.add k () !keys in
   for i = t.window_base to t.op_len - 1 do
-    List.iter (fun (k, _) -> add k) t.ops.(i).op_writes
+    List.iter (fun (k, _) -> add k) (op t i).op_writes
   done;
   List.iter (fun u -> add (Dep_row u)) (live.live_dep_dirty ());
   let wpos, wticks = live.live_pool_writes () in
@@ -363,8 +389,8 @@ let audit t ~epoch live =
   add Bank_meta;
   let expected k =
     match k with
-    | Dep_row _ -> Some (Option.value ~default:dep_zero (Kmap.find_opt k t.side))
-    | Pool_pos _ | Pool_tick _ | Pool_scalars -> Kmap.find_opt k t.side
+    | Dep_row _ -> Some (Option.value ~default:dep_zero (Kmap.find_opt k t.deps))
+    | Pool_pos _ | Pool_tick _ | Pool_scalars -> Kmap.find_opt k t.pool
     | Bank_meta | Bank_pos _ -> Kmap.find_opt k t.bank
   in
   let actual k =
@@ -411,23 +437,25 @@ let audit t ~epoch live =
      window, drop the epoch-local deposit rows — the live table is
      rebuilt from the bank snapshot at the next epoch start. *)
   t.history <-
-    { snap_epoch = epoch; snap_side = t.side; snap_bank = t.bank;
-      snap_custody = Token_bank.total_custody t.replica }
-    :: t.history;
+    List.filteri
+      (fun i _ -> i < retained_epochs)
+      ({ snap_epoch = epoch; snap_deps = t.deps; snap_pool = t.pool; snap_bank = t.bank;
+         snap_custody = Token_bank.total_custody t.replica }
+      :: t.history);
   (* Compact the sealed window: bisection never looks behind
      [window_base] again, and {!restore} only needs Bank_layer keys, so
-     sealed ops shed their pool/deposit payloads — the op vector stays
-     O(bank ops + open window) bytes over arbitrarily long runs. *)
+     sealed ops shed their pool/deposit payloads until {!release} drops
+     them. *)
   for i = t.window_base to t.op_len - 1 do
-    let op = t.ops.(i) in
+    let o = op t i in
     let bank_writes =
-      List.filter (fun (k, _) -> layer_of_key k = Bank_layer) op.op_writes
+      List.filter (fun (k, _) -> layer_of_key k = Bank_layer) o.op_writes
     in
-    if List.length bank_writes < List.length op.op_writes then
-      t.ops.(i) <- { op with op_writes = bank_writes }
+    if List.length bank_writes < List.length o.op_writes then
+      t.ops.(i - t.ops_base) <- { o with op_writes = bank_writes }
   done;
   t.window_base <- t.op_len;
-  t.side <- Kmap.filter (fun k _ -> match k with Dep_row _ -> false | _ -> true) t.side;
+  t.deps <- Kmap.empty;
   reports
 
 (* ------------------------------------------------------------------ *)
@@ -449,7 +477,8 @@ let read_at v ~epoch k =
   | Some s -> (
     match layer_of_key k with
     | Bank_layer -> Kmap.find_opt k s.snap_bank
-    | _ -> Kmap.find_opt k s.snap_side)
+    | Pool_layer -> Kmap.find_opt k s.snap_pool
+    | Deposits_layer -> Kmap.find_opt k s.snap_deps)
 
 (* Pool position image layout (see Pool.position_bytes): owner 20,
    ticks 2×8, then liquidity / fee checkpoints / owed, 32 bytes each. *)

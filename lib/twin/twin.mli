@@ -67,6 +67,11 @@ val record : t -> label:string -> (key * bytes option) list -> unit
 val op_count : t -> int
 (** Ops recorded so far (the next op's index). *)
 
+val ops_retained : t -> int
+(** Ops still held: those at or above the oldest live checkpoint or the
+    open window, whichever is older (see {!release}). Op indexes stay
+    global, so reports and bisection are unaffected by the drop. *)
+
 (** {1 Advancing: bank ops} *)
 
 val apply : t -> Durable.Record.op -> unit
@@ -91,6 +96,10 @@ val restore : t -> checkpoint -> unit
     bisection stays truthful across reorgs. *)
 
 val release : t -> checkpoint -> unit
+(** The checkpoint will never be restored, nor will any older one
+    (forks only abandon unconfirmed blocks): releases the replica's
+    undo journal below it and drops the ops below both its mark and the
+    open window. *)
 
 (** {1 The epoch-boundary audit} *)
 
@@ -143,7 +152,13 @@ val audit : t -> epoch:int -> live -> report list
 (** {1 Time travel}
 
     Queries over sealed epoch snapshots. A {!view} is an immutable
-    capture safe to query from another domain while the twin advances. *)
+    capture safe to query from another domain while the twin advances.
+    Only the newest {!retained_epochs} seals are kept; queries about an
+    older epoch answer [None]. *)
+
+val retained_epochs : int
+(** Sealed snapshots kept for time travel (8): memory stays bounded on
+    runs of any length. *)
 
 type view
 

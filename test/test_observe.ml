@@ -230,6 +230,35 @@ let test_lifecycle_shift_bounds () =
   Alcotest.(check bool) "shift 0 keeps all" true
     (List.for_all (fun id -> LC.keeps t ~id) tx_ids)
 
+(* The sampler's FNV-1a as a 64-bit fold through [Int64], byte by byte:
+   the reference the native-int fold must agree with. *)
+let fnv1a_int64 h s =
+  let h = ref h in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  !h
+
+(* Every sampling decision, and the hash's low 63 bits, match the Int64
+   reference over random ids, seeds and shifts. *)
+let lifecycle_fold_prop =
+  let gen =
+    QCheck2.Gen.(
+      triple (string_size (int_range 0 64)) (string_size (int_range 0 24)) (int_range 0 20))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"native fold = Int64 reference" gen
+       (fun (id, seed, shift) ->
+         let reference = fnv1a_int64 (fnv1a_int64 0xcbf29ce484222325L seed) id in
+         let t = LC.create ~sample_shift:shift ~metrics:(M.create ()) ~seed () in
+         let native =
+           LC.fnv1a_fold (LC.fnv1a_fold LC.fnv_offset (Bytes.of_string seed))
+             (Bytes.of_string id)
+         in
+         native = Int64.to_int reference
+         && LC.keeps t ~id:(Bytes.of_string id)
+            = (Int64.to_int reference land ((1 lsl shift) - 1) = 0)))
+
 (* ------------------------------------------------------------------ *)
 (* Run report                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -353,7 +382,8 @@ let () =
        [ Alcotest.test_case "deterministic sampling" `Quick
            test_lifecycle_sampling_deterministic;
          Alcotest.test_case "stage flow" `Quick test_lifecycle_stage_flow;
-         Alcotest.test_case "shift bounds" `Quick test_lifecycle_shift_bounds ]);
+         Alcotest.test_case "shift bounds" `Quick test_lifecycle_shift_bounds;
+         lifecycle_fold_prop ]);
       ("report",
        [ Alcotest.test_case "renders all sections" `Quick test_report_renders;
          Alcotest.test_case "empty ledger" `Quick test_report_empty_ledger;

@@ -162,7 +162,7 @@ let test_blocks_prune_epoch () =
            [ some_swap ~round:r ])
     done;
     Blocks.append_summary chain
-      { Blocks.s_epoch = epoch; s_payload = dummy_payload ~epoch;
+      { Blocks.s_epoch = epoch;
         s_size = Codec.summary_block_size (dummy_payload ~epoch);
         s_rounds_covered = (epoch * 5, (epoch * 5) + 4) }
   done;
@@ -182,7 +182,7 @@ let test_meta_block_inclusion_proofs () =
   let meta = Blocks.make_meta ~epoch:0 ~round:0 ~view_changes:0 txs in
   List.iter
     (fun (tx : Tx.t) ->
-      match Blocks.prove_inclusion meta tx.Tx.id with
+      match Blocks.prove_inclusion meta ~txs tx.Tx.id with
       | Some proof ->
         Alcotest.(check bool) "proof verifies" true
           (Blocks.verify_inclusion meta tx.Tx.id proof)
@@ -192,8 +192,12 @@ let test_meta_block_inclusion_proofs () =
      fails verification. *)
   let foreign = some_swap ~round:99 in
   Alcotest.(check bool) "foreign tx unprovable" true
-    (Blocks.prove_inclusion meta foreign.Tx.id = None);
-  match Blocks.prove_inclusion meta (List.hd txs).Tx.id with
+    (Blocks.prove_inclusion meta ~txs foreign.Tx.id = None);
+  (* The block keeps no body: a body that does not rebuild its root
+     proves nothing, even for a transaction it does contain. *)
+  Alcotest.(check bool) "foreign body unprovable" true
+    (Blocks.prove_inclusion meta ~txs:(foreign :: txs) (List.hd txs).Tx.id = None);
+  match Blocks.prove_inclusion meta ~txs (List.hd txs).Tx.id with
   | Some proof ->
     Alcotest.(check bool) "stolen proof fails" false
       (Blocks.verify_inclusion meta foreign.Tx.id proof)
@@ -731,7 +735,7 @@ let build_epoch_with_metas () =
         (fun tx -> Processor.process processor ~current_round:round tx = Ok ())
         txs
     in
-    Blocks.make_meta ~epoch:0 ~round ~view_changes:0 included
+    (Blocks.make_meta ~epoch:0 ~round ~view_changes:0 included, included)
   in
   let genesis_mint =
     make_tx ~round:0
@@ -751,42 +755,48 @@ let build_epoch_with_metas () =
   in
   let metas = [ meta0; meta1; meta2 ] in
   let payload = Processor.build_payload processor ~epoch:0 ~next_committee_vk:dummy_pk in
-  let summary =
-    { Blocks.s_epoch = 0; s_payload = payload; s_size = Codec.summary_block_size payload;
-      s_rounds_covered = (0, 2) }
-  in
-  (pool_at_start, snapshot, metas, summary)
+  (pool_at_start, snapshot, metas, payload)
 
 let test_auditor_accepts_honest_summary () =
-  let pool_at_start, snapshot, metas, summary = build_epoch_with_metas () in
-  match Auditor.verify_summary ~pool_at_start ~snapshot ~metas ~summary with
+  let pool_at_start, snapshot, metas, payload = build_epoch_with_metas () in
+  match Auditor.verify_summary ~pool_at_start ~snapshot ~metas ~payload with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
 let test_auditor_rejects_tampered_summary () =
-  let pool_at_start, snapshot, metas, summary = build_epoch_with_metas () in
-  let tampered_payload =
-    { summary.Blocks.s_payload with
+  let pool_at_start, snapshot, metas, payload = build_epoch_with_metas () in
+  let tampered =
+    { payload with
       Tokenbank.Sync_payload.pool_balance0 =
-        U256.add summary.Blocks.s_payload.Tokenbank.Sync_payload.pool_balance0 U256.one }
+        U256.add payload.Tokenbank.Sync_payload.pool_balance0 U256.one }
   in
-  let tampered = { summary with Blocks.s_payload = tampered_payload } in
-  match Auditor.verify_summary ~pool_at_start ~snapshot ~metas ~summary:tampered with
+  match Auditor.verify_summary ~pool_at_start ~snapshot ~metas ~payload:tampered with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "tampered summary passed the audit"
 
 let test_auditor_rejects_tampered_meta () =
-  let pool_at_start, snapshot, metas, summary = build_epoch_with_metas () in
+  let pool_at_start, snapshot, metas, payload = build_epoch_with_metas () in
   (* Drop a meta-block: the replay no longer matches the summary. *)
   let truncated = [ List.hd metas ] in
-  match Auditor.verify_summary ~pool_at_start ~snapshot ~metas:truncated ~summary with
+  (match Auditor.verify_summary ~pool_at_start ~snapshot ~metas:truncated ~payload with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "missing meta-blocks passed the audit"
+  | Ok () -> Alcotest.fail "missing meta-blocks passed the audit");
+  (* Move the last block's transactions into the block before it: the
+     replay runs the same transactions in the same order, but neither
+     body rebuilds the root its block committed to. *)
+  let shifted =
+    match metas with
+    | [ (m0, b0); (m1, b1); (m2, b2) ] -> [ (m0, b0); (m1, b1 @ b2); (m2, []) ]
+    | _ -> Alcotest.fail "expected three meta-blocks"
+  in
+  match Auditor.verify_summary ~pool_at_start ~snapshot ~metas:shifted ~payload with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "bodies that miss their roots passed the audit"
 
 let test_auditor_replay_does_not_mutate_input_pool () =
-  let pool_at_start, snapshot, metas, summary = build_epoch_with_metas () in
+  let pool_at_start, snapshot, metas, payload = build_epoch_with_metas () in
   let balance_before = Uniswap.Pool.balance0 pool_at_start in
-  ignore (Auditor.verify_summary ~pool_at_start ~snapshot ~metas ~summary);
+  ignore (Auditor.verify_summary ~pool_at_start ~snapshot ~metas ~payload);
   Alcotest.check check_u256 "input pool untouched" balance_before
     (Uniswap.Pool.balance0 pool_at_start)
 

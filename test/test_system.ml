@@ -515,6 +515,38 @@ let test_eth_gas_limit_congestion () =
   Mainchain.Eth.advance_to eth 1200.0;
   Alcotest.(check int) "eventually all" 10 (Mainchain.Eth.included_count eth)
 
+(* A mined transaction's heap slot must not keep its [execute] closure,
+   or what the closure captures, alive: each of these captures a 64 KiB
+   buffer, and once all are mined no buffer may survive a full major
+   collection. *)
+let test_eth_mined_txs_released () =
+  let rng = Amm_crypto.Rng.create "eth-release" in
+  let eth = Mainchain.Eth.create ~interval:12.0 ~rng () in
+  let n = 8 in
+  let buffers = Weak.create n in
+  let submit i =
+    let buf = Bytes.create (64 * 1024) in
+    Weak.set buffers i (Some buf);
+    Mainchain.Eth.submit eth ~at:(float_of_int (3 * i))
+      { Mainchain.Eth.label = "op"; size_bytes = 100; gas = 21_000;
+        flow_txs = 1 + (i mod 3); tag = None;
+        execute = Some (fun _ -> ignore (Bytes.length buf)) }
+  in
+  for i = 0 to n - 1 do
+    submit i
+  done;
+  Mainchain.Eth.advance_to eth 600.0;
+  Alcotest.(check int) "all mined" n (Mainchain.Eth.included_count eth);
+  Gc.full_major ();
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check buffers i then incr alive
+  done;
+  Alcotest.(check int) "no mined tx's buffer survives" 0 !alive;
+  (* The chain itself is still in use. *)
+  Alcotest.(check int) "nothing pending" 0 (Mainchain.Eth.pending_count eth)
+
 (* mine_block must drain the pending pool strictly by (ready_at,
    submission seq). With [flow_txs = 1] a transaction's readiness is the
    deterministic propagation offset [at +. 0.6 *. interval] — no random
@@ -631,6 +663,164 @@ let test_watchdog_run_deterministic () =
     (Amm_math.U256.to_string a.System.exit_claims0)
     (Amm_math.U256.to_string b.System.exit_claims0)
 
+(* ------------------------------------------------------------------ *)
+(* Bounded memory                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Words the run holds at its last epoch boundary and, when [at] is
+   given, at that epoch's boundary. *)
+let retained_words ?at (cfg : Config.t) =
+  let last = ref 0 and mid = ref 0 in
+  let _ : System.result =
+    System.run
+      ~at_boundary:(fun b ->
+        if Some b.System.b_epoch = at then mid := b.System.b_retained_words ();
+        if b.System.b_epoch >= cfg.Config.epochs - 1 then
+          last := b.System.b_retained_words ())
+      cfg
+  in
+  (!mid, !last)
+
+(* A 48-epoch run holds about what a 12-epoch run holds: what grows is
+   the AMM's own state (positions accumulate) and what mirrors it — the
+   twin's replica, shadow maps and sealed snapshots — plus the per-epoch
+   outputs (growth ledger, metrics series, permanent summary blocks).
+   Retained history (block bodies, signed payloads, twin ops and seals,
+   Eth per-transaction records) would make it grow with every epoch. *)
+let test_bounded_growth () =
+  let cfg epochs = { (Experiments.sweep_cfg ~users:1000) with Config.epochs } in
+  let _, w12 = retained_words (cfg 12) in
+  let w24, w48 = retained_words ~at:24 (cfg 48) in
+  let ratio a b = float_of_int a /. float_of_int b in
+  Alcotest.(check bool)
+    (Printf.sprintf "48 epochs hold %d words, 12 hold %d (x%.3f < x1.20)" w48 w12
+       (ratio w48 w12))
+    true
+    (ratio w48 w12 < 1.20);
+  Alcotest.(check bool)
+    (Printf.sprintf "48 epochs hold %d words, 24 hold %d (x%.3f < x1.10)" w48 w24
+       (ratio w48 w24))
+    true
+    (ratio w48 w24 < 1.10)
+
+(* The retention edge: with mc_confirmations = 3 and 40-second epochs a
+   sync's checkpoint outlives the epoch boundary, a scripted rollback of
+   the newest unconfirmed sync and seeded reorgs restore checkpoints from
+   before the twin's open window, and the run outlives the twin's
+   retention. All of it must still find what it reads — the signed
+   payloads it resubmits, the twin ops it restates — while seals and ops
+   stay bounded. *)
+let retention_cfg =
+  { base with
+    epochs = Twin.retained_epochs + 4;
+    daily_volume = 20_000;
+    users = 8;
+    miners = 20;
+    committee_size = 7;
+    max_faulty = 2;
+    sc_rounds_per_epoch = 10;
+    mc_confirmations = 3;
+    interruptions = [ Config.Mainchain_rollback (Twin.retained_epochs + 1) ];
+    faults =
+      { Faults.Fault_plan.none with
+        Faults.Fault_plan.mainchain =
+          { Faults.Fault_plan.none.Faults.Fault_plan.mainchain with
+            Faults.Fault_plan.reorg_rate = 0.4;
+            max_reorg_depth = 3 } };
+    seed = "retention-edge" }
+
+let fresh_dir () =
+  let d = Filename.temp_file "ammboost-test-retention" "" in
+  Sys.remove d;
+  Durable.Fsio.mkdir_p d;
+  d
+
+(* A durable run resumed across every injected crash, each resume with
+   the previous crash point disarmed; returns the run and its crashes. *)
+let rec durable_to_completion ?armed_after ?(crashes = 0) ?at_boundary ~dir cfg =
+  let s = Durable.Session.open_ ?armed_after ~dir ~snapshot_every:2 () in
+  match System.run ?at_boundary ~durable:s cfg with
+  | r -> (r, crashes)
+  | exception Durable.Session.Crashed { epoch; round } ->
+    durable_to_completion ~armed_after:(epoch, round) ~crashes:(crashes + 1)
+      ?at_boundary ~dir cfg
+
+let run_fingerprint (r : System.result) =
+  Printf.sprintf
+    "gen=%d proc=%d syncs=%d applied=%d/%d rollbacks=%d gas=%d sc=%d/%d mode=%s audits=%d"
+    r.System.generated r.System.processed r.System.sync_count r.System.epochs_applied
+    r.System.epochs_run r.System.rollbacks r.System.mc_gas_total
+    r.System.sc_cumulative_bytes r.System.sc_stored_bytes r.System.final_mode
+    r.System.twin_audits
+
+let dir_digest dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f ->
+         let b = Durable.Fsio.read_file (Filename.concat dir f) in
+         Printf.sprintf "%s:%d:%08x" f (Bytes.length b) (Durable.Crc32.digest b))
+  |> String.concat ";"
+
+let test_retention_edge () =
+  let n = Twin.retained_epochs in
+  let op_counts = Hashtbl.create 16 in
+  let worst_retained = ref 0 in
+  let check_boundary (b : System.boundary) =
+    match b.System.b_twin with
+    | None -> Alcotest.fail "twin off"
+    | Some tw ->
+      let e = b.System.b_epoch in
+      Alcotest.(check int)
+        (Printf.sprintf "epoch %d: newest seals only" e)
+        (Stdlib.min (e + 1) n)
+        (List.length (Twin.epochs_sealed (Twin.view tw)));
+      Hashtbl.replace op_counts e (Twin.op_count tw);
+      (* Nothing older than the last few epochs' ops is kept. *)
+      (match Hashtbl.find_opt op_counts (e - 4) with
+      | Some older ->
+        worst_retained := Stdlib.max !worst_retained (Twin.ops_retained tw);
+        Alcotest.(check bool)
+          (Printf.sprintf "epoch %d: %d ops retained of %d since epoch %d" e
+             (Twin.ops_retained tw) (Twin.op_count tw - older) (e - 4))
+          true
+          (Twin.ops_retained tw <= Twin.op_count tw - older)
+      | None -> ())
+  in
+  let ref_dir = fresh_dir () in
+  let r, _ =
+    durable_to_completion ~at_boundary:check_boundary ~dir:ref_dir retention_cfg
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the scripted rollback and reorgs fired (%d)" r.System.rollbacks)
+    true (r.System.rollbacks >= 2);
+  Alcotest.(check bool) "custody" true r.System.custody_consistent;
+  Alcotest.(check bool) "twin consistent" true r.System.twin_consistent;
+  Alcotest.(check int) "every epoch applied" r.System.epochs_run r.System.epochs_applied;
+  Alcotest.(check bool) "ops were released" true
+    (!worst_retained < Hashtbl.fold (fun _ c acc -> Stdlib.max c acc) op_counts 0 / 2);
+  (match r.System.twin_view with
+  | Some v ->
+    Alcotest.(check (list int)) "the newest epochs stay sealed"
+      (List.init n (fun i -> r.System.epochs_run - n + 1 + i))
+      (Twin.epochs_sealed v)
+  | None -> Alcotest.fail "no twin view");
+  (* Killed twice, mid-window and past the twin's retention, then
+     resumed: byte-identical to the uninterrupted run. *)
+  let crashing =
+    { retention_cfg with
+      Config.faults =
+        { retention_cfg.Config.faults with
+          Faults.Fault_plan.durability =
+            { Faults.Fault_plan.crash_rate = 0.0;
+              torn_write_rate = 1.0;
+              crash_script = [ (3, 5); (n + 1, 8) ] } } }
+  in
+  let dir = fresh_dir () in
+  let r', crashes = durable_to_completion ~dir crashing in
+  Alcotest.(check int) "both crashes fired" 2 crashes;
+  Alcotest.(check string) "resumed run = uninterrupted run" (run_fingerprint r)
+    (run_fingerprint r');
+  Alcotest.(check string) "same bytes on disk" (dir_digest ref_dir) (dir_digest dir)
+
 let () =
   Alcotest.run "system"
     [ ( "nominal",
@@ -675,4 +865,8 @@ let () =
         [ Alcotest.test_case "blocks and latency" `Quick test_eth_block_production_and_latency;
           Alcotest.test_case "gas limit" `Quick test_eth_gas_limit_congestion;
           Alcotest.test_case "rollback" `Quick test_eth_rollback_drops_tags;
-          eth_drain_order_prop ] ) ]
+          eth_drain_order_prop;
+          Alcotest.test_case "mined txs released" `Quick test_eth_mined_txs_released ] );
+      ( "memory",
+        [ Alcotest.test_case "bounded growth" `Slow test_bounded_growth;
+          Alcotest.test_case "retention edge" `Slow test_retention_edge ] ) ]
