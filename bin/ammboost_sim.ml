@@ -3,7 +3,8 @@
      dune exec bin/ammboost_sim.exe -- run --volume 500000 --epochs 11
      dune exec bin/ammboost_sim.exe -- baseline --volume 500000
      dune exec bin/ammboost_sim.exe -- compare --volume 500000
-     dune exec bin/ammboost_sim.exe -- run --interrupt silent:1 --interrupt rollback:2 *)
+     dune exec bin/ammboost_sim.exe -- run --interrupt silent:1 --interrupt rollback:2
+     dune exec bin/ammboost_sim.exe -- gate growth OBSERVE_baseline.json fresh.json *)
 
 open Cmdliner
 open Ammboost
@@ -52,13 +53,24 @@ let threshold_signing =
 
 let interrupt_conv =
   let parse s =
-    match String.split_on_char ':' s with
-    | [ "silent"; e ] -> Ok (Config.Silent_sync_leader (int_of_string e))
-    | [ "invalid"; e ] -> Ok (Config.Invalid_sync (int_of_string e))
-    | [ "rollback"; e ] -> Ok (Config.Mainchain_rollback (int_of_string e))
-    | [ "censor"; e ] -> Ok (Config.Censoring_committee (int_of_string e))
-    | _ ->
-      Error
+    let interruption kind epoch =
+      match kind with
+      | "silent" -> Some (Config.Silent_sync_leader epoch)
+      | "invalid" -> Some (Config.Invalid_sync epoch)
+      | "rollback" -> Some (Config.Mainchain_rollback epoch)
+      | "censor" -> Some (Config.Censoring_committee epoch)
+      | _ -> None
+    in
+    let parsed =
+      match String.split_on_char ':' s with
+      | [ kind; e ] -> (
+        match int_of_string_opt e with
+        | Some epoch when epoch >= 0 -> interruption kind epoch
+        | Some _ | None -> None)
+      | _ -> None
+    in
+    Option.to_result parsed
+      ~none:
         (`Msg
           "expected silent:<epoch>, invalid:<epoch>, rollback:<epoch> or censor:<epoch>")
   in
@@ -73,8 +85,8 @@ let interrupt_conv =
 let interruptions =
   Arg.(value & opt_all interrupt_conv []
        & info [ "interrupt" ] ~docv:"KIND:EPOCH"
-           ~doc:"Inject an interruption: silent:<epoch>, invalid:<epoch>, rollback:<epoch>. \
-                 Repeatable.")
+           ~doc:"Inject an interruption: silent:<epoch>, invalid:<epoch>, rollback:<epoch> \
+                 or censor:<epoch>. Repeatable.")
 
 let make_config volume epochs rounds round_duration block_size users committee seed
     threshold_signing interruptions =
@@ -272,7 +284,44 @@ let compare_cmd =
   Cmd.v (Cmd.info "compare" ~doc)
     Term.(const compare $ config_term $ telemetry_term $ report_out)
 
+(* CI gates over a run's checked-in artifacts. *)
+let gate_cmd =
+  let file n docv = Arg.(required & pos n (some string) None & info [] ~docv) in
+  let growth baseline fresh =
+    let read path =
+      try Ok (In_channel.with_open_bin path In_channel.input_all)
+      with Sys_error e -> Error e
+    in
+    let verdict =
+      Result.bind (read baseline) (fun baseline ->
+          Result.bind (read fresh) (fun fresh ->
+              Observe.Growth_guard.compare_json ~baseline ~fresh ()))
+    in
+    match verdict with
+    | Error e ->
+      Printf.eprintf "ammboost-sim: gate growth: %s\n" e;
+      exit 1
+    | Ok v ->
+      List.iter (Printf.printf "violation: %s\n") v.Observe.Growth_guard.violations;
+      Printf.printf "%d (epoch, key) pairs checked, %d violations\n" v.checked
+        (List.length v.violations);
+      if v.checked = 0 || v.violations <> [] then exit 1
+  in
+  let growth_cmd =
+    let doc =
+      "Compare a fresh growth-ledger series (ammboost-observe/1 JSON) against a \
+       baseline: any per-epoch byte, gas or storage-word value more than 1% above its \
+       baseline (64 units for values at or below 64), or any epoch or key missing \
+       from the fresh run, is a violation. Exits 1 on a violation, an unreadable \
+       file or when no pairs were compared."
+    in
+    Cmd.v (Cmd.info "growth" ~doc)
+      Term.(const growth $ file 0 "BASELINE" $ file 1 "FRESH")
+  in
+  Cmd.group (Cmd.info "gate" ~doc:"Check a run's artifacts against a baseline.")
+    [ growth_cmd ]
+
 let () =
   let doc = "ammBoost: state growth control for AMMs (simulation)" in
   let info = Cmd.info "ammboost-sim" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ run_cmd; baseline_cmd; compare_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ run_cmd; baseline_cmd; compare_cmd; gate_cmd ]))

@@ -9,12 +9,6 @@ val apply_delta : U256.t -> delta -> U256.t
 (** Applies a signed delta to a liquidity amount. Raises {!U256.Overflow}
     when removing more than is present. *)
 
-val get_liquidity_for_amount0 : sqrt_a:U256.t -> sqrt_b:U256.t -> amount0:U256.t -> U256.t
-(** Maximum liquidity fundable with [amount0] of token0 over the range. *)
-
-val get_liquidity_for_amount1 : sqrt_a:U256.t -> sqrt_b:U256.t -> amount1:U256.t -> U256.t
-(** Maximum liquidity fundable with [amount1] of token1 over the range. *)
-
 val get_liquidity_for_amounts :
   sqrt_price:U256.t -> sqrt_a:U256.t -> sqrt_b:U256.t ->
   amount0:U256.t -> amount1:U256.t -> U256.t

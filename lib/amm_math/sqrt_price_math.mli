@@ -6,10 +6,6 @@ val get_next_sqrt_price_from_amount0_rounding_up :
   sqrt_price:U256.t -> liquidity:U256.t -> amount:U256.t -> add:bool -> U256.t
 (** Next sqrt price after adding (or removing) [amount] of token0. *)
 
-val get_next_sqrt_price_from_amount1_rounding_down :
-  sqrt_price:U256.t -> liquidity:U256.t -> amount:U256.t -> add:bool -> U256.t
-(** Next sqrt price after adding (or removing) [amount] of token1. *)
-
 val get_next_sqrt_price_from_input :
   sqrt_price:U256.t -> liquidity:U256.t -> amount_in:U256.t -> zero_for_one:bool -> U256.t
 (** Price after an exact input of the given amount; rounds against the

@@ -33,12 +33,6 @@ let universal_router_padding = function
   | Op_burn -> (19, 25)
   | Op_collect -> (20, 8)
 
-let simple_router_padding = function
-  | Op_swap -> (0, 27)
-  | Op_mint -> (7, 3)
-  | Op_burn -> (0, 6)
-  | Op_collect -> (0, 4)
-
 let transaction_wire ~op:_ ~fields ~padding:(pad_words, pad_bytes) =
   let buf = Buffer.create 512 in
   (* Envelope placeholder: nonce/gas/to/value/signature of a legacy tx. *)

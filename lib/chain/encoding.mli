@@ -35,9 +35,6 @@ val universal_router_padding : op -> int * int
 (** (words, loose bytes) of router overhead in the production-Ethereum
     encoding; calibrated so full transactions match the Table 8 averages. *)
 
-val simple_router_padding : op -> int * int
-(** Same for the Sepolia simple-router encoding of Table 7. *)
-
 val transaction_wire :
   op:op -> fields:bytes list -> padding:int * int -> bytes
 (** Full wire bytes: envelope, selector, the given ABI words, and padding. *)

@@ -7,20 +7,16 @@
     cross-checked against the message-level {!Pbft} in tests. *)
 
 type params = {
-  committee_size : int;
   mean_delay : float;       (** mean one-way message latency, seconds *)
   bandwidth_bytes : float;  (** per-node usable bandwidth, bytes/second *)
 }
 
-val default : params
-(** 500 miners on a 1 Gbps cluster link with ~50 ms mean delay, matching
-    the paper's testbed description. *)
-
-val consensus_latency : params -> block_bytes:int -> float
+val consensus_latency : params -> committee_size:int -> block_bytes:int -> float
 (** Expected time from the leader proposing a block of the given size to
-    quorum commit. *)
+    quorum commit in a committee of [committee_size] members. *)
 
-val view_change_latency : params -> timeout:float -> float
+val view_change_latency : params -> committee_size:int -> timeout:float -> float
 (** Expected extra delay when the leader must be replaced once. *)
 
-val fits_in_round : params -> block_bytes:int -> round_duration:float -> bool
+val fits_in_round :
+  params -> committee_size:int -> block_bytes:int -> round_duration:float -> bool

@@ -36,5 +36,4 @@ let next t =
   | Some (time, (dst, msg)) -> Some (time, dst, msg)
   | None -> None
 
-let next_time t = Pqueue.peek_priority t.queue
 let pending t = Pqueue.length t.queue

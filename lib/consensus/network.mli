@@ -34,5 +34,4 @@ val schedule : 'msg t -> at:float -> dst:int -> 'msg -> unit
 val next : 'msg t -> (float * int * 'msg) option
 (** Earliest undelivered event as [(time, dst, msg)]. *)
 
-val next_time : 'msg t -> float option
 val pending : 'msg t -> int

@@ -29,8 +29,6 @@ type outcome = {
   total_view_changes : int;
 }
 
-val leader_of_view : n:int -> int -> int
-
 val backoff_cap : int
 (** View-change timers back off exponentially, timeout · 2^min(view, cap);
     this is the cap exponent. *)

@@ -38,15 +38,15 @@ let unlimited = U256.of_string "1000000000000000000000000000000000000" (* 1e36 *
 let run cfg =
   let rng_root = Rng.create (cfg.Config.seed ^ "/baseline") in
   let users = Party.make_users (Rng.split rng_root "users") ~count:cfg.Config.users
-      ~lp_fraction:cfg.Config.lp_fraction in
+      ~lp_fraction:Config.lp_fraction in
   let traffic = Traffic.create ~rng:(Rng.split rng_root "traffic") ~cfg ~users in
-  let eth = Eth.create ~interval:cfg.Config.mc_block_interval
+  let eth = Eth.create ~interval:Config.mc_block_interval
       ~gas_limit:cfg.Config.mc_gas_limit ~rng:(Rng.split rng_root "net") () in
   let token0 = Chain.Token.make ~id:0 ~symbol:"TKA" in
   let token1 = Chain.Token.make ~id:1 ~symbol:"TKB" in
   let pool =
-    Uniswap.Pool.create ~pool_id:0 ~token0 ~token1 ~fee_pips:cfg.Config.fee_pips
-      ~tick_spacing:cfg.Config.tick_spacing ~sqrt_price:Amm_math.Q96.q96
+    Uniswap.Pool.create ~pool_id:0 ~token0 ~token1 ~fee_pips:Config.fee_pips
+      ~tick_spacing:Config.tick_spacing ~sqrt_price:Amm_math.Q96.q96
   in
   (* Seed liquidity (the V3Factory deployment plus initial LP position). *)
   let genesis = U256.of_string "1000000000000000000000000" in
@@ -110,7 +110,7 @@ let run cfg =
   (* Drain the pending pool (gas-limit congestion can leave a backlog). *)
   let horizon = ref (float_of_int rounds *. b_t) in
   while Eth.pending_count eth > 0 && !horizon < 1e7 do
-    horizon := !horizon +. (10.0 *. cfg.Config.mc_block_interval);
+    horizon := !horizon +. (10.0 *. Config.mc_block_interval);
     Eth.advance_to eth !horizon
   done;
   growth_epochs := (cfg.Config.epochs, chain_bytes ()) :: !growth_epochs;

@@ -50,18 +50,14 @@ type t = {
   epochs : int;                    (* generation epochs (queues drain after) *)
   sc_rounds_per_epoch : int;
   sc_round_duration : float;       (* seconds *)
-  mc_block_interval : float;       (* seconds *)
   meta_block_bytes : int;
   mc_gas_limit : int;
   committee_size : int;
   miners : int;
   max_faulty : int;                (* f for the PBFT quorums *)
   users : int;
-  lp_fraction : float;             (* users that also provide liquidity *)
   daily_volume : int;              (* V_D *)
   distribution : distribution;
-  fee_pips : int;
-  tick_spacing : int;
   verify_signatures : bool;        (* verify user tx signatures when processing *)
   threshold_signing : bool;        (* full DKG + threshold signing for syncs
                                       (tests/examples); false = pre-generated
@@ -76,20 +72,12 @@ type t = {
                                       wired into the watchdog *)
   sign_transactions : bool;        (* generate real BLS signatures on traffic *)
   swap_deadline_rounds : int;      (* swap validity window in sc rounds *)
-  max_positions_per_lp : int;      (* open-position cap per LP: keeps the
-                                      summary size bounded by the user
-                                      population (Table 5's invariant) *)
-  deposit_per_epoch : Amm_math.U256.t;  (* per token, per user, per epoch *)
   interruptions : interruption list;
   faults : Faults.Fault_plan.spec; (* probabilistic fault plan (chaos runs);
                                       Fault_plan.none injects nothing *)
   mc_confirmations : int;          (* blocks burying a tx before it is final;
                                       raise for deeper-reorg chaos runs *)
-  max_drain_epochs : int;          (* cap on queue-drain epochs after generation *)
   watchdog : watchdog;
-  emergency_exit : bool;           (* serve per-party exits when Halted; false
-                                      leaves the bank frozen awaiting
-                                      reconciliation *)
   consensus : Consensus.Latency_model.params;
 }
 
@@ -98,18 +86,14 @@ let default =
     epochs = 11;
     sc_rounds_per_epoch = 30;
     sc_round_duration = 4.0;
-    mc_block_interval = 12.0;
     meta_block_bytes = 1_000_000;
     mc_gas_limit = 30_000_000;
     committee_size = 500;
     miners = 1000;
     max_faulty = 166;
     users = 100;
-    lp_fraction = 0.2;
     daily_volume = 500_000;
     distribution = uniswap_distribution;
-    fee_pips = 3000;
-    tick_spacing = 60;
     verify_signatures = false;
     threshold_signing = false;
     message_level_consensus = false;
@@ -117,17 +101,21 @@ let default =
     twin_audit = true;
     sign_transactions = false;
     swap_deadline_rounds = 10_000;
-    max_positions_per_lp = 4;
-    deposit_per_epoch = Amm_math.U256.of_string "10000000000000000000000"; (* 1e22 *)
     interruptions = [];
     faults = Faults.Fault_plan.none;
     mc_confirmations = 1;
-    max_drain_epochs = 200;
     watchdog = default_watchdog;
-    emergency_exit = true;
     consensus =
-      { Consensus.Latency_model.committee_size = 500; mean_delay = 0.011;
-        bandwidth_bytes = 125_000_000.0 } }
+      { Consensus.Latency_model.mean_delay = 0.011; bandwidth_bytes = 125_000_000.0 } }
+
+(* Fixed by the paper's setup; no experiment varies them. *)
+let mc_block_interval = 12.0
+let lp_fraction = 0.2
+let fee_pips = 3000
+let tick_spacing = 60
+let max_positions_per_lp = 4
+let deposit_per_epoch = Amm_math.U256.of_string "10000000000000000000000" (* 1e22 *)
+let max_drain_epochs = 200
 
 (* Arrival rate per sidechain round (§6): ρ = ⌈V_D · b_t / 86400⌉. *)
 let arrivals_per_round t =

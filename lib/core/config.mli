@@ -10,9 +10,6 @@ type distribution = {
   collect_pct : float;
 }
 
-val uniswap_distribution : distribution
-(** Table 8, year 2023: 93.19 / 2.14 / 2.38 / 2.27. *)
-
 (** Faults injected into a run (§4.2 "Handling interruptions"). *)
 type interruption =
   | Silent_sync_leader of int
@@ -45,18 +42,14 @@ type t = {
   epochs : int;                    (** traffic-generation epochs *)
   sc_rounds_per_epoch : int;
   sc_round_duration : float;       (** seconds *)
-  mc_block_interval : float;       (** seconds *)
   meta_block_bytes : int;
   mc_gas_limit : int;
   committee_size : int;
   miners : int;
   max_faulty : int;                (** f for the PBFT quorums *)
   users : int;
-  lp_fraction : float;             (** users that also provide liquidity *)
   daily_volume : int;              (** V_D *)
   distribution : distribution;
-  fee_pips : int;
-  tick_spacing : int;
   verify_signatures : bool;        (** verify user signatures when processing *)
   threshold_signing : bool;        (** full DKG + t-of-n BLS for syncs; false =
                                        pre-generated committee key (the
@@ -75,25 +68,43 @@ type t = {
                                        escalation); on by default *)
   sign_transactions : bool;        (** generate real BLS signatures on traffic *)
   swap_deadline_rounds : int;      (** swap validity window in sc rounds *)
-  max_positions_per_lp : int;      (** open-position cap per LP — bounds the
-                                       summary size by the user population,
-                                       the invariant behind Table 5 *)
-  deposit_per_epoch : Amm_math.U256.t;  (** per token, per user, per epoch *)
   interruptions : interruption list;
   faults : Faults.Fault_plan.spec; (** probabilistic fault plan (chaos runs);
                                        {!Faults.Fault_plan.none} injects
                                        nothing *)
   mc_confirmations : int;          (** blocks burying a mainchain tx before it
                                        is final; raise for deeper-reorg chaos *)
-  max_drain_epochs : int;          (** cap on queue-drain epochs after generation *)
   watchdog : watchdog;
-  emergency_exit : bool;           (** serve per-party exits when Halted; false
-                                       leaves the bank frozen awaiting
-                                       reconciliation *)
   consensus : Consensus.Latency_model.params;
 }
 
 val default : t
+
+(** {1 Fixed parameters}
+
+    The paper's setup (§6) fixes these, and no experiment varies them. *)
+
+val mc_block_interval : float
+(** Mainchain block interval: 12 s. *)
+
+val lp_fraction : float
+(** Share of users that also provide liquidity: 0.2. *)
+
+val fee_pips : int
+(** The pool's fee tier in hundredths of a basis point: 3000 (0.30 %). *)
+
+val tick_spacing : int
+(** The pool's tick spacing: 60, V3's spacing for the 0.30 % tier. *)
+
+val max_positions_per_lp : int
+(** Open-position cap per LP: 4. It bounds the summary size by the user
+    population, the invariant behind Table 5. *)
+
+val deposit_per_epoch : Amm_math.U256.t
+(** Deposit per token, per user, per epoch: 1e22. *)
+
+val max_drain_epochs : int
+(** Cap on the queue-drain epochs after generation: 200. *)
 
 val arrivals_per_round : t -> int
 (** ρ = ⌈V_D · b_t / 86400⌉, the paper's constant arrival rate (§6). *)

@@ -383,7 +383,7 @@ let table8_stats () =
   let rng = Amm_crypto.Rng.create cfg.Config.seed in
   let users =
     Party.make_users (Amm_crypto.Rng.split rng "users") ~count:cfg.Config.users
-      ~lp_fraction:cfg.Config.lp_fraction
+      ~lp_fraction:Config.lp_fraction
   in
   let traffic = Traffic.create ~rng ~cfg ~users in
   let rounds = cfg.Config.epochs * cfg.Config.sc_rounds_per_epoch in

@@ -138,12 +138,10 @@ val ablations :
 
 val print_ablations : ablation list -> unit
 
-val chaos_intensities : float list
-
 val chaos_soak :
   ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> perf_row list
 (** Chaos soak: a small threshold-signing, message-level-consensus system
-    swept across fault-plan intensities ({!chaos_intensities}, scaled by
+    swept across fault-plan intensities (0, 0.05, 0.1 and 0.2, scaled by
     {!Faults.Fault_plan.chaos}). Extra rows report epochs applied, faults
     injected, recovery actions (mass-syncs, retries, degraded signings,
     rollbacks) and the twin-audit verdict — rows are deterministic in
@@ -198,11 +196,6 @@ val print_crash_drill : drill_row list -> unit
 
 (** {1 State-growth observatory} *)
 
-val observe_cfg : Config.t
-(** The fixed configuration behind the CI growth guard — deliberately
-    not scaled by [AMMBOOST_BENCH_SCALE], so the checked-in baseline
-    series ([OBSERVE_baseline.json]) stays valid at any bench scale. *)
-
 type observe_run = {
   obs_ledger : Observe.Growth_ledger.t;
   obs_series_json : string;  (** the ledger in guard-baseline JSON form *)
@@ -223,8 +216,10 @@ val observe_report :
     recorded analytic Sepolia counterfactual. *)
 
 val observe : ?sink:Telemetry.Report.sink -> unit -> observe_run
-(** Run {!observe_cfg}, absorb its sink into [?sink], and return the
-    growth ledger, its guard JSON, and the rendered report.
+(** Run the observatory's fixed configuration (deliberately not scaled
+    by [AMMBOOST_BENCH_SCALE], so the checked-in [OBSERVE_baseline.json]
+    stays valid at any bench scale), absorb its sink into [?sink], and
+    return the growth ledger, its guard JSON, and the rendered report.
     Deterministic in the seed: the JSON is byte-identical across runs
     and domain counts. *)
 
@@ -232,15 +227,6 @@ val print_observe : observe_run -> unit
 (** Deterministic stdout table of the headline ledger series. *)
 
 (** {1 Scale sweep} *)
-
-val sweep_users : unit -> int list
-(** User populations to sweep, ascending: [AMMBOOST_SWEEP_USERS] (a
-    comma-separated list) when set and parseable, else
-    [100, 1000, 10000]. *)
-
-val sweep_epochs : unit -> int
-(** Generation epochs per sweep cell: [AMMBOOST_SWEEP_EPOCHS] when set,
-    else 3. *)
 
 val sweep_cfg : users:int -> Config.t
 (** The cell configuration for one population: traffic volume, mainchain
@@ -318,9 +304,6 @@ type twin_overhead = {
   tov_divergences : int;
   tov_consistent : bool;
 }
-
-val twin_overhead_users : unit -> int
-(** [AMMBOOST_TWIN_USERS] when set and positive, else 1000. *)
 
 val twin_overhead : ?sink:Telemetry.Report.sink -> unit -> twin_overhead
 (** One {!sweep_cfg} cell run twice in this process — twin off, then

@@ -67,12 +67,6 @@ let op_gas = function
   | Chain.Encoding.Op_burn -> total burn_components
   | Chain.Encoding.Op_collect -> total collect_components
 
-let op_components = function
-  | Chain.Encoding.Op_swap -> swap_components
-  | Chain.Encoding.Op_mint -> mint_components
-  | Chain.Encoding.Op_burn -> burn_components
-  | Chain.Encoding.Op_collect -> collect_components
-
 (* Mainchain user-flow lengths (sequential transactions including the
    final one), driving the Table 6 confirmation latencies: a deposit needs
    two ERC20 approvals plus a transfer-setup leg, a swap one approval, a

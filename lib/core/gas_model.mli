@@ -5,18 +5,9 @@
     interpreter cost so each operation's total matches the average the
     paper measured on Sepolia (Table 6). *)
 
-val paper_swap_gas : int     (** 160 601 *)
-
-val paper_mint_gas : int     (** 435 610 *)
-
-val paper_burn_gas : int     (** 158 473 *)
-
-val paper_collect_gas : int  (** 163 743 *)
-
 val paper_deposit_gas : int  (** 52 696 *)
 
 val op_gas : Chain.Encoding.op -> int
-val op_components : Chain.Encoding.op -> (string * int) list
 val total : (string * int) list -> int
 
 val flow_txs_of_op : Chain.Encoding.op -> int

@@ -37,4 +37,3 @@ let payout_mean t =
   if t.settled = 0 then 0.0 else t.latency_sum /. float_of_int t.settled
 
 let payout_count t = t.settled
-let unsettled_epochs t = Hashtbl.fold (fun e _ acc -> e :: acc) t.pending []

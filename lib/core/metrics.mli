@@ -18,4 +18,3 @@ val pending_mean_issued : payout_tracker -> epoch:int -> (float * int) option
 
 val payout_mean : payout_tracker -> float
 val payout_count : payout_tracker -> int
-val unsettled_epochs : payout_tracker -> int list

@@ -459,7 +459,7 @@ let max_retry_exponent = 5
 let schedule_retry t ~now =
   let mult = float_of_int (1 lsl Stdlib.min t.retry_attempt max_retry_exponent) in
   t.retry_attempt <- t.retry_attempt + 1;
-  t.next_retry_at <- now +. (t.cfg.Config.mc_block_interval *. mult);
+  t.next_retry_at <- now +. (Config.mc_block_interval *. mult);
   if t.outage_start = None then t.outage_start <- Some now
 
 (* ------------------------------------------------------------------ *)
@@ -473,12 +473,12 @@ let create ~trace ?durable cfg =
   let rng_keys = Rng.split rng_root "keys" in
   let rng_net = Rng.split rng_root "net" in
   let users = Party.make_users (Rng.split rng_root "users") ~count:cfg.Config.users
-      ~lp_fraction:cfg.Config.lp_fraction in
+      ~lp_fraction:Config.lp_fraction in
   let miners = Party.make_miners (Rng.split rng_root "miners") ~count:cfg.Config.miners in
   let token0 = Chain.Token.make ~id:0 ~symbol:"TKA" in
   let token1 = Chain.Token.make ~id:1 ~symbol:"TKB" in
   let erc0 = Erc20.deploy token0 and erc1 = Erc20.deploy token1 in
-  let eth = Eth.create ~interval:cfg.Config.mc_block_interval
+  let eth = Eth.create ~interval:Config.mc_block_interval
       ~gas_limit:cfg.Config.mc_gas_limit ~k_depth:cfg.Config.mc_confirmations
       ~rng:rng_net () in
   let plan = Faults.Fault_plan.create ~seed:cfg.Config.seed cfg.Config.faults in
@@ -490,14 +490,14 @@ let create ~trace ?durable cfg =
     if cfg.Config.twin_audit then
       Some
         (Twin.create ~seed:cfg.Config.seed ~genesis_committee_vk:keys0.vk
-           ~flash_fee_pips:cfg.Config.fee_pips)
+           ~flash_fee_pips:Config.fee_pips)
     else None
   in
   let pool =
     Uniswap.Pool.create
-      ~pool_id:(Token_bank.create_pool bank ~flash_fee_pips:cfg.Config.fee_pips)
-      ~token0 ~token1 ~fee_pips:cfg.Config.fee_pips
-      ~tick_spacing:cfg.Config.tick_spacing ~sqrt_price:Amm_math.Q96.q96
+      ~pool_id:(Token_bank.create_pool bank ~flash_fee_pips:Config.fee_pips)
+      ~token0 ~token1 ~fee_pips:Config.fee_pips
+      ~tick_spacing:Config.tick_spacing ~sqrt_price:Amm_math.Q96.q96
   in
   let t =
     { cfg; rng_traffic; rng_keys; rng_net; users; miners; eth; erc0; erc1; bank; pool;
@@ -556,8 +556,8 @@ let create ~trace ?durable cfg =
         if u.Party.user_index = 0 then U256.mul genesis_liquidity (U256.of_int 2)
         else U256.zero
       in
-      let amount0 = U256.add cfg.Config.deposit_per_epoch extra in
-      let amount1 = U256.add cfg.Config.deposit_per_epoch extra in
+      let amount0 = U256.add Config.deposit_per_epoch extra in
+      let amount1 = U256.add Config.deposit_per_epoch extra in
       match
         Token_bank.deposit t.bank ~user:u.Party.address ~for_epoch:0 ~amount0
           ~amount1
@@ -597,7 +597,7 @@ let submit_epoch_deposits t ~for_epoch ~at =
       let meter = Gas.meter () in
       (* Metering runs against current state at submission; execution moves
          the tokens when the transaction lands. *)
-      let amount = t.cfg.Config.deposit_per_epoch in
+      let amount = Config.deposit_per_epoch in
       Eth.submit t.eth ~at
         { Eth.label = "deposit"; size_bytes = deposit_size;
           gas = Gas_model.paper_deposit_gas;
@@ -1088,7 +1088,7 @@ let submit_exit t (u : Party.user) ~at =
 
 (* Halting: freeze the bank at its synced frontier, dissolve the
    sidechain (pending traffic is void — parties are made whole on the
-   mainchain instead) and, unless disabled, submit every party's exit. *)
+   mainchain instead) and submit every party's exit. *)
 let enter_halt t ~now ~reason =
   set_mode t Halted ~now ~reason;
   t.halted_at <- Some now;
@@ -1103,8 +1103,7 @@ let enter_halt t ~now ~reason =
       ~fields:
         [ ("reason", Json.String (Token_bank.rejection_to_string rejection)) ]
       "halt refused by the bank");
-  if t.cfg.Config.emergency_exit then
-    Array.iter (fun u -> submit_exit t u ~at:now) t.users
+  Array.iter (fun u -> submit_exit t u ~at:now) t.users
 
 (* While Halted, each epoch boundary retries the reconciliation: the
    pending certified summaries are replayed wholesale against the frozen
@@ -1645,7 +1644,7 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
             + List.fold_left (fun acc tx -> acc + tx.Tx.wire_size) 0 included
           in
           ( Consensus.Latency_model.consensus_latency cfg.Config.consensus
-              ~block_bytes:size,
+              ~committee_size:cfg.Config.committee_size ~block_bytes:size,
             0 )
       in
       let meta = Blocks.make_meta ~epoch:e ~round ~view_changes included in
@@ -1781,18 +1780,18 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
     epoch := e + 1;
     if !epoch >= cfg.Config.epochs && Chain.Mempool.is_empty t.mempool then
       continue := false;
-    if !epoch >= cfg.Config.epochs + cfg.Config.max_drain_epochs then continue := false
+    if !epoch >= cfg.Config.epochs + Config.max_drain_epochs then continue := false
   done;
   (* Let the final syncs land and confirm. *)
   let final_time =
-    (float_of_int !epoch *. epoch_dur) +. (10.0 *. cfg.Config.mc_block_interval)
+    (float_of_int !epoch *. epoch_dur) +. (10.0 *. Config.mc_block_interval)
   in
   Eth.advance_to t.eth final_time;
   (* Recovery passes in case the final epochs were interrupted; bounded
      retries because the plan may also drop the recovery submissions. *)
   if t.mode <> Halted then
     submit_sync t ~epoch:(!epoch - 1) ~at:final_time ~corrupt:false;
-  Eth.advance_to t.eth (final_time +. (5.0 *. cfg.Config.mc_block_interval));
+  Eth.advance_to t.eth (final_time +. (5.0 *. Config.mc_block_interval));
   let recovery_tries = ref 0 in
   while
     t.mode <> Halted
@@ -1803,7 +1802,7 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
     incr recovery_tries;
     Tmetrics.inc t.tele.c_sync_retries;
     submit_sync t ~epoch:t.last_summary_epoch ~at:(Eth.now t.eth) ~corrupt:false;
-    Eth.advance_to t.eth (Eth.now t.eth +. (5.0 *. cfg.Config.mc_block_interval))
+    Eth.advance_to t.eth (Eth.now t.eth +. (5.0 *. Config.mc_block_interval))
   done;
   (* Still Halted with certified-but-unapplied summaries: keep trying
      the reconciliation a bounded number of times (the starvation window
@@ -1813,7 +1812,7 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
     incr reconcile_tries;
     let now = Eth.now t.eth in
     submit_reconcile t ~epoch:(int_of_float (now /. epoch_dur)) ~at:now;
-    Eth.advance_to t.eth (now +. (5.0 *. cfg.Config.mc_block_interval))
+    Eth.advance_to t.eth (now +. (5.0 *. Config.mc_block_interval))
   done;
   settle_confirmed t;
   (* Final differential audit over the drain tail: the recovery passes

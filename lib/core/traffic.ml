@@ -74,7 +74,7 @@ let gen_swap t user ~round ~time =
   make_tx t user ~round ~time payload
 
 let pick_range t =
-  let spacing = t.cfg.Config.tick_spacing in
+  let spacing = Config.tick_spacing in
   let halfwidth = spacing * (5 + Rng.int t.rng 46) in
   let center = spacing * (Rng.int t.rng 11 - 5) in
   let lower = ((center - halfwidth) / spacing) * spacing in
@@ -89,7 +89,7 @@ let gen_mint t lp ~round ~time =
      population, which is what bounds the paper's sync cost and sidechain
      growth ("it remains invariant even with a variation of transaction
      distributions", Table 5). *)
-  let at_cap = List.length open_positions >= t.cfg.Config.max_positions_per_lp in
+  let at_cap = List.length open_positions >= Config.max_positions_per_lp in
   let target =
     match open_positions with
     | _ :: _ when at_cap || Rng.float t.rng < 0.8 ->

@@ -8,12 +8,3 @@ let verify pk input proof =
   if Bls.verify pk input proof then
     Some (Sha256.digest (Bls.signature_to_bytes proof))
   else None
-
-let output_below out p =
-  (* Use the top 53 bits as a uniform fraction. *)
-  let v = ref 0 in
-  for i = 0 to 6 do
-    v := (!v lsl 8) lor Char.code (Bytes.get out i)
-  done;
-  let frac = float_of_int (!v land ((1 lsl 53) - 1)) /. float_of_int (1 lsl 53) in
-  frac < p

@@ -10,8 +10,3 @@ val evaluate : Bls.secret_key -> bytes -> bytes * proof
 
 val verify : Bls.public_key -> bytes -> proof -> bytes option
 (** [Some output] when the proof is valid for the key and input. *)
-
-val output_below : bytes -> float -> bool
-(** [output_below out p] treats the 32-byte output as a uniform fraction
-    in [0,1) and tests whether it falls below probability [p] — the
-    sortition lottery test. *)

@@ -12,12 +12,6 @@
     ({!Sidechain.Deposits} codec), [sidechain.pool] (AMM pool scalars),
     [window.pending] (certified-but-unapplied summaries). *)
 
-val s_bank_meta : string
-val s_bank_positions : string
-val s_deposits : string
-val s_pool : string
-val s_pending : string
-
 val required : string list
 (** Every section a valid snapshot must carry. *)
 

@@ -11,7 +11,6 @@
 val magic : string
 (** ["ammboost-wal/1\n"]. *)
 
-val segment_name : epoch:int -> string
 val segment_path : dir:string -> epoch:int -> string
 
 (** {1 Appending} *)

@@ -28,7 +28,6 @@ type reader
 val reader : ?pos:int -> ?limit:int -> bytes -> reader
 val pos : reader -> int
 val remaining : reader -> int
-val at_end : reader -> bool
 
 (** Each primitive takes a short field name used in failure messages. *)
 

@@ -106,14 +106,6 @@ type spec = {
   scenario : scenario;
 }
 
-val no_scenario : scenario
-
-val no_durability : durability
-(** All rates zero, empty script. *)
-
-val no_corruption : state_corruption
-(** Zero rate, empty script. *)
-
 val corruption_target_label : corruption_target -> string
 (** Stable metric tag: ["deposit_row"], ["position_slab"], ["pool_tick"]. *)
 

@@ -23,15 +23,11 @@ type pending = {
    not one record per transaction: sizes, gas and latencies are folded
    into the per-label tallies as the block is mined. *)
 type block = {
-  b_height : int;
-  b_time : float;
   b_tags : string list;  (* inclusion order *)
   b_gas_used : int;
   b_size : int;
 }
 
-let block_height b = b.b_height
-let block_time b = b.b_time
 let block_tx_tags b = b.b_tags
 
 (* Per-label inclusion tally: only ever read as a mean and a count. *)
@@ -51,7 +47,7 @@ type t = {
   gas_by_label : (string, int) Hashtbl.t;
   bytes_by_label : (string, int) Hashtbl.t;
   latencies : (string, tally) Hashtbl.t;
-  mutable tag_times : (string * float) list;
+  mutable included_tags : string list;
 }
 
 (* Propagation/queueing offset before a broadcast transaction can appear
@@ -61,14 +57,14 @@ let propagation_fraction = 0.6
 let create ?(interval = 12.0) ?(gas_limit = 30_000_000) ?(header_size = 508)
     ?(k_depth = 1) ~rng () =
   let genesis =
-    { b_height = 0; b_time = 0.0; b_tags = []; b_gas_used = 0; b_size = header_size }
+    { b_tags = []; b_gas_used = 0; b_size = header_size }
   in
   { intervl = interval; gas_limit; header_size; rng;
     heap = [||]; heap_len = 0; seq_counter = 0;
     ledger = Chain.Ledger.create ~genesis ~size:(fun b -> b.b_size) ~k_depth;
     next_block_time = interval; current_time = 0.0;
     gas_by_label = Hashtbl.create 16; bytes_by_label = Hashtbl.create 16;
-    latencies = Hashtbl.create 16; tag_times = [] }
+    latencies = Hashtbl.create 16; included_tags = [] }
 
 let interval t = t.intervl
 let gas_limit t = t.gas_limit
@@ -189,7 +185,7 @@ let mine_block t =
       record_latency t p.spec.label latency;
       (match p.spec.tag with
        | Some tag ->
-         t.tag_times <- (tag, time) :: t.tag_times;
+         t.included_tags <- tag :: t.included_tags;
          tags := tag :: !tags
        | None -> ());
       size := !size + p.spec.size_bytes;
@@ -199,8 +195,7 @@ let mine_block t =
   done;
   let height = Chain.Ledger.height t.ledger + 1 in
   Chain.Ledger.append t.ledger
-    { b_height = height; b_time = time; b_tags = List.rev !tags;
-      b_gas_used = !gas_used; b_size = !size };
+    { b_tags = List.rev !tags; b_gas_used = !gas_used; b_size = !size };
   (* Joining every label is O(txs) per block: only pay for it when the
      debug level is on. *)
   if !n_txs > 0 && debug then
@@ -222,8 +217,7 @@ let advance_to t time =
 
 let block_at t height = Chain.Ledger.nth t.ledger height
 
-let is_tag_included t tag = List.mem_assoc tag t.tag_times
-let tag_inclusion_time t tag = List.assoc_opt tag t.tag_times
+let is_tag_included t tag = List.mem tag t.included_tags
 
 let rollback t n =
   let dropped = Chain.Ledger.rollback t.ledger n in
@@ -234,7 +228,7 @@ let rollback t n =
         ("new_height", Telemetry.Json.Int (Chain.Ledger.height t.ledger));
         ("dropped_tags", Telemetry.Json.String (String.concat "," tags)) ]
     "fork: mainchain rollback abandoned blocks";
-  t.tag_times <- List.filter (fun (tag, _) -> not (List.mem tag tags)) t.tag_times;
+  t.included_tags <- List.filter (fun tag -> not (List.mem tag tags)) t.included_tags;
   tags
 
 let cumulative_bytes t = Chain.Ledger.cumulative_bytes t.ledger

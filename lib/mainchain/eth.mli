@@ -21,8 +21,6 @@ type tx_spec = {
 
 type block
 
-val block_height : block -> int
-val block_time : block -> float
 val block_tx_tags : block -> string list
 
 val create :
@@ -54,8 +52,6 @@ val block_at : t -> int -> block option
 
 val is_tag_included : t -> string -> bool
 (** Whether a transaction with this tag sits on the canonical chain. *)
-
-val tag_inclusion_time : t -> string -> float option
 
 val rollback : t -> int -> string list
 (** Fork switch abandoning the last [n] blocks; returns the tags of the

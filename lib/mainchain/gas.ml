@@ -12,13 +12,6 @@ let payout_transfer = 15_771
 
 let keccak_cost n = keccak_base + (keccak_per_word * ((n + 31) / 32))
 
-let calldata_cost b =
-  let cost = ref 0 in
-  Bytes.iter
-    (fun c -> cost := !cost + if c = '\000' then calldata_zero_byte else calldata_nonzero_byte)
-    b;
-  !cost
-
 let calldata_cost_of_size n =
   (* Measured Uniswap calldata runs about two nonzero bytes per zero byte. *)
   n * ((2 * calldata_nonzero_byte) + calldata_zero_byte) / 3

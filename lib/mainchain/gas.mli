@@ -14,8 +14,6 @@ val sstore_word : int
 
 val sstore_update : int
 val sload : int
-val calldata_nonzero_byte : int
-val calldata_zero_byte : int
 val keccak_base : int
 val keccak_per_word : int
 val ec_mul : int
@@ -30,7 +28,6 @@ val payout_transfer : int
 val keccak_cost : int -> int
 (** Keccak cost of hashing [n] bytes. *)
 
-val calldata_cost : bytes -> int
 val calldata_cost_of_size : int -> int
 (** Approximate calldata cost when only the size is known (assumes the
     measured 2:1 nonzero:zero byte mix). *)

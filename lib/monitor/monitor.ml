@@ -168,7 +168,7 @@ let check_amm ~pool =
     if Pool.check_owed_solvency pool then []
     else
       [ { v_check = "amm-owed-solvency"; v_layer = Amm; v_severity = Fatal;
-          v_detail = "reserves do not cover tokens_owed + protocol fees" } ]
+          v_detail = "reserves do not cover tokens_owed" } ]
   in
   a @ b
 

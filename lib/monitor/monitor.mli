@@ -33,7 +33,6 @@ type report = {
   r_violations : violation list;
 }
 
-val severity_to_string : severity -> string
 val layer_to_string : layer -> string
 
 val worst : report -> severity option
@@ -48,8 +47,6 @@ type thresholds = {
   signing_streak_degraded : int;
       (** consecutive degraded-quorum signings before a Degraded *)
 }
-
-val default_thresholds : thresholds
 
 type t
 

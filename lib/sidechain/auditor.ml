@@ -1,3 +1,8 @@
+(* Re-processes the meta-blocks' transactions (in block and intra-block
+   order) on a clone of the epoch-start pool and returns the summary
+   payload they induce. The input pool is not modified. Raises [Failure]
+   when a block's transactions do not rebuild its [m_tx_root] or one of
+   them does not execute. *)
 let replay_epoch ~pool_at_start ~snapshot ~metas ~epoch ~next_committee_vk =
   let pool = Uniswap.Pool.clone pool_at_start in
   let processor =

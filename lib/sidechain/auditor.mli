@@ -9,19 +9,6 @@
     meta-block with its transactions and the summary's payload, and
     checks every body against the root its block committed to. *)
 
-val replay_epoch :
-  pool_at_start:Uniswap.Pool.t ->
-  snapshot:Tokenbank.Token_bank.snapshot ->
-  metas:(Blocks.meta * Chain.Tx.t list) list ->
-  epoch:int ->
-  next_committee_vk:Amm_crypto.Bls.public_key ->
-  Tokenbank.Sync_payload.t
-(** Re-processes the meta-blocks' transactions (in block and intra-block
-    order) on a clone of the epoch-start pool and returns the summary
-    payload they induce. The input pool is not modified. Raises
-    [Failure] when a block's transactions do not rebuild its
-    [m_tx_root] or one of them does not execute. *)
-
 val verify_summary :
   pool_at_start:Uniswap.Pool.t ->
   snapshot:Tokenbank.Token_bank.snapshot ->

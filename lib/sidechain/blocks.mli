@@ -64,7 +64,6 @@ val stored_bytes : t -> int
 (** Bytes currently stored — what remains after pruning. *)
 
 val height : t -> int
-val blocks_stored : t -> block list
 val summaries : t -> summary list
 (** All permanent summary blocks, oldest first. *)
 

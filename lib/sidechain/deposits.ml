@@ -121,8 +121,6 @@ let row_of t user =
 let get t row slot = Slab.get_u256 t.slab ~row ~slot
 let set t row slot v = Slab.set_u256 t.slab ~row ~slot v
 
-let known_users t = Reg.fold t.reg ~init:[] ~f:(fun acc _ u -> u :: acc)
-
 (* Ascending by address, straight off the incrementally-maintained
    index — no sorting, no merging, O(n) to materialize the list. *)
 let users_sorted t =
@@ -136,10 +134,6 @@ let available t user =
   let row = row_of t user in
   ( U256.add (get t row s_main0) (get t row s_side0),
     U256.add (get t row s_main1) (get t row s_side1) )
-
-let main_remaining t user =
-  let row = row_of t user in
-  (get t row s_main0, get t row s_main1)
 
 let side_balance t user =
   let row = row_of t user in
@@ -214,7 +208,6 @@ let accounts t = Reg.count t.reg
 (* First-marked order — deterministic (mark order follows the meta-block
    transaction order). The summary builder re-sorts by address anyway. *)
 let candidate_users t = List.rev_map (Reg.key t.reg) t.cand_rows
-let candidate_count t = List.length t.cand_rows
 
 let mem t user =
   match Reg.find t.reg user with

@@ -21,8 +21,6 @@ type consumption = {
 val create : snapshot:(Address.t * (U256.t * U256.t)) list -> t
 (** Loads the epoch-start mainchain deposits (SnapshotBank). *)
 
-val known_users : t -> Address.t list
-
 val users_sorted : t -> Address.t list
 (** Every tracked user in ascending address order. The epoch-start
     snapshot occupies a sorted prefix of the flat store, so this merges
@@ -31,9 +29,6 @@ val users_sorted : t -> Address.t list
 
 val available : t -> Address.t -> U256.t * U256.t
 (** Total spendable (main + side) per token. *)
-
-val main_remaining : t -> Address.t -> U256.t * U256.t
-val side_balance : t -> Address.t -> U256.t * U256.t
 
 val consume :
   t -> Address.t -> amount0:U256.t -> amount1:U256.t -> (consumption, string) result
@@ -68,8 +63,6 @@ val candidate_users : t -> Address.t list
     superset of the entries the summary reports (a consume+refund pair
     nets to zero); the builder still diffs each candidate. Unrelated to
     the twin's slab dirty marks, which are cleared mid-epoch. *)
-
-val candidate_count : t -> int
 
 (** {1 Audit surface}
 

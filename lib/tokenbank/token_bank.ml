@@ -677,7 +677,6 @@ let emergency_exit t ~claimant =
     Ok claim
   end
 
-let has_exited t user = Hashtbl.mem t.exit_table user
 let exit_of t user = Hashtbl.find_opt t.exit_table user
 let exits t = List.rev_map (fun a -> Hashtbl.find t.exit_table a) t.exit_order
 let exits_served t = Hashtbl.length t.exit_table

@@ -164,7 +164,6 @@ val emergency_exit : t -> claimant:Address.t -> (exit_claim, rejection) result
     per token (floored, so total claims never exceed the reserves) plus
     every residual deposit, and marks the claimant exited. *)
 
-val has_exited : t -> Address.t -> bool
 val exit_of : t -> Address.t -> exit_claim option
 val exits : t -> exit_claim list
 (** Claims served so far, oldest first. *)

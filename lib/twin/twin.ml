@@ -499,9 +499,3 @@ let position_fees v ~from_epoch ~until_epoch pid =
   | _ -> None
 
 let epochs_sealed v = List.sort compare (List.map (fun s -> s.snap_epoch) v)
-
-let what_if t f =
-  let ck = Token_bank.checkpoint t.replica in
-  Fun.protect
-    ~finally:(fun () -> Token_bank.restore t.replica ck)
-    (fun () -> f t.replica)

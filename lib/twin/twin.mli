@@ -22,8 +22,7 @@
        this shadow keeps it O(written keys).}}
 
     The persistent maps make epoch snapshots O(1), which is what funds
-    the time-travel queries ({!custody_at}, {!position_fees}) and the
-    cheap what-if forks ({!what_if}). *)
+    the time-travel queries ({!custody_at}, {!position_fees}). *)
 
 module U256 = Amm_math.U256
 module Address = Chain.Address
@@ -43,7 +42,6 @@ type key =
 
 type layer = Deposits_layer | Pool_layer | Bank_layer
 
-val layer_of_key : key -> layer
 val layer_to_string : layer -> string
 val key_to_string : key -> string
 
@@ -179,8 +177,3 @@ val position_fees :
 
 val epochs_sealed : view -> int list
 (** Ascending epochs with a sealed snapshot. *)
-
-val what_if : t -> (Token_bank.t -> 'a) -> 'a
-(** Runs a speculative candidate (an exit, a reconcile...) against the
-    replica bank and discards every effect — checkpoint, apply, read,
-    undo. The live system is never touched. *)

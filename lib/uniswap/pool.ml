@@ -22,14 +22,11 @@ type t = {
   mutable fee_growth_global1 : U256.t;
   mutable balance0 : U256.t;
   mutable balance1 : U256.t;
-  mutable protocol_fee_denominator : int option;
-  mutable protocol_fees0 : U256.t;
-  mutable protocol_fees1 : U256.t;
   (* Inclusion-time change tracking for O(Δ) epoch summaries. [dirty]
      over-approximates the positions whose summary entry may differ from
      the epoch-start snapshot: every minted/burned/collected position,
-     plus every position that was in range during a fee event (swap or
-     flash) since the last [epoch_reset]. [in_range] is the standing set
+     plus every position that was in range during a swap since the last
+     [epoch_reset]. [in_range] is the standing set
      of positions whose range contains the current tick, maintained at
      mint/collect and at tick crossings via [bounds_index]
      (tick -> positions bound there). [fee_marked] records that the
@@ -63,8 +60,6 @@ let create ~pool_id ~token0 ~token1 ~fee_pips ~tick_spacing ~sqrt_price =
     liquidity = U256.zero;
     fee_growth_global0 = U256.zero; fee_growth_global1 = U256.zero;
     balance0 = U256.zero; balance1 = U256.zero;
-    protocol_fee_denominator = None;
-    protocol_fees0 = U256.zero; protocol_fees1 = U256.zero;
     dirty = Hashtbl.create 64; in_range = Hashtbl.create 64;
     bounds_index = Hashtbl.create 64; fee_marked = false;
     op_pos = Hashtbl.create 16; op_ticks = Hashtbl.create 16;
@@ -181,24 +176,6 @@ let fee_growth_global0 t = t.fee_growth_global0
 let fee_growth_global1 t = t.fee_growth_global1
 let find_position t pid = Hashtbl.find_opt t.position_table pid
 
-let set_protocol_fee t ~denominator =
-  (match denominator with
-  | Some n when n < 4 || n > 10 ->
-    invalid_arg "Pool.set_protocol_fee: denominator must be in 4..10"
-  | Some _ | None -> ());
-  t.protocol_fee_denominator <- denominator
-
-let protocol_fee_denominator t = t.protocol_fee_denominator
-let protocol_fees t = (t.protocol_fees0, t.protocol_fees1)
-
-let collect_protocol t ~amount0_requested ~amount1_requested =
-  let pay0 = U256.min amount0_requested t.protocol_fees0 in
-  let pay1 = U256.min amount1_requested t.protocol_fees1 in
-  t.protocol_fees0 <- U256.sub t.protocol_fees0 pay0;
-  t.protocol_fees1 <- U256.sub t.protocol_fees1 pay1;
-  t.balance0 <- U256.checked_sub t.balance0 pay0;
-  t.balance1 <- U256.checked_sub t.balance1 pay1;
-  (pay0, pay1)
 let positions t = Hashtbl.fold (fun _ p acc -> p :: acc) t.position_table []
 let position_count t = Hashtbl.length t.position_table
 let initialized_tick_count t = Tick.initialized_count t.ticks
@@ -312,20 +289,9 @@ let swap t ~zero_for_one ~amount ~sqrt_price_limit =
              | Swap_math.Exact_out a ->
                Swap_math.Exact_out
                  (if U256.ge step.amount_out a then U256.zero else U256.sub a step.amount_out));
-          (* The protocol's cut comes off the top; the remainder accrues
-             to in-range liquidity on the input token side. *)
-          let protocol_cut =
-            match t.protocol_fee_denominator with
-            | Some n -> U256.div step.fee_amount (U256.of_int n)
-            | None -> U256.zero
-          in
-          (if not (U256.is_zero protocol_cut) then
-             if zero_for_one then
-               t.protocol_fees0 <- U256.add t.protocol_fees0 protocol_cut
-             else t.protocol_fees1 <- U256.add t.protocol_fees1 protocol_cut);
-          let lp_fee = U256.sub step.fee_amount protocol_cut in
+          (* The fee accrues to in-range liquidity on the input token side. *)
           if not (U256.is_zero t.liquidity) then begin
-            let growth = U256.mul_div lp_fee Q96.q128 t.liquidity in
+            let growth = U256.mul_div step.fee_amount Q96.q128 t.liquidity in
             if zero_for_one then
               t.fee_growth_global0 <- U256.add t.fee_growth_global0 growth
             else t.fee_growth_global1 <- U256.add t.fee_growth_global1 growth
@@ -505,48 +471,6 @@ let collect t ~position_id ~amount0_requested ~amount1_requested =
     Ok (pay0, pay1)
 
 (* ------------------------------------------------------------------ *)
-(* Flash loans                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let flash t ~amount0 ~amount1 ~callback =
-  if U256.gt amount0 t.balance0 || U256.gt amount1 t.balance1 then
-    Error "pool: flash exceeds reserves"
-  else begin
-    let fee_den = U256.of_int Swap_math.fee_denominator in
-    let fee_of a = U256.mul_div_rounding_up a (U256.of_int t.fee_pips) fee_den in
-    let fee0 = fee_of amount0 and fee1 = fee_of amount1 in
-    let before0 = t.balance0 and before1 = t.balance1 in
-    t.balance0 <- U256.sub t.balance0 amount0;
-    t.balance1 <- U256.sub t.balance1 amount1;
-    match callback ~fee0 ~fee1 with
-    | Error e ->
-      (* The whole flash inverts: reserves are restored untouched. *)
-      t.balance0 <- before0;
-      t.balance1 <- before1;
-      Error e
-    | Ok (repay0, repay1) ->
-      let owed0 = U256.add amount0 fee0 and owed1 = U256.add amount1 fee1 in
-      if U256.lt repay0 owed0 || U256.lt repay1 owed1 then begin
-        t.balance0 <- before0;
-        t.balance1 <- before1;
-        Error "pool: flash not repaid"
-      end
-      else begin
-        t.balance0 <- U256.add t.balance0 repay0;
-        t.balance1 <- U256.add t.balance1 repay1;
-        if not (U256.is_zero t.liquidity) then begin
-          let credit fee global =
-            U256.add global (U256.mul_div fee Q96.q128 t.liquidity)
-          in
-          mark_fee_bearing t;
-          t.fee_growth_global0 <- credit fee0 t.fee_growth_global0;
-          t.fee_growth_global1 <- credit fee1 t.fee_growth_global1
-        end;
-        Ok (fee0, fee1)
-      end
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Audit images                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -638,13 +562,12 @@ let check_liquidity_consistency t =
 
 let check_owed_solvency t =
   (* Everything the pool owes on demand — position [tokens_owed] (burned
-     principal plus accrued fees) and uncollected protocol fees — must be
-     covered by the reserves it actually holds. *)
+     principal plus accrued fees) — must be covered by the reserves it
+     actually holds. *)
   let owed0, owed1 =
     Hashtbl.fold
       (fun _ (p : Position.t) (o0, o1) ->
         (U256.add o0 p.Position.tokens_owed0, U256.add o1 p.Position.tokens_owed1))
-      t.position_table
-      (t.protocol_fees0, t.protocol_fees1)
+      t.position_table (U256.zero, U256.zero)
   in
   U256.ge t.balance0 owed0 && U256.ge t.balance1 owed1

@@ -112,18 +112,16 @@ val touch_position : t -> Position_id.t -> (unit, string) result
 
     The pool marks, at inclusion time, every position whose epoch-summary
     entry may have changed: minted/burned/collected positions plus every
-    position that was in range during a fee event (swap or flash) since
-    the last reset. The summary builder drains this set instead of
-    scanning the whole position table — positions outside it provably
-    kept their [fee_growth_inside], so their entries are unchanged. *)
+    position that was in range during a swap since the last reset. The
+    summary builder drains this set instead of scanning the whole
+    position table — positions outside it provably kept their
+    [fee_growth_inside], so their entries are unchanged. *)
 
 val epoch_candidates : t -> Position_id.t list
 (** The current over-approximation of changed positions, unordered. *)
 
 val epoch_reset : t -> unit
 (** Clears the candidate set at an epoch boundary. *)
-
-val fee_growth_inside : t -> lower_tick:int -> upper_tick:int -> U256.t * U256.t
 
 (** {1 Twin-audit write tracking}
 
@@ -158,38 +156,6 @@ val corrupt_tick_bit : t -> index:int -> bit:int -> int option
     out-of-band by construction). Returns the tick, or [None] when no
     tick is initialized. *)
 
-(** {1 Protocol fees}
-
-    V3's protocol fee switch: when enabled, 1/n of every swap fee is
-    diverted to the protocol instead of LPs; the factory owner collects
-    it separately. *)
-
-val set_protocol_fee : t -> denominator:int option -> unit
-(** [Some n] diverts 1/n of swap fees (V3 allows 4..10); [None] turns the
-    switch off. Raises [Invalid_argument] outside that range. *)
-
-val protocol_fee_denominator : t -> int option
-val protocol_fees : t -> U256.t * U256.t
-(** Accrued, uncollected protocol fees per token. *)
-
-val collect_protocol : t -> amount0_requested:U256.t -> amount1_requested:U256.t ->
-  U256.t * U256.t
-(** Withdraws accrued protocol fees (up to the requested amounts) from
-    the reserves; returns what was paid. *)
-
-(** {1 Flash loans} *)
-
-val flash :
-  t ->
-  amount0:U256.t ->
-  amount1:U256.t ->
-  callback:(fee0:U256.t -> fee1:U256.t -> (U256.t * U256.t, string) result) ->
-  (U256.t * U256.t, string) result
-(** Lends reserves for the duration of the callback; the callback returns
-    what it repays. Reverts (restoring balances) unless repayment covers
-    principal plus fee; fees accrue to in-range LPs. Returns the fees
-    collected. *)
-
 (** {1 Invariant helpers (for tests)} *)
 
 val check_liquidity_consistency : t -> bool
@@ -197,4 +163,4 @@ val check_liquidity_consistency : t -> bool
 
 val check_owed_solvency : t -> bool
 (** Reserves cover every on-demand obligation: the sum of position
-    [tokens_owed] plus uncollected protocol fees, per token. *)
+    [tokens_owed], per token. *)

@@ -42,28 +42,6 @@ let exact_output pool ~zero_for_one ~amount_out ~max_amount_in ?sqrt_price_limit
     Ok { spent = r.Pool.amount_in; received = r.Pool.amount_out; fee = r.Pool.fee_paid;
          ticks_crossed = r.Pool.ticks_crossed }
 
-type hop = {
-  hop_pool : Pool.t;
-  hop_zero_for_one : bool;
-}
-
-let exact_input_path ~path ~amount_in ~min_amount_out =
-  match path with
-  | [] -> Error "router: empty path"
-  | _ :: _ ->
-    let rec hop_loop amount fee crossed = function
-      | [] -> Ok (amount, fee, crossed)
-      | h :: rest ->
-        let* r =
-          exact_input h.hop_pool ~zero_for_one:h.hop_zero_for_one ~amount_in:amount
-            ~min_amount_out:U256.zero ()
-        in
-        hop_loop r.received (U256.add fee r.fee) (crossed + r.ticks_crossed) rest
-    in
-    let* received, fee, ticks_crossed = hop_loop amount_in U256.zero 0 path in
-    if U256.lt received min_amount_out then Error "router: slippage (path output too low)"
-    else Ok { spent = amount_in; received; fee; ticks_crossed }
-
 type mint_outcome = {
   minted_liquidity : U256.t;
   amount0_used : U256.t;

@@ -39,28 +39,6 @@ val exact_output :
     [max_amount_in] would be needed or the pool cannot produce the
     output. *)
 
-(** {1 Multi-hop swaps}
-
-    The SwapRouter's path execution: each hop trades the previous hop's
-    output into the next pool (V3's [exactInput] with a multi-pool
-    path). *)
-
-type hop = {
-  hop_pool : Pool.t;
-  hop_zero_for_one : bool;  (** direction within this pool *)
-}
-
-val exact_input_path :
-  path:hop list ->
-  amount_in:U256.t ->
-  min_amount_out:U256.t ->
-  (swap_outcome, string) result
-(** Swaps along the path; [spent] is the first hop's input, [received]
-    the last hop's output, [fee] the sum of all hop fees. Fails atomically
-    only in the sense that a failing hop aborts the rest — like the real
-    router, earlier hops have already executed, so callers guard with
-    [min_amount_out]. *)
-
 type mint_outcome = {
   minted_liquidity : U256.t;
   amount0_used : U256.t;

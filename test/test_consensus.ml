@@ -280,26 +280,31 @@ let test_election_not_enough () =
 (* Latency model                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The paper's testbed link: 1 Gbps with ~50 ms mean delay. The cases
+   below time its 500-miner committees. *)
+let testbed = { Latency_model.mean_delay = 0.05; bandwidth_bytes = 125_000_000.0 }
+
 let test_latency_monotone_in_block_size () =
-  let p = Latency_model.default in
-  let l1 = Latency_model.consensus_latency p ~block_bytes:100_000 in
-  let l2 = Latency_model.consensus_latency p ~block_bytes:2_000_000 in
+  let latency block_bytes =
+    Latency_model.consensus_latency testbed ~committee_size:500 ~block_bytes
+  in
+  let l1 = latency 100_000 and l2 = latency 2_000_000 in
   Alcotest.(check bool) "bigger block slower" true (l2 > l1)
 
 let test_latency_fits_paper_rounds () =
   (* 1 MB blocks must finish within the paper's 4-second rounds. *)
   Alcotest.(check bool) "1MB in 4s" true
-    (Latency_model.fits_in_round Latency_model.default ~block_bytes:1_000_000
+    (Latency_model.fits_in_round testbed ~committee_size:500 ~block_bytes:1_000_000
        ~round_duration:4.0);
   Alcotest.(check bool) "2MB in 4s" true
-    (Latency_model.fits_in_round Latency_model.default ~block_bytes:2_000_000
+    (Latency_model.fits_in_round testbed ~committee_size:500 ~block_bytes:2_000_000
        ~round_duration:4.0)
 
 let test_latency_view_change_penalty () =
-  let p = Latency_model.default in
+  let committee_size = 500 in
   Alcotest.(check bool) "view change adds timeout" true
-    (Latency_model.view_change_latency p ~timeout:2.0
-     > Latency_model.consensus_latency p ~block_bytes:1024 +. 1.9)
+    (Latency_model.view_change_latency testbed ~committee_size ~timeout:2.0
+     > Latency_model.consensus_latency testbed ~committee_size ~block_bytes:1024 +. 1.9)
 
 (* Cross-check the closed-form model against the message-level PBFT: the
    model's vote-round latency should be within ~3x of a simulated run for
@@ -320,8 +325,8 @@ let test_latency_crosscheck_with_pbft () =
   in
   let model =
     Latency_model.consensus_latency
-      { Latency_model.committee_size = n; mean_delay = 0.055; bandwidth_bytes = 1e9 }
-      ~block_bytes:64
+      { Latency_model.mean_delay = 0.055; bandwidth_bytes = 1e9 }
+      ~committee_size:n ~block_bytes:64
   in
   Alcotest.(check bool)
     (Printf.sprintf "model %.3f vs sim %.3f within 3x" model sim_max)

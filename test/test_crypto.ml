@@ -395,12 +395,6 @@ let test_vrf_deterministic () =
   let o2, _ = Vrf.evaluate sk input in
   Alcotest.(check bool) "same output" true (Bytes.equal o1 o2)
 
-let test_vrf_output_below () =
-  let out = Bytes.make 32 '\000' in
-  Alcotest.(check bool) "0 below 0.5" true (Vrf.output_below out 0.5);
-  let top = Bytes.make 32 '\xff' in
-  Alcotest.(check bool) "max not below 0.999" false (Vrf.output_below top 0.999)
-
 (* ------------------------------------------------------------------ *)
 (* Merkle                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -740,8 +734,7 @@ let () =
           hash_to_g1_cache_prop ] );
       ( "vrf",
         [ Alcotest.test_case "roundtrip" `Quick test_vrf_roundtrip;
-          Alcotest.test_case "deterministic" `Quick test_vrf_deterministic;
-          Alcotest.test_case "output below" `Quick test_vrf_output_below ] );
+          Alcotest.test_case "deterministic" `Quick test_vrf_deterministic ] );
       ( "merkle",
         [ Alcotest.test_case "all proofs verify" `Quick test_merkle_all_proofs;
           Alcotest.test_case "bad proof" `Quick test_merkle_bad_proof;

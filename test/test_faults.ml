@@ -296,7 +296,7 @@ let test_wal_replay_matches_twin () =
   let view = Option.get r.System.twin_view in
   let last = List.fold_left max 0 (Twin.epochs_sealed view) in
   match
-    Wal_replay.replay ~genesis_committee_vk ~flash_fee_pips:cfg.Config.fee_pips records
+    Wal_replay.replay ~genesis_committee_vk ~flash_fee_pips:Config.fee_pips records
   with
   | Error e -> Alcotest.failf "WAL replay rejected an op: %s" e
   | Ok replayed ->

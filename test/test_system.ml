@@ -211,6 +211,29 @@ let test_committee_round_faults () =
   Alcotest.(check bool) "slower than clean round" true
     (faulty.Sidechain.Committee.latency > ok.Sidechain.Committee.latency)
 
+(* The latency model times a round by the committee the run elects: a
+   13-member committee gossips in fewer hops than a 500-member one. *)
+let test_latency_model_committee_size () =
+  let consensus_mean committee_size =
+    let cfg =
+      { base with
+        epochs = 1; users = 10; committee_size; max_faulty = (committee_size - 2) / 3;
+        miners = Stdlib.max base.Config.miners (2 * committee_size);
+        seed = "latency-committee" }
+    in
+    let r = run ~cfg () in
+    match
+      Telemetry.Metrics.find_histogram r.System.telemetry.Telemetry.Report.metrics
+        "latency.consensus"
+    with
+    | Some h -> Telemetry.Histogram.mean h
+    | None -> Alcotest.fail "no latency.consensus histogram"
+  in
+  let small = consensus_mean 13 and large = consensus_mean 500 in
+  Alcotest.(check bool)
+    (Printf.sprintf "13 members (%.4f s) faster than 500 (%.4f s)" small large)
+    true (small < large)
+
 (* ------------------------------------------------------------------ *)
 (* Congestion behavior                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -266,7 +289,7 @@ let test_traffic_distribution () =
   let rng = Amm_crypto.Rng.create "traffic-dist" in
   let users =
     Party.make_users (Amm_crypto.Rng.split rng "users") ~count:cfg.Config.users
-      ~lp_fraction:cfg.Config.lp_fraction
+      ~lp_fraction:Config.lp_fraction
   in
   let traffic = Traffic.create ~rng ~cfg ~users in
   for round = 0 to 299 do
@@ -835,7 +858,9 @@ let () =
       ( "message-level consensus",
         [ Alcotest.test_case "system mode" `Slow test_message_level_consensus_mode;
           Alcotest.test_case "self-audit" `Slow test_self_audit_mode;
-          Alcotest.test_case "committee faults" `Quick test_committee_round_faults ] );
+          Alcotest.test_case "committee faults" `Quick test_committee_round_faults;
+          Alcotest.test_case "latency model committee size" `Slow
+            test_latency_model_committee_size ] );
       ( "interruptions",
         [ Alcotest.test_case "silent leader" `Slow test_silent_sync_leader_mass_sync;
           Alcotest.test_case "invalid sync" `Slow test_invalid_sync_rejected_then_recovered;

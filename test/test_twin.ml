@@ -1,6 +1,6 @@
 (* The state twin: unit-level audit semantics (clean pass, exact
    bisection to the culprit op index, out-of-band attribution, replica
-   rejections, reorg symmetry, time travel, what-if isolation) — then
+   rejections, reorg symmetry, time travel) — then
    system-level equivalence: twin vs live over random fault
    interleavings (QCheck over chaos intensity and seed, covering halts,
    exits, reconciles and reorgs) with zero false positives, and scripted
@@ -229,7 +229,7 @@ let test_checkpoint_restore_reorg_symmetry () =
          (String.concat "; " (List.map Twin.report_to_string rs)))
 
 (* ------------------------------------------------------------------ *)
-(* Time travel and what-if                                             *)
+(* Time travel                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let test_time_travel () =
@@ -271,31 +271,6 @@ let test_time_travel () =
     (Twin.read_at v ~epoch:1 (Twin.Dep_row alice) = None);
   Alcotest.(check bool) "no custody at unsealed epoch" true
     (Twin.custody_at v ~epoch:9 = None)
-
-let test_what_if_discards_effects () =
-  let env = make_env () in
-  seed_scalars env;
-  dep_both env alice one_e18;
-  (* Speculatively deposit against the replica: the value is observable
-     inside the fork and gone afterwards. *)
-  let spec =
-    Twin.what_if env.tw (fun bank ->
-        (match
-           Token_bank.deposit bank ~user:alice ~for_epoch:1 ~amount0:one_e18
-             ~amount1:U256.zero
-         with
-        | Ok () -> ()
-        | Error e -> Alcotest.fail e);
-        fst (Token_bank.total_custody bank))
-  in
-  Alcotest.(check string) "fork saw the deposit"
-    (U256.to_string (U256.mul one_e18 U256.two))
-    (U256.to_string spec);
-  (* The audit against the untouched mirror still passes: nothing
-     leaked out of the fork. *)
-  match Twin.audit env.tw ~epoch:0 (live env ()) with
-  | [] -> ()
-  | rs -> Alcotest.fail (Printf.sprintf "what_if leaked: %d reports" (List.length rs))
 
 (* ------------------------------------------------------------------ *)
 (* System-level equivalence                                            *)
@@ -420,9 +395,7 @@ let () =
             test_checkpoint_restore_reorg_symmetry ] );
       ( "time-travel",
         [ Alcotest.test_case "custody_at / read_at / epochs_sealed" `Quick
-            test_time_travel;
-          Alcotest.test_case "what_if discards effects" `Quick
-            test_what_if_discards_effects ] );
+            test_time_travel ] );
       ( "system",
         [ QCheck_alcotest.to_alcotest ~long:false qcheck_twin_matches_live;
           Alcotest.test_case "scripted corruption detected in-epoch" `Slow

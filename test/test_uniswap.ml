@@ -1,5 +1,5 @@
 (* The concentrated-liquidity pool: swaps, tick crossing, fee accounting,
-   mint/burn/collect, flash loans — plus randomized invariant checks
+   mint/burn/collect — plus randomized invariant checks
    (constant product never shrinks, tick-table consistency, LP
    no-free-lunch). *)
 
@@ -357,6 +357,41 @@ let test_out_of_range_position_earns_nothing () =
     Alcotest.check check_u256 "no fees 1" U256.zero o.Router.collected1
   | Error e -> Alcotest.fail e
 
+(* The only in-range position earns the whole swap fee: nothing is cut
+   for a protocol, and fee-growth accounting loses at most rounding. *)
+let test_sole_lp_earns_whole_fee () =
+  let pool = fresh_pool () in
+  (match
+     Router.mint pool ~position_id:(pid "sole") ~owner:(addr "lp") ~lower_tick:(-6000)
+       ~upper_tick:6000 ~amount0_desired:one_e24 ~amount1_desired:one_e24
+   with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail e);
+  let spent zero_for_one =
+    match Router.exact_input pool ~zero_for_one ~amount_in:one_e21 ~min_amount_out:U256.zero () with
+    | Ok o -> o.Router.spent
+    | Error e -> Alcotest.fail e
+  in
+  let spent0 = spent true in
+  let spent1 = spent false in
+  match
+    Router.collect pool ~position_id:(pid "sole") ~caller:(addr "lp")
+      ~amount0_requested:U256.max_value ~amount1_requested:U256.max_value
+  with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+    (* spent · fee_pips / 10^6, within 2 wei of fee-growth rounding *)
+    let near_fee label spent collected =
+      let fee = U256.div (U256.mul spent (U256.of_int (Pool.fee_pips pool))) (U256.of_int 1_000_000) in
+      let gap = if U256.ge fee collected then U256.sub fee collected else U256.sub collected fee in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: collected %s vs fee %s" label (U256.to_string collected)
+           (U256.to_string fee))
+        true (U256.le gap (U256.of_int 2))
+    in
+    near_fee "token0" spent0 o.Router.collected0;
+    near_fee "token1" spent1 o.Router.collected1
+
 let test_swap_matches_paper_cfmm_formula () =
   (* §2 of the paper: for reserves res_A, res_B, an input amt_A yields
      amt_B = res_B − res_A·res_B/(res_A + amt_A). With a full-range
@@ -375,170 +410,6 @@ let test_swap_matches_paper_cfmm_formula () =
     let rel = Float.abs ((got -. expected) /. expected) in
     if rel > 1e-4 then
       Alcotest.failf "CFMM mismatch: got %.6g, formula %.6g (rel %.2e)" got expected rel
-
-(* ------------------------------------------------------------------ *)
-(* Protocol fees                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_protocol_fee_split () =
-  let pool = seeded_pool () in
-  Pool.set_protocol_fee pool ~denominator:(Some 4);
-  (match
-     Router.exact_input pool ~zero_for_one:true ~amount_in:one_e21 ~min_amount_out:U256.zero ()
-   with
-  | Ok o ->
-    let p0, _ = Pool.protocol_fees pool in
-    (* 1/4 of the swap fee, up to integer division dust. *)
-    let expected = U256.div o.Router.fee (U256.of_int 4) in
-    Alcotest.(check bool) "protocol cut ~ fee/4" true
-      (U256.le (U256.sub (U256.max p0 expected) (U256.min p0 expected)) (U256.of_int 1000))
-  | Error e -> Alcotest.fail e);
-  (* LPs earn only the remaining 3/4. *)
-  let off_pool = seeded_pool () in
-  ignore (Router.exact_input off_pool ~zero_for_one:true ~amount_in:one_e21 ~min_amount_out:U256.zero ());
-  Alcotest.(check bool) "LP fee growth reduced vs switch-off" true
-    (U256.lt (Pool.fee_growth_global0 pool) (Pool.fee_growth_global0 off_pool))
-
-let test_protocol_fee_collect () =
-  let pool = seeded_pool () in
-  Pool.set_protocol_fee pool ~denominator:(Some 5);
-  ignore (Router.exact_input pool ~zero_for_one:true ~amount_in:one_e21 ~min_amount_out:U256.zero ());
-  let owed0, _ = Pool.protocol_fees pool in
-  Alcotest.(check bool) "fees accrued" true (U256.gt owed0 U256.zero);
-  let balance_before = Pool.balance0 pool in
-  let paid0, paid1 = Pool.collect_protocol pool ~amount0_requested:U256.max_value ~amount1_requested:U256.max_value in
-  Alcotest.check check_u256 "full payout" owed0 paid0;
-  Alcotest.check check_u256 "nothing on token1" U256.zero paid1;
-  Alcotest.check check_u256 "reserves reduced" (U256.sub balance_before paid0) (Pool.balance0 pool);
-  Alcotest.check check_u256 "accrual reset" U256.zero (fst (Pool.protocol_fees pool))
-
-let test_protocol_fee_bounds () =
-  let pool = seeded_pool () in
-  Alcotest.check_raises "denominator too small"
-    (Invalid_argument "Pool.set_protocol_fee: denominator must be in 4..10") (fun () ->
-      Pool.set_protocol_fee pool ~denominator:(Some 3));
-  Pool.set_protocol_fee pool ~denominator:(Some 10);
-  Pool.set_protocol_fee pool ~denominator:None;
-  Alcotest.(check bool) "switch off" true (Pool.protocol_fee_denominator pool = None)
-
-(* ------------------------------------------------------------------ *)
-(* Multi-hop routing                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_multihop_path () =
-  (* TKA -> TKB through pool 1, then TKB -> TKC through pool 2. *)
-  let pool_ab = seeded_pool () in
-  let pool_bc =
-    let pool =
-      Pool.create ~pool_id:1
-        ~token0:(Chain.Token.make ~id:1 ~symbol:"TKB")
-        ~token1:(Chain.Token.make ~id:2 ~symbol:"TKC")
-        ~fee_pips:3000 ~tick_spacing:60 ~sqrt_price:Q96.q96
-    in
-    (match
-       Router.mint pool ~position_id:(pid "bc") ~owner:(addr "lp") ~lower_tick:(-887220)
-         ~upper_tick:887220 ~amount0_desired:one_e24 ~amount1_desired:one_e24
-     with
-    | Ok _ -> ()
-    | Error e -> failwith e);
-    pool
-  in
-  match
-    Router.exact_input_path
-      ~path:
-        [ { Router.hop_pool = pool_ab; hop_zero_for_one = true };
-          { Router.hop_pool = pool_bc; hop_zero_for_one = true } ]
-      ~amount_in:one_e18 ~min_amount_out:U256.zero
-  with
-  | Error e -> Alcotest.fail e
-  | Ok o ->
-    Alcotest.check check_u256 "spent is the first hop input" one_e18 o.Router.spent;
-    (* Two 0.3% fees: output ≈ 99.7%^2 ≈ 99.4%. *)
-    let ratio = U256.to_float o.Router.received /. 1e18 in
-    Alcotest.(check bool) (Printf.sprintf "double fee ratio %.6f" ratio) true
-      (ratio > 0.9925 && ratio < 0.9955);
-    Alcotest.(check bool) "fees from both hops" true
-      (U256.to_float o.Router.fee > 0.0058e18)
-
-let test_multihop_slippage_and_empty () =
-  let pool_ab = seeded_pool () in
-  (match
-     Router.exact_input_path
-       ~path:[ { Router.hop_pool = pool_ab; hop_zero_for_one = true } ]
-       ~amount_in:one_e18 ~min_amount_out:one_e18
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "path slippage not enforced");
-  match Router.exact_input_path ~path:[] ~amount_in:one_e18 ~min_amount_out:U256.zero with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty path accepted"
-
-(* ------------------------------------------------------------------ *)
-(* Flash loans                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_flash_repaid () =
-  let pool = seeded_pool () in
-  let fee_growth_before = Pool.fee_growth_global0 pool in
-  match
-    Pool.flash pool ~amount0:one_e21 ~amount1:U256.zero ~callback:(fun ~fee0 ~fee1 ->
-        ignore fee1;
-        Ok (U256.add one_e21 fee0, U256.zero))
-  with
-  | Error e -> Alcotest.fail e
-  | Ok (fee0, _) ->
-    Alcotest.(check bool) "fee charged" true (U256.gt fee0 U256.zero);
-    Alcotest.(check bool) "fee growth credited" true
-      (U256.gt (Pool.fee_growth_global0 pool) fee_growth_before)
-
-let test_flash_default_reverts () =
-  let pool = seeded_pool () in
-  let b0 = Pool.balance0 pool in
-  (match
-     Pool.flash pool ~amount0:one_e21 ~amount1:U256.zero ~callback:(fun ~fee0:_ ~fee1:_ ->
-         Ok (one_e21, U256.zero) (* principal only, no fee *))
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "underpaid flash accepted");
-  Alcotest.check check_u256 "reserves restored" b0 (Pool.balance0 pool);
-  (* Callback failure also inverts the loan. *)
-  (match
-     Pool.flash pool ~amount0:one_e21 ~amount1:U256.zero ~callback:(fun ~fee0:_ ~fee1:_ ->
-         Error "arbitrage failed")
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "failed callback accepted");
-  Alcotest.check check_u256 "reserves restored again" b0 (Pool.balance0 pool)
-
-let test_flash_exceeding_reserves () =
-  let pool = seeded_pool () in
-  match
-    Pool.flash pool ~amount0:(U256.mul one_e24 (U256.of_int 100)) ~amount1:U256.zero
-      ~callback:(fun ~fee0:_ ~fee1:_ -> Ok (U256.zero, U256.zero))
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "over-reserve flash accepted"
-
-(* ------------------------------------------------------------------ *)
-(* Factory                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_factory () =
-  let f = Factory.create () in
-  let p0 =
-    Factory.create_pool f ~token0:(Chain.Token.make ~id:0 ~symbol:"A")
-      ~token1:(Chain.Token.make ~id:1 ~symbol:"B") ~fee_pips:3000 ~tick_spacing:60
-      ~sqrt_price:Q96.q96
-  in
-  let p1 =
-    Factory.create_pool f ~token0:(Chain.Token.make ~id:2 ~symbol:"C")
-      ~token1:(Chain.Token.make ~id:3 ~symbol:"D") ~fee_pips:500 ~tick_spacing:10
-      ~sqrt_price:Q96.q96
-  in
-  Alcotest.(check int) "ids distinct" 1 (Pool.pool_id p1 - Pool.pool_id p0);
-  Alcotest.(check int) "count" 2 (Factory.count f);
-  Alcotest.(check bool) "lookup" true (Factory.find f (Pool.pool_id p0) <> None);
-  Alcotest.(check bool) "missing" true (Factory.find f 99 = None)
 
 (* ------------------------------------------------------------------ *)
 (* Randomized invariants                                               *)
@@ -700,152 +571,6 @@ let invariant_props =
         done;
         !ok) ]
 
-(* ------------------------------------------------------------------ *)
-(* Oracle (TWAP observations)                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_oracle_constant_tick () =
-  let o = Oracle.create ~time:0.0 ~tick:100 () in
-  Oracle.write o ~time:10.0 ~tick:100;
-  Oracle.write o ~time:20.0 ~tick:100;
-  Alcotest.(check (float 1e-9)) "constant twap" 100.0 (Oracle.twap_tick o ~now:20.0 ~window:15.0)
-
-let test_oracle_step_change () =
-  let o = Oracle.create ~time:0.0 ~tick:0 () in
-  (* tick 0 for 10 s, then 200 for 10 s: 20 s TWAP = 100. *)
-  Oracle.write o ~time:10.0 ~tick:200;
-  Oracle.write o ~time:20.0 ~tick:200;
-  Alcotest.(check (float 1e-9)) "mixed window" 100.0 (Oracle.twap_tick o ~now:20.0 ~window:20.0);
-  Alcotest.(check (float 1e-9)) "recent window" 200.0 (Oracle.twap_tick o ~now:20.0 ~window:5.0)
-
-let test_oracle_extrapolates_latest () =
-  let o = Oracle.create ~time:0.0 ~tick:50 () in
-  Oracle.write o ~time:10.0 ~tick:70;
-  (* Query past the newest observation: the latest tick extends. *)
-  Alcotest.(check (float 1e-9)) "extrapolated" 70.0 (Oracle.twap_tick o ~now:30.0 ~window:10.0)
-
-let test_oracle_ring_eviction () =
-  let o = Oracle.create ~capacity:4 ~time:0.0 ~tick:0 () in
-  for i = 1 to 10 do
-    Oracle.write o ~time:(float_of_int i) ~tick:i
-  done;
-  Alcotest.(check int) "count capped" 4 (Oracle.observation_count o);
-  Alcotest.(check (float 1e-9)) "oldest evicted" 7.0 (Oracle.oldest_time o);
-  Alcotest.check_raises "history gone"
-    (Invalid_argument "Oracle.tick_cumulative_at: older than the stored history")
-    (fun () -> ignore (Oracle.tick_cumulative_at o ~time:2.0))
-
-let test_oracle_same_time_coalesces () =
-  let o = Oracle.create ~time:0.0 ~tick:10 () in
-  Oracle.write o ~time:5.0 ~tick:20;
-  Oracle.write o ~time:5.0 ~tick:30; (* same block: last write wins *)
-  Alcotest.(check int) "one observation per timestamp" 2 (Oracle.observation_count o);
-  Alcotest.(check (float 1e-9)) "latest tick wins" 30.0
-    (Oracle.twap_tick o ~now:15.0 ~window:5.0);
-  Alcotest.check_raises "backwards time"
-    (Invalid_argument "Oracle.write: time moved backwards") (fun () ->
-      Oracle.write o ~time:1.0 ~tick:0)
-
-(* ------------------------------------------------------------------ *)
-(* NFPM (NFT positions, ammBoost Remark 1)                             *)
-(* ------------------------------------------------------------------ *)
-
-let nfpm_setup () =
-  let pool = seeded_pool () in
-  let nfpm = Nfpm.create () in
-  let alice = addr "alice" and bob = addr "bob" in
-  let id, _ =
-    match
-      Nfpm.mint nfpm pool ~recipient:alice ~lower_tick:(-1200) ~upper_tick:1200
-        ~amount0_desired:one_e21 ~amount1_desired:one_e21
-    with
-    | Ok v -> v
-    | Error e -> failwith e
-  in
-  (pool, nfpm, alice, bob, id)
-
-let test_nfpm_mint_ownership () =
-  let pool, nfpm, alice, _, id = nfpm_setup () in
-  Alcotest.(check (option bool)) "alice owns token" (Some true)
-    (Option.map (Chain.Address.equal alice) (Nfpm.owner_of nfpm id));
-  Alcotest.(check (list int)) "enumeration" [ id ] (Nfpm.tokens_of nfpm alice);
-  (* The pool-level position belongs to the manager, so direct pool calls
-     by the user are rejected — only the NFT layer authorizes. *)
-  (match
-     Router.collect pool
-       ~position_id:(match Pool.positions pool |> List.find_opt (fun p ->
-           Chain.Address.equal p.Position.owner (Nfpm.address nfpm)) with
-         | Some p -> p.Position.id
-         | None -> failwith "no managed position")
-       ~caller:alice ~amount0_requested:U256.one ~amount1_requested:U256.one
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "user bypassed the NFT layer")
-
-let test_nfpm_transfer_moves_control () =
-  let pool, nfpm, alice, bob, id = nfpm_setup () in
-  (* Accrue some fees first. *)
-  ignore (Router.exact_input pool ~zero_for_one:true ~amount_in:one_e21 ~min_amount_out:U256.zero ());
-  (match Nfpm.transfer nfpm ~caller:alice id ~dest:bob with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (* alice lost control; bob gained it. *)
-  (match
-     Nfpm.collect nfpm pool ~caller:alice id ~amount0_requested:U256.max_value
-       ~amount1_requested:U256.max_value
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "previous owner still in control");
-  match
-    Nfpm.collect nfpm pool ~caller:bob id ~amount0_requested:U256.max_value
-      ~amount1_requested:U256.max_value
-  with
-  | Ok o -> Alcotest.(check bool) "bob collects the fees" true (U256.gt o.Router.collected0 U256.zero)
-  | Error e -> Alcotest.fail e
-
-let test_nfpm_approval_flow () =
-  let pool, nfpm, alice, bob, id = nfpm_setup () in
-  (match Nfpm.approve nfpm ~caller:bob id ~operator:(Some bob) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-owner approved");
-  (match Nfpm.approve nfpm ~caller:alice id ~operator:(Some bob) with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (match
-     Nfpm.increase_liquidity nfpm pool ~caller:bob id ~amount0_desired:one_e18
-       ~amount1_desired:one_e18
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "approved operator rejected: %s" e);
-  (* Transfer clears the approval. *)
-  (match Nfpm.transfer nfpm ~caller:bob id ~dest:bob with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (match Nfpm.transfer nfpm ~caller:alice id ~dest:alice with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "stale approval survived transfer")
-
-let test_nfpm_burn_requires_empty () =
-  let pool, nfpm, alice, _, id = nfpm_setup () in
-  (match Nfpm.burn nfpm pool ~caller:alice id with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "burned a live position");
-  (match
-     Nfpm.decrease_liquidity nfpm pool ~caller:alice id ~amount0_requested:U256.max_value
-       ~amount1_requested:U256.max_value
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  (match
-     Nfpm.collect nfpm pool ~caller:alice id ~amount0_requested:U256.max_value
-       ~amount1_requested:U256.max_value
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  match Nfpm.burn nfpm pool ~caller:alice id with
-  | Ok () -> Alcotest.(check int) "token gone" 0 (Nfpm.token_count nfpm)
-  | Error e -> Alcotest.fail e
-
 let () =
   Alcotest.run "uniswap"
     [ ( "tick table",
@@ -873,27 +598,6 @@ let () =
           Alcotest.test_case "fees accrue+collect" `Quick test_fees_accrue_and_collect;
           Alcotest.test_case "fees proportional" `Quick test_fees_proportional_to_liquidity;
           Alcotest.test_case "out of range no fees" `Quick test_out_of_range_position_earns_nothing ] );
-      ( "flash",
-        [ Alcotest.test_case "repaid" `Quick test_flash_repaid;
-          Alcotest.test_case "default reverts" `Quick test_flash_default_reverts;
-          Alcotest.test_case "exceeds reserves" `Quick test_flash_exceeding_reserves ] );
-      ("factory", [ Alcotest.test_case "registry" `Quick test_factory ]);
-      ( "protocol fees",
-        [ Alcotest.test_case "split" `Quick test_protocol_fee_split;
-          Alcotest.test_case "collect" `Quick test_protocol_fee_collect;
-          Alcotest.test_case "bounds" `Quick test_protocol_fee_bounds ] );
-      ( "multi-hop",
-        [ Alcotest.test_case "two-hop path" `Quick test_multihop_path;
-          Alcotest.test_case "slippage/empty" `Quick test_multihop_slippage_and_empty ] );
-      ( "oracle",
-        [ Alcotest.test_case "constant tick" `Quick test_oracle_constant_tick;
-          Alcotest.test_case "step change" `Quick test_oracle_step_change;
-          Alcotest.test_case "extrapolation" `Quick test_oracle_extrapolates_latest;
-          Alcotest.test_case "ring eviction" `Quick test_oracle_ring_eviction;
-          Alcotest.test_case "same-time coalescing" `Quick test_oracle_same_time_coalesces ] );
-      ( "nfpm",
-        [ Alcotest.test_case "mint ownership" `Quick test_nfpm_mint_ownership;
-          Alcotest.test_case "transfer moves control" `Quick test_nfpm_transfer_moves_control;
-          Alcotest.test_case "approval flow" `Quick test_nfpm_approval_flow;
-          Alcotest.test_case "burn requires empty" `Quick test_nfpm_burn_requires_empty ] );
-      ("invariants", invariant_props) ]
+      ("invariants", invariant_props);
+      ( "LP fee credit",
+        [ Alcotest.test_case "sole LP earns the whole fee" `Quick test_sole_lp_earns_whole_fee ] ) ]
