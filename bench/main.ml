@@ -41,20 +41,6 @@ let micro_names =
     "threshold sign 11-of-16"; "pool swap (exact in)" ]
   |> List.map (fun n -> "ammboost/" ^ n)
 
-(* ns/run measured on the pre-optimisation tree (same machine class, same
-   Bechamel settings). Fallback only: when a previous results file exists
-   at the results path, its [micro_ns] becomes the baseline instead (see
-   [load_baseline]), so successive runs compare against the checked-in
-   numbers without this table going stale. *)
-let builtin_baseline_micro_ns =
-  [ ("ammboost/u256 mul_div", 1349.9); ("ammboost/u256 sqrt", 6469.2);
-    ("ammboost/tick->sqrt ratio", 4546.7); ("ammboost/sqrt ratio->tick", 130382.8);
-    ("ammboost/keccak256 (1KiB)", 140086.3); ("ammboost/sha256 (1KiB)", 22705.3);
-    ("ammboost/rng float", 1495.2); ("ammboost/rng split+float", 4273.9);
-    ("ammboost/bls sign", 17244.3); ("ammboost/bls verify", 23639.9);
-    ("ammboost/threshold sign 11-of-16", 145973092.7);
-    ("ammboost/pool swap (exact in)", 89366.4) ]
-
 let micro_tests () =
   let open Bechamel in
   let open Amm_math in
@@ -455,40 +441,7 @@ let results_path () =
   | Some p when p <> "" -> p
   | _ -> "BENCH_results.json"
 
-(* The micro baseline: the previous results file at the results path when
-   it parses, else the built-in table. Must run before the file is
-   truncated for writing. *)
-let load_baseline () =
-  let path = results_path () in
-  let from_file =
-    if not (Sys.file_exists path) then None
-    else
-      match In_channel.with_open_text path In_channel.input_all with
-      | exception Sys_error _ -> None
-      | text ->
-        (match Json.parse text with
-        | Error _ -> None
-        | Ok doc ->
-          (match Json.member "micro_ns" doc with
-          | Some (Json.Jobject fields) ->
-            let rows =
-              List.filter_map
-                (fun (k, v) ->
-                  match v with Json.Jnumber f -> Some (k, f) | _ -> None)
-                fields
-            in
-            if rows = [] then None else Some rows
-          | _ -> None))
-  in
-  match from_file with
-  | Some rows ->
-    Printf.eprintf "  [micro baseline: previous %s]\n%!" path;
-    rows
-  | None ->
-    Printf.eprintf "  [micro baseline: built-in table]\n%!";
-    builtin_baseline_micro_ns
-
-let write_results ~jobs ~baseline outcomes =
+let write_results ~jobs outcomes =
   let micro_rows = List.concat_map (fun o -> o.o_micro) outcomes in
   let ns_obj rows =
     Json.obj
@@ -513,9 +466,7 @@ let write_results ~jobs ~baseline outcomes =
         ("scale", Json.float E.scale);
         ("jobs", string_of_int jobs);
         ("experiments", experiments);
-        ("micro_ns", ns_obj micro_rows);
-        ("baseline_micro_ns",
-         ns_obj (List.map (fun (n, v) -> (n, Some v)) baseline)) ]
+        ("micro_ns", ns_obj micro_rows) ]
   in
   let path = results_path () in
   let oc = open_out path in
@@ -578,6 +529,5 @@ let () =
   Printf.printf "ammBoost benchmark harness (volumes = paper volumes / %.0f)\n" E.scale;
   Printf.eprintf "  [running %d experiment(s) with %d job(s)]\n%!"
     (List.length targets) jobs;
-  let baseline = load_baseline () in
   let outcomes = run_targets targets in
-  write_results ~jobs ~baseline outcomes
+  write_results ~jobs outcomes

@@ -13,32 +13,46 @@ open Ammboost
 (* Shared flags                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* [conv] restricted to the values [ok] accepts; any other is rejected
+   with "expected <what>" (exit 124), like a malformed --interrupt. *)
+let checked conv ~what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) -> Error (`Msg ("expected " ^ what))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_from n = checked Arg.int ~what:(Printf.sprintf "an integer >= %d" n) (fun v -> v >= n)
+
 let volume =
-  Arg.(value & opt int Config.default.Config.daily_volume
+  Arg.(value & opt (int_from 0) Config.default.Config.daily_volume
        & info [ "volume"; "v" ] ~docv:"TX_PER_DAY" ~doc:"Daily transaction volume V_D.")
 
 let epochs =
-  Arg.(value & opt int Config.default.Config.epochs
+  Arg.(value & opt (int_from 1) Config.default.Config.epochs
        & info [ "epochs"; "e" ] ~docv:"N" ~doc:"Traffic-generation epochs.")
 
 let rounds =
-  Arg.(value & opt int Config.default.Config.sc_rounds_per_epoch
+  Arg.(value & opt (int_from 2) Config.default.Config.sc_rounds_per_epoch
        & info [ "rounds" ] ~docv:"N" ~doc:"Sidechain rounds per epoch.")
 
 let round_duration =
-  Arg.(value & opt float Config.default.Config.sc_round_duration
+  let finite_positive d = d > 0.0 && Float.is_finite d in
+  Arg.(value & opt (checked float ~what:"a finite number > 0" finite_positive)
+                 Config.default.Config.sc_round_duration
        & info [ "round-duration" ] ~docv:"SECONDS" ~doc:"Sidechain round duration.")
 
 let block_size =
-  Arg.(value & opt int Config.default.Config.meta_block_bytes
+  Arg.(value & opt (int_from 1) Config.default.Config.meta_block_bytes
        & info [ "block-size" ] ~docv:"BYTES" ~doc:"Meta-block size limit.")
 
 let users =
-  Arg.(value & opt int Config.default.Config.users
+  Arg.(value & opt (int_from 1) Config.default.Config.users
        & info [ "users" ] ~docv:"N" ~doc:"Participating users.")
 
 let committee =
-  Arg.(value & opt int Config.default.Config.committee_size
+  Arg.(value & opt (int_from 1) Config.default.Config.committee_size
        & info [ "committee" ] ~docv:"N" ~doc:"Sidechain committee size.")
 
 let seed =
@@ -52,13 +66,14 @@ let threshold_signing =
                  pre-generated committee key.")
 
 let interrupt_conv =
+  let module F = Faults.Fault_plan in
   let parse s =
     let interruption kind epoch =
       match kind with
-      | "silent" -> Some (Config.Silent_sync_leader epoch)
-      | "invalid" -> Some (Config.Invalid_sync epoch)
-      | "rollback" -> Some (Config.Mainchain_rollback epoch)
-      | "censor" -> Some (Config.Censoring_committee epoch)
+      | "silent" -> Some (F.Silent_leader epoch)
+      | "invalid" -> Some (F.Invalid_sync epoch)
+      | "rollback" -> Some (F.Rollback epoch)
+      | "censor" -> Some (F.Censoring epoch)
       | _ -> None
     in
     let parsed =
@@ -75,10 +90,10 @@ let interrupt_conv =
           "expected silent:<epoch>, invalid:<epoch>, rollback:<epoch> or censor:<epoch>")
   in
   let print fmt = function
-    | Config.Silent_sync_leader e -> Format.fprintf fmt "silent:%d" e
-    | Config.Invalid_sync e -> Format.fprintf fmt "invalid:%d" e
-    | Config.Mainchain_rollback e -> Format.fprintf fmt "rollback:%d" e
-    | Config.Censoring_committee e -> Format.fprintf fmt "censor:%d" e
+    | F.Silent_leader e -> Format.fprintf fmt "silent:%d" e
+    | F.Invalid_sync e -> Format.fprintf fmt "invalid:%d" e
+    | F.Rollback e -> Format.fprintf fmt "rollback:%d" e
+    | F.Censoring e -> Format.fprintf fmt "censor:%d" e
   in
   Arg.conv (parse, print)
 
@@ -96,7 +111,8 @@ let make_config volume epochs rounds round_duration block_size users committee s
     committee_size = committee;
     miners = Stdlib.max Config.default.Config.miners (2 * committee);
     max_faulty = (committee - 2) / 3;
-    seed; threshold_signing; interruptions }
+    seed; threshold_signing;
+    faults = { Config.default.Config.faults with Faults.Fault_plan.interruptions } }
 
 let config_term =
   Term.(const make_config $ volume $ epochs $ rounds $ round_duration $ block_size $ users

@@ -51,7 +51,9 @@ let run_system_scene name interruptions =
   let cfg =
     { Config.default with
       epochs = 4; daily_volume = 50_000; users = 20; miners = 60; committee_size = 20;
-      max_faulty = 6; interruptions; seed = "drill-" ^ name }
+      max_faulty = 6;
+      faults = { Faults.Fault_plan.none with Faults.Fault_plan.interruptions };
+      seed = "drill-" ^ name }
   in
   let r = System.run cfg in
   Printf.printf
@@ -127,12 +129,12 @@ let () =
 
   Printf.printf "\n[2] Full-system interruptions (4 epochs, recovery via mass-sync):\n";
   run_system_scene "no interruption" [];
-  run_system_scene "silent sync leader @1" [ Config.Silent_sync_leader 1 ];
-  run_system_scene "invalid sync @1" [ Config.Invalid_sync 1 ];
-  run_system_scene "mainchain rollback @1" [ Config.Mainchain_rollback 1 ];
-  run_system_scene "censoring committee @1" [ Config.Censoring_committee 1 ];
+  run_system_scene "silent sync leader @1" [ Faults.Fault_plan.Silent_leader 1 ];
+  run_system_scene "invalid sync @1" [ Faults.Fault_plan.Invalid_sync 1 ];
+  run_system_scene "mainchain rollback @1" [ Faults.Fault_plan.Rollback 1 ];
+  run_system_scene "censoring committee @1" [ Faults.Fault_plan.Censoring 1 ];
   run_system_scene "three interruptions"
-    [ Config.Silent_sync_leader 0; Config.Invalid_sync 2 ];
+    [ Faults.Fault_plan.Silent_leader 0; Faults.Fault_plan.Invalid_sync 2 ];
 
   Printf.printf "\n[3] Seeded chaos (fault-plan engine, all layers at once):\n";
   List.iter run_chaos_scene [ 0.05; 0.15; 0.3 ];

@@ -15,17 +15,6 @@ type distribution = {
 let uniswap_distribution =
   { swap_pct = 93.19; mint_pct = 2.14; burn_pct = 2.38; collect_pct = 2.27 }
 
-type interruption =
-  | Silent_sync_leader of int
-      (* the leader of this epoch never submits the Sync call *)
-  | Invalid_sync of int
-      (* the leader submits corrupted Sync inputs for this epoch *)
-  | Mainchain_rollback of int
-      (* a fork abandons the mainchain block(s) right after this epoch's sync *)
-  | Censoring_committee of int
-      (* this epoch's committee omits transactions from the first user
-         (Lemma 2's DoS threat); rotation restores liveness next epoch *)
-
 (* Liveness-watchdog thresholds. "Stall" is the number of produced-but-
    unapplied summary epochs at an epoch boundary; one epoch of lag is the
    steady-state pipeline depth, so thresholds start at 2. *)
@@ -72,9 +61,8 @@ type t = {
                                       wired into the watchdog *)
   sign_transactions : bool;        (* generate real BLS signatures on traffic *)
   swap_deadline_rounds : int;      (* swap validity window in sc rounds *)
-  interruptions : interruption list;
-  faults : Faults.Fault_plan.spec; (* probabilistic fault plan (chaos runs);
-                                      Fault_plan.none injects nothing *)
+  faults : Faults.Fault_plan.spec; (* every injected fault, drawn or
+                                      scripted; Fault_plan.none injects none *)
   mc_confirmations : int;          (* blocks burying a tx before it is final;
                                       raise for deeper-reorg chaos runs *)
   watchdog : watchdog;
@@ -101,7 +89,6 @@ let default =
     twin_audit = true;
     sign_transactions = false;
     swap_deadline_rounds = 10_000;
-    interruptions = [];
     faults = Faults.Fault_plan.none;
     mc_confirmations = 1;
     watchdog = default_watchdog;

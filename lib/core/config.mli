@@ -10,18 +10,6 @@ type distribution = {
   collect_pct : float;
 }
 
-(** Faults injected into a run (§4.2 "Handling interruptions"). *)
-type interruption =
-  | Silent_sync_leader of int
-      (** the leader of this epoch never submits the Sync call *)
-  | Invalid_sync of int
-      (** the leader submits corrupted Sync inputs for this epoch *)
-  | Mainchain_rollback of int
-      (** a fork abandons the block carrying this epoch's sync *)
-  | Censoring_committee of int
-      (** this epoch's committee omits the first user's transactions
-          (Lemma 2's DoS threat); committee rotation restores liveness *)
-
 (** Liveness-watchdog thresholds ({!System}'s operating-mode machine).
     "Stall" counts produced-but-unapplied summary epochs at an epoch
     boundary; the steady-state pipeline depth is one epoch of lag, so
@@ -68,10 +56,11 @@ type t = {
                                        escalation); on by default *)
   sign_transactions : bool;        (** generate real BLS signatures on traffic *)
   swap_deadline_rounds : int;      (** swap validity window in sc rounds *)
-  interruptions : interruption list;
-  faults : Faults.Fault_plan.spec; (** probabilistic fault plan (chaos runs);
-                                       {!Faults.Fault_plan.none} injects
-                                       nothing *)
+  faults : Faults.Fault_plan.spec; (** every injected fault, drawn (chaos
+                                       rates) or scripted (interruptions,
+                                       scenarios, crash and corruption
+                                       scripts); {!Faults.Fault_plan.none}
+                                       injects nothing *)
   mc_confirmations : int;          (** blocks burying a mainchain tx before it
                                        is final; raise for deeper-reorg chaos *)
   watchdog : watchdog;

@@ -644,7 +644,9 @@ let crash_drill_cfg =
     threshold_signing = true;
     mc_confirmations = 2;
     (* a reorg mid-run exercises the WAL's Truncate compensation records *)
-    interruptions = [ Config.Mainchain_rollback 2 ];
+    faults =
+      { Faults.Fault_plan.none with
+        Faults.Fault_plan.interruptions = [ Faults.Fault_plan.Rollback 2 ] };
     seed = base.seed ^ "-crash-drill" }
 
 type drill_row = {
@@ -806,7 +808,7 @@ let crash_drill ?sink ?domains () =
       let cfg =
         { crash_drill_cfg with
           faults =
-            { Faults.Fault_plan.none with
+            { crash_drill_cfg.faults with
               Faults.Fault_plan.durability =
                 { Faults.Fault_plan.crash_rate = 0.0;
                   torn_write_rate = 1.0;

@@ -352,7 +352,7 @@ let deposit_lead_seconds = 96.0
 (* Committee machinery                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let elect_committee t ~epoch =
+let elect_committee t ~epoch ~now =
   let randomness = Amm_crypto.Sha256.digest_string (t.cfg.Config.seed ^ "/randomness") in
   let seed = Consensus.Election.seed_for_epoch ~randomness ~epoch in
   let credentials =
@@ -366,8 +366,13 @@ let elect_committee t ~epoch =
     Consensus.Election.elect ~credentials
       ~committee_size:(Stdlib.min t.cfg.Config.committee_size (Array.length t.miners))
   in
-  t.committees <-
-    { epoch; committee_size = List.length committee; leader } :: t.committees
+  let committee_size = List.length committee in
+  t.committees <- { epoch; committee_size; leader } :: t.committees;
+  Log.debug ~scope ~t:now
+    ~fields:
+      [ ("epoch", Json.Int epoch); ("committee", Json.Int committee_size);
+        ("leader", Json.Int leader) ]
+    "epoch started: committee elected"
 
 let make_committee_keys ~cfg ~rng_keys ~epoch =
   let rng = Rng.split rng_keys (Printf.sprintf "committee-%d" epoch) in
@@ -957,30 +962,12 @@ let rollback_to t ~height =
     schedule_retry t ~now:(Eth.now t.eth)
   end
 
-(* Scripted interruption: a fork abandons the block carrying the
-   configured epoch's sync while it is still unconfirmed. *)
-let inject_rollback t ~epoch =
-  if not (Hashtbl.mem t.rollbacks_done epoch) then
-    match
-      List.find_map
-        (fun (epochs, h, _) -> if List.mem epoch epochs then Some h else None)
-        t.pending_confirm
-    with
-    | None -> () (* not applied yet, or already confirmed: too deep *)
-    | Some h ->
-      Hashtbl.replace t.rollbacks_done epoch ();
-      Log.warn ~scope ~t:(Eth.now t.eth)
-        ~fields:
-          [ ("epoch", Json.Int epoch);
-            ("blocks", Json.Int (Eth.height t.eth - h + 1)) ]
-        "interruption: rolling back mainchain past sync inclusion";
-      rollback_to t ~height:h
-
-(* Plan-driven variable-depth reorgs: an unconfirmed sync whose epoch
-   drew a reorg is rolled back once the fork reaches the drawn depth
-   (raise [mc_confirmations] to widen the vulnerable window). At most
-   one reorg fires per round. *)
-let inject_chaos_reorgs t =
+(* Fault-plan reorgs, scripted or drawn: an unconfirmed sync whose newest
+   epoch is fated to reorg is rolled back once the fork reaches the fated
+   depth. A scripted rollback has depth 1, so it fires as soon as its
+   sync lands; raise [mc_confirmations] to widen the window for drawn
+   depths. At most one reorg fires per round. *)
+let inject_reorgs t =
   (* Past a halt the checkpoints no longer describe the system state
      (the halt and the exits are not in them), so reorgs stop. *)
   if t.mode = Halted || t.dissolved then ()
@@ -1091,7 +1078,9 @@ let submit_exit t (u : Party.user) ~at =
    mainchain instead) and submit every party's exit. *)
 let enter_halt t ~now ~reason =
   set_mode t Halted ~now ~reason;
+  (* Both timestamps describe the latest halt. *)
   t.halted_at <- Some now;
+  t.recovered_at <- None;
   t.dissolved <- true;
   Chain.Mempool.clear t.mempool;
   t.next_retry_at <- Float.infinity;
@@ -1221,42 +1210,34 @@ let watchdog_tick t ~epoch:e ~now ~committee_live =
 (* The state twin: op capture, fault injection, epoch-boundary audit   *)
 (* ------------------------------------------------------------------ *)
 
+(* After-images of the pool state an op wrote: the pool's scalars plus
+   every position and tick in its drained write set. *)
+let pool_images t (wpos, wticks) =
+  (Twin.Pool_scalars, Some (Durable.State_codec.pool_bytes t.pool))
+  :: (List.map
+        (fun pid -> (Twin.Pool_pos pid, Uniswap.Pool.position_bytes t.pool pid))
+        wpos
+     @ List.map (fun k -> (Twin.Pool_tick k, Uniswap.Pool.tick_bytes t.pool k)) wticks)
+
 (* Per-transaction op capture, fired by the processor tap after every
    attempt — a rejected swap has already mutated pool state before the
    router's slippage check, so rejected attempts are captured too (with
-   a "!rejected" label suffix). Drains the pool's per-op write set and
-   records the after-images of everything the transaction touched. *)
+   a "!rejected" label suffix). Records the after-images of everything
+   the transaction touched. *)
 let twin_tx_tap t tw deposits ~label ~user ~ok =
-  let wpos, wticks = Uniswap.Pool.drain_op_writes t.pool in
-  let label = if ok then label else label ^ "!rejected" in
-  Twin.record tw ~label
+  let writes = Uniswap.Pool.drain_op_writes t.pool in
+  Twin.record tw
+    ~label:(if ok then label else label ^ "!rejected")
     ((Twin.Dep_row user, Sidechain.Deposits.row_image deposits user)
-     :: (Twin.Pool_scalars, Some (Durable.State_codec.pool_bytes t.pool))
-     :: (List.map
-           (fun pid ->
-             (Twin.Pool_pos pid, Uniswap.Pool.position_bytes t.pool pid))
-           wpos
-        @ List.map
-            (fun k -> (Twin.Pool_tick k, Uniswap.Pool.tick_bytes t.pool k))
-            wticks))
+     :: pool_images t writes)
 
 (* Summary construction reads fee state through the pool, which marks
    position writes (fee checkpoint updates). Record them as one op so
    the audit window stays closed over every legitimate write. *)
 let twin_record_summary_touch t tw =
-  let wpos, wticks = Uniswap.Pool.drain_op_writes t.pool in
-  match (wpos, wticks) with
+  match Uniswap.Pool.drain_op_writes t.pool with
   | [], [] -> ()
-  | _ ->
-    Twin.record tw ~label:"summary.build"
-      ((Twin.Pool_scalars, Some (Durable.State_codec.pool_bytes t.pool))
-       :: (List.map
-             (fun pid ->
-               (Twin.Pool_pos pid, Uniswap.Pool.position_bytes t.pool pid))
-             wpos
-          @ List.map
-              (fun k -> (Twin.Pool_tick k, Uniswap.Pool.tick_bytes t.pool k))
-              wticks))
+  | writes -> Twin.record tw ~label:"summary.build" (pool_images t writes)
 
 (* Silent state corruption: a seeded bit-flip landed directly in a flat
    store behind the system's back — no transaction, no log record. Only
@@ -1316,14 +1297,9 @@ let twin_audit_epoch t ~deposits ~epoch ~now =
     let live =
       { Twin.live_dep =
           (fun u ->
-            match deposits with
-            | Some d -> Sidechain.Deposits.row_image d u
-            | None -> None);
+            match deposits with Some d -> Sidechain.Deposits.row_image d u | None -> None);
         live_dep_dirty =
-          (fun () ->
-            match deposits with
-            | Some d -> Sidechain.Deposits.dirty_users d
-            | None -> []);
+          (fun () -> Option.fold ~none:[] ~some:Sidechain.Deposits.dirty_users deposits);
         live_pool_pos = (fun pid -> Uniswap.Pool.position_bytes t.pool pid);
         live_pool_tick = (fun k -> Uniswap.Pool.tick_bytes t.pool k);
         live_pool_writes = (fun () -> Uniswap.Pool.audit_writes t.pool);
@@ -1341,9 +1317,7 @@ let twin_audit_epoch t ~deposits ~epoch ~now =
     let reports = Twin.audit tw ~epoch live in
     Uniswap.Pool.clear_audit_writes t.pool;
     Tokenbank.Pos_store.clear_dirty (Token_bank.positions_store t.bank);
-    (match deposits with
-    | Some d -> Sidechain.Deposits.clear_dirty d
-    | None -> ());
+    Option.iter Sidechain.Deposits.clear_dirty deposits;
     Tmetrics.inc t.tele.c_twin_audits;
     (match reports with
     | [] -> t.twin_divergence_streak <- 0
@@ -1376,6 +1350,336 @@ type boundary = {
   b_twin : Twin.t option;
 }
 
+(* A live epoch's state: the processor that executes its transactions
+   against the bank snapshot, and the self-audit trail entry its blocks
+   are recorded into. Arms the twin's op capture and takes the durable
+   snapshot due at this boundary. *)
+let begin_live_epoch t ~epoch:e =
+  let cfg = t.cfg in
+  let snapshot = Token_bank.snapshot t.bank ~epoch:e in
+  let audit_entry =
+    if cfg.Config.self_audit then begin
+      let entry =
+        { a_pool = Uniswap.Pool.clone t.pool; a_snapshot = snapshot;
+          a_metas = []; a_payload = None }
+      in
+      t.audit_trail <- entry :: t.audit_trail;
+      Some entry
+    end
+    else None
+  in
+  let processor =
+    (* Positions in still-unapplied summaries stay "changed" relative
+       to the bank snapshot even if this epoch never touches them: feed
+       them to the incremental summary builder as carry. *)
+    let pending = List.map fst (pending_signed t) in
+    let carry =
+      List.concat_map
+        (fun p -> List.map (fun e -> e.Sync_payload.pos_id) p.Sync_payload.positions)
+        pending
+    in
+    let user_carry =
+      List.concat_map
+        (fun p -> List.map (fun u -> u.Sync_payload.user) p.Sync_payload.users)
+        pending
+    in
+    Processor.begin_epoch ~pool:t.pool ~snapshot ~carry ~user_carry
+      ~verify_signatures:cfg.Config.verify_signatures ()
+  in
+  (* Arm the twin's op capture for the epoch. The fresh deposit table
+     marks every row dirty at construction; those rows are derived
+     from the bank snapshot the sync path already audits, so they are
+     not window ops — clear the marks before the first transaction
+     lands and audit only rows the epoch actually writes. *)
+  (match t.twin with
+  | Some tw ->
+    let deposits = Processor.deposits processor in
+    Sidechain.Deposits.clear_dirty deposits;
+    Processor.set_tap processor (twin_tx_tap t tw deposits)
+  | None -> ());
+  (* Durable snapshot at the epoch boundary (the deposits view is the
+     processor's, i.e. post-begin_epoch). Committee-less epochs skip
+     snapshots; the cadence is identical in an uninterrupted run, so
+     resume-time verification lines up byte-for-byte. *)
+  (match t.durable with
+  | Some s when Durable.Session.snapshot_due s ~epoch:e ->
+    Durable.Session.snapshot s ~epoch:e
+      ~sections:
+        (Durable.State_codec.sections ~bank:t.bank ~pool:t.pool
+           ~deposits:(Processor.deposits processor)
+           ~pending:(pending_signed t))
+  | _ -> ());
+  (processor, audit_entry)
+
+(* One round's block in a live epoch. The committee drains the queue up
+   to the meta-block capacity and processes with the AMM logic; only
+   valid transactions enter the block. In the last round of the epoch
+   the committee mines the summary-block instead of a meta-block
+   (chainBoost/ammBoost block structure), so no transactions are
+   processed in that round. *)
+let produce_block t ~committee ~censoring (processor, audit_entry) ~epoch:e ~round:r
+    ~t_round =
+  let cfg = t.cfg and tele = t.tele in
+  let spr = cfg.Config.sc_rounds_per_epoch and b_t = cfg.Config.sc_round_duration in
+  let round = (e * spr) + r in
+  let summary_round = r = spr - 1 in
+  let candidates =
+    if summary_round then []
+    else Chain.Mempool.take_up_to t.mempool ~max_bytes:cfg.Config.meta_block_bytes
+  in
+  (* A censoring committee omits the victim's transactions; they stay
+     pending (the user rebroadcasts) and the next epoch's committee
+     processes them - the Lemma 2 liveness argument. *)
+  let candidates =
+    if not censoring then candidates
+    else begin
+      let victim = t.users.(0).Party.address in
+      let kept, censored =
+        List.partition
+          (fun tx -> not (Address.equal tx.Tx.issuer victim))
+          candidates
+      in
+      List.iter (fun tx -> Chain.Mempool.push t.mempool tx) censored;
+      kept
+    end
+  in
+  let included =
+    List.filter
+      (fun tx ->
+        match Processor.process processor ~current_round:round tx with
+        | Ok () -> true
+        | Error _ -> false)
+      candidates
+  in
+  if e < cfg.Config.epochs then
+    t.processed_in_window <- t.processed_in_window + List.length included;
+  (* Agreement on the block: message-level PBFT when configured,
+     otherwise the closed-form latency model. *)
+  let consensus_latency, view_changes =
+    match committee with
+    | Some c ->
+      let digest =
+        Amm_crypto.Sha256.concat
+          (Bytes.of_string (Printf.sprintf "round-%d" round)
+          :: List.map (fun tx -> Chain.Ids.Tx_id.to_bytes tx.Tx.id) included)
+      in
+      (* Plan-driven per-round replica faults: crashed members,
+         a Byzantine proposer, and message-level network chaos. *)
+      let silent =
+        Faults.Fault_plan.crashed_members t.plan ~epoch:e ~round
+          ~members:(Sidechain.Committee.members c)
+          ~max_faulty:(Sidechain.Committee.max_faulty c)
+      in
+      let invalid_proposer =
+        Faults.Fault_plan.byzantine_proposer t.plan ~epoch:e ~round
+      in
+      let chaos =
+        Faults.Fault_plan.net_chaos t.plan ~epoch:e ~round
+          ~members:(Sidechain.Committee.members c)
+      in
+      let o =
+        Sidechain.Committee.agree ~silent ~invalid_proposer ?chaos c
+          ~block_digest:digest ~horizon:b_t
+      in
+      ((if o.Sidechain.Committee.decided then o.Sidechain.Committee.latency else b_t),
+       o.Sidechain.Committee.view_changes)
+    | None ->
+      let size =
+        Blocks.meta_header_size
+        + List.fold_left (fun acc tx -> acc + tx.Tx.wire_size) 0 included
+      in
+      ( Consensus.Latency_model.consensus_latency cfg.Config.consensus
+          ~committee_size:cfg.Config.committee_size ~block_bytes:size,
+        0 )
+  in
+  let meta = Blocks.make_meta ~epoch:e ~round ~view_changes included in
+  Telemetry.Histogram.observe tele.h_consensus consensus_latency;
+  if not summary_round then begin
+    Blocks.append_meta t.sc_chain meta;
+    Telemetry.Histogram.observe tele.h_meta_txs
+      (float_of_int (List.length included));
+    Telemetry.Histogram.observe tele.h_meta_bytes
+      (float_of_int meta.Blocks.m_size);
+    Trace.complete tele.tr
+      ~args:
+        [ ("txs", Json.Int (List.length included));
+          ("bytes", Json.Int meta.Blocks.m_size);
+          ("view_changes", Json.Int view_changes);
+          ("consensus_latency", Json.Float consensus_latency) ]
+      ~name:"meta-block"
+      ~ts:(t_round +. (0.35 *. b_t))
+      ~dur:(Float.min consensus_latency (0.65 *. b_t))
+      ();
+    match audit_entry with
+    | Some a -> a.a_metas <- (meta, included) :: a.a_metas
+    | None -> ()
+  end;
+  List.iter
+    (fun tx ->
+      let latency = t_round -. tx.Tx.issued_at +. consensus_latency in
+      Telemetry.Histogram.observe tele.h_tx_latency latency;
+      Metrics.note_processed t.payouts ~epoch:e ~issued_at:tx.Tx.issued_at;
+      t.counterfactual_bytes <-
+        t.counterfactual_bytes
+        + Chain.Encoding.sepolia_op_size (Tx.op_of_payload tx.Tx.payload);
+      Lifecycle.on_included t.lifecycle
+        ~id:(Chain.Ids.Tx_id.to_bytes tx.Tx.id)
+        ~cls:(Tx.type_name tx.Tx.payload) ~issued_at:tx.Tx.issued_at
+        ~wire:tx.Tx.wire_size ~epoch:e
+        ~at:(t_round +. consensus_latency))
+    included;
+  if Blocks.stored_bytes t.sc_chain > t.max_sc_stored then
+    t.max_sc_stored <- Blocks.stored_bytes t.sc_chain;
+  (* End of round: a silent corruption may land in a flat store —
+     out-of-band, on no transaction's write set. The epoch-boundary
+     audit must catch it. *)
+  inject_corruption t ~deposits:(Some (Processor.deposits processor))
+    ~epoch:e ~round:r
+
+(* End of a live epoch: summary block, threshold signature, Sync
+   submission. *)
+let finish_epoch t (processor, audit_entry) ~epoch:e =
+  let cfg = t.cfg and tele = t.tele in
+  let spr = cfg.Config.sc_rounds_per_epoch and b_t = cfg.Config.sc_round_duration in
+  let epoch_dur = Config.epoch_duration cfg in
+  let epoch_start = float_of_int e *. epoch_dur in
+  let epoch_end = float_of_int (e + 1) *. epoch_dur in
+  let next_keys = committee_keys t ~epoch:(e + 1) in
+  let payload =
+    Processor.build_payload processor ~epoch:e ~next_committee_vk:next_keys.vk
+  in
+  Option.iter (twin_record_summary_touch t) t.twin;
+  let keys = committee_keys t ~epoch:e in
+  let signature = sign_payload t ~epoch:e keys (Sync_payload.signing_bytes payload) in
+  (* The epoch's key material signs nothing after its summary. *)
+  Hashtbl.remove t.committee_keys e;
+  Hashtbl.replace t.signed_payloads e (payload, signature);
+  t.last_summary_epoch <- e;
+  let s_size = Sidechain.Codec.summary_block_size payload in
+  let n_users = List.length payload.Sync_payload.users in
+  t.summary_users_total <- t.summary_users_total + n_users;
+  if n_users > t.summary_users_max then t.summary_users_max <- n_users;
+  Telemetry.Histogram.observe tele.h_summary_bytes (float_of_int s_size);
+  (* The summary round (last of the epoch) splits into summary build
+     and threshold signing on the simulated timeline. *)
+  let t_summary = epoch_start +. (float_of_int (spr - 1) *. b_t) in
+  Trace.complete tele.tr
+    ~args:
+      [ ("epoch", Json.Int e); ("bytes", Json.Int s_size);
+        ("users", Json.Int n_users);
+        ("positions", Json.Int (List.length payload.Sync_payload.positions)) ]
+    ~name:"summary" ~ts:t_summary ~dur:(0.5 *. b_t) ();
+  Trace.complete tele.tr
+    ~args:[ ("threshold", Json.Bool cfg.Config.threshold_signing) ]
+    ~name:"sign"
+    ~ts:(t_summary +. (0.5 *. b_t))
+    ~dur:(0.5 *. b_t) ();
+  Lifecycle.on_stage t.lifecycle ~epoch:e ~stage:Lifecycle.Summarized
+    ~at:t_summary;
+  Blocks.append_summary t.sc_chain
+    { Blocks.s_epoch = e; s_size;
+      s_rounds_covered = (e * spr, ((e + 1) * spr) - 1) };
+  Option.iter (fun a -> a.a_payload <- Some payload) audit_entry;
+  let silent = Faults.Fault_plan.silent_leader t.plan ~epoch:e in
+  let corrupt = (not silent) && Faults.Fault_plan.corrupt_sync t.plan ~epoch:e in
+  if not silent then submit_sync t ~epoch:e ~at:epoch_end ~corrupt;
+  let stats = Processor.stats processor in
+  record_rejections t stats;
+  Tmetrics.inc ~by:stats.Processor.processed tele.c_processed;
+  Tmetrics.inc ~by:stats.Processor.rejected tele.c_rejected;
+  Tmetrics.inc ~by:stats.Processor.swaps tele.c_swaps;
+  Tmetrics.inc ~by:stats.Processor.mints tele.c_mints;
+  Tmetrics.inc ~by:stats.Processor.burns tele.c_burns;
+  Tmetrics.inc ~by:stats.Processor.collects tele.c_collects;
+  Trace.complete tele.tr ~cat:"epoch"
+    ~args:
+      [ ("epoch", Json.Int e); ("processed", Json.Int stats.Processor.processed);
+        ("rejected", Json.Int stats.Processor.rejected) ]
+    ~name:(Printf.sprintf "epoch-%d" e)
+    ~ts:epoch_start ~dur:epoch_dur ();
+  Log.info ~scope ~t:epoch_end
+    ~fields:
+      [ ("epoch", Json.Int e); ("processed", Json.Int stats.Processor.processed);
+        ("rejected", Json.Int stats.Processor.rejected);
+        ("summary_bytes", Json.Int s_size) ]
+    "epoch complete"
+
+(* One epoch: elect its committee and tick the watchdog at the
+   boundary, then run its rounds. Every round advances the mainchain,
+   fires due reorgs, settles confirmations, retries syncs and, until the
+   sidechain dissolves, submits deposits and issues traffic. A live
+   epoch also produces each round's block and the summary; a
+   committee-less one (lost, or dissolved by a halt) produces nothing,
+   while deposits, retries and reconciliations still pump. Either way
+   the twin audits the epoch's bank ops at its end, sealing it for time
+   travel. *)
+let run_epoch t ~committee ~epoch:e =
+  let cfg = t.cfg and tele = t.tele in
+  let spr = cfg.Config.sc_rounds_per_epoch and b_t = cfg.Config.sc_round_duration in
+  let epoch_dur = Config.epoch_duration cfg in
+  let epoch_start = float_of_int e *. epoch_dur in
+  let lost = Faults.Fault_plan.committee_lost t.plan ~epoch:e in
+  if not (t.dissolved || lost) then elect_committee t ~epoch:e ~now:epoch_start;
+  Eth.advance_to t.eth epoch_start;
+  (* Gas-limit congestion window: congested epochs mine under a reduced
+     limit, restored at the next non-congested epoch start. *)
+  if Faults.Fault_plan.congested t.plan ~epoch:e then begin
+    let limit = (Faults.Fault_plan.spec t.plan).Faults.Fault_plan.mainchain
+                  .Faults.Fault_plan.congestion_gas_limit in
+    if limit > 0 && limit < cfg.Config.mc_gas_limit then begin
+      Eth.set_gas_limit t.eth limit;
+      Log.warn ~scope ~t:epoch_start
+        ~fields:[ ("epoch", Json.Int e); ("gas_limit", Json.Int limit) ]
+        "fault: gas-limit congestion window"
+    end
+  end
+  else if Eth.gas_limit t.eth <> cfg.Config.mc_gas_limit then
+    Eth.set_gas_limit t.eth cfg.Config.mc_gas_limit;
+  settle_confirmed t;
+  sample_growth t ~epoch:e ~now:epoch_start;
+  watchdog_tick t ~epoch:e ~now:epoch_start
+    ~committee_live:(not (t.dissolved || lost));
+  (* The tick may just have halted and dissolved the sidechain. *)
+  let live = if t.dissolved || lost then None else Some (begin_live_epoch t ~epoch:e) in
+  let censoring = live <> None && Faults.Fault_plan.censoring t.plan ~epoch:e in
+  for r = 0 to spr - 1 do
+    dur_crash t ~epoch:e ~round:r;
+    let round = (e * spr) + r in
+    let t_round = epoch_start +. (float_of_int r *. b_t) in
+    Eth.advance_to t.eth t_round;
+    inject_reorgs t;
+    settle_confirmed t;
+    maybe_retry_sync t ~now:t_round;
+    if not t.dissolved then begin
+      maybe_submit_deposits t ~now:t_round;
+      (* Without a committee parties keep issuing: the backlog they
+         accumulate is voided at dissolution and settled by the exits. *)
+      if e < cfg.Config.epochs then begin
+        let generated =
+          Traffic.iter_round t.traffic ~round ~time:t_round
+            (Chain.Mempool.push t.mempool)
+        in
+        Tmetrics.inc ~by:generated tele.c_generated;
+        Trace.complete tele.tr
+          ~args:
+            [ ("generated", Json.Int generated); ("round", Json.Int round) ]
+          ~name:"traffic" ~ts:t_round ~dur:(0.35 *. b_t) ()
+      end
+    end;
+    Tmetrics.set tele.g_mempool_bytes
+      (float_of_int (Chain.Mempool.byte_size t.mempool));
+    match live with
+    | Some l -> produce_block t ~committee ~censoring l ~epoch:e ~round:r ~t_round
+    | None -> ()
+  done;
+  Option.iter (fun l -> finish_epoch t l ~epoch:e) live;
+  (* Even a committee-less epoch gets its audit: bank ops (exits,
+     reconciles) still flowed, and the twin must confirm nothing else
+     moved. *)
+  twin_audit_epoch t
+    ~deposits:(Option.map (fun (p, _) -> Processor.deposits p) live)
+    ~epoch:e ~now:(float_of_int (e + 1) *. epoch_dur)
+
 let run ?(trace = false) ?durable ?at_boundary cfg =
   let t = create ~trace ?durable cfg in
   let tele = t.tele in
@@ -1402,372 +1706,13 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
            ~timeout:(cfg.Config.sc_round_duration /. 4.0))
     else None
   in
-  let spr = cfg.Config.sc_rounds_per_epoch in
-  let b_t = cfg.Config.sc_round_duration in
   let epoch_dur = Config.epoch_duration cfg in
   let epoch = ref 0 in
   let continue = ref true in
   Chain.Mempool.push t.mempool (genesis_mint_tx t);
   while !continue do
     let e = !epoch in
-    let epoch_start = float_of_int e *. epoch_dur in
-    let lost = Faults.Fault_plan.committee_lost t.plan ~epoch:e in
-    if not (t.dissolved || lost) then begin
-      elect_committee t ~epoch:e;
-      match t.committees with
-      | { epoch = ce; committee_size; leader } :: _ when ce = e ->
-        Log.debug ~scope ~t:epoch_start
-          ~fields:
-            [ ("epoch", Json.Int e); ("committee", Json.Int committee_size);
-              ("leader", Json.Int leader) ]
-          "epoch started: committee elected"
-      | _ -> ()
-    end;
-    Eth.advance_to t.eth epoch_start;
-    (* Gas-limit congestion window: congested epochs mine under a reduced
-       limit, restored at the next non-congested epoch start. *)
-    if Faults.Fault_plan.congested t.plan ~epoch:e then begin
-      let limit = (Faults.Fault_plan.spec t.plan).Faults.Fault_plan.mainchain
-                    .Faults.Fault_plan.congestion_gas_limit in
-      if limit > 0 && limit < cfg.Config.mc_gas_limit then begin
-        Eth.set_gas_limit t.eth limit;
-        Log.warn ~scope ~t:epoch_start
-          ~fields:[ ("epoch", Json.Int e); ("gas_limit", Json.Int limit) ]
-          "fault: gas-limit congestion window"
-      end
-    end
-    else if Eth.gas_limit t.eth <> cfg.Config.mc_gas_limit then
-      Eth.set_gas_limit t.eth cfg.Config.mc_gas_limit;
-    settle_confirmed t;
-    sample_growth t ~epoch:e ~now:epoch_start;
-    watchdog_tick t ~epoch:e ~now:epoch_start
-      ~committee_live:(not (t.dissolved || lost));
-    (* The tick may just have halted and dissolved the sidechain. *)
-    let committee_dead = t.dissolved || lost in
-    if committee_dead then begin
-      (* Idle epoch: no committee, so no meta/summary blocks. The
-         mainchain keeps producing blocks, and deposits / retries /
-         reconciliation submissions still pump (until dissolution). *)
-      for r = 0 to spr - 1 do
-        dur_crash t ~epoch:e ~round:r;
-        let round = (e * spr) + r in
-        let t_round = epoch_start +. (float_of_int r *. b_t) in
-        Eth.advance_to t.eth t_round;
-        inject_chaos_reorgs t;
-        settle_confirmed t;
-        maybe_retry_sync t ~now:t_round;
-        if not t.dissolved then begin
-          maybe_submit_deposits t ~now:t_round;
-          if e < cfg.Config.epochs then begin
-            (* Parties keep issuing: the backlog they accumulate is
-               voided at dissolution and settled by the exits. *)
-            let generated =
-              Traffic.iter_round t.traffic ~round ~time:t_round
-                (Chain.Mempool.push t.mempool)
-            in
-            Tmetrics.inc ~by:generated tele.c_generated
-          end
-        end;
-        Tmetrics.set tele.g_mempool_bytes
-          (float_of_int (Chain.Mempool.byte_size t.mempool))
-      done;
-      (* Even an idle epoch gets its audit: bank ops (exits, reconciles)
-         still flowed, and the twin must confirm nothing else moved. *)
-      twin_audit_epoch t ~deposits:None ~epoch:e
-        ~now:(float_of_int (e + 1) *. epoch_dur)
-    end
-    else begin
-    let snapshot = Token_bank.snapshot t.bank ~epoch:e in
-    let audit_entry =
-      if cfg.Config.self_audit then begin
-        let entry =
-          { a_pool = Uniswap.Pool.clone t.pool; a_snapshot = snapshot;
-            a_metas = []; a_payload = None }
-        in
-        t.audit_trail <- entry :: t.audit_trail;
-        Some entry
-      end
-      else None
-    in
-    let processor =
-      (* Positions in still-unapplied summaries stay "changed" relative
-         to the bank snapshot even if this epoch never touches them: feed
-         them to the incremental summary builder as carry. *)
-      let pending = pending_signed t in
-      let carry =
-        List.concat_map
-          (fun ((p : Sync_payload.t), _) ->
-            List.map
-              (fun (e : Sync_payload.position_entry) -> e.Sync_payload.pos_id)
-              p.Sync_payload.positions)
-          pending
-      in
-      let user_carry =
-        List.concat_map
-          (fun ((p : Sync_payload.t), _) ->
-            List.map
-              (fun (u : Sync_payload.user_entry) -> u.Sync_payload.user)
-              p.Sync_payload.users)
-          pending
-      in
-      Processor.begin_epoch ~pool:t.pool ~snapshot ~carry ~user_carry
-        ~verify_signatures:cfg.Config.verify_signatures ()
-    in
-    (* Arm the twin's op capture for the epoch. The fresh deposit table
-       marks every row dirty at construction; those rows are derived
-       from the bank snapshot the sync path already audits, so they are
-       not window ops — clear the marks before the first transaction
-       lands and audit only rows the epoch actually writes. *)
-    (match t.twin with
-    | Some tw ->
-      let deposits = Processor.deposits processor in
-      Sidechain.Deposits.clear_dirty deposits;
-      Processor.set_tap processor (twin_tx_tap t tw deposits)
-    | None -> ());
-    (* Durable snapshot at the epoch boundary (the deposits view is the
-       processor's, i.e. post-begin_epoch). Committee-dead epochs skip
-       snapshots; the cadence is identical in an uninterrupted run, so
-       resume-time verification lines up byte-for-byte. *)
-    (match t.durable with
-    | Some s when Durable.Session.snapshot_due s ~epoch:e ->
-      Durable.Session.snapshot s ~epoch:e
-        ~sections:
-          (Durable.State_codec.sections ~bank:t.bank ~pool:t.pool
-             ~deposits:(Processor.deposits processor)
-             ~pending:(pending_signed t))
-    | _ -> ());
-    for r = 0 to spr - 1 do
-      dur_crash t ~epoch:e ~round:r;
-      let round = (e * spr) + r in
-      let t_round = epoch_start +. (float_of_int r *. b_t) in
-      (* In the last round of the epoch the committee mines the
-         summary-block instead of a meta-block (chainBoost/ammBoost block
-         structure), so no transactions are processed in that round. *)
-      let summary_round = r = spr - 1 in
-      Eth.advance_to t.eth t_round;
-      (* Interruption: a mainchain fork abandons the block carrying a
-         configured epoch's sync while it is still unconfirmed. *)
-      List.iter
-        (function
-          | Config.Mainchain_rollback re when re < e -> inject_rollback t ~epoch:re
-          | Config.Mainchain_rollback _ | Config.Silent_sync_leader _
-          | Config.Invalid_sync _ | Config.Censoring_committee _ -> ())
-        cfg.Config.interruptions;
-      inject_chaos_reorgs t;
-      settle_confirmed t;
-      maybe_retry_sync t ~now:t_round;
-      maybe_submit_deposits t ~now:t_round;
-      if e < cfg.Config.epochs then begin
-        let generated =
-          Traffic.iter_round t.traffic ~round ~time:t_round
-            (Chain.Mempool.push t.mempool)
-        in
-        Tmetrics.inc ~by:generated tele.c_generated;
-        Trace.complete tele.tr
-          ~args:
-            [ ("generated", Json.Int generated); ("round", Json.Int round) ]
-          ~name:"traffic" ~ts:t_round ~dur:(0.35 *. b_t) ()
-      end;
-      Tmetrics.set tele.g_mempool_bytes
-        (float_of_int (Chain.Mempool.byte_size t.mempool));
-      (* The committee drains the queue up to the meta-block capacity and
-         processes with the AMM logic; only valid transactions enter the
-         block. *)
-      let censoring =
-        List.exists
-          (function Config.Censoring_committee ce -> ce = e | _ -> false)
-          cfg.Config.interruptions
-      in
-      let candidates =
-        if summary_round then []
-        else Chain.Mempool.take_up_to t.mempool ~max_bytes:cfg.Config.meta_block_bytes
-      in
-      (* A censoring committee omits the victim's transactions; they stay
-         pending (the user rebroadcasts) and the next epoch's committee
-         processes them - the Lemma 2 liveness argument. *)
-      let candidates =
-        if not censoring then candidates
-        else begin
-          let victim = t.users.(0).Party.address in
-          let kept, censored =
-            List.partition
-              (fun tx -> not (Address.equal tx.Tx.issuer victim))
-              candidates
-          in
-          List.iter (fun tx -> Chain.Mempool.push t.mempool tx) censored;
-          kept
-        end
-      in
-      let included =
-        List.filter
-          (fun tx ->
-            match Processor.process processor ~current_round:round tx with
-            | Ok () -> true
-            | Error _ -> false)
-          candidates
-      in
-      if e < cfg.Config.epochs then
-        t.processed_in_window <- t.processed_in_window + List.length included;
-      (* Agreement on the block: message-level PBFT when configured,
-         otherwise the closed-form latency model. *)
-      let consensus_latency, view_changes =
-        match committee with
-        | Some c ->
-          let digest =
-            Amm_crypto.Sha256.concat
-              (Bytes.of_string (Printf.sprintf "round-%d" round)
-              :: List.map (fun tx -> Chain.Ids.Tx_id.to_bytes tx.Tx.id) included)
-          in
-          (* Plan-driven per-round replica faults: crashed members,
-             a Byzantine proposer, and message-level network chaos. *)
-          let silent =
-            Faults.Fault_plan.crashed_members t.plan ~epoch:e ~round
-              ~members:(Sidechain.Committee.members c)
-              ~max_faulty:(Sidechain.Committee.max_faulty c)
-          in
-          let invalid_proposer =
-            Faults.Fault_plan.byzantine_proposer t.plan ~epoch:e ~round
-          in
-          let chaos =
-            Faults.Fault_plan.net_chaos t.plan ~epoch:e ~round
-              ~members:(Sidechain.Committee.members c)
-          in
-          let o =
-            Sidechain.Committee.agree ~silent ~invalid_proposer ?chaos c
-              ~block_digest:digest ~horizon:b_t
-          in
-          ((if o.Sidechain.Committee.decided then o.Sidechain.Committee.latency else b_t),
-           o.Sidechain.Committee.view_changes)
-        | None ->
-          let size =
-            Blocks.meta_header_size
-            + List.fold_left (fun acc tx -> acc + tx.Tx.wire_size) 0 included
-          in
-          ( Consensus.Latency_model.consensus_latency cfg.Config.consensus
-              ~committee_size:cfg.Config.committee_size ~block_bytes:size,
-            0 )
-      in
-      let meta = Blocks.make_meta ~epoch:e ~round ~view_changes included in
-      Telemetry.Histogram.observe tele.h_consensus consensus_latency;
-      if not summary_round then begin
-        Blocks.append_meta t.sc_chain meta;
-        Telemetry.Histogram.observe tele.h_meta_txs
-          (float_of_int (List.length included));
-        Telemetry.Histogram.observe tele.h_meta_bytes
-          (float_of_int meta.Blocks.m_size);
-        Trace.complete tele.tr
-          ~args:
-            [ ("txs", Json.Int (List.length included));
-              ("bytes", Json.Int meta.Blocks.m_size);
-              ("view_changes", Json.Int view_changes);
-              ("consensus_latency", Json.Float consensus_latency) ]
-          ~name:"meta-block"
-          ~ts:(t_round +. (0.35 *. b_t))
-          ~dur:(Float.min consensus_latency (0.65 *. b_t))
-          ();
-        match audit_entry with
-        | Some a -> a.a_metas <- (meta, included) :: a.a_metas
-        | None -> ()
-      end;
-      List.iter
-        (fun tx ->
-          let latency = t_round -. tx.Tx.issued_at +. consensus_latency in
-          Telemetry.Histogram.observe tele.h_tx_latency latency;
-          Metrics.note_processed t.payouts ~epoch:e ~issued_at:tx.Tx.issued_at;
-          t.counterfactual_bytes <-
-            t.counterfactual_bytes
-            + Chain.Encoding.sepolia_op_size (Tx.op_of_payload tx.Tx.payload);
-          Lifecycle.on_included t.lifecycle
-            ~id:(Chain.Ids.Tx_id.to_bytes tx.Tx.id)
-            ~cls:(Tx.type_name tx.Tx.payload) ~issued_at:tx.Tx.issued_at
-            ~wire:tx.Tx.wire_size ~epoch:e
-            ~at:(t_round +. consensus_latency))
-        included;
-      if Blocks.stored_bytes t.sc_chain > t.max_sc_stored then
-        t.max_sc_stored <- Blocks.stored_bytes t.sc_chain;
-      (* End of round: a silent corruption may land in a flat store —
-         out-of-band, on no transaction's write set. The epoch-boundary
-         audit below must catch it. *)
-      inject_corruption t ~deposits:(Some (Processor.deposits processor))
-        ~epoch:e ~round:r
-    done;
-    (* Epoch end: summary block, threshold signature, Sync submission. *)
-    let epoch_end = float_of_int (e + 1) *. epoch_dur in
-    let next_keys = committee_keys t ~epoch:(e + 1) in
-    let payload =
-      Processor.build_payload processor ~epoch:e ~next_committee_vk:next_keys.vk
-    in
-    Option.iter (twin_record_summary_touch t) t.twin;
-    let keys = committee_keys t ~epoch:e in
-    let signature = sign_payload t ~epoch:e keys (Sync_payload.signing_bytes payload) in
-    (* The epoch's key material signs nothing after its summary. *)
-    Hashtbl.remove t.committee_keys e;
-    Hashtbl.replace t.signed_payloads e (payload, signature);
-    t.last_summary_epoch <- e;
-    let s_size = Sidechain.Codec.summary_block_size payload in
-    let n_users = List.length payload.Sync_payload.users in
-    t.summary_users_total <- t.summary_users_total + n_users;
-    if n_users > t.summary_users_max then t.summary_users_max <- n_users;
-    Telemetry.Histogram.observe tele.h_summary_bytes (float_of_int s_size);
-    (* The summary round (last of the epoch) splits into summary build
-       and threshold signing on the simulated timeline. *)
-    let t_summary = epoch_start +. (float_of_int (spr - 1) *. b_t) in
-    Trace.complete tele.tr
-      ~args:
-        [ ("epoch", Json.Int e); ("bytes", Json.Int s_size);
-          ("users", Json.Int (List.length payload.Sync_payload.users));
-          ("positions", Json.Int (List.length payload.Sync_payload.positions)) ]
-      ~name:"summary" ~ts:t_summary ~dur:(0.5 *. b_t) ();
-    Trace.complete tele.tr
-      ~args:[ ("threshold", Json.Bool cfg.Config.threshold_signing) ]
-      ~name:"sign"
-      ~ts:(t_summary +. (0.5 *. b_t))
-      ~dur:(0.5 *. b_t) ();
-    Lifecycle.on_stage t.lifecycle ~epoch:e ~stage:Lifecycle.Summarized
-      ~at:t_summary;
-    Blocks.append_summary t.sc_chain
-      { Blocks.s_epoch = e; s_size;
-        s_rounds_covered = (e * spr, ((e + 1) * spr) - 1) };
-    Option.iter (fun a -> a.a_payload <- Some payload) audit_entry;
-    let silent =
-      List.exists
-        (function Config.Silent_sync_leader se -> se = e | _ -> false)
-        cfg.Config.interruptions
-      || Faults.Fault_plan.silent_leader t.plan ~epoch:e
-    in
-    let corrupt =
-      (not silent)
-      && (List.exists
-            (function Config.Invalid_sync se -> se = e | _ -> false)
-            cfg.Config.interruptions
-         || Faults.Fault_plan.corrupt_sync t.plan ~epoch:e)
-    in
-    if not silent then submit_sync t ~epoch:e ~at:epoch_end ~corrupt;
-    let stats = Processor.stats processor in
-    record_rejections t stats;
-    Tmetrics.inc ~by:stats.Processor.processed tele.c_processed;
-    Tmetrics.inc ~by:stats.Processor.rejected tele.c_rejected;
-    Tmetrics.inc ~by:stats.Processor.swaps tele.c_swaps;
-    Tmetrics.inc ~by:stats.Processor.mints tele.c_mints;
-    Tmetrics.inc ~by:stats.Processor.burns tele.c_burns;
-    Tmetrics.inc ~by:stats.Processor.collects tele.c_collects;
-    Trace.complete tele.tr ~cat:"epoch"
-      ~args:
-        [ ("epoch", Json.Int e); ("processed", Json.Int stats.Processor.processed);
-          ("rejected", Json.Int stats.Processor.rejected) ]
-      ~name:(Printf.sprintf "epoch-%d" e)
-      ~ts:epoch_start ~dur:epoch_dur ();
-    Log.info ~scope ~t:epoch_end
-      ~fields:
-        [ ("epoch", Json.Int e); ("processed", Json.Int stats.Processor.processed);
-          ("rejected", Json.Int stats.Processor.rejected);
-          ("summary_bytes", Json.Int s_size) ]
-      "epoch complete";
-    (* The epoch-boundary differential audit: O(written keys) against
-       the live flat stores, sealing the epoch for time travel. *)
-    twin_audit_epoch t ~deposits:(Some (Processor.deposits processor))
-      ~epoch:e ~now:epoch_end
-    end;
+    run_epoch t ~committee ~epoch:e;
     Option.iter
       (fun f ->
         f { b_epoch = e;
@@ -1824,21 +1769,7 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
   (* Custody invariant: bank ERC20 holdings = pool balances + remaining
      (future-epoch) deposits. *)
   let custody_consistent =
-    let c0, c1 = Token_bank.total_custody t.bank in
-    let p0, p1 =
-      match Token_bank.pool t.bank 0 with
-      | Some p -> (p.Token_bank.balance0, p.Token_bank.balance1)
-      | None -> (U256.zero, U256.zero)
-    in
-    let rec deposits_sum acc0 acc1 e =
-      if e > t.deposits_submitted_until then (acc0, acc1)
-      else begin
-        let s0, s1 = Token_bank.deposit_total t.bank ~epoch:e in
-        deposits_sum (U256.add acc0 s0) (U256.add acc1 s1) (e + 1)
-      end
-    in
-    let d0, d1 = deposits_sum U256.zero U256.zero 0 in
-    U256.equal c0 (U256.add p0 d0) && U256.equal c1 (U256.add p1 d1)
+    Monitor.custody_holds ~bank:t.bank ~deposit_horizon:t.deposits_submitted_until
   in
   (* Self-audit: replay every retained epoch and check its summary. *)
   let audit_passed =

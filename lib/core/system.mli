@@ -70,8 +70,8 @@ type result = {
                                    corrupted shares *)
   corrupted_partials : int;    (** tampered partial signatures caught by
                                    [Bls.verify_partial] and discarded *)
-  rollbacks : int;             (** mainchain forks rolled back (scripted
-                                   interruptions + injected reorgs) *)
+  rollbacks : int;             (** mainchain forks rolled back: the fault
+                                   plan's reorgs, scripted or drawn *)
   faults_injected : (string * int) list;
       (** per-label injection counts from the fault plan, sorted *)
   rejection_reasons : (string * int) list;
@@ -97,9 +97,9 @@ type result = {
   exit_gas_mean : float;        (** mean metered gas per exit *)
   exit_conservation : bool;
       (** custody at halt = custody now + everything paid out since *)
-  halted_at : float option;
+  halted_at : float option;     (** time of the latest halt *)
   recovery_latency : float option;
-      (** halt → reconciliation applied, when both happened *)
+      (** latest halt → the reconciliation that ended it, if one did *)
   reconciliation : Tokenbank.Token_bank.reconciliation option;
   committees : committee_record list;
   swaps : int;

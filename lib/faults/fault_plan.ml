@@ -72,6 +72,14 @@ type state_corruption = {
   corruption_script : (int * int * corruption_target) list;
 }
 
+(* Scripted interruptions (§4.2's three and Lemma 2's censoring), each
+   answered by its drawn counterpart's decision on one exact epoch. *)
+type interruption =
+  | Silent_leader of int
+  | Invalid_sync of int
+  | Rollback of int
+  | Censoring of int
+
 type spec = {
   network : network;
   consensus : consensus;
@@ -80,6 +88,7 @@ type spec = {
   durability : durability;
   corruption : state_corruption;
   scenario : scenario;
+  interruptions : interruption list;
 }
 
 let no_scenario = { quorum_starvation = None; committee_loss = None }
@@ -119,6 +128,7 @@ let none =
     durability = no_durability;
     corruption = no_corruption;
     scenario = no_scenario;
+    interruptions = [];
   }
 
 let chaos ?(intensity = 0.1) () =
@@ -155,6 +165,7 @@ let chaos ?(intensity = 0.1) () =
        zero, the twin-audit bench scripts it explicitly. *)
     corruption = no_corruption;
     scenario = no_scenario;
+    interruptions = [];
   }
 
 let active s =
@@ -178,6 +189,7 @@ let active s =
   || s.corruption.corruption_script <> []
   || s.scenario.quorum_starvation <> None
   || s.scenario.committee_loss <> None
+  || s.interruptions <> []
 
 type t = {
   spec : spec;
@@ -218,22 +230,35 @@ let note_once t ~key label n =
     note t label n
   end
 
-let hit t ~rate ~key ~label =
-  rate > 0.0
-  && draw t key < rate
+(* A scripted hit always fires; a drawn one fires at [rate]. Both count
+   once under the same key and label. *)
+let hit ?(scripted = false) t ~rate ~key ~label =
+  (scripted || (rate > 0.0 && draw t key < rate))
   &&
   (note_once t ~key label 1;
    true)
 
+(* The per-round callers test for an empty script before building [i],
+   so a plan without one allocates nothing there. *)
+let scripted t i = List.mem i t.spec.interruptions
+
 let silent_leader t ~epoch =
-  hit t ~rate:t.spec.mainchain.silent_leader_rate
+  hit t ~scripted:(scripted t (Silent_leader epoch))
+    ~rate:t.spec.mainchain.silent_leader_rate
     ~key:(Printf.sprintf "mc.silent/%d" epoch)
     ~label:"mainchain.silent_leader"
 
 let corrupt_sync t ~epoch =
-  hit t ~rate:t.spec.mainchain.corrupt_sync_rate
+  hit t ~scripted:(scripted t (Invalid_sync epoch))
+    ~rate:t.spec.mainchain.corrupt_sync_rate
     ~key:(Printf.sprintf "mc.corrupt/%d" epoch)
     ~label:"mainchain.corrupt_sync"
+
+let censoring t ~epoch =
+  t.spec.interruptions <> []
+  && hit t ~scripted:(scripted t (Censoring epoch)) ~rate:0.0
+       ~key:(Printf.sprintf "cm.censor/%d" epoch)
+       ~label:"committee.censoring"
 
 let sync_dropped t ~epoch ~attempt =
   hit t ~rate:t.spec.mainchain.sync_drop_rate
@@ -263,7 +288,8 @@ let congested t ~epoch =
 
 let reorg_depth t ~epoch =
   let s = t.spec.mainchain in
-  if s.reorg_rate <= 0.0 || s.max_reorg_depth < 1 then None
+  if t.spec.interruptions <> [] && scripted t (Rollback epoch) then Some 1
+  else if s.reorg_rate <= 0.0 || s.max_reorg_depth < 1 then None
   else
     let key = Printf.sprintf "mc.reorg/%d" epoch in
     if draw t key < s.reorg_rate then
@@ -315,16 +341,9 @@ let byzantine_proposer t ~epoch ~round =
 
 let crash_now t ~epoch ~round =
   let d = t.spec.durability in
-  if List.mem (epoch, round) d.crash_script then begin
-    note_once t
-      ~key:(Printf.sprintf "dur.crash/%d/%d" epoch round)
-      "durability.crash" 1;
-    true
-  end
-  else
-    hit t ~rate:d.crash_rate
-      ~key:(Printf.sprintf "dur.crash/%d/%d" epoch round)
-      ~label:"durability.crash"
+  hit t ~scripted:(List.mem (epoch, round) d.crash_script) ~rate:d.crash_rate
+    ~key:(Printf.sprintf "dur.crash/%d/%d" epoch round)
+    ~label:"durability.crash"
 
 let torn_write t ~epoch ~round =
   let d = t.spec.durability in

@@ -96,6 +96,18 @@ type state_corruption = {
           the rate — the twin-audit bench scripts these *)
 }
 
+(** Scripted interruptions, one epoch each: the paper's three (§4.2
+    "Handling interruptions") and Lemma 2's censoring committee. Each
+    answers through its drawn counterpart's decision and counts under the
+    same label. *)
+type interruption =
+  | Silent_leader of int  (** the epoch's Sync leader never submits *)
+  | Invalid_sync of int   (** the epoch's Sync inputs are tampered *)
+  | Rollback of int       (** a depth-1 fork drops the sync whose newest
+                              epoch this is *)
+  | Censoring of int      (** the epoch's committee omits user 0's
+                              transactions; rotation restores liveness *)
+
 type spec = {
   network : network;
   consensus : consensus;
@@ -104,6 +116,7 @@ type spec = {
   durability : durability;
   corruption : state_corruption;
   scenario : scenario;
+  interruptions : interruption list;
 }
 
 val corruption_target_label : corruption_target -> string
@@ -119,7 +132,8 @@ val chaos : ?intensity:float -> unit -> spec
     reaches certainty. *)
 
 val active : spec -> bool
-(** Whether any rate is nonzero or a scenario is scripted. *)
+(** Whether any rate is nonzero, or a scenario or an interruption is
+    scripted. *)
 
 type t
 
@@ -131,7 +145,16 @@ val spec : t -> spec
     All deterministic in [(seed, key arguments)]. *)
 
 val silent_leader : t -> epoch:int -> bool
+(** Scripted by [Silent_leader epoch], else drawn at [silent_leader_rate]. *)
+
 val corrupt_sync : t -> epoch:int -> bool
+(** Scripted by [Invalid_sync epoch], else drawn at [corrupt_sync_rate]. *)
+
+val censoring : t -> epoch:int -> bool
+(** Scripted by [Censoring epoch] only (counted under
+    [committee.censoring]). Allocates nothing when no interruption is
+    scripted. *)
+
 val sync_dropped : t -> epoch:int -> attempt:int -> bool
 val congested : t -> epoch:int -> bool
 
@@ -145,9 +168,10 @@ val committee_lost : t -> epoch:int -> bool
 
 val reorg_depth : t -> epoch:int -> int option
 (** [Some d] if this epoch's sync is fated to fall off the chain once the
-    fork is [d] blocks deep. The caller counts the injection with {!note}
-    when the reorg actually fires (the confirmation window may close
-    first). *)
+    fork is [d] blocks deep: [Some 1] when [Rollback epoch] is scripted,
+    else drawn at [reorg_rate]. The caller counts the injection with
+    {!note} when the reorg actually fires (the confirmation window may
+    close first). *)
 
 val withheld_shares : t -> epoch:int -> n:int -> max_withheld:int -> int list
 (** Share indices (1-based) withheld during this epoch's threshold

@@ -101,19 +101,21 @@ let violation_totals t =
 
 let pair_str (a, b) = Printf.sprintf "(%s, %s)" (U256.to_string a) (U256.to_string b)
 
+(* Reserves summed over every pool the bank records. *)
+let pool_reserves bank =
+  List.fold_left
+    (fun (a0, a1) pid ->
+      match Token_bank.pool bank pid with
+      | Some p -> (U256.add a0 p.Token_bank.balance0, U256.add a1 p.Token_bank.balance1)
+      | None -> (a0, a1))
+    (U256.zero, U256.zero)
+    (List.init 4 Fun.id)
+
 (* Token conservation across the ledger, the bank and the pools: the
    ERC20 balances the bank custodies must equal its pool reserves plus
    every deposit that can still be outstanding. *)
 let check_custody ~bank ~deposit_horizon =
-  let pool_sum0, pool_sum1 =
-    List.fold_left
-      (fun (a0, a1) pid ->
-        match Token_bank.pool bank pid with
-        | Some p -> (U256.add a0 p.Token_bank.balance0, U256.add a1 p.Token_bank.balance1)
-        | None -> (a0, a1))
-      (U256.zero, U256.zero)
-      (List.init 4 Fun.id)
-  in
+  let pool_sum0, pool_sum1 = pool_reserves bank in
   let dep0 = ref U256.zero and dep1 = ref U256.zero in
   for e = 0 to deposit_horizon do
     let d0, d1 = Token_bank.deposit_total bank ~epoch:e in
@@ -129,19 +131,13 @@ let check_custody ~bank ~deposit_horizon =
           Printf.sprintf "custody %s <> pools+deposits %s"
             (pair_str (c0, c1)) (pair_str (expect0, expect1)) } ]
 
+let custody_holds ~bank ~deposit_horizon = check_custody ~bank ~deposit_horizon = []
+
 (* Bank-side pool solvency: the value the last applied summary attributes
    to open positions (principal + fees) must be covered by the recorded
    pool reserves, per token. *)
 let check_bank_solvency ~bank =
-  let pool_sum0, pool_sum1 =
-    List.fold_left
-      (fun (a0, a1) pid ->
-        match Token_bank.pool bank pid with
-        | Some p -> (U256.add a0 p.Token_bank.balance0, U256.add a1 p.Token_bank.balance1)
-        | None -> (a0, a1))
-      (U256.zero, U256.zero)
-      (List.init 4 Fun.id)
-  in
+  let pool_sum0, pool_sum1 = pool_reserves bank in
   let v0, v1 =
     List.fold_left
       (fun (a0, a1) (p : Sync_payload.position_entry) ->

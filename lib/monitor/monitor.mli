@@ -72,6 +72,11 @@ val audit :
     [committee_live = false] (permanent loss or post-halt dissolution)
     skips the liveness checks — only the safety invariants still apply. *)
 
+val custody_holds : bank:Tokenbank.Token_bank.t -> deposit_horizon:int -> bool
+(** The audit's token-conservation check on its own: the bank's ERC20
+    custody equals its pool reserves plus every deposit for epochs up to
+    [deposit_horizon]. *)
+
 val record_external :
   t ->
   now:float ->

@@ -273,7 +273,9 @@ let test_wal_replay_matches_twin () =
       committee_size = 7;
       max_faulty = 2;
       mc_confirmations = 2;
-      interruptions = [ Config.Mainchain_rollback 2 ];
+      faults =
+        { Fault_plan.none with
+          Fault_plan.interruptions = [ Fault_plan.Rollback 2 ] };
       seed = "wal-replay-twin" }
   in
   let dir = Filename.temp_file "ammboost-test-wal-replay" "" in
@@ -514,6 +516,36 @@ let test_scenario_is_seed_independent () =
       (Fault_plan.committee_lost b ~epoch)
   done
 
+(* Each scripted interruption fires on its own epoch only, through the
+   decision of its drawn counterpart, and counts once however often the
+   decision is asked. *)
+let test_scripted_interruptions () =
+  let spec =
+    { Fault_plan.none with
+      Fault_plan.interruptions =
+        [ Fault_plan.Silent_leader 2; Fault_plan.Invalid_sync 3;
+          Fault_plan.Rollback 4; Fault_plan.Censoring 5 ] }
+  in
+  Alcotest.(check bool) "scripted plan active" true (Fault_plan.active spec);
+  let plan = Fault_plan.create ~seed:"scripted" spec in
+  let fires decide at =
+    List.filter (fun epoch -> decide ~epoch) [ at - 1; at; at + 1 ]
+  in
+  for _ = 1 to 2 do
+    Alcotest.(check (list int)) "silent leader" [ 2 ]
+      (fires (Fault_plan.silent_leader plan) 2);
+    Alcotest.(check (list int)) "invalid sync" [ 3 ]
+      (fires (Fault_plan.corrupt_sync plan) 3);
+    Alcotest.(check (list int)) "censoring" [ 5 ] (fires (Fault_plan.censoring plan) 5);
+    Alcotest.(check (list (option int))) "rollback depth" [ None; Some 1; None ]
+      (List.map (fun epoch -> Fault_plan.reorg_depth plan ~epoch) [ 3; 4; 5 ])
+  done;
+  (* The caller counts a reorg when it fires, so only three labels. *)
+  Alcotest.(check (list (pair string int))) "each counted once"
+    [ ("committee.censoring", 1); ("mainchain.corrupt_sync", 1);
+      ("mainchain.silent_leader", 1) ]
+    (Fault_plan.injected plan)
+
 let () =
   Alcotest.run "faults"
     [ ( "fault_plan",
@@ -532,7 +564,9 @@ let () =
           Alcotest.test_case "committee loss permanent" `Quick
             test_committee_loss_permanent;
           Alcotest.test_case "seed independent" `Quick
-            test_scenario_is_seed_independent ] );
+            test_scenario_is_seed_independent;
+          Alcotest.test_case "scripted interruptions" `Quick
+            test_scripted_interruptions ] );
       ( "replay_oracle",
         [ Alcotest.test_case "faithful log agrees" `Quick test_replay_agrees_on_faithful_log;
           Alcotest.test_case "divergence detected" `Quick test_replay_detects_divergence;

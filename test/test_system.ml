@@ -111,8 +111,10 @@ let test_signed_traffic_verified () =
 (* Interruptions (§4.2 "Handling interruptions")                       *)
 (* ------------------------------------------------------------------ *)
 
+let scripted interruptions = { Faults.Fault_plan.none with Faults.Fault_plan.interruptions }
+
 let test_silent_sync_leader_mass_sync () =
-  let cfg = { base with interruptions = [ Config.Silent_sync_leader 1 ] } in
+  let cfg = { base with faults = scripted [ Faults.Fault_plan.Silent_leader 1 ] } in
   let r = run ~cfg () in
   (* No failure is observable on chain (nothing was submitted), so
      recovery comes from the next epoch's mass-sync, not a retry. *)
@@ -125,7 +127,7 @@ let test_silent_sync_leader_mass_sync () =
   Alcotest.(check bool) "twin audit" true r.System.twin_consistent
 
 let test_invalid_sync_rejected_then_recovered () =
-  let cfg = { base with interruptions = [ Config.Invalid_sync 1 ] } in
+  let cfg = { base with faults = scripted [ Faults.Fault_plan.Invalid_sync 1 ] } in
   let r = run ~cfg () in
   (* TokenBank rejected the tampered submission — an observed on-chain
      failure, so the leader's backoff retry resubmits the genuine
@@ -136,9 +138,11 @@ let test_invalid_sync_rejected_then_recovered () =
   Alcotest.(check bool) "twin audit" true r.System.twin_consistent
 
 let test_mainchain_rollback_recovered () =
-  let cfg = { base with interruptions = [ Config.Mainchain_rollback 1 ] } in
+  let cfg = { base with faults = scripted [ Faults.Fault_plan.Rollback 1 ] } in
   let r = run ~cfg () in
   Alcotest.(check bool) "rollback counter fired" true (r.System.rollbacks >= 1);
+  Alcotest.(check bool) "the plan counted the reorg" true
+    (List.mem ("mainchain.reorg", 1) r.System.faults_injected);
   Alcotest.(check bool) "recovered via retry or mass-sync" true
     (r.System.sync_retries >= 1 || r.System.mass_syncs >= 1);
   Alcotest.(check int) "state caught up after rollback" r.System.epochs_run
@@ -150,8 +154,10 @@ let test_multiple_interruptions () =
   let cfg =
     { base with
       epochs = 5;
-      interruptions =
-        [ Config.Silent_sync_leader 0; Config.Invalid_sync 2; Config.Silent_sync_leader 3 ] }
+      faults =
+        scripted
+          [ Faults.Fault_plan.Silent_leader 0; Faults.Fault_plan.Invalid_sync 2;
+            Faults.Fault_plan.Silent_leader 3 ] }
   in
   let r = run ~cfg () in
   Alcotest.(check int) "all recovered" r.System.epochs_run r.System.epochs_applied;
@@ -161,7 +167,7 @@ let test_censoring_committee_liveness () =
   (* Lemma 2's DoS threat: the epoch-1 committee omits user 0's
      transactions; committee rotation processes them in epoch 2, so
      every generated transaction is still eventually processed. *)
-  let cfg = { base with interruptions = [ Config.Censoring_committee 1 ] } in
+  let cfg = { base with faults = scripted [ Faults.Fault_plan.Censoring 1 ] } in
   let r = run ~cfg () in
   Alcotest.(check bool) "everything eventually processed" true
     (r.System.processed >= r.System.generated - r.System.rejected - 5);
@@ -686,6 +692,22 @@ let test_watchdog_run_deterministic () =
     (Amm_math.U256.to_string a.System.exit_claims0)
     (Amm_math.U256.to_string b.System.exit_claims0)
 
+(* A second halt clears the first halt's recovery: both timestamps
+   describe the latest halt, which this run never recovers from. *)
+let test_second_halt_clears_recovery () =
+  let cfg =
+    { (watchdog_cfg
+         { Faults.Fault_plan.quorum_starvation = Some (2, 5); committee_loss = Some 7 })
+      with epochs = 12 }
+  in
+  let r = System.run cfg in
+  Alcotest.(check (list string)) "halted twice"
+    [ "degraded"; "halted"; "recovering"; "normal"; "degraded"; "halted" ]
+    (List.map snd r.System.mode_transitions);
+  Alcotest.(check (option (float 1e-9))) "latest halt" (Some 1080.0) r.System.halted_at;
+  Alcotest.(check (option (float 1e-9))) "no recovery since" None
+    r.System.recovery_latency
+
 (* ------------------------------------------------------------------ *)
 (* Bounded memory                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -743,13 +765,13 @@ let retention_cfg =
     max_faulty = 2;
     sc_rounds_per_epoch = 10;
     mc_confirmations = 3;
-    interruptions = [ Config.Mainchain_rollback (Twin.retained_epochs + 1) ];
     faults =
       { Faults.Fault_plan.none with
         Faults.Fault_plan.mainchain =
           { Faults.Fault_plan.none.Faults.Fault_plan.mainchain with
             Faults.Fault_plan.reorg_rate = 0.4;
-            max_reorg_depth = 3 } };
+            max_reorg_depth = 3 };
+        interruptions = [ Faults.Fault_plan.Rollback (Twin.retained_epochs + 1) ] };
     seed = "retention-edge" }
 
 let fresh_dir () =
@@ -881,7 +903,9 @@ let () =
             test_permanent_loss_halts_and_exits;
           Alcotest.test_case "starvation halts then recovers" `Slow
             test_starvation_halts_then_recovers;
-          Alcotest.test_case "deterministic" `Slow test_watchdog_run_deterministic ] );
+          Alcotest.test_case "deterministic" `Slow test_watchdog_run_deterministic;
+          Alcotest.test_case "second halt clears recovery" `Slow
+            test_second_halt_clears_recovery ] );
       ("roundtrip", [ sidechain_to_tokenbank_roundtrip_prop ]);
       ( "baseline",
         [ Alcotest.test_case "runs" `Slow test_baseline_runs;
