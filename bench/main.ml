@@ -11,6 +11,12 @@
    benchmark is timing-sensitive and always runs serially, at its position
    in the target list.
 
+   The drills (chaos, exit-drill, crash-drill, twin-audit) judge their own
+   runs. After the results JSON is written, each verdict that failed is
+   named on stderr as "verdict failed: <experiment>: <verdict>" and the
+   process exits 1. An unknown experiment name exits 2 before anything
+   runs.
+
    Environment: AMMBOOST_BENCH_SCALE=<n> divides the daily traffic volumes
    by n for quicker runs (1 = the paper's full volumes);
    AMMBOOST_BENCH_JOBS=<n> sets the default domain count;
@@ -228,23 +234,34 @@ let compute_table8 _sink =
   let rows = E.table8_stats () in
   fun () -> E.print_table8 rows
 
+(* (experiment, verdict) for every failed drill verdict. Only printers
+   append, and printers run one at a time. *)
+let failures = ref []
+
+let judge name verdicts runs =
+  failures := !failures @ List.map (fun v -> (name, v)) (E.failed verdicts runs)
+
 let compute_chaos sink =
-  let rows = E.chaos_soak ~sink () in
+  let rows, runs = E.chaos_soak ~sink () in
   fun () ->
     E.print_perf_table
       ~title:"Chaos soak: fault-rate sweep (recovery + twin audit)"
-      ~col_header:"Fault intensity" rows
+      ~col_header:"Fault intensity" rows;
+    judge "chaos" E.chaos_verdicts runs
 
 let compute_exit_drill sink =
-  let rows = E.exit_drill ~sink () in
+  let rows, runs = E.exit_drill ~sink () in
   fun () ->
     E.print_perf_table
       ~title:"Exit drill: stall duration vs exit gas and recovery latency"
-      ~col_header:"Liveness failure" rows
+      ~col_header:"Liveness failure" rows;
+    judge "exit-drill" E.exit_drill_verdicts runs
 
 let compute_crash_drill sink =
   let rows = E.crash_drill ~sink () in
-  fun () -> E.print_crash_drill rows
+  fun () ->
+    E.print_crash_drill rows;
+    judge "crash-drill" E.crash_drill_verdicts rows
 
 let compute_ablations sink =
   let ablations = E.ablations ~sink () in
@@ -275,13 +292,14 @@ let compute_observe sink =
 let twin_out = Sys.getenv_opt "AMMBOOST_TWIN_OUT"
 
 let compute_twin_audit sink =
-  let rows = E.twin_audit ~sink () in
+  let rows, runs = E.twin_audit ~sink () in
   let overhead = E.twin_overhead ~sink () in
   fun () ->
     E.print_perf_table
       ~title:"Twin audit: silent corruption vs the differential audit"
       ~col_header:"Corruption cell" rows;
     E.print_twin_overhead overhead;
+    judge "twin-audit" E.twin_audit_verdicts runs;
     (match twin_out with
     | Some path when path <> "" ->
       write_file path (E.twin_overhead_json overhead ^ "\n");
@@ -322,13 +340,6 @@ let all_experiments =
 let extra_experiments = [ ("scale-sweep", Sweep) ]
 
 let metrics_dir = Sys.getenv_opt "AMMBOOST_METRICS_DIR"
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Orchestration                                                       *)
@@ -396,7 +407,7 @@ let finish outcome =
     outcome.o_major_words outcome.o_promoted_words;
   match metrics_dir with
   | Some dir ->
-    mkdir_p dir;
+    Durable.Fsio.mkdir_p dir;
     Telemetry.Report.write_metrics outcome.o_sink
       ~path:(Filename.concat dir (outcome.o_name ^ ".metrics.json"))
   | None -> ()
@@ -406,7 +417,7 @@ let finish outcome =
 let run_targets targets =
   let rec go acc = function
     | [] -> List.rev acc
-    | ("micro", Micro) :: rest ->
+    | (_, Micro) :: rest ->
       let o = run_micro_outcome () in
       finish o;
       go (o :: acc) rest
@@ -425,10 +436,6 @@ let run_targets targets =
       let o = run_sweep_outcome () in
       finish o;
       go (o :: acc) rest
-    | (name, Micro) :: rest ->
-      (* unreachable: only "micro" carries Micro *)
-      ignore name;
-      go acc rest
   in
   go [] targets
 
@@ -469,9 +476,7 @@ let write_results ~jobs outcomes =
         ("micro_ns", ns_obj micro_rows) ]
   in
   let path = results_path () in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (doc ^ "\n"));
+  write_file path (doc ^ "\n");
   Printf.eprintf "  [results written to %s]\n%!" path
 
 (* ------------------------------------------------------------------ *)
@@ -516,18 +521,20 @@ let () =
   let names = if names = [] then List.map fst all_experiments else names in
   let known = all_experiments @ extra_experiments in
   let targets =
-    List.filter_map
+    List.map
       (fun name ->
         match List.assoc_opt name known with
-        | Some kind -> Some (name, kind)
+        | Some kind -> (name, kind)
         | None ->
           Printf.eprintf "unknown experiment %S; available: %s\n" name
             (String.concat ", " (List.map fst known));
-          None)
+          exit 2)
       names
   in
   Printf.printf "ammBoost benchmark harness (volumes = paper volumes / %.0f)\n" E.scale;
   Printf.eprintf "  [running %d experiment(s) with %d job(s)]\n%!"
     (List.length targets) jobs;
   let outcomes = run_targets targets in
-  write_results ~jobs outcomes
+  write_results ~jobs outcomes;
+  List.iter (fun (name, v) -> Printf.eprintf "verdict failed: %s: %s\n" name v) !failures;
+  if !failures <> [] then exit 1

@@ -65,11 +65,22 @@ let run_all ?sink ?domains cfgs =
   List.iter (absorb sink) results;
   results
 
-let run_cells ?sink ?domains cells =
-  List.map2
-    (fun c r -> row_of_result ~label:c.cell_label r ~extra:(c.cell_extra r))
-    cells
-    (run_all ?sink ?domains (List.map (fun c -> c.cell_cfg) cells))
+(* The rows, and the runs behind them for the drills' verdicts. *)
+let run_drill ?sink ?domains cells =
+  let runs = run_all ?sink ?domains (List.map (fun c -> c.cell_cfg) cells) in
+  ( List.map2
+      (fun c r -> row_of_result ~label:c.cell_label r ~extra:(c.cell_extra r))
+      cells runs,
+    runs )
+
+let run_cells ?sink ?domains cells = fst (run_drill ?sink ?domains cells)
+
+(* A drill's verdict: a named predicate over its finished runs, in cell
+   order. Each drill declares its verdicts beside its cells. *)
+type 'a verdict = string * ('a list -> bool)
+
+let failed verdicts runs =
+  List.filter_map (fun (name, holds) -> if holds runs then None else Some name) verdicts
 
 (* A System.run/Baseline.run pair for the comparison experiments. *)
 let run_vs_baseline ?sink ?domains cfg =
@@ -501,8 +512,11 @@ let print_ablations ablations =
 
 let chaos_intensities = [ 0.0; 0.05; 0.1; 0.2 ]
 
+let faults_total (r : System.result) =
+  List.fold_left (fun acc (_, n) -> acc + n) 0 r.System.faults_injected
+
 let chaos_soak ?sink ?domains () =
-  run_cells ?sink ?domains
+  run_drill ?sink ?domains
     (List.map
        (fun intensity ->
          cell
@@ -510,10 +524,7 @@ let chaos_soak ?sink ?domains () =
            ~extra:(fun r ->
              [ ("Epochs applied",
                 Printf.sprintf "%d/%d" r.System.epochs_applied r.System.epochs_run);
-               ("Faults injected",
-                string_of_int
-                  (List.fold_left (fun acc (_, n) -> acc + n) 0
-                     r.System.faults_injected));
+               ("Faults injected", string_of_int (faults_total r));
                ("Mass-syncs", string_of_int r.System.mass_syncs);
                ("Sync retries", string_of_int r.System.sync_retries);
                ("Degraded signings", string_of_int r.System.degraded_signings);
@@ -535,6 +546,21 @@ let chaos_soak ?sink ?domains () =
              seed = base.seed ^ "-chaos" })
        chaos_intensities)
 
+let chaos_verdicts : System.result verdict list =
+  [ ("twin audit passes", List.for_all (fun r -> r.System.twin_consistent));
+    ( "every epoch applied",
+      List.for_all (fun r -> r.System.epochs_applied = r.System.epochs_run) );
+    ( "no fault at 0 %, some above",
+      function
+      | clean :: rest ->
+        faults_total clean = 0 && List.exists (fun r -> faults_total r > 0) rest
+      | [] -> false );
+    ( "recovery exercised",
+      List.exists (fun r ->
+          r.System.mass_syncs + r.System.sync_retries + r.System.degraded_signings
+          + r.System.rollbacks
+          > 0) ) ]
+
 (* ------------------------------------------------------------------ *)
 (* Exit drill: stall duration vs exit gas cost and recovery latency    *)
 (* ------------------------------------------------------------------ *)
@@ -553,7 +579,7 @@ let exit_drill_scenarios =
       { Faults.Fault_plan.quorum_starvation = None; committee_loss = Some 2 } ) ]
 
 let exit_drill ?sink ?domains () =
-  run_cells ?sink ?domains
+  run_drill ?sink ?domains
     (List.map
        (fun (label, scenario) ->
          cell ~label
@@ -618,6 +644,31 @@ let exit_drill ?sink ?domains () =
              seed = base.seed ^ "-exit-drill" })
        exit_drill_scenarios)
 
+(* Positional over the three scenarios: stall=2 rides it out, stall=4
+   halts, exits and reconciles, loss@2 halts for good. *)
+let exit_drill_verdicts : System.result verdict list =
+  [ ( "final modes",
+      fun runs ->
+        List.map (fun r -> r.System.final_mode) runs = [ "normal"; "normal"; "halted" ] );
+    ("exit conservation passes", List.for_all (fun r -> r.System.exit_conservation));
+    ("twin audit passes", List.for_all (fun r -> r.System.twin_consistent));
+    ("custody passes", List.for_all (fun r -> r.System.custody_consistent));
+    ( "exits served",
+      fun runs ->
+        match List.map (fun r -> r.System.exits_served) runs with
+        | [ 0; stalled; lost ] -> stalled > 0 && lost > 0
+        | _ -> false );
+    ( "recovery latency",
+      fun runs ->
+        match List.map (fun r -> r.System.recovery_latency) runs with
+        | [ None; Some l; None ] -> l > 0.0
+        | _ -> false );
+    ( "reconciliation",
+      fun runs ->
+        match List.map (fun r -> r.System.reconciliation) runs with
+        | [ None; Some _; None ] -> true
+        | _ -> false ) ]
+
 (* ------------------------------------------------------------------ *)
 (* Crash drill: kill/restart at every injected point + torn-write      *)
 (* corruption; every recovered run must end byte-identical to an       *)
@@ -663,20 +714,27 @@ type drill_row = {
 
 exception Drill_failure of string
 
-(* The drill needs real directories. AMMBOOST_DRILL_DIR pins the root
-   (CI keeps it as an artifact); otherwise a fresh temp dir per process.
-   Paths never reach stdout — the drill output is byte-identical across
-   runs, hosts and domain counts. *)
-let drill_root () =
+(* The drill needs real directories. AMMBOOST_DRILL_DIR pins the root,
+   which stays for inspection; otherwise a fresh temp dir, removed when
+   the drill ends. Paths never reach stdout — the drill output is
+   byte-identical across runs, hosts and domain counts. *)
+let with_drill_root f =
   match Sys.getenv_opt "AMMBOOST_DRILL_DIR" with
   | Some d when d <> "" ->
     Durable.Fsio.mkdir_p d;
-    d
+    f d
   | _ ->
-    let f = Filename.temp_file "ammboost-drill" "" in
-    Sys.remove f;
-    Durable.Fsio.mkdir_p f;
-    f
+    let root = Filename.temp_file "ammboost-drill" "" in
+    Sys.remove root;
+    Durable.Fsio.mkdir_p root;
+    let rec remove path =
+      if Sys.is_directory path then begin
+        Array.iter (fun p -> remove (Filename.concat path p)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+    in
+    Fun.protect ~finally:(fun () -> remove root) (fun () -> f root)
 
 (* Scene dirs are wiped before use so a re-run with a pinned
    AMMBOOST_DRILL_DIR starts from genesis, not from stale state. *)
@@ -763,8 +821,7 @@ let drill_scenes =
       Scene_corrupt_snapshot Faults.Fault_plan.Stale_marker );
     ("wal-torn-tail", Scene_torn_wal) ]
 
-let crash_drill ?sink ?domains () =
-  let root = drill_root () in
+let crash_drill_in ?sink ?domains root =
   let stat (r : System.result) name =
     Option.value ~default:0 (List.assoc_opt name r.System.durability)
   in
@@ -856,6 +913,30 @@ let crash_drill ?sink ?domains () =
   absorb sink r_ref;
   List.iter (fun (_, r) -> absorb sink r) scene_rows;
   ref_row :: List.map fst scene_rows
+
+let crash_drill ?sink ?domains () = with_drill_root (crash_drill_in ?sink ?domains)
+
+let crash_drill_verdicts : drill_row verdict list =
+  [ ("every scene byte-identical", List.for_all (fun d -> d.drill_ok));
+    ( "scene labels",
+      fun rows ->
+        List.map (fun d -> d.drill_label) rows
+        = [ "reference"; "crash-script"; "snapshot-truncated-tail"; "snapshot-bit-flip";
+            "snapshot-stale-marker"; "wal-torn-tail" ] );
+    ( "every scripted death survived",
+      List.exists (fun d ->
+          d.drill_label = "crash-script"
+          && d.drill_crashes = List.length crash_drill_points) );
+    ( "every corruption detected",
+      List.for_all (fun d -> d.drill_label = "reference" || d.drill_detected >= 1) );
+    ( "corrupt snapshots healed",
+      fun rows ->
+        List.fold_left
+          (fun acc d ->
+            if String.starts_with ~prefix:"snapshot-" d.drill_label then acc + d.drill_healed
+            else acc)
+          0 rows
+        >= 3 ) ]
 
 let print_crash_drill rows =
   Printf.printf "\n=== Crash drill: kill/restart + torn-write recovery ===\n";
@@ -979,10 +1060,7 @@ let sweep_users () =
     in
     if ns = [] then sweep_users_default else List.sort_uniq compare ns
 
-let sweep_epochs () =
-  match Option.bind (Sys.getenv_opt "AMMBOOST_SWEEP_EPOCHS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | _ -> 3
+let sweep_epochs = 3
 
 (* Each cell is seeded by its own user count, so a cell's output does not
    depend on which other cells run: trimming the sweep via
@@ -996,7 +1074,7 @@ let sweep_cfg ~users =
   in
   { base with
     Config.users;
-    epochs = sweep_epochs ();
+    epochs = sweep_epochs;
     daily_volume;
     (* One deposit per user per epoch floods the mainchain queue, and the
        epoch sync carrying every user's entry must fit a single block
@@ -1102,7 +1180,7 @@ let scale_sweep ?sink () =
     (sweep_users ())
 
 let print_scale_sweep rows =
-  Printf.printf "\n=== Scale sweep (epochs=%d) ===\n" (sweep_epochs ());
+  Printf.printf "\n=== Scale sweep (epochs=%d) ===\n" sweep_epochs;
   Printf.printf "%-10s%14s%14s%18s%10s%16s%16s\n" "users" "generated" "processed"
     "throughput tx/s" "epochs" "storage words" "summary users";
   List.iter
@@ -1135,7 +1213,7 @@ let sweep_json rows =
   in
   Telemetry.Json.obj
     [ ("schema", Telemetry.Json.string "ammboost-sweep/2");
-      ("epochs", string_of_int (sweep_epochs ()));
+      ("epochs", string_of_int sweep_epochs);
       ("cells", Telemetry.Json.array (List.map cell rows)) ]
 
 (* ------------------------------------------------------------------ *)
@@ -1159,27 +1237,29 @@ let twin_script script =
     Faults.Fault_plan.corruption =
       { Faults.Fault_plan.corruption_rate = 0.0; corruption_script = script } }
 
+(* Injections reported in their own epoch, matched by epoch and key
+   string. *)
+let twin_hits (r : System.result) =
+  List.length
+    (List.filter
+       (fun (e, k) ->
+         List.exists
+           (fun rep -> rep.Twin.r_epoch = e && Twin.key_to_string rep.Twin.r_key = k)
+           r.System.twin_reports)
+       r.System.twin_injections)
+
+let twin_bisected (r : System.result) =
+  List.length (List.filter (fun rep -> rep.Twin.r_culprit <> None) r.System.twin_reports)
+
+let twin_verdict (r : System.result) =
+  if r.System.twin_injections = [] then r.System.twin_consistent
+  else twin_hits r = List.length r.System.twin_injections
+
 (* Shared extra rows so the table prints one aligned matrix: detection
-   bookkeeping (injections vs same-epoch reports keyed by epoch + key
-   string), bisection counts, and a read-only time-travel probe run
+   bookkeeping, bisection counts, and a read-only time-travel probe run
    concurrently on two domains against the immutable view. *)
 let twin_extra (r : System.result) =
-  let caught_in_epoch (e, k) =
-    List.exists
-      (fun rep ->
-        rep.Twin.r_epoch = e && Twin.key_to_string rep.Twin.r_key = k)
-      r.System.twin_reports
-  in
-  let inj = r.System.twin_injections in
-  let hits = List.length (List.filter caught_in_epoch inj) in
-  let bisected =
-    List.length
-      (List.filter (fun rep -> rep.Twin.r_culprit <> None) r.System.twin_reports)
-  in
-  let out_of_band = List.length r.System.twin_reports - bisected in
-  let verdict =
-    if inj = [] then r.System.twin_consistent else hits = List.length inj
-  in
+  let bisected = twin_bisected r in
   let view_rows =
     match r.System.twin_view with
     | None -> [ ("Epochs sealed", "off"); ("View probe (2 domains)", "off") ]
@@ -1203,11 +1283,11 @@ let twin_extra (r : System.result) =
   [ ("Twin audits", string_of_int r.System.twin_audits);
     ("Divergent keys", string_of_int r.System.twin_divergences);
     ("Injected/caught in-epoch",
-     Printf.sprintf "%d/%d" (List.length inj) hits);
+     Printf.sprintf "%d/%d" (List.length r.System.twin_injections) (twin_hits r));
     ("Reports bisected", string_of_int bisected);
-    ("Reports out-of-band", string_of_int out_of_band);
+    ("Reports out-of-band", string_of_int (List.length r.System.twin_reports - bisected));
     ("Final mode", r.System.final_mode);
-    ("Twin verdict", if verdict then "pass" else "FAIL") ]
+    ("Twin verdict", if twin_verdict r then "pass" else "FAIL") ]
   @ view_rows
 
 let twin_audit ?sink ?domains () =
@@ -1222,7 +1302,7 @@ let twin_audit ?sink ?domains () =
         Config.faults = twin_script script;
         seed = twin_base.Config.seed ^ "-" ^ label }
   in
-  run_cells ?sink ?domains
+  run_drill ?sink ?domains
     [ cell ~label:"clean" ~extra:twin_extra twin_base;
       corrupt "corrupt-dep" [ (1, spr - 1, Faults.Fault_plan.Deposit_row) ];
       corrupt "corrupt-pos" [ (1, spr - 1, Faults.Fault_plan.Position_slab) ];
@@ -1240,6 +1320,23 @@ let twin_audit ?sink ?domains () =
                       (2, spr - 1, Faults.Fault_plan.Position_slab) ] } };
           mc_confirmations = 3;
           seed = twin_base.Config.seed ^ "-multi" } ]
+
+(* The clean run comes first; every other run corrupts. Bisection is
+   judged over the whole table, not per run: corrupt-dep bisects its
+   report at scale 1 but not at scale 100, and corrupt-tick never does. *)
+let twin_audit_verdicts : System.result verdict list =
+  [ ("twin verdict passes", List.for_all twin_verdict);
+    ( "every injection caught in its epoch",
+      List.for_all (fun r -> twin_hits r = List.length r.System.twin_injections) );
+    ("some run injects", List.exists (fun r -> r.System.twin_injections <> []));
+    ( "only the clean run is divergence-free",
+      function
+      | clean :: corrupt ->
+        clean.System.twin_divergences = 0
+        && List.for_all (fun r -> r.System.twin_divergences > 0) corrupt
+      | [] -> false );
+    ("some report bisected", List.exists (fun r -> twin_bisected r > 0));
+    ("every run audited", List.for_all (fun r -> r.System.twin_audits > 0)) ]
 
 (* The overhead measurement behind the CI wall-clock gate: the same
    sweep cell run twice in this process — twin off, then twin on — so

@@ -41,6 +41,13 @@ val cell :
 val run_cells :
   ?sink:Telemetry.Report.sink -> ?domains:int -> cell list -> perf_row list
 
+type 'a verdict = string * ('a list -> bool)
+(** A named predicate over a drill's finished runs, in cell order. The
+    bench names every verdict of a drill that fails and exits 1. *)
+
+val failed : 'a verdict list -> 'a list -> string list
+(** The names of the verdicts that do not hold. *)
+
 val table1_scalability :
   ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> perf_row list
 (** V_D ∈ {50K, 500K, 5M, 25M} at the default configuration. *)
@@ -139,23 +146,31 @@ val ablations :
 val print_ablations : ablation list -> unit
 
 val chaos_soak :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> perf_row list
+  ?sink:Telemetry.Report.sink -> ?domains:int -> unit ->
+  perf_row list * System.result list
 (** Chaos soak: a small threshold-signing, message-level-consensus system
     swept across fault-plan intensities (0, 0.05, 0.1 and 0.2, scaled by
     {!Faults.Fault_plan.chaos}). Extra rows report epochs applied, faults
     injected, recovery actions (mass-syncs, retries, degraded signings,
     rollbacks) and the twin-audit verdict — rows are deterministic in
-    the seed at any [?domains] value. *)
+    the seed at any [?domains] value. Returns the rows and the runs,
+    which {!chaos_verdicts} judge. *)
+
+val chaos_verdicts : System.result verdict list
 
 val exit_drill :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> perf_row list
+  ?sink:Telemetry.Report.sink -> ?domains:int -> unit ->
+  perf_row list * System.result list
 (** Liveness/exit drill: scripted quorum-starvation windows and a
     permanent committee loss against a tightened watchdog (Degraded at 2
     stalled epochs, Halted at 4). Sweeps stall duration against exit gas
     cost and recovery latency; extra rows report the operating-mode
     trajectory, exits served with their claimed value, the exit
     conservation and twin-audit verdicts, and the reconciliation
-    summary. Deterministic at any [?domains] value. *)
+    summary. Deterministic at any [?domains] value. Returns the rows and
+    the runs, which {!exit_drill_verdicts} judge. *)
+
+val exit_drill_verdicts : System.result verdict list
 
 (** {1 Crash drill} *)
 
@@ -186,13 +201,15 @@ val crash_drill :
     recovered run must detect the damage via checksums, fall back to
     the previous valid snapshot where needed, and end with a result
     fingerprint {e and} durable-directory byte digest identical to the
-    reference. Directories live under [AMMBOOST_DRILL_DIR] (or a fresh
-    temp dir); paths never reach stdout, so output is byte-identical at
-    any [?domains] value. *)
+    reference. Directories live under [AMMBOOST_DRILL_DIR], which stays
+    for inspection, or under a fresh temp dir removed when the drill
+    ends; paths never reach stdout, so output is byte-identical at any
+    [?domains] value. {!crash_drill_verdicts} judge the rows. *)
+
+val crash_drill_verdicts : drill_row verdict list
 
 val print_crash_drill : drill_row list -> unit
-(** Render drill rows, ending with the [byte-identity: PASS/FAIL] line
-    CI asserts on. *)
+(** Render drill rows, ending with a [byte-identity: PASS/FAIL] line. *)
 
 (** {1 State-growth observatory} *)
 
@@ -283,7 +300,8 @@ val sweep_json : sweep_cell list -> string
 (** {1 Twin-audit drill} *)
 
 val twin_audit :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> perf_row list
+  ?sink:Telemetry.Report.sink -> ?domains:int -> unit ->
+  perf_row list * System.result list
 (** Scripted silent-corruption cells (deposit row, position slab, pool
     tick — each flipped at the summary round so no later write can mask
     it) against the continuous differential audit, plus a clean cell
@@ -292,7 +310,10 @@ val twin_audit :
     divergent keys, injections caught in their own epoch, bisection
     counts, and a read-only time-travel probe executed concurrently on
     two domains against the immutable {!System.result.twin_view}.
-    Deterministic at any [?domains] value. *)
+    Deterministic at any [?domains] value. Returns the rows and the
+    runs, which {!twin_audit_verdicts} judge. *)
+
+val twin_audit_verdicts : System.result verdict list
 
 type twin_overhead = {
   tov_users : int;

@@ -172,6 +172,26 @@ let test_totals_accumulate () =
   Alcotest.(check bool) "metrics exported" true
     (contains snapshot "monitor.audits" && contains snapshot "monitor.violations.fatal")
 
+(* The bank checks a summary's conservation, not its solvency: a signed
+   epoch-1 summary whose only position claims 2e18 token0 against a
+   1e18 pool applies, and the next audit reports it. *)
+let test_pool_solvency_violation () =
+  let env = make_env () in
+  settle_epoch0 env;
+  let p =
+    { (payload env ~epoch:1 ~balance0:one_e18 ~balance1:U256.zero) with
+      Sync_payload.positions =
+        [ { Sync_payload.pos_id =
+              Chain.Ids.Position_id.of_hash (Amm_crypto.Sha256.digest_string "solvency");
+            owner = alice; lower_tick = -60; upper_tick = 60; liquidity = one_e18;
+            amount0 = U256.add one_e18 one_e18; amount1 = U256.zero;
+            fees0 = U256.zero; fees1 = U256.zero; deleted = false } ] }
+  in
+  ignore (Token_bank.sync_exn env.bank ~signed:[ (p, sign env ~epoch:1 p) ]);
+  let r = audit env ~epoch:2 ~last_summary:1 in
+  Alcotest.(check (list string)) "solvency check fires" [ "pool-solvency" ] (checks_of r);
+  Alcotest.(check bool) "fatal" true (Monitor.worst r = Some Monitor.Fatal)
+
 let () =
   Alcotest.run "monitor"
     [ ( "audit",
@@ -186,4 +206,6 @@ let () =
             test_signing_streak_thresholds;
           Alcotest.test_case "certificate chain" `Quick
             test_certificate_chain_validated;
-          Alcotest.test_case "totals accumulate" `Quick test_totals_accumulate ] ) ]
+          Alcotest.test_case "totals accumulate" `Quick test_totals_accumulate;
+          Alcotest.test_case "pool solvency violation fatal" `Quick
+            test_pool_solvency_violation ] ) ]

@@ -866,6 +866,94 @@ let test_retention_edge () =
     (run_fingerprint r');
   Alcotest.(check string) "same bytes on disk" (dir_digest ref_dir) (dir_digest dir)
 
+(* ------------------------------------------------------------------ *)
+(* Drill verdicts                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Break the [i]-th run, or every run. *)
+let at i f = List.mapi (fun j x -> if j = i then f x else x)
+let all = List.map
+
+(* Every verdict of a drill holds on its runs, and each one fails on a
+   copy of the runs broken in the field it reads. [breaks] lists one
+   break per verdict, in the drill's order, so a verdict added without a
+   break fails here. *)
+let check_drill drill verdicts runs breaks =
+  Alcotest.(check (list string)) (drill ^ ": every verdict holds") []
+    (Experiments.failed verdicts runs);
+  Alcotest.(check (list string)) (drill ^ ": one break per verdict")
+    (List.map fst verdicts) (List.map fst breaks);
+  List.iter
+    (fun (name, break) ->
+      let failed = Experiments.failed verdicts (break runs) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S fails when broken (failed: %s)" drill name
+           (String.concat "; " failed))
+        true (List.mem name failed))
+    breaks
+
+let test_chaos_verdicts () =
+  let _, runs = Experiments.chaos_soak () in
+  check_drill "chaos" Experiments.chaos_verdicts runs
+    [ ("twin audit passes", at 3 (fun r -> { r with System.twin_consistent = false }));
+      ( "every epoch applied",
+        at 2 (fun r -> { r with System.epochs_applied = r.System.epochs_run - 1 }) );
+      ( "no fault at 0 %, some above",
+        at 0 (fun r -> { r with System.faults_injected = [ ("net.drop", 1) ] }) );
+      ( "recovery exercised",
+        all (fun r ->
+            { r with
+              System.mass_syncs = 0; sync_retries = 0; degraded_signings = 0;
+              rollbacks = 0 }) ) ]
+
+let test_exit_drill_verdicts () =
+  let _, runs = Experiments.exit_drill () in
+  let reconciled = (List.nth runs 1).System.reconciliation in
+  check_drill "exit-drill" Experiments.exit_drill_verdicts runs
+    [ ("final modes", at 2 (fun r -> { r with System.final_mode = "normal" }));
+      ( "exit conservation passes",
+        at 1 (fun r -> { r with System.exit_conservation = false }) );
+      ("twin audit passes", at 0 (fun r -> { r with System.twin_consistent = false }));
+      ("custody passes", at 2 (fun r -> { r with System.custody_consistent = false }));
+      ("exits served", at 0 (fun r -> { r with System.exits_served = 1 }));
+      ("recovery latency", at 1 (fun r -> { r with System.recovery_latency = Some 0.0 }));
+      ("reconciliation", at 2 (fun r -> { r with System.reconciliation = reconciled })) ]
+
+let test_crash_drill_verdicts () =
+  let rows = Experiments.crash_drill () in
+  let scene label f =
+    List.map (fun d -> if d.Experiments.drill_label = label then f d else d)
+  in
+  check_drill "crash-drill" Experiments.crash_drill_verdicts rows
+    [ ( "every scene byte-identical",
+        scene "snapshot-bit-flip" (fun d -> { d with Experiments.drill_ok = false }) );
+      ( "scene labels",
+        scene "wal-torn-tail" (fun d -> { d with Experiments.drill_label = "wal-torn" }) );
+      ( "every scripted death survived",
+        scene "crash-script" (fun d ->
+            { d with Experiments.drill_crashes = d.Experiments.drill_crashes - 1 }) );
+      ( "every corruption detected",
+        scene "wal-torn-tail" (fun d -> { d with Experiments.drill_detected = 0 }) );
+      ("corrupt snapshots healed", all (fun d -> { d with Experiments.drill_healed = 0 })) ]
+
+let test_twin_audit_verdicts () =
+  let _, runs = Experiments.twin_audit () in
+  check_drill "twin-audit" Experiments.twin_audit_verdicts runs
+    [ ("twin verdict passes", at 0 (fun r -> { r with System.twin_consistent = false }));
+      ( "every injection caught in its epoch",
+        at 2 (fun r -> { r with System.twin_reports = [] }) );
+      ("some run injects", all (fun r -> { r with System.twin_injections = [] }));
+      ( "only the clean run is divergence-free",
+        at 3 (fun r -> { r with System.twin_divergences = 0 }) );
+      ( "some report bisected",
+        all (fun r ->
+            { r with
+              System.twin_reports =
+                List.map
+                  (fun rep -> { rep with Twin.r_culprit = None })
+                  r.System.twin_reports }) );
+      ("every run audited", at 4 (fun r -> { r with System.twin_audits = 0 })) ]
+
 let () =
   Alcotest.run "system"
     [ ( "nominal",
@@ -918,4 +1006,9 @@ let () =
           Alcotest.test_case "mined txs released" `Quick test_eth_mined_txs_released ] );
       ( "memory",
         [ Alcotest.test_case "bounded growth" `Slow test_bounded_growth;
-          Alcotest.test_case "retention edge" `Slow test_retention_edge ] ) ]
+          Alcotest.test_case "retention edge" `Slow test_retention_edge ] );
+      ( "drills",
+        [ Alcotest.test_case "chaos" `Slow test_chaos_verdicts;
+          Alcotest.test_case "exit drill" `Slow test_exit_drill_verdicts;
+          Alcotest.test_case "crash drill" `Slow test_crash_drill_verdicts;
+          Alcotest.test_case "twin audit" `Slow test_twin_audit_verdicts ] ) ]
