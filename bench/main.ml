@@ -3,35 +3,67 @@
    runs Bechamel micro-benchmarks of the hot primitives.
 
    Simulator experiments run concurrently on OCaml 5 domains: the job
-   count comes from -j N / --jobs N, else AMMBOOST_BENCH_JOBS, else the
-   machine's recommended domain count. Each experiment computes against a
-   private telemetry sink and returns a printer; printing happens
-   sequentially in command-line order afterwards, so stdout is
-   byte-identical at any job count (timing lines go to stderr). The micro
-   benchmark is timing-sensitive and always runs serially, at its position
-   in the target list.
+   count comes from -j N / --jobs N, else the machine's recommended domain
+   count. Each experiment computes against a private telemetry sink and
+   returns a printer; printing happens sequentially in command-line order
+   afterwards, so stdout is byte-identical at any job count (timing lines
+   go to stderr). The micro benchmark, the scale sweep and the twin
+   overhead cell measure time or memory process-wide, so each runs
+   serially, with the domain pool shut down, at its position in the
+   target list.
 
-   The drills (chaos, exit-drill, crash-drill, twin-audit) judge their own
-   runs. After the results JSON is written, each verdict that failed is
-   named on stderr as "verdict failed: <experiment>: <verdict>" and the
-   process exits 1. An unknown experiment name exits 2 before anything
-   runs.
+   Tables 1-5 and the drills chaos, exit-drill and twin-audit are
+   Experiments.table values, which one path below runs, prints and
+   judges; the crash drill keeps its own rows and printer, and is judged
+   the same way. After the results file is written, each verdict that
+   failed is named on stderr as "verdict failed: <experiment>: <verdict>"
+   and the process exits 1. An unknown experiment name, or an --out that
+   names no directory, exits 2 before anything runs.
+
+   Files: none, unless --out DIR is given. Then DIR receives
+   BENCH_results.json (wall, CPU, RSS and GC per experiment, and the micro
+   ns/run), <experiment>.metrics.json (one telemetry snapshot per
+   experiment), observe.json and report.md (the observe run's growth
+   series, which CI's growth gate compares with OBSERVE_baseline.json, and
+   its run report), sweep.json, twin.json, and crash-drill/ (the crash
+   drill's durable directories, kept for inspection).
 
    Environment: AMMBOOST_BENCH_SCALE=<n> divides the daily traffic volumes
-   by n for quicker runs (1 = the paper's full volumes);
-   AMMBOOST_BENCH_JOBS=<n> sets the default domain count;
-   AMMBOOST_METRICS_DIR=<dir> writes one telemetry metrics snapshot per
-   experiment to <dir>/<name>.metrics.json;
-   AMMBOOST_BENCH_RESULTS=<path> sets where the machine-readable results
-   JSON lands (default ./BENCH_results.json);
-   AMMBOOST_OBSERVE_OUT=<path> makes the "observe" experiment write its
-   growth-ledger series JSON there (the CI growth guard diffs that file
-   against the checked-in OBSERVE_baseline.json — the observe run uses a
-   fixed configuration, so the output ignores AMMBOOST_BENCH_SCALE);
-   AMMBOOST_REPORT_OUT=<path> makes it write the markdown run-report. *)
+   by n for quicker runs (1 = the paper's full volumes; observe, the
+   scale sweep and the twin overhead cell use fixed volumes);
+   AMMBOOST_SWEEP_USERS=<n,n,...> sets the scale sweep's user counts
+   (default 100,1000,10000);
+   AMMBOOST_TWIN_USERS=<n> sets the twin overhead cell's (default 1000);
+   AMMBOOST_MICRO_QUOTA=<seconds> shrinks the micro benchmark's per-test
+   sampling budget (default 0.5; CI's perf-guard runs at a reduced quota
+   so the job stays fast). *)
 
 module E = Ammboost.Experiments
 module Json = Telemetry.Json
+
+let scale =
+  match Sys.getenv_opt "AMMBOOST_BENCH_SCALE" with
+  | Some s -> (try Stdlib.max 1.0 (float_of_string s) with _ -> 1.0)
+  | None -> 1.0
+
+(* Ascending: the sweep's peak-RSS column is a process-wide high-water
+   mark. *)
+let sweep_users =
+  let default = [ 100; 1_000; 10_000 ] in
+  match Sys.getenv_opt "AMMBOOST_SWEEP_USERS" with
+  | None | Some "" -> default
+  | Some s ->
+    let ns =
+      String.split_on_char ',' s
+      |> List.filter_map (fun p -> int_of_string_opt (String.trim p))
+      |> List.filter (fun n -> n > 0)
+    in
+    if ns = [] then default else List.sort_uniq compare ns
+
+let twin_users =
+  match Option.bind (Sys.getenv_opt "AMMBOOST_TWIN_USERS") int_of_string_opt with
+  | Some n when n >= 1 -> n
+  | _ -> 1_000
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -137,8 +169,6 @@ let micro_tests () =
     [ t_muldiv; t_sqrt; t_tick; t_tick_inv; t_keccak; t_sha; t_rng_float;
       t_rng_split; t_sign; t_verify; t_threshold; t_swap ]
 
-(* AMMBOOST_MICRO_QUOTA=<seconds> shrinks the per-test sampling budget —
-   CI's perf-guard runs at a reduced quota so the job stays fast. *)
 let micro_quota () =
   match Sys.getenv_opt "AMMBOOST_MICRO_QUOTA" with
   | Some s ->
@@ -181,58 +211,28 @@ let print_micro rows =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* Output files                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The --out directory, set before anything runs. Without one the bench
+   writes no file. *)
+let out_dir = ref None
+
+let write_out name text =
+  Option.iter
+    (fun dir ->
+      let path = Filename.concat dir name in
+      Out_channel.with_open_text path (fun oc -> output_string oc text);
+      Printf.eprintf "  [%s written]\n%!" path)
+    !out_dir
+
+(* ------------------------------------------------------------------ *)
 (* Experiment dispatch                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Each simulator experiment is compute/print split: [compute sink]
-   performs the runs (this part fans out over domains) and returns a
-   printer closure over the finished rows. *)
-
-let compute_table1 sink =
-  let rows = E.table1_scalability ~sink () in
-  fun () ->
-    E.print_perf_table ~title:"Table 1: scalability of ammBoost"
-      ~col_header:"Daily volume" rows
-
-let compute_table2 sink =
-  let rows = E.table2_block_size ~sink () in
-  fun () ->
-    E.print_perf_table ~title:"Table 2: impact of sidechain block size (V_D = 50M)"
-      ~col_header:"Block size" rows
-
-let compute_table3 sink =
-  let rows = E.table3_round_duration ~sink () in
-  fun () ->
-    E.print_perf_table ~title:"Table 3: impact of sidechain round duration (V_D = 25M)"
-      ~col_header:"Round duration" rows
-
-let compute_table4 sink =
-  let rows = E.table4_epoch_length ~sink () in
-  fun () ->
-    E.print_perf_table ~title:"Table 4: impact of epoch length (V_D = 25M)"
-      ~col_header:"Epoch (sc rounds)" rows
-
-let compute_table5 sink =
-  let rows = E.table5_distribution ~sink () in
-  fun () ->
-    E.print_perf_table ~title:"Table 5: impact of traffic distribution (V_D = 25M)"
-      ~col_header:"(swap,mint,burn,collect)" rows
-
-let compute_table6 sink =
-  let t = E.table6_gas_itemized ~sink () in
-  fun () -> E.print_table6 t
-
-let compute_table7 _sink =
-  let t = E.table7_storage () in
-  fun () -> E.print_table7 t
-
-let compute_fig6 sink =
-  let f = E.fig6_overall ~sink () in
-  fun () -> E.print_fig6 f
-
-let compute_table8 _sink =
-  let rows = E.table8_stats () in
-  fun () -> E.print_table8 rows
+(* Each experiment is compute/print split: [compute sink] performs the
+   runs (this part fans out over domains) and returns a printer closure
+   over the finished rows. *)
 
 (* (experiment, verdict) for every failed drill verdict. Only printers
    append, and printers run one at a time. *)
@@ -241,105 +241,90 @@ let failures = ref []
 let judge name verdicts runs =
   failures := !failures @ List.map (fun v -> (name, v)) (E.failed verdicts runs)
 
-let compute_chaos sink =
-  let rows, runs = E.chaos_soak ~sink () in
+let compute_table name (t : E.table) sink =
+  let rows, runs = E.run_table ~sink t in
   fun () ->
-    E.print_perf_table
-      ~title:"Chaos soak: fault-rate sweep (recovery + twin audit)"
-      ~col_header:"Fault intensity" rows;
-    judge "chaos" E.chaos_verdicts runs
+    E.print_perf_table t rows;
+    judge name t.E.verdicts runs
 
-let compute_exit_drill sink =
-  let rows, runs = E.exit_drill ~sink () in
-  fun () ->
-    E.print_perf_table
-      ~title:"Exit drill: stall duration vs exit gas and recovery latency"
-      ~col_header:"Liveness failure" rows;
-    judge "exit-drill" E.exit_drill_verdicts runs
+let compute_table6 sink =
+  let t = E.table6_gas_itemized ~sink ~scale () in
+  fun () -> E.print_table6 t
 
-let compute_crash_drill sink =
-  let rows = E.crash_drill ~sink () in
-  fun () ->
-    E.print_crash_drill rows;
-    judge "crash-drill" E.crash_drill_verdicts rows
+let compute_table7 _sink =
+  let t = E.table7_storage () in
+  fun () -> E.print_table7 t
+
+let compute_table8 _sink =
+  let rows = E.table8_stats ~scale in
+  fun () -> E.print_table8 rows
+
+let compute_fig6 sink =
+  let f = E.fig6_overall ~sink ~scale () in
+  fun () -> E.print_fig6 f
 
 let compute_ablations sink =
-  let ablations = E.ablations ~sink () in
+  let ablations = E.ablations ~sink ~scale () in
   fun () -> E.print_ablations ablations
 
-let observe_out = Sys.getenv_opt "AMMBOOST_OBSERVE_OUT"
-let report_out = Sys.getenv_opt "AMMBOOST_REPORT_OUT"
-
-let write_file path text =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
+let compute_crash_drill sink =
+  let d = E.crash_drill ~scale in
+  let root = Option.map (fun dir -> Filename.concat dir "crash-drill") !out_dir in
+  let rows = E.run_crash_drill ~sink ?root d in
+  fun () ->
+    E.print_crash_drill rows;
+    judge "crash-drill" d.E.cd_verdicts rows
 
 let compute_observe sink =
   let o = E.observe ~sink () in
   fun () ->
     E.print_observe o;
-    (match observe_out with
-    | Some path when path <> "" ->
-      write_file path o.E.obs_series_json;
-      Printf.eprintf "  [growth series written to %s]\n%!" path
-    | _ -> ());
-    (match report_out with
-    | Some path when path <> "" ->
-      write_file path o.E.obs_report;
-      Printf.eprintf "  [run report written to %s]\n%!" path
-    | _ -> ())
+    write_out "observe.json" o.E.obs_series_json;
+    write_out "report.md" o.E.obs_report
 
-let twin_out = Sys.getenv_opt "AMMBOOST_TWIN_OUT"
-
-let compute_twin_audit sink =
-  let rows, runs = E.twin_audit ~sink () in
-  let overhead = E.twin_overhead ~sink () in
+let compute_twin_overhead sink =
+  let o = E.twin_overhead ~sink ~users:twin_users () in
   fun () ->
-    E.print_perf_table
-      ~title:"Twin audit: silent corruption vs the differential audit"
-      ~col_header:"Corruption cell" rows;
-    E.print_twin_overhead overhead;
-    judge "twin-audit" E.twin_audit_verdicts runs;
-    (match twin_out with
-    | Some path when path <> "" ->
-      write_file path (E.twin_overhead_json overhead ^ "\n");
-      Printf.eprintf "  [twin overhead written to %s]\n%!" path
-    | _ -> ())
-
-let sweep_out = Sys.getenv_opt "AMMBOOST_SWEEP_OUT"
+    E.print_twin_overhead o;
+    write_out "twin.json" (E.twin_overhead_json o ^ "\n")
 
 let compute_scale_sweep sink =
-  let rows = E.scale_sweep ~sink () in
+  let rows = E.scale_sweep ~sink ~users:sweep_users () in
   fun () ->
     E.print_scale_sweep rows;
-    (match sweep_out with
-    | Some path when path <> "" ->
-      write_file path (E.sweep_json rows ^ "\n");
-      Printf.eprintf "  [sweep table written to %s]\n%!" path
-    | _ -> ())
+    write_out "sweep.json" (E.sweep_json rows ^ "\n")
+
+(* Every micro run's rows, for the results file. *)
+let micro_rows = ref []
+
+let compute_micro _sink =
+  let rows = run_micro () in
+  micro_rows := !micro_rows @ rows;
+  fun () -> print_micro rows
 
 type experiment =
   | Sim of (Telemetry.Report.sink -> unit -> unit)
-  | Micro
-  | Sweep  (** serial like [Micro]: its RSS measurement is process-wide *)
+  | Serial of (Telemetry.Report.sink -> unit -> unit)
+      (** measures wall time or peak RSS, which a concurrent experiment
+          would skew *)
+
+let table name make = (name, Sim (compute_table name (make ~scale)))
 
 (* The default target list. "scale-sweep" is opt-in only (see
    [extra_experiments]): its 10k-user cell is far heavier than any
    table and its measurements want an otherwise quiet process. *)
 let all_experiments =
-  [ ("table1", Sim compute_table1); ("table2", Sim compute_table2);
-    ("table3", Sim compute_table3); ("table4", Sim compute_table4);
-    ("table5", Sim compute_table5); ("table6", Sim compute_table6);
-    ("table7", Sim compute_table7); ("table8", Sim compute_table8);
-    ("fig6", Sim compute_fig6); ("ablations", Sim compute_ablations);
-    ("chaos", Sim compute_chaos); ("exit-drill", Sim compute_exit_drill);
-    ("crash-drill", Sim compute_crash_drill);
-    ("twin-audit", Sim compute_twin_audit);
-    ("observe", Sim compute_observe); ("micro", Micro) ]
+  [ table "table1" E.table1; table "table2" E.table2; table "table3" E.table3;
+    table "table4" E.table4; table "table5" E.table5;
+    ("table6", Sim compute_table6); ("table7", Sim compute_table7);
+    ("table8", Sim compute_table8); ("fig6", Sim compute_fig6);
+    ("ablations", Sim compute_ablations);
+    table "chaos" E.chaos; table "exit-drill" E.exit_drill;
+    ("crash-drill", Sim compute_crash_drill); table "twin-audit" E.twin_audit;
+    ("twin-overhead", Serial compute_twin_overhead);
+    ("observe", Sim compute_observe); ("micro", Serial compute_micro) ]
 
-let extra_experiments = [ ("scale-sweep", Sweep) ]
-
-let metrics_dir = Sys.getenv_opt "AMMBOOST_METRICS_DIR"
+let extra_experiments = [ ("scale-sweep", Serial compute_scale_sweep) ]
 
 (* ------------------------------------------------------------------ *)
 (* Orchestration                                                       *)
@@ -354,47 +339,28 @@ type outcome = {
   o_rss_kb : int;          (* process peak RSS when the experiment ended *)
   o_major_words : float;   (* GC major words allocated, driving domain *)
   o_promoted_words : float;
-  o_micro : (string * float option) list;  (* non-empty only for micro *)
 }
 
-(* GC counters are per-domain: for parallel-batched experiments they cover
+(* One metrics registry per experiment: the snapshot aggregates every
+   simulator run behind that table. The sink is private to this
+   experiment, so concurrent experiments never share one.
+
+   GC counters are per-domain: for parallel-batched experiments they cover
    the driving domain only (workers allocate in their own heaps), which
    still tracks the serial experiments exactly and trends for the rest.
    Peak RSS is process-wide and monotone. *)
-let run_measured name compute =
+let run_measured (name, compute) =
   let sink = Telemetry.Report.sink () in
   let sw = Telemetry.Clock.stopwatch () in
   let g0 = Gc.quick_stat () in
-  let print, micro = compute sink in
+  let print = compute sink in
   let g1 = Gc.quick_stat () in
   { o_name = name; o_print = print; o_sink = sink;
     o_wall = Telemetry.Clock.elapsed_wall sw;
     o_cpu = Telemetry.Clock.elapsed_cpu sw;
     o_rss_kb = E.peak_rss_kb ();
     o_major_words = g1.Gc.major_words -. g0.Gc.major_words;
-    o_promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-    o_micro = micro }
-
-let run_sim name compute =
-  (* One metrics registry per experiment: the snapshot aggregates every
-     simulator run behind that table. The sink is private to this
-     experiment, so concurrent experiments never share one. *)
-  run_measured name (fun sink -> (compute sink, []))
-
-let run_micro_outcome () =
-  (* Even idle pool domains degrade minor-GC pauses; join them so the
-     micro numbers measure the primitive, not the pool. The pool restarts
-     lazily if more simulator experiments follow. *)
-  Parallel.shutdown ();
-  run_measured "micro" (fun _sink ->
-      let rows = run_micro () in
-      ((fun () -> print_micro rows), rows))
-
-let run_sweep_outcome () =
-  (* Like micro: serial, with the domain pool quiesced, so the sweep's
-     peak-RSS and GC numbers describe the sweep alone. *)
-  Parallel.shutdown ();
-  run_measured "scale-sweep" (fun sink -> (compute_scale_sweep sink, []))
+    o_promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words }
 
 let finish outcome =
   outcome.o_print ();
@@ -405,20 +371,23 @@ let finish outcome =
     "  [%s done in %.1fs wall, %.1fs cpu; rss peak %dKB, %.0f major words, %.0f promoted]\n%!"
     outcome.o_name outcome.o_wall outcome.o_cpu outcome.o_rss_kb
     outcome.o_major_words outcome.o_promoted_words;
-  match metrics_dir with
-  | Some dir ->
-    Durable.Fsio.mkdir_p dir;
-    Telemetry.Report.write_metrics outcome.o_sink
-      ~path:(Filename.concat dir (outcome.o_name ^ ".metrics.json"))
-  | None -> ()
+  Option.iter
+    (fun dir ->
+      Telemetry.Report.write_metrics outcome.o_sink
+        ~path:(Filename.concat dir (outcome.o_name ^ ".metrics.json")))
+    !out_dir
 
-(* Simulator experiments between two micro runs execute as one parallel
+(* Simulator experiments between two serial ones execute as one parallel
    batch; printing stays in command-line order. *)
 let run_targets targets =
   let rec go acc = function
     | [] -> List.rev acc
-    | (_, Micro) :: rest ->
-      let o = run_micro_outcome () in
+    | (name, Serial f) :: rest ->
+      (* Even idle pool domains degrade minor-GC pauses; join them so the
+         measurement describes this experiment alone. The pool restarts
+         lazily if more simulator experiments follow. *)
+      Parallel.shutdown ();
+      let o = run_measured (name, f) in
       finish o;
       go (o :: acc) rest
     | (_, Sim _) :: _ as l ->
@@ -429,13 +398,9 @@ let run_targets targets =
         in
         split [] l
       in
-      let outcomes = Parallel.map_list (fun (name, f) -> run_sim name f) sims in
+      let outcomes = Parallel.map_list run_measured sims in
       List.iter finish outcomes;
       go (List.rev_append outcomes acc) rest
-    | (_, Sweep) :: rest ->
-      let o = run_sweep_outcome () in
-      finish o;
-      go (o :: acc) rest
   in
   go [] targets
 
@@ -443,13 +408,7 @@ let run_targets targets =
 (* Machine-readable results                                            *)
 (* ------------------------------------------------------------------ *)
 
-let results_path () =
-  match Sys.getenv_opt "AMMBOOST_BENCH_RESULTS" with
-  | Some p when p <> "" -> p
-  | _ -> "BENCH_results.json"
-
 let write_results ~jobs outcomes =
-  let micro_rows = List.concat_map (fun o -> o.o_micro) outcomes in
   let ns_obj rows =
     Json.obj
       (List.filter_map
@@ -470,14 +429,12 @@ let write_results ~jobs outcomes =
   let doc =
     Json.obj
       [ ("schema", Json.string "ammboost-bench/1");
-        ("scale", Json.float E.scale);
+        ("scale", Json.float scale);
         ("jobs", string_of_int jobs);
         ("experiments", experiments);
-        ("micro_ns", ns_obj micro_rows) ]
+        ("micro_ns", ns_obj !micro_rows) ]
   in
-  let path = results_path () in
-  write_file path (doc ^ "\n");
-  Printf.eprintf "  [results written to %s]\n%!" path
+  write_out "BENCH_results.json" (doc ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -485,7 +442,7 @@ let write_results ~jobs outcomes =
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [-j N | --jobs N] [experiment ...]\navailable experiments: %s\n"
+    "usage: main.exe [-j N | --jobs N] [--out DIR] [experiment ...]\navailable experiments: %s\n"
     (String.concat ", " (List.map fst (all_experiments @ extra_experiments)));
   exit 2
 
@@ -497,25 +454,29 @@ let parse_jobs s =
     exit 2
 
 let parse_argv argv =
-  let rec go jobs targets = function
-    | [] -> (jobs, List.rev targets)
-    | ("-j" | "--jobs") :: n :: rest -> go (Some (parse_jobs n)) targets rest
+  let rec go jobs out targets = function
+    | [] -> (jobs, out, List.rev targets)
+    | ("-j" | "--jobs") :: n :: rest -> go (Some (parse_jobs n)) out targets rest
     | [ "-j" ] | [ "--jobs" ] ->
       Printf.eprintf "missing job count after -j\n";
       exit 2
+    | "--out" :: dir :: rest when dir <> "" -> go jobs (Some dir) targets rest
+    | "--out" :: _ ->
+      Printf.eprintf "missing directory after --out\n";
+      exit 2
     | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-      go (Some (parse_jobs (String.sub arg 7 (String.length arg - 7)))) targets rest
+      go (Some (parse_jobs (String.sub arg 7 (String.length arg - 7)))) out targets rest
     | arg :: rest
       when String.length arg > 2 && String.sub arg 0 2 = "-j"
            && int_of_string_opt (String.sub arg 2 (String.length arg - 2)) <> None ->
-      go (Some (parse_jobs (String.sub arg 2 (String.length arg - 2)))) targets rest
+      go (Some (parse_jobs (String.sub arg 2 (String.length arg - 2)))) out targets rest
     | ("-h" | "--help") :: _ -> usage ()
-    | arg :: rest -> go jobs (arg :: targets) rest
+    | arg :: rest -> go jobs out (arg :: targets) rest
   in
-  go None [] (List.tl (Array.to_list argv))
+  go None None [] (List.tl (Array.to_list argv))
 
 let () =
-  let jobs_flag, names = parse_argv Sys.argv in
+  let jobs_flag, out, names = parse_argv Sys.argv in
   (match jobs_flag with Some n -> Parallel.set_default_domains n | None -> ());
   let jobs = Parallel.default_domains () in
   let names = if names = [] then List.map fst all_experiments else names in
@@ -531,7 +492,16 @@ let () =
           exit 2)
       names
   in
-  Printf.printf "ammBoost benchmark harness (volumes = paper volumes / %.0f)\n" E.scale;
+  Option.iter
+    (fun dir ->
+      Durable.Fsio.mkdir_p dir;
+      if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+        Printf.eprintf "--out %S is not a directory\n" dir;
+        exit 2
+      end)
+    out;
+  out_dir := out;
+  Printf.printf "ammBoost benchmark harness (volumes = paper volumes / %.0f)\n" scale;
   Printf.eprintf "  [running %d experiment(s) with %d job(s)]\n%!"
     (List.length targets) jobs;
   let outcomes = run_targets targets in

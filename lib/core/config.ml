@@ -66,7 +66,6 @@ type t = {
   mc_confirmations : int;          (* blocks burying a tx before it is final;
                                       raise for deeper-reorg chaos runs *)
   watchdog : watchdog;
-  consensus : Consensus.Latency_model.params;
 }
 
 let default =
@@ -91,12 +90,12 @@ let default =
     swap_deadline_rounds = 10_000;
     faults = Faults.Fault_plan.none;
     mc_confirmations = 1;
-    watchdog = default_watchdog;
-    consensus =
-      { Consensus.Latency_model.mean_delay = 0.011; bandwidth_bytes = 125_000_000.0 } }
+    watchdog = default_watchdog }
 
 (* Fixed by the paper's setup; no experiment varies them. *)
 let mc_block_interval = 12.0
+let consensus =
+  { Consensus.Latency_model.mean_delay = 0.011; bandwidth_bytes = 125_000_000.0 }
 let lp_fraction = 0.2
 let fee_pips = 3000
 let tick_spacing = 60

@@ -64,7 +64,6 @@ type t = {
   mc_confirmations : int;          (** blocks burying a mainchain tx before it
                                        is final; raise for deeper-reorg chaos *)
   watchdog : watchdog;
-  consensus : Consensus.Latency_model.params;
 }
 
 val default : t
@@ -75,6 +74,10 @@ val default : t
 
 val mc_block_interval : float
 (** Mainchain block interval: 12 s. *)
+
+val consensus : Consensus.Latency_model.params
+(** The committee network behind the latency model: 11 ms mean one-way
+    message delay and 1 Gbit/s (125 MB/s) per node. *)
 
 val lp_fraction : float
 (** Share of users that also provide liquidity: 0.2. *)

@@ -1,18 +1,16 @@
 (* One harness per table and figure of the paper's evaluation (§6), plus
-   the ablations called out in DESIGN.md. Each experiment returns
-   structured rows and can print itself in the paper's shape; absolute
-   numbers are compared against the paper in EXPERIMENTS.md. *)
+   the ablations called out in DESIGN.md and the §4.2 recovery drills.
+   Each experiment returns structured rows and can print itself in the
+   paper's shape; absolute numbers are compared against the paper in
+   EXPERIMENTS.md. What a run varies (the volume divisor, user counts, a
+   drill directory) arrives as an argument: nothing here reads the
+   environment. *)
 
 module U256 = Amm_math.U256
 
-(* A global scale knob (AMMBOOST_BENCH_SCALE) shrinks daily volumes for
-   quick runs; 1.0 reproduces the paper's parameters. *)
-let scale =
-  match Sys.getenv_opt "AMMBOOST_BENCH_SCALE" with
-  | Some s -> (try Stdlib.max 1.0 (float_of_string s) with _ -> 1.0)
-  | None -> 1.0
-
-let scaled volume = int_of_float (float_of_int volume /. scale)
+(* [scale] divides daily volumes for quick runs; 1.0 reproduces the
+   paper's parameters. *)
+let scaled ~scale volume = int_of_float (float_of_int volume /. scale)
 
 let base = Config.default
 
@@ -30,7 +28,7 @@ let row_of_result ~label (r : System.result) ~extra =
     payout_latency = r.System.mean_payout_latency; extra }
 
 (* ------------------------------------------------------------------ *)
-(* Parallel cell runner                                                 *)
+(* Tables and their parallel cell runner                               *)
 (* ------------------------------------------------------------------ *)
 
 (* One table cell: an independent simulator run. Cells share nothing (each
@@ -65,22 +63,29 @@ let run_all ?sink ?domains cfgs =
   List.iter (absorb sink) results;
   results
 
-(* The rows, and the runs behind them for the drills' verdicts. *)
-let run_drill ?sink ?domains cells =
-  let runs = run_all ?sink ?domains (List.map (fun c -> c.cell_cfg) cells) in
-  ( List.map2
-      (fun c r -> row_of_result ~label:c.cell_label r ~extra:(c.cell_extra r))
-      cells runs,
-    runs )
-
-let run_cells ?sink ?domains cells = fst (run_drill ?sink ?domains cells)
-
 (* A drill's verdict: a named predicate over its finished runs, in cell
-   order. Each drill declares its verdicts beside its cells. *)
+   order. Each drill's verdicts sit in its table, beside its cells. *)
 type 'a verdict = string * ('a list -> bool)
 
 let failed verdicts runs =
   List.filter_map (fun (name, holds) -> if holds runs then None else Some name) verdicts
+
+(* A paper table or a drill: what it prints above its rows, the runs
+   behind them, and what those runs must satisfy. *)
+type table = {
+  title : string;
+  col_header : string;
+  cells : cell list;
+  verdicts : System.result verdict list;
+}
+
+(* The rows, and the runs behind them for the table's verdicts. *)
+let run_table ?sink ?domains t =
+  let runs = run_all ?sink ?domains (List.map (fun c -> c.cell_cfg) t.cells) in
+  ( List.map2
+      (fun c r -> row_of_result ~label:c.cell_label r ~extra:(c.cell_extra r))
+      t.cells runs,
+    runs )
 
 (* A System.run/Baseline.run pair for the comparison experiments. *)
 let run_vs_baseline ?sink ?domains cfg =
@@ -92,9 +97,9 @@ let run_vs_baseline ?sink ?domains cfg =
   absorb sink r;
   (r, b)
 
-let print_perf_table ~title ~col_header rows =
-  Printf.printf "\n=== %s ===\n" title;
-  Printf.printf "%-28s" col_header;
+let print_perf_table t rows =
+  Printf.printf "\n=== %s ===\n" t.title;
+  Printf.printf "%-28s" t.col_header;
   List.iter (fun r -> Printf.printf "%14s" r.row_label) rows;
   print_newline ();
   let line name f =
@@ -123,14 +128,17 @@ let print_perf_table ~title ~col_header rows =
 
 let table1_volumes = [ 50_000; 500_000; 5_000_000; 25_000_000 ]
 
-let table1_scalability ?sink ?domains () =
-  run_cells ?sink ?domains
-    (List.map
-       (fun volume ->
-         cell
-           ~label:(Printf.sprintf "%dK" (volume / 1000))
-           { base with daily_volume = scaled volume; seed = base.seed ^ "-t1" })
-       table1_volumes)
+let table1 ~scale =
+  { title = "Table 1: scalability of ammBoost";
+    col_header = "Daily volume";
+    cells =
+      List.map
+        (fun volume ->
+          cell
+            ~label:(Printf.sprintf "%dK" (volume / 1000))
+            { base with daily_volume = scaled ~scale volume; seed = base.seed ^ "-t1" })
+        table1_volumes;
+    verdicts = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: impact of meta-block size (V_D = 50M)                      *)
@@ -138,17 +146,20 @@ let table1_scalability ?sink ?domains () =
 
 let table2_sizes_mb = [ 0.5; 1.0; 1.5; 2.0 ]
 
-let table2_block_size ?sink ?domains () =
-  run_cells ?sink ?domains
-    (List.map
-       (fun mb ->
-         cell
-           ~label:(Printf.sprintf "%.1fMB" mb)
-           { base with
-             daily_volume = scaled 50_000_000;
-             meta_block_bytes = int_of_float (mb *. 1_000_000.0);
-             seed = base.seed ^ "-t2" })
-       table2_sizes_mb)
+let table2 ~scale =
+  { title = "Table 2: impact of sidechain block size (V_D = 50M)";
+    col_header = "Block size";
+    cells =
+      List.map
+        (fun mb ->
+          cell
+            ~label:(Printf.sprintf "%.1fMB" mb)
+            { base with
+              daily_volume = scaled ~scale 50_000_000;
+              meta_block_bytes = int_of_float (mb *. 1_000_000.0);
+              seed = base.seed ^ "-t2" })
+        table2_sizes_mb;
+    verdicts = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: impact of sidechain round duration (V_D = 25M)             *)
@@ -156,21 +167,24 @@ let table2_block_size ?sink ?domains () =
 
 let table3_durations = [ 4.0; 6.0; 9.0; 12.0 ]
 
-let table3_round_duration ?sink ?domains () =
-  run_cells ?sink ?domains
-    (List.map
-       (fun b_t ->
-         (* The epoch stays 10 mainchain rounds (120 s) as in §6, so longer
-            sidechain rounds mean fewer of them per epoch. *)
-         cell
-           ~label:(Printf.sprintf "%.0fs" b_t)
-           { base with
-             daily_volume = scaled 25_000_000;
-             sc_round_duration = b_t;
-             sc_rounds_per_epoch =
-               Stdlib.max 2 (int_of_float (Float.round (120.0 /. b_t)));
-             seed = base.seed ^ "-t3" })
-       table3_durations)
+let table3 ~scale =
+  { title = "Table 3: impact of sidechain round duration (V_D = 25M)";
+    col_header = "Round duration";
+    cells =
+      List.map
+        (fun b_t ->
+          (* The epoch stays 10 mainchain rounds (120 s) as in §6, so longer
+             sidechain rounds mean fewer of them per epoch. *)
+          cell
+            ~label:(Printf.sprintf "%.0fs" b_t)
+            { base with
+              daily_volume = scaled ~scale 25_000_000;
+              sc_round_duration = b_t;
+              sc_rounds_per_epoch =
+                Stdlib.max 2 (int_of_float (Float.round (120.0 /. b_t)));
+              seed = base.seed ^ "-t3" })
+        table3_durations;
+    verdicts = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Table 4: impact of epoch length in sidechain rounds (V_D = 25M)     *)
@@ -178,21 +192,24 @@ let table3_round_duration ?sink ?domains () =
 
 let table4_epoch_lengths = [ 5; 10; 20; 30; 60; 96 ]
 
-let table4_epoch_length ?sink ?domains () =
-  run_cells ?sink ?domains
-    (List.map
-       (fun rounds ->
-         (* Keep total experiment time constant (11 default epochs' worth). *)
-         let total_rounds = base.epochs * base.sc_rounds_per_epoch in
-         let epochs = Stdlib.max 1 (total_rounds / rounds) in
-         cell
-           ~label:(string_of_int rounds)
-           { base with
-             daily_volume = scaled 25_000_000;
-             sc_rounds_per_epoch = rounds;
-             epochs;
-             seed = base.seed ^ "-t4" })
-       table4_epoch_lengths)
+let table4 ~scale =
+  { title = "Table 4: impact of epoch length (V_D = 25M)";
+    col_header = "Epoch (sc rounds)";
+    cells =
+      List.map
+        (fun rounds ->
+          (* Keep total experiment time constant (11 default epochs' worth). *)
+          let total_rounds = base.epochs * base.sc_rounds_per_epoch in
+          let epochs = Stdlib.max 1 (total_rounds / rounds) in
+          cell
+            ~label:(string_of_int rounds)
+            { base with
+              daily_volume = scaled ~scale 25_000_000;
+              sc_rounds_per_epoch = rounds;
+              epochs;
+              seed = base.seed ^ "-t4" })
+        table4_epoch_lengths;
+    verdicts = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Table 5: impact of traffic distribution (V_D = 25M)                 *)
@@ -202,21 +219,24 @@ let table5_mixes =
   [ (60., 20., 10., 10.); (60., 10., 20., 10.); (60., 10., 10., 20.);
     (80., 10., 5., 5.); (80., 5., 10., 5.); (80., 5., 5., 10.) ]
 
-let table5_distribution ?sink ?domains () =
-  run_cells ?sink ?domains
-    (List.map
-       (fun (s, m, b, c) ->
-         cell
-           ~label:(Printf.sprintf "(%.0f,%.0f,%.0f,%.0f)" s m b c)
-           ~extra:(fun r ->
-             [ ("Max summary block (B)",
-                string_of_int r.System.max_summary_block_bytes) ])
-           { base with
-             daily_volume = scaled 25_000_000;
-             distribution =
-               { Config.swap_pct = s; mint_pct = m; burn_pct = b; collect_pct = c };
-             seed = base.seed ^ "-t5" })
-       table5_mixes)
+let table5 ~scale =
+  { title = "Table 5: impact of traffic distribution (V_D = 25M)";
+    col_header = "(swap,mint,burn,collect)";
+    cells =
+      List.map
+        (fun (s, m, b, c) ->
+          cell
+            ~label:(Printf.sprintf "(%.0f,%.0f,%.0f,%.0f)" s m b c)
+            ~extra:(fun r ->
+              [ ("Max summary block (B)",
+                 string_of_int r.System.max_summary_block_bytes) ])
+            { base with
+              daily_volume = scaled ~scale 25_000_000;
+              distribution =
+                { Config.swap_pct = s; mint_pct = m; burn_pct = b; collect_pct = c };
+              seed = base.seed ^ "-t5" })
+        table5_mixes;
+    verdicts = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Table 6: itemized gas and latency                                   *)
@@ -237,8 +257,8 @@ type table6 = {
   uniswap_latency : (string * float) list;
 }
 
-let table6_gas_itemized ?sink ?domains () =
-  let cfg = { base with daily_volume = scaled 500_000; seed = base.seed ^ "-t6" } in
+let table6_gas_itemized ?sink ?domains ~scale () =
+  let cfg = { base with daily_volume = scaled ~scale 500_000; seed = base.seed ^ "-t6" } in
   let r, b = run_vs_baseline ?sink ?domains cfg in
   let breakdown =
     match r.System.last_sync_receipt with
@@ -354,8 +374,8 @@ type fig6 = {
   baseline_result : Baseline.result;
 }
 
-let fig6_overall ?sink ?domains () =
-  let cfg = { base with daily_volume = scaled 500_000; seed = base.seed ^ "-fig6" } in
+let fig6_overall ?sink ?domains ~scale () =
+  let cfg = { base with daily_volume = scaled ~scale 500_000; seed = base.seed ^ "-fig6" } in
   let r, b = run_vs_baseline ?sink ?domains cfg in
   let reduction ours theirs =
     100.0 *. (1.0 -. (float_of_int ours /. float_of_int (Stdlib.max 1 theirs)))
@@ -389,8 +409,10 @@ let print_fig6 f =
 (* Table 8: traffic distribution statistics                            *)
 (* ------------------------------------------------------------------ *)
 
-let table8_stats () =
-  let cfg = { base with daily_volume = scaled 500_000; epochs = 4; seed = base.seed ^ "-t8" } in
+let table8_stats ~scale =
+  let cfg =
+    { base with daily_volume = scaled ~scale 500_000; epochs = 4; seed = base.seed ^ "-t8" }
+  in
   let rng = Amm_crypto.Rng.create cfg.Config.seed in
   let users =
     Party.make_users (Amm_crypto.Rng.split rng "users") ~count:cfg.Config.users
@@ -485,12 +507,13 @@ let ablation_specs =
     ("summary aggregation vs per-tx posting", "-abg", aggregation_rows);
     ("meta-block pruning", "-abp", pruning_rows) ]
 
-let ablations ?sink ?domains () =
+let ablations ?sink ?domains ~scale () =
   let results =
     run_all ?sink ?domains
       (List.map
          (fun (_, suffix, _) ->
-           { base with daily_volume = scaled 500_000; epochs = 4; seed = base.seed ^ suffix })
+           { base with
+             daily_volume = scaled ~scale 500_000; epochs = 4; seed = base.seed ^ suffix })
          ablation_specs)
   in
   List.map2
@@ -515,51 +538,52 @@ let chaos_intensities = [ 0.0; 0.05; 0.1; 0.2 ]
 let faults_total (r : System.result) =
   List.fold_left (fun acc (_, n) -> acc + n) 0 r.System.faults_injected
 
-let chaos_soak ?sink ?domains () =
-  run_drill ?sink ?domains
-    (List.map
-       (fun intensity ->
-         cell
-           ~label:(Printf.sprintf "%d%%" (int_of_float ((intensity *. 100.) +. 0.5)))
-           ~extra:(fun r ->
-             [ ("Epochs applied",
-                Printf.sprintf "%d/%d" r.System.epochs_applied r.System.epochs_run);
-               ("Faults injected", string_of_int (faults_total r));
-               ("Mass-syncs", string_of_int r.System.mass_syncs);
-               ("Sync retries", string_of_int r.System.sync_retries);
-               ("Degraded signings", string_of_int r.System.degraded_signings);
-               ("Corrupted partials", string_of_int r.System.corrupted_partials);
-               ("Rollbacks", string_of_int r.System.rollbacks);
-               ("Twin audit",
-                if r.System.twin_consistent then "pass" else "FAIL") ])
-           { base with
-             epochs = 4;
-             daily_volume = scaled 50_000;
-             users = 12;
-             miners = 40;
-             committee_size = 13;
-             max_faulty = 4;
-             threshold_signing = true;
-             message_level_consensus = true;
-             mc_confirmations = 3;
-             faults = Faults.Fault_plan.chaos ~intensity ();
-             seed = base.seed ^ "-chaos" })
-       chaos_intensities)
-
-let chaos_verdicts : System.result verdict list =
-  [ ("twin audit passes", List.for_all (fun r -> r.System.twin_consistent));
-    ( "every epoch applied",
-      List.for_all (fun r -> r.System.epochs_applied = r.System.epochs_run) );
-    ( "no fault at 0 %, some above",
-      function
-      | clean :: rest ->
-        faults_total clean = 0 && List.exists (fun r -> faults_total r > 0) rest
-      | [] -> false );
-    ( "recovery exercised",
-      List.exists (fun r ->
-          r.System.mass_syncs + r.System.sync_retries + r.System.degraded_signings
-          + r.System.rollbacks
-          > 0) ) ]
+let chaos ~scale =
+  { title = "Chaos soak: fault-rate sweep (recovery + twin audit)";
+    col_header = "Fault intensity";
+    cells =
+      List.map
+        (fun intensity ->
+          cell
+            ~label:(Printf.sprintf "%d%%" (int_of_float ((intensity *. 100.) +. 0.5)))
+            ~extra:(fun r ->
+              [ ("Epochs applied",
+                 Printf.sprintf "%d/%d" r.System.epochs_applied r.System.epochs_run);
+                ("Faults injected", string_of_int (faults_total r));
+                ("Mass-syncs", string_of_int r.System.mass_syncs);
+                ("Sync retries", string_of_int r.System.sync_retries);
+                ("Degraded signings", string_of_int r.System.degraded_signings);
+                ("Corrupted partials", string_of_int r.System.corrupted_partials);
+                ("Rollbacks", string_of_int r.System.rollbacks);
+                ("Twin audit",
+                 if r.System.twin_consistent then "pass" else "FAIL") ])
+            { base with
+              epochs = 4;
+              daily_volume = scaled ~scale 50_000;
+              users = 12;
+              miners = 40;
+              committee_size = 13;
+              max_faulty = 4;
+              threshold_signing = true;
+              message_level_consensus = true;
+              mc_confirmations = 3;
+              faults = Faults.Fault_plan.chaos ~intensity ();
+              seed = base.seed ^ "-chaos" })
+        chaos_intensities;
+    verdicts =
+      [ ("twin audit passes", List.for_all (fun r -> r.System.twin_consistent));
+        ( "every epoch applied",
+          List.for_all (fun r -> r.System.epochs_applied = r.System.epochs_run) );
+        ( "no fault at 0 %, some above",
+          function
+          | clean :: rest ->
+            faults_total clean = 0 && List.exists (fun r -> faults_total r > 0) rest
+          | [] -> false );
+        ( "recovery exercised",
+          List.exists (fun r ->
+              r.System.mass_syncs + r.System.sync_retries + r.System.degraded_signings
+              + r.System.rollbacks
+              > 0) ) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Exit drill: stall duration vs exit gas cost and recovery latency    *)
@@ -578,96 +602,97 @@ let exit_drill_scenarios =
     ( "loss@2",
       { Faults.Fault_plan.quorum_starvation = None; committee_loss = Some 2 } ) ]
 
-let exit_drill ?sink ?domains () =
-  run_drill ?sink ?domains
-    (List.map
-       (fun (label, scenario) ->
-         cell ~label
-           ~extra:(fun r ->
-             (* 14-char table cells: trajectory as mode initials, token
-                amounts in 1e18 units, severities abbreviated. *)
-             let initial m = String.make 1 (Char.uppercase_ascii m.[0]) in
-             let tokens u =
-               Printf.sprintf "%.1f" (float_of_string (U256.to_string u) /. 1e18)
-             in
-             [ ("Final mode", r.System.final_mode);
-               ("Mode trajectory",
-                String.concat "->"
-                  ("N" :: List.map (fun (_, m) -> initial m) r.System.mode_transitions));
-               ("Halted at (s)",
-                (match r.System.halted_at with
-                | Some ts -> Printf.sprintf "%.0f" ts
-                | None -> "-"));
-               ("Epochs applied",
-                Printf.sprintf "%d/%d" r.System.epochs_applied r.System.epochs_run);
-               ("Exits served", string_of_int r.System.exits_served);
-               ("Exit claims (token0)", tokens r.System.exit_claims0);
-               ("Exit claims (token1)", tokens r.System.exit_claims1);
-               ("Exit gas (mean)", Printf.sprintf "%.0f" r.System.exit_gas_mean);
-               ("Exit conservation",
-                if r.System.exit_conservation then "pass" else "FAIL");
-               ("Recovery latency (s)",
-                (match r.System.recovery_latency with
-                | Some l -> Printf.sprintf "%.0f" l
-                | None -> if r.System.final_mode = "halted" then "never" else "n/a"));
-               ("Reconciled (ep/ap/vd)",
-                (match r.System.reconciliation with
-                | Some rec_ ->
-                  Printf.sprintf "%d/%d/%d"
-                    (List.length rec_.Tokenbank.Token_bank.rec_epochs)
-                    rec_.Tokenbank.Token_bank.rec_users_applied
-                    rec_.Tokenbank.Token_bank.rec_users_voided
-                | None -> "none"));
-               ("Monitor violations",
-                if r.System.monitor_violations = [] then "none"
-                else
-                  String.concat " "
-                    (List.map
-                       (fun (s, n) ->
-                         Printf.sprintf "%s:%d" (String.sub s 0 4) n)
-                       r.System.monitor_violations));
-               ("Twin audit",
-                if r.System.twin_consistent then "pass" else "FAIL");
-               ("Custody",
-                if r.System.custody_consistent then "pass" else "FAIL") ])
-           { base with
-             epochs = 8;
-             daily_volume = scaled 50_000;
-             users = 20;
-             miners = 40;
-             committee_size = 13;
-             max_faulty = 4;
-             faults = { Faults.Fault_plan.none with Faults.Fault_plan.scenario };
-             watchdog =
-               { Config.default_watchdog with
-                 Config.wd_stall_degraded = 2; wd_stall_halted = 4 };
-             seed = base.seed ^ "-exit-drill" })
-       exit_drill_scenarios)
-
-(* Positional over the three scenarios: stall=2 rides it out, stall=4
-   halts, exits and reconciles, loss@2 halts for good. *)
-let exit_drill_verdicts : System.result verdict list =
-  [ ( "final modes",
-      fun runs ->
-        List.map (fun r -> r.System.final_mode) runs = [ "normal"; "normal"; "halted" ] );
-    ("exit conservation passes", List.for_all (fun r -> r.System.exit_conservation));
-    ("twin audit passes", List.for_all (fun r -> r.System.twin_consistent));
-    ("custody passes", List.for_all (fun r -> r.System.custody_consistent));
-    ( "exits served",
-      fun runs ->
-        match List.map (fun r -> r.System.exits_served) runs with
-        | [ 0; stalled; lost ] -> stalled > 0 && lost > 0
-        | _ -> false );
-    ( "recovery latency",
-      fun runs ->
-        match List.map (fun r -> r.System.recovery_latency) runs with
-        | [ None; Some l; None ] -> l > 0.0
-        | _ -> false );
-    ( "reconciliation",
-      fun runs ->
-        match List.map (fun r -> r.System.reconciliation) runs with
-        | [ None; Some _; None ] -> true
-        | _ -> false ) ]
+let exit_drill ~scale =
+  { title = "Exit drill: stall duration vs exit gas and recovery latency";
+    col_header = "Liveness failure";
+    cells =
+      List.map
+        (fun (label, scenario) ->
+          cell ~label
+            ~extra:(fun r ->
+              (* 14-char table cells: trajectory as mode initials, token
+                 amounts in 1e18 units, severities abbreviated. *)
+              let initial m = String.make 1 (Char.uppercase_ascii m.[0]) in
+              let tokens u =
+                Printf.sprintf "%.1f" (float_of_string (U256.to_string u) /. 1e18)
+              in
+              [ ("Final mode", r.System.final_mode);
+                ("Mode trajectory",
+                 String.concat "->"
+                   ("N" :: List.map (fun (_, m) -> initial m) r.System.mode_transitions));
+                ("Halted at (s)",
+                 (match r.System.halted_at with
+                 | Some ts -> Printf.sprintf "%.0f" ts
+                 | None -> "-"));
+                ("Epochs applied",
+                 Printf.sprintf "%d/%d" r.System.epochs_applied r.System.epochs_run);
+                ("Exits served", string_of_int r.System.exits_served);
+                ("Exit claims (token0)", tokens r.System.exit_claims0);
+                ("Exit claims (token1)", tokens r.System.exit_claims1);
+                ("Exit gas (mean)", Printf.sprintf "%.0f" r.System.exit_gas_mean);
+                ("Exit conservation",
+                 if r.System.exit_conservation then "pass" else "FAIL");
+                ("Recovery latency (s)",
+                 (match r.System.recovery_latency with
+                 | Some l -> Printf.sprintf "%.0f" l
+                 | None -> if r.System.final_mode = "halted" then "never" else "n/a"));
+                ("Reconciled (ep/ap/vd)",
+                 (match r.System.reconciliation with
+                 | Some rec_ ->
+                   Printf.sprintf "%d/%d/%d"
+                     (List.length rec_.Tokenbank.Token_bank.rec_epochs)
+                     rec_.Tokenbank.Token_bank.rec_users_applied
+                     rec_.Tokenbank.Token_bank.rec_users_voided
+                 | None -> "none"));
+                ("Monitor violations",
+                 if r.System.monitor_violations = [] then "none"
+                 else
+                   String.concat " "
+                     (List.map
+                        (fun (s, n) ->
+                          Printf.sprintf "%s:%d" (String.sub s 0 4) n)
+                        r.System.monitor_violations));
+                ("Twin audit",
+                 if r.System.twin_consistent then "pass" else "FAIL");
+                ("Custody",
+                 if r.System.custody_consistent then "pass" else "FAIL") ])
+            { base with
+              epochs = 8;
+              daily_volume = scaled ~scale 50_000;
+              users = 20;
+              miners = 40;
+              committee_size = 13;
+              max_faulty = 4;
+              faults = { Faults.Fault_plan.none with Faults.Fault_plan.scenario };
+              watchdog =
+                { Config.default_watchdog with
+                  Config.wd_stall_degraded = 2; wd_stall_halted = 4 };
+              seed = base.seed ^ "-exit-drill" })
+        exit_drill_scenarios;
+    (* Positional over the three scenarios: stall=2 rides it out, stall=4
+       halts, exits and reconciles, loss@2 halts for good. *)
+    verdicts =
+      [ ( "final modes",
+          fun runs ->
+            List.map (fun r -> r.System.final_mode) runs = [ "normal"; "normal"; "halted" ] );
+        ("exit conservation passes", List.for_all (fun r -> r.System.exit_conservation));
+        ("twin audit passes", List.for_all (fun r -> r.System.twin_consistent));
+        ("custody passes", List.for_all (fun r -> r.System.custody_consistent));
+        ( "exits served",
+          fun runs ->
+            match List.map (fun r -> r.System.exits_served) runs with
+            | [ 0; stalled; lost ] -> stalled > 0 && lost > 0
+            | _ -> false );
+        ( "recovery latency",
+          fun runs ->
+            match List.map (fun r -> r.System.recovery_latency) runs with
+            | [ None; Some l; None ] -> l > 0.0
+            | _ -> false );
+        ( "reconciliation",
+          fun runs ->
+            match List.map (fun r -> r.System.reconciliation) runs with
+            | [ None; Some _; None ] -> true
+            | _ -> false ) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Crash drill: kill/restart at every injected point + torn-write      *)
@@ -684,22 +709,6 @@ let drill_snapshot_every = 2
    torn-write modes. *)
 let crash_drill_points = [ (0, 15); (1, 3); (2, 9); (3, 29); (4, 21) ]
 
-let crash_drill_cfg =
-  { base with
-    epochs = 6;
-    daily_volume = scaled 50_000;
-    users = 12;
-    miners = 30;
-    committee_size = 9;
-    max_faulty = 2;
-    threshold_signing = true;
-    mc_confirmations = 2;
-    (* a reorg mid-run exercises the WAL's Truncate compensation records *)
-    faults =
-      { Faults.Fault_plan.none with
-        Faults.Fault_plan.interruptions = [ Faults.Fault_plan.Rollback 2 ] };
-    seed = base.seed ^ "-crash-drill" }
-
 type drill_row = {
   drill_label : string;
   drill_crashes : int;   (* injected process deaths survived *)
@@ -714,30 +723,54 @@ type drill_row = {
 
 exception Drill_failure of string
 
-(* The drill needs real directories. AMMBOOST_DRILL_DIR pins the root,
-   which stays for inspection; otherwise a fresh temp dir, removed when
-   the drill ends. Paths never reach stdout — the drill output is
-   byte-identical across runs, hosts and domain counts. *)
-let with_drill_root f =
-  match Sys.getenv_opt "AMMBOOST_DRILL_DIR" with
-  | Some d when d <> "" ->
-    Durable.Fsio.mkdir_p d;
-    f d
-  | _ ->
-    let root = Filename.temp_file "ammboost-drill" "" in
-    Sys.remove root;
-    Durable.Fsio.mkdir_p root;
-    let rec remove path =
-      if Sys.is_directory path then begin
-        Array.iter (fun p -> remove (Filename.concat path p)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-    in
-    Fun.protect ~finally:(fun () -> remove root) (fun () -> f root)
+(* The drill: the reference run's configuration, and what the scene rows
+   must satisfy. *)
+type crash_drill = {
+  cd_cfg : Config.t;
+  cd_verdicts : drill_row verdict list;
+}
 
-(* Scene dirs are wiped before use so a re-run with a pinned
-   AMMBOOST_DRILL_DIR starts from genesis, not from stale state. *)
+let crash_drill ~scale =
+  { cd_cfg =
+      { base with
+        epochs = 6;
+        daily_volume = scaled ~scale 50_000;
+        users = 12;
+        miners = 30;
+        committee_size = 9;
+        max_faulty = 2;
+        threshold_signing = true;
+        mc_confirmations = 2;
+        (* a reorg mid-run exercises the WAL's Truncate compensation records *)
+        faults =
+          { Faults.Fault_plan.none with
+            Faults.Fault_plan.interruptions = [ Faults.Fault_plan.Rollback 2 ] };
+        seed = base.seed ^ "-crash-drill" };
+    cd_verdicts =
+      [ ("every scene byte-identical", List.for_all (fun d -> d.drill_ok));
+        ( "scene labels",
+          fun rows ->
+            List.map (fun d -> d.drill_label) rows
+            = [ "reference"; "crash-script"; "snapshot-truncated-tail"; "snapshot-bit-flip";
+                "snapshot-stale-marker"; "wal-torn-tail" ] );
+        ( "every scripted death survived",
+          List.exists (fun d ->
+              d.drill_label = "crash-script"
+              && d.drill_crashes = List.length crash_drill_points) );
+        ( "every corruption detected",
+          List.for_all (fun d -> d.drill_label = "reference" || d.drill_detected >= 1) );
+        ( "corrupt snapshots healed",
+          fun rows ->
+            List.fold_left
+              (fun acc d ->
+                if String.starts_with ~prefix:"snapshot-" d.drill_label then
+                  acc + d.drill_healed
+                else acc)
+              0 rows
+            >= 3 ) ] }
+
+(* Scene dirs are wiped before use so a re-run over a kept root starts
+   from genesis, not from stale state. *)
 let drill_scene_dir root name =
   let dir = Filename.concat root name in
   Durable.Fsio.mkdir_p dir;
@@ -821,7 +854,7 @@ let drill_scenes =
       Scene_corrupt_snapshot Faults.Fault_plan.Stale_marker );
     ("wal-torn-tail", Scene_torn_wal) ]
 
-let crash_drill_in ?sink ?domains root =
+let crash_drill_in ?sink ?domains d root =
   let stat (r : System.result) name =
     Option.value ~default:0 (List.assoc_opt name r.System.durability)
   in
@@ -841,7 +874,7 @@ let crash_drill_in ?sink ?domains root =
   (* Scene A: the uninterrupted durable reference run every other scene
      must reproduce byte-for-byte. *)
   let ref_dir = drill_scene_dir root "reference" in
-  let r_ref, _ = drill_complete ~dir:ref_dir crash_drill_cfg in
+  let r_ref, _ = drill_complete ~dir:ref_dir d.cd_cfg in
   let ref_fp = drill_fingerprint r_ref in
   let ref_digest = drill_dir_digest ref_dir in
   let ref_row =
@@ -863,9 +896,9 @@ let crash_drill_in ?sink ?domains root =
          torn WAL tail; the crash→recover→resume loop must converge and
          end identical to the reference. *)
       let cfg =
-        { crash_drill_cfg with
+        { d.cd_cfg with
           faults =
-            { crash_drill_cfg.faults with
+            { d.cd_cfg.faults with
               Faults.Fault_plan.durability =
                 { Faults.Fault_plan.crash_rate = 0.0;
                   torn_write_rate = 1.0;
@@ -880,11 +913,11 @@ let crash_drill_in ?sink ?domains root =
       (* Complete a run, corrupt the newest snapshot, resume: recovery
          must detect it, fall back to the previous snapshot, and heal
          the corrupt file during re-execution. *)
-      ignore (drill_complete ~dir crash_drill_cfg);
+      ignore (drill_complete ~dir d.cd_cfg);
       (match List.rev (Durable.Snapshot.list ~dir) with
       | (_, p) :: _ -> Durable.Torn.apply p mode
       | [] -> raise (Drill_failure (label ^ ": no snapshot on disk")));
-      let r, crashes = drill_complete ~dir crash_drill_cfg in
+      let r, crashes = drill_complete ~dir d.cd_cfg in
       let ok =
         stat r "durability.snapshots_rejected" >= 1
         && stat r "durability.snapshots_healed" >= 1
@@ -895,11 +928,11 @@ let crash_drill_in ?sink ?domains root =
       (* Complete a run, tear the newest WAL segment's tail, resume:
          recovery must repair the segment and re-execution must re-log
          the lost records. *)
-      ignore (drill_complete ~dir crash_drill_cfg);
+      ignore (drill_complete ~dir d.cd_cfg);
       (match List.rev (Durable.Wal.list ~dir) with
       | (_, p) :: _ -> Durable.Torn.apply p Faults.Fault_plan.Truncated_tail
       | [] -> raise (Drill_failure (label ^ ": no WAL segment on disk")));
-      let r, crashes = drill_complete ~dir crash_drill_cfg in
+      let r, crashes = drill_complete ~dir d.cd_cfg in
       let ok =
         stat r "durability.wal_repaired" >= 1
         && stat r "durability.records_appended" >= 1
@@ -909,34 +942,21 @@ let crash_drill_in ?sink ?domains root =
   in
   let scene_rows = Parallel.map_list ?domains run_scene drill_scenes in
   (* The runs' sinks are absorbed in scene order after the parallel
-     phase — same discipline as [run_cells]. *)
+     phase — same discipline as [run_table]. *)
   absorb sink r_ref;
   List.iter (fun (_, r) -> absorb sink r) scene_rows;
   ref_row :: List.map fst scene_rows
 
-let crash_drill ?sink ?domains () = with_drill_root (crash_drill_in ?sink ?domains)
-
-let crash_drill_verdicts : drill_row verdict list =
-  [ ("every scene byte-identical", List.for_all (fun d -> d.drill_ok));
-    ( "scene labels",
-      fun rows ->
-        List.map (fun d -> d.drill_label) rows
-        = [ "reference"; "crash-script"; "snapshot-truncated-tail"; "snapshot-bit-flip";
-            "snapshot-stale-marker"; "wal-torn-tail" ] );
-    ( "every scripted death survived",
-      List.exists (fun d ->
-          d.drill_label = "crash-script"
-          && d.drill_crashes = List.length crash_drill_points) );
-    ( "every corruption detected",
-      List.for_all (fun d -> d.drill_label = "reference" || d.drill_detected >= 1) );
-    ( "corrupt snapshots healed",
-      fun rows ->
-        List.fold_left
-          (fun acc d ->
-            if String.starts_with ~prefix:"snapshot-" d.drill_label then acc + d.drill_healed
-            else acc)
-          0 rows
-        >= 3 ) ]
+(* The drill needs real directories: under [root], which stays for
+   inspection, or under a fresh temp dir removed when the drill ends.
+   Paths never reach stdout — the drill output is byte-identical across
+   runs, hosts and domain counts. *)
+let run_crash_drill ?sink ?domains ?root d =
+  match root with
+  | Some dir ->
+    Durable.Fsio.mkdir_p dir;
+    crash_drill_in ?sink ?domains d dir
+  | None -> Durable.Fsio.with_temp_dir "ammboost-drill" (crash_drill_in ?sink ?domains d)
 
 let print_crash_drill rows =
   Printf.printf "\n=== Crash drill: kill/restart + torn-write recovery ===\n";
@@ -958,7 +978,7 @@ let print_crash_drill rows =
 
 (* Deliberately NOT [scaled]: the checked-in guard baseline
    (OBSERVE_baseline.json) compares against this exact configuration, so
-   it must not move with AMMBOOST_BENCH_SCALE. *)
+   it must not move with the bench's volume divisor. *)
 let observe_cfg =
   { base with
     Config.daily_volume = 100_000;
@@ -1047,24 +1067,11 @@ let print_observe o =
 (* Scale sweep: users vs wall-seconds vs peak RSS                      *)
 (* ------------------------------------------------------------------ *)
 
-let sweep_users_default = [ 100; 1_000; 10_000 ]
-
-let sweep_users () =
-  match Sys.getenv_opt "AMMBOOST_SWEEP_USERS" with
-  | None | Some "" -> sweep_users_default
-  | Some s ->
-    let ns =
-      String.split_on_char ',' s
-      |> List.filter_map (fun p -> int_of_string_opt (String.trim p))
-      |> List.filter (fun n -> n > 0)
-    in
-    if ns = [] then sweep_users_default else List.sort_uniq compare ns
-
 let sweep_epochs = 3
 
 (* Each cell is seeded by its own user count, so a cell's output does not
-   depend on which other cells run: trimming the sweep via
-   AMMBOOST_SWEEP_USERS never changes the remaining rows. *)
+   depend on which other cells run: trimming the sweep's user list never
+   changes the remaining rows. *)
 let sweep_cfg ~users =
   let daily_volume = users * 500 in
   let arrivals =
@@ -1126,7 +1133,7 @@ let peak_rss_kb () =
            else acc)
          0
 
-let scale_sweep ?sink () =
+let scale_sweep ?sink ~users () =
   (* Sequential by design — never fanned across domains: peak RSS is a
      process-wide high-water mark, so cells run one at a time in
      ascending user order for the measurement to be attributable. *)
@@ -1177,7 +1184,7 @@ let scale_sweep ?sink () =
         users wall row.sw_rss_kb row.sw_major_words row.sw_alloc_rate_mw_s
         row.sw_gc_pause_max_ms row.sw_summary_users;
       row)
-    (sweep_users ())
+    users
 
 let print_scale_sweep rows =
   Printf.printf "\n=== Scale sweep (epochs=%d) ===\n" sweep_epochs;
@@ -1221,16 +1228,6 @@ let sweep_json rows =
 (* differential audit, a second-domain time-travel consumer, and the   *)
 (* same-process overhead measurement behind the CI gate                *)
 (* ------------------------------------------------------------------ *)
-
-let twin_base =
-  { base with
-    Config.epochs = 5;
-    daily_volume = scaled 50_000;
-    users = 20;
-    miners = 40;
-    committee_size = 13;
-    max_faulty = 4;
-    seed = base.Config.seed ^ "-twin" }
 
 let twin_script script =
   { Faults.Fault_plan.none with
@@ -1290,7 +1287,17 @@ let twin_extra (r : System.result) =
     ("Twin verdict", if twin_verdict r then "pass" else "FAIL") ]
   @ view_rows
 
-let twin_audit ?sink ?domains () =
+let twin_audit ~scale =
+  let twin_base =
+    { base with
+      Config.epochs = 5;
+      daily_volume = scaled ~scale 50_000;
+      users = 20;
+      miners = 40;
+      committee_size = 13;
+      max_faulty = 4;
+      seed = base.Config.seed ^ "-twin" }
+  in
   let spr = twin_base.Config.sc_rounds_per_epoch in
   (* Corruption is scripted at the summary round (spr-1): no transaction
      processing follows it inside the epoch, so the flip cannot be
@@ -1302,41 +1309,43 @@ let twin_audit ?sink ?domains () =
         Config.faults = twin_script script;
         seed = twin_base.Config.seed ^ "-" ^ label }
   in
-  run_drill ?sink ?domains
-    [ cell ~label:"clean" ~extra:twin_extra twin_base;
-      corrupt "corrupt-dep" [ (1, spr - 1, Faults.Fault_plan.Deposit_row) ];
-      corrupt "corrupt-pos" [ (1, spr - 1, Faults.Fault_plan.Position_slab) ];
-      corrupt "corrupt-tick" [ (1, spr - 1, Faults.Fault_plan.Pool_tick) ];
-      (* Consecutive corruptions under background chaos: the second
-         divergence must drive the watchdog streak into a halt. *)
-      cell ~label:"multi-chaos" ~extra:twin_extra
-        { twin_base with
-          Config.faults =
-            { (Faults.Fault_plan.chaos ~intensity:0.05 ()) with
-              Faults.Fault_plan.corruption =
-                { Faults.Fault_plan.corruption_rate = 0.0;
-                  corruption_script =
-                    [ (1, spr - 1, Faults.Fault_plan.Deposit_row);
-                      (2, spr - 1, Faults.Fault_plan.Position_slab) ] } };
-          mc_confirmations = 3;
-          seed = twin_base.Config.seed ^ "-multi" } ]
-
-(* The clean run comes first; every other run corrupts. Bisection is
-   judged over the whole table, not per run: corrupt-dep bisects its
-   report at scale 1 but not at scale 100, and corrupt-tick never does. *)
-let twin_audit_verdicts : System.result verdict list =
-  [ ("twin verdict passes", List.for_all twin_verdict);
-    ( "every injection caught in its epoch",
-      List.for_all (fun r -> twin_hits r = List.length r.System.twin_injections) );
-    ("some run injects", List.exists (fun r -> r.System.twin_injections <> []));
-    ( "only the clean run is divergence-free",
-      function
-      | clean :: corrupt ->
-        clean.System.twin_divergences = 0
-        && List.for_all (fun r -> r.System.twin_divergences > 0) corrupt
-      | [] -> false );
-    ("some report bisected", List.exists (fun r -> twin_bisected r > 0));
-    ("every run audited", List.for_all (fun r -> r.System.twin_audits > 0)) ]
+  { title = "Twin audit: silent corruption vs the differential audit";
+    col_header = "Corruption cell";
+    cells =
+      [ cell ~label:"clean" ~extra:twin_extra twin_base;
+        corrupt "corrupt-dep" [ (1, spr - 1, Faults.Fault_plan.Deposit_row) ];
+        corrupt "corrupt-pos" [ (1, spr - 1, Faults.Fault_plan.Position_slab) ];
+        corrupt "corrupt-tick" [ (1, spr - 1, Faults.Fault_plan.Pool_tick) ];
+        (* Consecutive corruptions under background chaos: the second
+           divergence must drive the watchdog streak into a halt. *)
+        cell ~label:"multi-chaos" ~extra:twin_extra
+          { twin_base with
+            Config.faults =
+              { (Faults.Fault_plan.chaos ~intensity:0.05 ()) with
+                Faults.Fault_plan.corruption =
+                  { Faults.Fault_plan.corruption_rate = 0.0;
+                    corruption_script =
+                      [ (1, spr - 1, Faults.Fault_plan.Deposit_row);
+                        (2, spr - 1, Faults.Fault_plan.Position_slab) ] } };
+            mc_confirmations = 3;
+            seed = twin_base.Config.seed ^ "-multi" } ];
+    (* The clean run comes first; every other run corrupts. Bisection is
+       judged over the whole table, not per run: corrupt-dep bisects its
+       report at scale 1 but not at scale 100, and corrupt-tick never
+       does. *)
+    verdicts =
+      [ ("twin verdict passes", List.for_all twin_verdict);
+        ( "every injection caught in its epoch",
+          List.for_all (fun r -> twin_hits r = List.length r.System.twin_injections) );
+        ("some run injects", List.exists (fun r -> r.System.twin_injections <> []));
+        ( "only the clean run is divergence-free",
+          function
+          | clean :: corrupt ->
+            clean.System.twin_divergences = 0
+            && List.for_all (fun r -> r.System.twin_divergences > 0) corrupt
+          | [] -> false );
+        ("some report bisected", List.exists (fun r -> twin_bisected r > 0));
+        ("every run audited", List.for_all (fun r -> r.System.twin_audits > 0)) ] }
 
 (* The overhead measurement behind the CI wall-clock gate: the same
    sweep cell run twice in this process — twin off, then twin on — so
@@ -1353,13 +1362,7 @@ type twin_overhead = {
   tov_consistent : bool;
 }
 
-let twin_overhead_users () =
-  match Option.bind (Sys.getenv_opt "AMMBOOST_TWIN_USERS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | _ -> 1_000
-
-let twin_overhead ?sink () =
-  let users = twin_overhead_users () in
+let twin_overhead ?sink ~users () =
   let cfg = sweep_cfg ~users in
   let measure twin_on =
     let cfg = { cfg with Config.twin_audit = twin_on } in

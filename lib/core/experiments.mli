@@ -1,12 +1,14 @@
 (** One harness per table and figure of the paper's evaluation (§6), plus
-    the ablations from DESIGN.md. Absolute numbers are compared against
-    the paper in EXPERIMENTS.md; `bench/main.exe` prints everything. *)
+    the ablations from DESIGN.md and the §4.2 recovery drills. Absolute
+    numbers are compared against the paper in EXPERIMENTS.md;
+    `bench/main.exe` prints everything.
 
-val scale : float
-(** The AMMBOOST_BENCH_SCALE divisor applied to daily volumes (1 = the
-    paper's full parameters). *)
+    What an experiment varies arrives as an argument, never from the
+    environment: [~scale] divides every daily traffic volume (1 = the
+    paper's full parameters), the scale sweep and the twin-overhead cell
+    take their user counts, and the crash drill its directory. *)
 
-(** {1 Performance tables (1–5)} *)
+(** {1 Performance tables (1–5) and drills} *)
 
 type perf_row = {
   row_label : string;
@@ -16,16 +18,16 @@ type perf_row = {
   extra : (string * string) list;
 }
 
-(** {2 Parallel cell runner}
+(** {2 Tables and their parallel cell runner}
 
-    A table is a list of independent simulator runs ("cells"); [run_cells]
-    fans them out across OCaml 5 domains. Every run owns its sink
-    ({!System.result.telemetry}); after the parallel phase the caller
-    absorbs each run's sink into [?sink] in submission order, so both the
-    row list and the aggregated metrics snapshot are identical at any
-    [?domains] value (including the sequential [~domains:1]). Every
-    experiment below that takes [?sink] follows the same rule, and traces
-    its runs when [?sink]'s tracer is enabled. *)
+    A table is a list of independent simulator runs ("cells");
+    {!run_table} fans them out across OCaml 5 domains. Every run owns its
+    sink ({!System.result.telemetry}); after the parallel phase the
+    runner absorbs each run's sink into [?sink] in submission order, so
+    both the row list and the aggregated metrics snapshot are identical
+    at any [?domains] value (including the sequential [~domains:1]).
+    Every experiment below that takes [?sink] follows the same rule, and
+    traces its runs when [?sink]'s tracer is enabled. *)
 
 type cell = {
   cell_label : string;  (** the row/column header for this run *)
@@ -38,9 +40,6 @@ val cell :
   ?extra:(System.result -> (string * string) list) ->
   label:string -> Config.t -> cell
 
-val run_cells :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> cell list -> perf_row list
-
 type 'a verdict = string * ('a list -> bool)
 (** A named predicate over a drill's finished runs, in cell order. The
     bench names every verdict of a drill that fails and exits 1. *)
@@ -48,29 +47,38 @@ type 'a verdict = string * ('a list -> bool)
 val failed : 'a verdict list -> 'a list -> string list
 (** The names of the verdicts that do not hold. *)
 
-val table1_scalability :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> perf_row list
+type table = {
+  title : string;
+  col_header : string;  (** heads the column of cell labels *)
+  cells : cell list;
+  verdicts : System.result verdict list;
+      (** what the runs must satisfy; [[]] for the paper's tables *)
+}
+
+val run_table :
+  ?sink:Telemetry.Report.sink -> ?domains:int -> table ->
+  perf_row list * System.result list
+(** The rows, one per cell, and the runs behind them, which the table's
+    verdicts judge. *)
+
+val print_perf_table : table -> perf_row list -> unit
+
+val table1 : scale:float -> table
 (** V_D ∈ {50K, 500K, 5M, 25M} at the default configuration. *)
 
-val table2_block_size :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> perf_row list
+val table2 : scale:float -> table
 (** Meta-block size ∈ {0.5, 1, 1.5, 2} MB at V_D = 50M. *)
 
-val table3_round_duration :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> perf_row list
+val table3 : scale:float -> table
 (** Sidechain round ∈ {4, 6, 9, 12} s at V_D = 25M. *)
 
-val table4_epoch_length :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> perf_row list
+val table4 : scale:float -> table
 (** Epoch ∈ {5, 10, 20, 30, 60, 96} sidechain rounds at V_D = 25M (total
     experiment length held constant). *)
 
-val table5_distribution :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> perf_row list
+val table5 : scale:float -> table
 (** Six (swap, mint, burn, collect) mixes at V_D = 25M; the extra column
     reports the maximum summary-block size. *)
-
-val print_perf_table : title:string -> col_header:string -> perf_row list -> unit
 
 (** {1 Gas, storage, and the overall comparison} *)
 
@@ -90,7 +98,7 @@ type table6 = {
 }
 
 val table6_gas_itemized :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> table6
+  ?sink:Telemetry.Report.sink -> ?domains:int -> scale:float -> unit -> table6
 (** The ammBoost run and the Uniswap baseline run execute concurrently
     (they are independent simulations over the same config). *)
 
@@ -123,10 +131,11 @@ type fig6 = {
   baseline_result : Baseline.result;
 }
 
-val fig6_overall : ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> fig6
+val fig6_overall :
+  ?sink:Telemetry.Report.sink -> ?domains:int -> scale:float -> unit -> fig6
 val print_fig6 : fig6 -> unit
 
-val table8_stats : unit -> Traffic.type_stats list
+val table8_stats : scale:float -> Traffic.type_stats list
 val print_table8 : Traffic.type_stats list -> unit
 
 (** {1 Ablations} *)
@@ -135,7 +144,7 @@ type ablation_row = { ab_label : string; ab_value : float; ab_unit : string }
 type ablation = { ab_title : string; ab_rows : ablation_row list }
 
 val ablations :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> ablation list
+  ?sink:Telemetry.Report.sink -> ?domains:int -> scale:float -> unit -> ablation list
 (** The three ablations, each one independent run fanned out like table
     cells and absorbed into [?sink] in this order: Sync gas with vs
     without the threshold-signature quorum certificate; Sync bytes vs
@@ -145,32 +154,22 @@ val ablations :
 
 val print_ablations : ablation list -> unit
 
-val chaos_soak :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit ->
-  perf_row list * System.result list
+val chaos : scale:float -> table
 (** Chaos soak: a small threshold-signing, message-level-consensus system
     swept across fault-plan intensities (0, 0.05, 0.1 and 0.2, scaled by
     {!Faults.Fault_plan.chaos}). Extra rows report epochs applied, faults
     injected, recovery actions (mass-syncs, retries, degraded signings,
     rollbacks) and the twin-audit verdict — rows are deterministic in
-    the seed at any [?domains] value. Returns the rows and the runs,
-    which {!chaos_verdicts} judge. *)
+    the seed at any [?domains] value. *)
 
-val chaos_verdicts : System.result verdict list
-
-val exit_drill :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit ->
-  perf_row list * System.result list
+val exit_drill : scale:float -> table
 (** Liveness/exit drill: scripted quorum-starvation windows and a
     permanent committee loss against a tightened watchdog (Degraded at 2
     stalled epochs, Halted at 4). Sweeps stall duration against exit gas
     cost and recovery latency; extra rows report the operating-mode
     trajectory, exits served with their claimed value, the exit
     conservation and twin-audit verdicts, and the reconciliation
-    summary. Deterministic at any [?domains] value. Returns the rows and
-    the runs, which {!exit_drill_verdicts} judge. *)
-
-val exit_drill_verdicts : System.result verdict list
+    summary. Deterministic at any [?domains] value. *)
 
 (** {1 Crash drill} *)
 
@@ -191,8 +190,16 @@ exception Drill_failure of string
     corruption scene found no file to corrupt) — distinct from a clean
     [drill_ok = false] verdict. *)
 
-val crash_drill :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit -> drill_row list
+type crash_drill = {
+  cd_cfg : Config.t;  (** the reference run's configuration *)
+  cd_verdicts : drill_row verdict list;  (** what the scene rows must satisfy *)
+}
+
+val crash_drill : scale:float -> crash_drill
+
+val run_crash_drill :
+  ?sink:Telemetry.Report.sink -> ?domains:int -> ?root:string -> crash_drill ->
+  drill_row list
 (** Durability drill: one uninterrupted durable reference run, then —
     in parallel — a scripted kill/restart run (hard process death at
     every {i (epoch, round)} in the crash script, each tearing the WAL
@@ -201,12 +208,10 @@ val crash_drill :
     recovered run must detect the damage via checksums, fall back to
     the previous valid snapshot where needed, and end with a result
     fingerprint {e and} durable-directory byte digest identical to the
-    reference. Directories live under [AMMBOOST_DRILL_DIR], which stays
-    for inspection, or under a fresh temp dir removed when the drill
-    ends; paths never reach stdout, so output is byte-identical at any
-    [?domains] value. {!crash_drill_verdicts} judge the rows. *)
-
-val crash_drill_verdicts : drill_row verdict list
+    reference. Scene directories live under [root], which stays for
+    inspection, or under a fresh temp dir removed when the drill ends;
+    paths never reach stdout, so output is byte-identical at any
+    [?domains] value. *)
 
 val print_crash_drill : drill_row list -> unit
 (** Render drill rows, ending with a [byte-identity: PASS/FAIL] line. *)
@@ -233,12 +238,11 @@ val observe_report :
     recorded analytic Sepolia counterfactual. *)
 
 val observe : ?sink:Telemetry.Report.sink -> unit -> observe_run
-(** Run the observatory's fixed configuration (deliberately not scaled
-    by [AMMBOOST_BENCH_SCALE], so the checked-in [OBSERVE_baseline.json]
-    stays valid at any bench scale), absorb its sink into [?sink], and
-    return the growth ledger, its guard JSON, and the rendered report.
-    Deterministic in the seed: the JSON is byte-identical across runs
-    and domain counts. *)
+(** Run the observatory's fixed configuration (deliberately unscaled, so
+    the checked-in [OBSERVE_baseline.json] stays valid at any bench
+    scale), absorb its sink into [?sink], and return the growth ledger,
+    its guard JSON, and the rendered report. Deterministic in the seed:
+    the JSON is byte-identical across runs and domain counts. *)
 
 val print_observe : observe_run -> unit
 (** Deterministic stdout table of the headline ledger series. *)
@@ -282,12 +286,12 @@ val peak_rss_kb : unit -> int
     0 where unavailable). Monotone over the process lifetime. *)
 
 val scale_sweep :
-  ?sink:Telemetry.Report.sink -> unit -> sweep_cell list
-(** Run the sweep cells sequentially in ascending user order (never
-    across domains: peak RSS is process-wide, so parallel cells would
-    pollute each other's measurement). Simulation outputs are
-    deterministic; wall/RSS/GC fields are measurements and go to stderr
-    and the results JSON only. *)
+  ?sink:Telemetry.Report.sink -> users:int list -> unit -> sweep_cell list
+(** Run one cell per entry of [users], sequentially in list order (never
+    across domains: peak RSS is process-wide and monotone, so parallel
+    cells would pollute each other's measurement; pass the counts
+    ascending). Simulation outputs are deterministic; wall/RSS/GC fields
+    are measurements and go to stderr and the results JSON only. *)
 
 val print_scale_sweep : sweep_cell list -> unit
 (** Deterministic stdout table (measurement fields omitted). *)
@@ -299,9 +303,7 @@ val sweep_json : sweep_cell list -> string
 
 (** {1 Twin-audit drill} *)
 
-val twin_audit :
-  ?sink:Telemetry.Report.sink -> ?domains:int -> unit ->
-  perf_row list * System.result list
+val twin_audit : scale:float -> table
 (** Scripted silent-corruption cells (deposit row, position slab, pool
     tick — each flipped at the summary round so no later write can mask
     it) against the continuous differential audit, plus a clean cell
@@ -310,10 +312,7 @@ val twin_audit :
     divergent keys, injections caught in their own epoch, bisection
     counts, and a read-only time-travel probe executed concurrently on
     two domains against the immutable {!System.result.twin_view}.
-    Deterministic at any [?domains] value. Returns the rows and the
-    runs, which {!twin_audit_verdicts} judge. *)
-
-val twin_audit_verdicts : System.result verdict list
+    Deterministic at any [?domains] value. *)
 
 type twin_overhead = {
   tov_users : int;
@@ -326,9 +325,9 @@ type twin_overhead = {
   tov_consistent : bool;
 }
 
-val twin_overhead : ?sink:Telemetry.Report.sink -> unit -> twin_overhead
-(** One {!sweep_cfg} cell run twice in this process — twin off, then
-    twin on — under identical machine conditions; the CI gate asserts
+val twin_overhead : ?sink:Telemetry.Report.sink -> users:int -> unit -> twin_overhead
+(** One {!sweep_cfg} cell of [users] run twice in this process — twin
+    off, then twin on — under identical machine conditions; the CI gate asserts
     the wall ratio stays within budget. Wall times go to stderr and
     {!twin_overhead_json} only, so stdout stays byte-identical across
     runs and job counts. *)

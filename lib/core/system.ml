@@ -179,7 +179,6 @@ type result = {
   payouts_settled : int;
   sc_cumulative_bytes : int;
   sc_stored_bytes : int;
-  sc_max_stored_bytes : int;
   max_summary_block_bytes : int;
   summary_user_entries : int;
       (* user entries across every summary built this run — O(active)
@@ -1488,7 +1487,7 @@ let produce_block t ~committee ~censoring (processor, audit_entry) ~epoch:e ~rou
         Blocks.meta_header_size
         + List.fold_left (fun acc tx -> acc + tx.Tx.wire_size) 0 included
       in
-      ( Consensus.Latency_model.consensus_latency cfg.Config.consensus
+      ( Consensus.Latency_model.consensus_latency Config.consensus
           ~committee_size:cfg.Config.committee_size ~block_bytes:size,
         0 )
   in
@@ -1702,7 +1701,7 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
            ~rng:(Rng.split t.rng_net "committee-consensus")
            ~members:(Stdlib.min cfg.Config.committee_size 25)
            ~max_faulty:(Stdlib.min cfg.Config.max_faulty 8)
-           ~delta:(2.0 *. cfg.Config.consensus.Consensus.Latency_model.mean_delay)
+           ~delta:(2.0 *. Config.consensus.Consensus.Latency_model.mean_delay)
            ~timeout:(cfg.Config.sc_round_duration /. 4.0))
     else None
   in
@@ -1846,7 +1845,6 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
     payouts_settled = Metrics.payout_count t.payouts;
     sc_cumulative_bytes = Blocks.cumulative_bytes t.sc_chain;
     sc_stored_bytes = Blocks.stored_bytes t.sc_chain;
-    sc_max_stored_bytes = t.max_sc_stored;
     max_summary_block_bytes =
       int_of_float (Telemetry.Histogram.max_value tele.h_summary_bytes);
     summary_user_entries = t.summary_users_total;

@@ -46,7 +46,6 @@ type result = {
   payouts_settled : int;
   sc_cumulative_bytes : int;   (** all sidechain blocks ever produced *)
   sc_stored_bytes : int;       (** after pruning *)
-  sc_max_stored_bytes : int;
   max_summary_block_bytes : int;
   summary_user_entries : int;
       (** user entries across every summary built this run — O(active)

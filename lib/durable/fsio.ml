@@ -37,3 +37,14 @@ let files_matching ~dir ~prefix ~suffix =
     |> List.sort String.compare
 
 let remove_if_exists path = if Sys.file_exists path then Sys.remove path
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let with_temp_dir prefix f =
+  let dir = Filename.temp_dir prefix "" in
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)

@@ -17,3 +17,9 @@ val files_matching : dir:string -> prefix:string -> suffix:string -> string list
     is missing. *)
 
 val remove_if_exists : string -> unit
+
+val with_temp_dir : string -> (string -> 'a) -> 'a
+(** [with_temp_dir prefix f] makes a fresh empty directory under the
+    system temp dir, named after [prefix], applies [f] to its path, and
+    removes the directory and everything in it when [f] returns or
+    raises. *)

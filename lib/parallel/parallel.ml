@@ -36,18 +36,9 @@ let set_default_domains n =
   if n < 1 then invalid_arg "Parallel.set_default_domains: n < 1";
   Atomic.set override n
 
-let env_jobs () =
-  match Sys.getenv_opt "AMMBOOST_BENCH_JOBS" with
-  | None -> None
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Some n
-    | Some _ | None -> None)
-
 let default_domains () =
   let n = Atomic.get override in
-  if n >= 1 then n
-  else match env_jobs () with Some n -> n | None -> recommended ()
+  if n >= 1 then n else recommended ()
 
 (* ------------------------------------------------------------------ *)
 (* The worker pool                                                     *)

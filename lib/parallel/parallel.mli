@@ -15,8 +15,7 @@ val recommended : unit -> int
 
 val default_domains : unit -> int
 (** The job count used when [?domains] is omitted: the value given to
-    {!set_default_domains} if any, else [AMMBOOST_BENCH_JOBS] if set to a
-    positive integer, else {!recommended}. *)
+    {!set_default_domains} if any, else {!recommended}. *)
 
 val set_default_domains : int -> unit
 (** Override the default job count (the bench harness's [-j N]). Raises

@@ -7,11 +7,7 @@ module U256 = Amm_math.U256
 module Address = Chain.Address
 open Durable
 
-let tmp_dir () =
-  let f = Filename.temp_file "ammboost-test-durable" "" in
-  Sys.remove f;
-  Fsio.mkdir_p f;
-  f
+let with_dir f = Fsio.with_temp_dir "ammboost-test-durable" f
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32                                                              *)
@@ -131,7 +127,7 @@ let sample_snapshot =
         ("beta", Bytes.make 100 '\x2a') ] }
 
 let test_snapshot_roundtrip () =
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   let path = Snapshot.write ~dir sample_snapshot in
   (match Snapshot.load path with
   | Ok s ->
@@ -149,7 +145,7 @@ let test_snapshot_roundtrip () =
 let test_snapshot_detects_every_torn_mode () =
   List.iter
     (fun mode ->
-      let dir = tmp_dir () in
+      with_dir @@ fun dir ->
       let path = Snapshot.write ~dir sample_snapshot in
       Torn.apply path mode;
       match Snapshot.load path with
@@ -170,7 +166,7 @@ let write_segment ~dir ~epoch ~start_index records =
   Wal.segment_path ~dir ~epoch
 
 let test_wal_roundtrip () =
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   let path = write_segment ~dir ~epoch:0 ~start_index:0 sample_records in
   match Wal.read_segment path with
   | Ok rr ->
@@ -187,7 +183,7 @@ let test_wal_roundtrip () =
 let test_wal_append_resumes_existing_segment () =
   (* Reopening a segment must append after the existing frames, not
      rewrite them. *)
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   let first, rest = (List.hd sample_records, List.tl sample_records) in
   let _ = write_segment ~dir ~epoch:2 ~start_index:9 [ first ] in
   let path = write_segment ~dir ~epoch:2 ~start_index:9 rest in
@@ -199,7 +195,7 @@ let test_wal_append_resumes_existing_segment () =
   | Error e -> Alcotest.fail e
 
 let test_wal_torn_tail_repair () =
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   let path = write_segment ~dir ~epoch:0 ~start_index:0 sample_records in
   Torn.apply path Faults.Fault_plan.Truncated_tail;
   (match Wal.read_segment path with
@@ -219,7 +215,7 @@ let test_wal_torn_tail_repair () =
   | Error e -> Alcotest.fail ("after repair: " ^ e)
 
 let test_wal_bit_flip_stops_at_flip () =
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   let path = write_segment ~dir ~epoch:0 ~start_index:0 sample_records in
   Torn.apply path Faults.Fault_plan.Bit_flip;
   match Wal.read_segment path with
@@ -236,7 +232,7 @@ let test_wal_bit_flip_stops_at_flip () =
 (* ------------------------------------------------------------------ *)
 
 let test_recovery_fresh_dir_is_clean () =
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   let r = Recovery.scan ~dir in
   Alcotest.(check bool) "clean" true (Recovery.clean r);
   Alcotest.(check (list (pair string string))) "no notes" [] (Recovery.notes r)
@@ -244,7 +240,7 @@ let test_recovery_fresh_dir_is_clean () =
 let test_recovery_rejects_sectionless_snapshot () =
   (* A structurally valid file whose state sections don't decode through
      the typed codecs must be rejected, leaving a genesis start. *)
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   let _ =
     Snapshot.write ~dir
       { Snapshot.meta = { Snapshot.epoch = 2; records_before = 1 };
@@ -255,7 +251,7 @@ let test_recovery_rejects_sectionless_snapshot () =
   Alcotest.(check int) "rejected" 1 (List.length r.Recovery.rejected)
 
 let test_recovery_drops_segment_past_gap () =
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   let _ = write_segment ~dir ~epoch:0 ~start_index:0 [ List.hd sample_records ] in
   (* start_index 5 leaves records 1..4 nowhere on disk. *)
   let orphan = write_segment ~dir ~epoch:2 ~start_index:5 (List.tl sample_records) in
@@ -286,7 +282,7 @@ let durable_run ?armed_after ~dir cfg =
 let stat stats name = Option.value ~default:0 (List.assoc_opt name stats)
 
 let test_session_rerun_verifies_everything () =
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   let r1, _ = durable_run ~dir session_cfg in
   let appended = stat r1.Ammboost.System.durability "durability.records_appended" in
   Alcotest.(check bool) "first run appends" true (appended > 0);
@@ -309,7 +305,7 @@ let test_session_rerun_verifies_everything () =
 let test_session_divergence_aborts () =
   (* A different run over the same directory contradicts the recovered
      WAL byte-for-byte and must abort, not silently re-log. *)
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   let _ = durable_run ~dir session_cfg in
   let diverging =
     { session_cfg with Ammboost.Config.seed = "a-different-history" }
@@ -322,7 +318,7 @@ let test_session_crash_resume_completes () =
   (* A scripted hard death mid-run, then a resume with the crash point
      disarmed: the resumed run must finish and match an uninterrupted
      run's results. *)
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   let cfg =
     { session_cfg with
       Ammboost.Config.faults =
@@ -338,7 +334,7 @@ let test_session_crash_resume_completes () =
       (epoch, round)
   | _ -> Alcotest.fail "scripted crash did not fire");
   let r, _ = durable_run ~armed_after:(1, 10) ~dir cfg in
-  let clean_dir = tmp_dir () in
+  with_dir @@ fun clean_dir ->
   let reference, _ = durable_run ~dir:clean_dir session_cfg in
   Alcotest.(check int) "processed as if never killed"
     reference.Ammboost.System.processed r.Ammboost.System.processed;
@@ -351,7 +347,7 @@ let test_session_falls_back_past_corrupt_snapshot () =
   (* Corrupt the newest snapshot of a completed run: the rescan must
      fall back to the previous valid one, and a resume must heal the
      corrupt file and end in the same state. *)
-  let dir = tmp_dir () in
+  with_dir @@ fun dir ->
   (* Enough epochs for two snapshots to survive the retention window. *)
   let cfg = { session_cfg with Ammboost.Config.epochs = 5 } in
   let _ = durable_run ~dir cfg in

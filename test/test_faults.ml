@@ -278,9 +278,7 @@ let test_wal_replay_matches_twin () =
           Fault_plan.interruptions = [ Fault_plan.Rollback 2 ] };
       seed = "wal-replay-twin" }
   in
-  let dir = Filename.temp_file "ammboost-test-wal-replay" "" in
-  Sys.remove dir;
-  Durable.Fsio.mkdir_p dir;
+  Durable.Fsio.with_temp_dir "ammboost-test-wal-replay" @@ fun dir ->
   (* No snapshots, so no WAL segment is pruned: the log reaches genesis. *)
   let session = Durable.Session.open_ ~dir ~snapshot_every:0 () in
   let r = System.run ~durable:session cfg in

@@ -89,14 +89,18 @@ let small_cfg seed_suffix =
     committee_size = 10;
     max_faulty = 3 }
 
-let cells () =
-  List.map
-    (fun i -> E.cell ~label:(Printf.sprintf "cell%d" i) (small_cfg (string_of_int i)))
-    [ 0; 1; 2; 3 ]
+let table =
+  { E.title = "four small cells";
+    col_header = "cell";
+    cells =
+      List.map
+        (fun i -> E.cell ~label:(Printf.sprintf "cell%d" i) (small_cfg (string_of_int i)))
+        [ 0; 1; 2; 3 ];
+    verdicts = [] }
 
 let run_at ~domains =
   let sink = Telemetry.Report.sink () in
-  let rows = E.run_cells ~sink ~domains (cells ()) in
+  let rows, _ = E.run_table ~sink ~domains table in
   (rows, Telemetry.Metrics.to_json_string sink.Telemetry.Report.metrics)
 
 let test_run_cells_deterministic () =

@@ -774,11 +774,7 @@ let retention_cfg =
         interruptions = [ Faults.Fault_plan.Rollback (Twin.retained_epochs + 1) ] };
     seed = "retention-edge" }
 
-let fresh_dir () =
-  let d = Filename.temp_file "ammboost-test-retention" "" in
-  Sys.remove d;
-  Durable.Fsio.mkdir_p d;
-  d
+let with_dir f = Durable.Fsio.with_temp_dir "ammboost-test-retention" f
 
 (* A durable run resumed across every injected crash, each resume with
    the previous crash point disarmed; returns the run and its crashes. *)
@@ -830,7 +826,7 @@ let test_retention_edge () =
           (Twin.ops_retained tw <= Twin.op_count tw - older)
       | None -> ())
   in
-  let ref_dir = fresh_dir () in
+  with_dir @@ fun ref_dir ->
   let r, _ =
     durable_to_completion ~at_boundary:check_boundary ~dir:ref_dir retention_cfg
   in
@@ -859,7 +855,7 @@ let test_retention_edge () =
               torn_write_rate = 1.0;
               crash_script = [ (3, 5); (n + 1, 8) ] } } }
   in
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let r', crashes = durable_to_completion ~dir crashing in
   Alcotest.(check int) "both crashes fired" 2 crashes;
   Alcotest.(check string) "resumed run = uninterrupted run" (run_fingerprint r)
@@ -892,9 +888,14 @@ let check_drill drill verdicts runs breaks =
         true (List.mem name failed))
     breaks
 
+(* A drill table's verdicts over its runs at the paper's volumes. *)
+let drill_runs make =
+  let t = make ~scale:1.0 in
+  (t.Experiments.verdicts, snd (Experiments.run_table t))
+
 let test_chaos_verdicts () =
-  let _, runs = Experiments.chaos_soak () in
-  check_drill "chaos" Experiments.chaos_verdicts runs
+  let verdicts, runs = drill_runs Experiments.chaos in
+  check_drill "chaos" verdicts runs
     [ ("twin audit passes", at 3 (fun r -> { r with System.twin_consistent = false }));
       ( "every epoch applied",
         at 2 (fun r -> { r with System.epochs_applied = r.System.epochs_run - 1 }) );
@@ -907,9 +908,9 @@ let test_chaos_verdicts () =
               rollbacks = 0 }) ) ]
 
 let test_exit_drill_verdicts () =
-  let _, runs = Experiments.exit_drill () in
+  let verdicts, runs = drill_runs Experiments.exit_drill in
   let reconciled = (List.nth runs 1).System.reconciliation in
-  check_drill "exit-drill" Experiments.exit_drill_verdicts runs
+  check_drill "exit-drill" verdicts runs
     [ ("final modes", at 2 (fun r -> { r with System.final_mode = "normal" }));
       ( "exit conservation passes",
         at 1 (fun r -> { r with System.exit_conservation = false }) );
@@ -920,11 +921,12 @@ let test_exit_drill_verdicts () =
       ("reconciliation", at 2 (fun r -> { r with System.reconciliation = reconciled })) ]
 
 let test_crash_drill_verdicts () =
-  let rows = Experiments.crash_drill () in
+  let drill = Experiments.crash_drill ~scale:1.0 in
+  let rows = Experiments.run_crash_drill drill in
   let scene label f =
     List.map (fun d -> if d.Experiments.drill_label = label then f d else d)
   in
-  check_drill "crash-drill" Experiments.crash_drill_verdicts rows
+  check_drill "crash-drill" drill.Experiments.cd_verdicts rows
     [ ( "every scene byte-identical",
         scene "snapshot-bit-flip" (fun d -> { d with Experiments.drill_ok = false }) );
       ( "scene labels",
@@ -937,8 +939,8 @@ let test_crash_drill_verdicts () =
       ("corrupt snapshots healed", all (fun d -> { d with Experiments.drill_healed = 0 })) ]
 
 let test_twin_audit_verdicts () =
-  let _, runs = Experiments.twin_audit () in
-  check_drill "twin-audit" Experiments.twin_audit_verdicts runs
+  let verdicts, runs = drill_runs Experiments.twin_audit in
+  check_drill "twin-audit" verdicts runs
     [ ("twin verdict passes", at 0 (fun r -> { r with System.twin_consistent = false }));
       ( "every injection caught in its epoch",
         at 2 (fun r -> { r with System.twin_reports = [] }) );

@@ -337,9 +337,43 @@ let test_system_metrics_deterministic () =
     Alcotest.(check bool)
       (Printf.sprintf "at least 10 series (%d)" (List.length fields))
       true
-      (List.length fields >= 10)
+      (List.length fields >= 10);
+    let histograms =
+      List.filter
+        (fun (_, series) ->
+          match series with
+          | Obj f -> List.assoc_opt "type" f = Some (Str "histogram")
+          | _ -> false)
+        fields
+    in
+    Alcotest.(check bool) "some histogram series" true (histograms <> []);
+    List.iter
+      (fun (name, series) ->
+        match series with
+        | Obj f ->
+          Alcotest.(check bool) (name ^ " has p50 and p99") true
+            (List.mem_assoc "p50" f && List.mem_assoc "p99" f)
+        | _ -> ())
+      histograms
   | _ -> Alcotest.fail "metrics not an object");
-  ignore (parse_json (String.trim t1))
+  match parse_json (String.trim t1) with
+  | Obj fields ->
+    let events =
+      match List.assoc_opt "traceEvents" fields with
+      | Some (Arr evs) -> evs
+      | _ -> Alcotest.fail "traceEvents not an array"
+    in
+    let field key = function
+      | Obj f -> (match List.assoc_opt key f with Some (Str v) -> v | _ -> "")
+      | _ -> ""
+    in
+    let names = List.map (field "name") events in
+    List.iter
+      (fun phase -> Alcotest.(check bool) (phase ^ " span") true (List.mem phase names))
+      [ "traffic"; "meta-block"; "summary"; "sign"; "sync" ];
+    let count ph = List.length (List.filter (fun e -> field "ph" e = ph) events) in
+    Alcotest.(check int) "balanced B/E events" (count "B") (count "E")
+  | _ -> Alcotest.fail "trace not an object"
 
 (* ------------------------------------------------------------------ *)
 (* The library JSON parser (Telemetry.Json.parse)                      *)
