@@ -36,34 +36,53 @@
    AMMBOOST_TWIN_USERS=<n> sets the twin overhead cell's (default 1000);
    AMMBOOST_MICRO_QUOTA=<seconds> shrinks the micro benchmark's per-test
    sampling budget (default 0.5; CI's perf-guard runs at a reduced quota
-   so the job stays fast). *)
+   so the job stays fast). Unset or empty, a variable keeps its default;
+   set to a value that does not parse or lies outside its range (n >= 1,
+   positive counts, seconds > 0), it exits 2 before anything runs. *)
 
 module E = Ammboost.Experiments
 module Json = Telemetry.Json
 
+(* Each variable is read once, at start-up, so a bad value stops the
+   bench before any experiment runs: a typo must not measure a different
+   cell and exit 0. *)
+let env name ~default ~want parse =
+  match Sys.getenv_opt name with
+  | None | Some "" -> default
+  | Some s ->
+    (match parse (String.trim s) with
+    | Some v -> v
+    | None ->
+      Printf.eprintf "invalid %s=%S (want %s)\n" name s want;
+      exit 2)
+
+let positive_int s =
+  match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None
+
+let number_where ok s =
+  match float_of_string_opt s with
+  | Some x when Float.is_finite x && ok x -> Some x
+  | _ -> None
+
 let scale =
-  match Sys.getenv_opt "AMMBOOST_BENCH_SCALE" with
-  | Some s -> (try Stdlib.max 1.0 (float_of_string s) with _ -> 1.0)
-  | None -> 1.0
+  env "AMMBOOST_BENCH_SCALE" ~default:1.0 ~want:"a number >= 1"
+    (number_where (fun n -> n >= 1.0))
 
 (* Ascending: the sweep's peak-RSS column is a process-wide high-water
    mark. *)
 let sweep_users =
-  let default = [ 100; 1_000; 10_000 ] in
-  match Sys.getenv_opt "AMMBOOST_SWEEP_USERS" with
-  | None | Some "" -> default
-  | Some s ->
-    let ns =
-      String.split_on_char ',' s
-      |> List.filter_map (fun p -> int_of_string_opt (String.trim p))
-      |> List.filter (fun n -> n > 0)
-    in
-    if ns = [] then default else List.sort_uniq compare ns
+  env "AMMBOOST_SWEEP_USERS" ~default:[ 100; 1_000; 10_000 ]
+    ~want:"comma-separated positive integers" (fun s ->
+      let ns = List.map (fun p -> positive_int (String.trim p)) (String.split_on_char ',' s) in
+      if List.mem None ns then None
+      else Some (List.sort_uniq compare (List.filter_map Fun.id ns)))
 
 let twin_users =
-  match Option.bind (Sys.getenv_opt "AMMBOOST_TWIN_USERS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | _ -> 1_000
+  env "AMMBOOST_TWIN_USERS" ~default:1_000 ~want:"a positive integer" positive_int
+
+let micro_quota =
+  env "AMMBOOST_MICRO_QUOTA" ~default:0.5 ~want:"a positive number of seconds"
+    (number_where (fun q -> q > 0.0))
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -169,20 +188,10 @@ let micro_tests () =
     [ t_muldiv; t_sqrt; t_tick; t_tick_inv; t_keccak; t_sha; t_rng_float;
       t_rng_split; t_sign; t_verify; t_threshold; t_swap ]
 
-let micro_quota () =
-  match Sys.getenv_opt "AMMBOOST_MICRO_QUOTA" with
-  | Some s ->
-    (match float_of_string_opt s with
-    | Some q when q > 0.0 -> q
-    | _ ->
-      Printf.eprintf "ignoring invalid AMMBOOST_MICRO_QUOTA=%S\n%!" s;
-      0.5)
-  | None -> 0.5
-
 let run_micro () =
   let open Bechamel in
   let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second (micro_quota ())) ~kde:None ()
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second micro_quota) ~kde:None ()
   in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
   let raw = Benchmark.all cfg instances (micro_tests ()) in

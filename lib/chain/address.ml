@@ -10,6 +10,7 @@ let of_public_key pk =
 
 let of_label label = Bytes.sub (Amm_crypto.Keccak256.digest_string label) 12 20
 let to_bytes t = Bytes.copy t
+let write t dst off = Bytes.blit t 0 dst off 20
 let to_hex t = "0x" ^ Amm_crypto.Hex.of_bytes t
 let equal = Bytes.equal
 let compare = Bytes.compare

@@ -12,6 +12,11 @@ val of_label : string -> t
     users). *)
 
 val to_bytes : t -> bytes
+
+val write : t -> bytes -> int -> unit
+(** [write a dst off] writes the 20 bytes of [a] into [dst] at [off],
+    without the copy {!to_bytes} makes. *)
+
 val to_hex : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -19,6 +19,17 @@ let bytes32_word h =
   if Bytes.length h <> 32 then invalid_arg "Encoding.bytes32_word";
   Bytes.copy h
 
+let write_word v dst off = U256.write_be v dst off
+
+(* Two's complement: a negative n sign-extends its 64-bit form. *)
+let write_int_word n dst off =
+  Bytes.fill dst off 24 (if n < 0 then '\xff' else '\000');
+  Bytes.set_int64_be dst (off + 24) (Int64.of_int n)
+
+let write_address_word a dst off =
+  Bytes.fill dst off 12 '\000';
+  Address.write a dst (off + 12)
+
 (* Router overhead (ABI offsets, array headers, command strings, permit
    blobs). Word/byte counts are calibrated so that envelope + selector +
    genuine fields + padding reproduces the measured averages:

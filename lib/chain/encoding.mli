@@ -31,6 +31,23 @@ val int_word : int -> bytes
 val address_word : Address.t -> bytes
 val bytes32_word : bytes -> bytes
 
+(** {1 In-place writers}
+
+    Each writes its word into [dst] at [off] and allocates nothing; hashers
+    stream words through a scratch buffer with them instead of building
+    the constructors' fresh [bytes]. *)
+
+val write_word : U256.t -> bytes -> int -> unit
+(** The bytes of {!word}. *)
+
+val write_int_word : int -> bytes -> int -> unit
+(** The 256-bit two's complement of any native int: the bytes of
+    {!int_word} for [n >= 0], and all-ones high bytes for a negative [n]
+    such as a tick. *)
+
+val write_address_word : Address.t -> bytes -> int -> unit
+(** The bytes of {!address_word}. *)
+
 val universal_router_padding : op -> int * int
 (** (words, loose bytes) of router overhead in the production-Ethereum
     encoding; calibrated so full transactions match the Table 8 averages. *)

@@ -5,6 +5,11 @@ module type ID = sig
 
   val of_hash : bytes -> t
   val to_bytes : t -> bytes
+
+  val write : t -> bytes -> int -> unit
+  (** [write id dst off] writes the 32 bytes of [id] into [dst] at [off],
+      without the copy [to_bytes] makes. *)
+
   val to_hex : t -> string
   val short : t -> string
   val equal : t -> t -> bool
@@ -23,6 +28,7 @@ module Make () : ID = struct
     b
 
   let to_bytes t = Bytes.copy t
+  let write t dst off = Bytes.blit t 0 dst off 32
   let to_hex t = Amm_crypto.Hex.of_bytes t
   let short t = String.sub (to_hex t) 0 8
   let equal = Bytes.equal

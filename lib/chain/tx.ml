@@ -59,45 +59,58 @@ let op_of_payload = function
   | Burn _ -> Encoding.Op_burn
   | Collect _ -> Encoding.Op_collect
 
-(* Ticks can be negative; ABI words are unsigned two's complement. *)
-let tick_word tick =
-  if tick >= 0 then Encoding.int_word tick
-  else Encoding.word (U256.sub U256.zero (U256.of_int (-tick)))
+(* Swap and mint carry 7 field words, burn and collect 5. *)
+let max_fields_bytes = 7 * 32
 
-let fields_of ~issuer ~pool payload =
-  let addr = Encoding.address_word issuer in
-  let pool_w = Encoding.int_word pool in
+(* Writes the payload's genuine ABI field words into [dst] from offset 0
+   and returns their length. Ticks are two's-complement words. *)
+let write_fields dst ~issuer ~pool payload =
+  let open Encoding in
+  write_address_word issuer dst 0;
+  write_int_word pool dst 32;
   match payload with
   | Swap s ->
     let flags = (if s.zero_for_one then 1 else 0) lor (match s.kind with Exact_input -> 0 | Exact_output -> 2) in
-    [ addr; pool_w; Encoding.int_word flags; Encoding.word s.amount_specified;
-      Encoding.word s.amount_limit; Encoding.word s.sqrt_price_limit;
-      Encoding.int_word s.deadline ]
+    write_int_word flags dst 64;
+    write_word s.amount_specified dst 96;
+    write_word s.amount_limit dst 128;
+    write_word s.sqrt_price_limit dst 160;
+    write_int_word s.deadline dst 192;
+    224
   | Mint m ->
-    let target_w =
-      match m.target with
-      | New_position -> Encoding.int_word 0
-      | Existing_position pid -> Encoding.bytes32_word (Ids.Position_id.to_bytes pid)
-    in
-    [ addr; pool_w; tick_word m.lower_tick; tick_word m.upper_tick;
-      Encoding.word m.amount0_desired; Encoding.word m.amount1_desired; target_w ]
+    write_int_word m.lower_tick dst 64;
+    write_int_word m.upper_tick dst 96;
+    write_word m.amount0_desired dst 128;
+    write_word m.amount1_desired dst 160;
+    (match m.target with
+    | New_position -> write_int_word 0 dst 192
+    | Existing_position pid -> Ids.Position_id.write pid dst 192);
+    224
   | Burn b ->
-    [ addr; pool_w; Encoding.bytes32_word (Ids.Position_id.to_bytes b.burn_position);
-      Encoding.word b.amount0_requested; Encoding.word b.amount1_requested ]
+    Ids.Position_id.write b.burn_position dst 64;
+    write_word b.amount0_requested dst 96;
+    write_word b.amount1_requested dst 128;
+    160
   | Collect c ->
-    [ addr; pool_w; Encoding.bytes32_word (Ids.Position_id.to_bytes c.collect_position);
-      Encoding.word c.fees0_requested; Encoding.word c.fees1_requested ]
+    Ids.Position_id.write c.collect_position dst 64;
+    write_word c.fees0_requested dst 96;
+    write_word c.fees1_requested dst 128;
+    160
 
-(* Ids stream their words into a domain-local context; [feed] takes no
-   callback, so it never runs re-entrantly on a domain. *)
-let id_ctx = Domain.DLS.new_key Amm_crypto.Sha256.init
+(* The id hashes the field words and then the issuing round, written into
+   one domain-local scratch and fed to a domain-local context; neither
+   takes a callback, so they never run re-entrantly on a domain. *)
+let id_state =
+  Domain.DLS.new_key (fun () ->
+      (Amm_crypto.Sha256.init (), Bytes.create (max_fields_bytes + 32)))
 
 let create ?sign ~issuer ~issuer_pk ~pool ~issued_round ~issued_at payload =
-  let ctx = Domain.DLS.get id_ctx in
-  Amm_crypto.Sha256.reset ctx;
-  List.iter (Amm_crypto.Sha256.feed ctx) (fields_of ~issuer ~pool payload);
+  let ctx, words = Domain.DLS.get id_state in
+  let len = write_fields words ~issuer ~pool payload in
   (* The id commits to the round so identical re-submissions differ. *)
-  Amm_crypto.Sha256.feed ctx (Encoding.int_word issued_round);
+  Encoding.write_int_word issued_round words len;
+  Amm_crypto.Sha256.reset ctx;
+  Amm_crypto.Sha256.feed_sub ctx words 0 (len + 32);
   let id = Ids.Tx_id.of_hash (Amm_crypto.Sha256.finalize ctx) in
   let signature =
     Option.map (fun sk -> Amm_crypto.Bls.sign sk (Ids.Tx_id.to_bytes id)) sign
@@ -109,8 +122,9 @@ let create ?sign ~issuer ~issuer_pk ~pool ~issued_round ~issued_at payload =
 
 let wire t =
   let op = op_of_payload t.payload in
-  Encoding.transaction_wire ~op
-    ~fields:(fields_of ~issuer:t.issuer ~pool:t.pool t.payload)
+  let words = Bytes.create max_fields_bytes in
+  let len = write_fields words ~issuer:t.issuer ~pool:t.pool t.payload in
+  Encoding.transaction_wire ~op ~fields:[ Bytes.sub words 0 len ]
     ~padding:(Encoding.universal_router_padding op)
 
 let verify_signature t =

@@ -69,8 +69,9 @@ val create :
   issued_at:float ->
   payload ->
   t
-(** Builds a transaction: encodes the payload's ABI fields, hashes them
-    into the id and optionally signs it. [wire_size] is
+(** Builds a transaction: hashes the payload's ABI field words and the
+    issuing round into the id (written into a domain-local scratch
+    buffer, not built), and optionally signs it. [wire_size] is
     {!Encoding.ethereum_op_size} of the op — the length
     {!Encoding.transaction_wire} would produce, without building it. *)
 

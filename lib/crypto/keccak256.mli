@@ -2,8 +2,9 @@
     NIST SHA3-256 variant), implemented from scratch on Keccak-f[1600]. *)
 
 val digest : bytes -> bytes
-(** 32-byte digest of the input. Runs on a reusable domain-local state:
-    no per-call scratch allocation and no padded input copy. *)
+(** 32-byte digest of the input. Runs on a reusable domain-local state
+    and allocates only its result: the permutation boxes no lane, and
+    the input is never copied into a padded buffer. *)
 
 val digest_string : string -> bytes
 val hex : string -> string
@@ -22,3 +23,4 @@ val reset : ctx -> unit
 val feed : ctx -> bytes -> unit
 val feed_string : ctx -> string -> unit
 val finalize : ctx -> bytes
+(** The digest; allocates only the 32-byte result. *)

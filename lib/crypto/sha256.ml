@@ -114,28 +114,32 @@ let compress ctx src off =
       ((Array.unsafe_get h i + Array.unsafe_get s i) land mask32)
   done
 
-let feed ctx input =
-  let len = Bytes.length input in
+let feed_sub ctx input off len =
+  if off < 0 || len < 0 || off > Bytes.length input - len then
+    invalid_arg "Sha256.feed_sub: range outside the input";
   ctx.total <- ctx.total + len;
-  let pos = ref 0 in
+  let stop = off + len in
+  let pos = ref off in
   if ctx.fill > 0 then begin
     let take = Stdlib.min (block_bytes - ctx.fill) len in
-    Bytes.blit input 0 ctx.buf ctx.fill take;
+    Bytes.blit input off ctx.buf ctx.fill take;
     ctx.fill <- ctx.fill + take;
-    pos := take;
+    pos := off + take;
     if ctx.fill = block_bytes then begin
       compress ctx ctx.buf 0;
       ctx.fill <- 0
     end
   end;
-  while len - !pos >= block_bytes do
+  while stop - !pos >= block_bytes do
     compress ctx input !pos;
     pos := !pos + block_bytes
   done;
-  if !pos < len then begin
-    Bytes.blit input !pos ctx.buf 0 (len - !pos);
-    ctx.fill <- len - !pos
+  if !pos < stop then begin
+    Bytes.blit input !pos ctx.buf 0 (stop - !pos);
+    ctx.fill <- stop - !pos
   end
+
+let feed ctx input = feed_sub ctx input 0 (Bytes.length input)
 
 let feed_string ctx s = feed ctx (Bytes.unsafe_of_string s)
 

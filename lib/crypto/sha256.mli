@@ -23,6 +23,12 @@ type ctx
 val init : unit -> ctx
 val reset : ctx -> unit
 val feed : ctx -> bytes -> unit
+
+val feed_sub : ctx -> bytes -> int -> int -> unit
+(** [feed_sub ctx b off len] feeds [b.[off .. off + len - 1]], without the
+    copy [feed ctx (Bytes.sub b off len)] makes. Raises [Invalid_argument]
+    unless the range lies within [b]. *)
+
 val feed_string : ctx -> string -> unit
 val finalize : ctx -> bytes
 

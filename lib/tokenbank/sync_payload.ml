@@ -34,50 +34,69 @@ type t = {
   next_committee_vk : Amm_crypto.Bls.public_key;
 }
 
-let tick_word tick =
-  if tick >= 0 then Encoding.int_word tick
-  else Encoding.word (U256.sub U256.zero (U256.of_int (-tick)))
+(* The calldata is written one piece at a time, each at offset 0 of a
+   scratch buffer: the head, then each user entry, then each position
+   entry. [abi_encode] copies the pieces out and [signing_bytes] hashes
+   them, so both read the bytes these writers put down. *)
+
+(* Selector, then 8 head words: epoch, pool, two balances, four array
+   offsets and lengths; then the next committee's vk. *)
+let abi_head_size = Encoding.selector_size + (8 * 32) + Amm_crypto.Bls.public_key_size
+
+let write_head t dst =
+  Bytes.fill dst 0 Encoding.selector_size '\xab';
+  Encoding.write_int_word t.epoch dst 4;
+  Encoding.write_int_word t.pool dst 36;
+  Encoding.write_word t.pool_balance0 dst 68;
+  Encoding.write_word t.pool_balance1 dst 100;
+  Bytes.fill dst 132 (4 * 32) '\000' (* array offsets and lengths *);
+  let vk = Amm_crypto.Bls.public_key_to_bytes t.next_committee_vk in
+  Bytes.blit vk 0 dst 260 Amm_crypto.Bls.public_key_size
 
 (* A user entry is 11 ABI words = 352 B: the user key padded to two words
    (as the paper submits full public keys), four amounts, a residual-refund
    marker, and per-entry dynamic-array bookkeeping. *)
 let abi_user_entry_size = 352
 
-let abi_user_entry e =
-  Bytes.concat Bytes.empty
-    [ Encoding.address_word e.user; Bytes.make 32 '\000' (* key high words *)
-    ; Encoding.word e.payin0; Encoding.word e.payin1
-    ; Encoding.word e.payout0; Encoding.word e.payout1
-    ; Bytes.make (5 * 32) '\000' (* refund marker, offsets, reserved *) ]
+let write_user_entry e dst =
+  Encoding.write_address_word e.user dst 0;
+  Bytes.fill dst 32 32 '\000' (* key high words *);
+  Encoding.write_word e.payin0 dst 64;
+  Encoding.write_word e.payin1 dst 96;
+  Encoding.write_word e.payout0 dst 128;
+  Encoding.write_word e.payout1 dst 160;
+  Bytes.fill dst 192 (5 * 32) '\000' (* refund marker, offsets, reserved *)
 
-(* A position entry is 13 ABI words = 416 B. *)
+(* A position entry is 13 ABI words = 416 B; ticks are two's-complement
+   words. *)
 let abi_position_entry_size = 416
 
-let abi_position_entry p =
-  Bytes.concat Bytes.empty
-    [ Encoding.bytes32_word (Position_id.to_bytes p.pos_id)
-    ; Encoding.address_word p.owner; Bytes.make 32 '\000'
-    ; tick_word p.lower_tick; tick_word p.upper_tick
-    ; Encoding.word p.liquidity
-    ; Encoding.word p.amount0; Encoding.word p.amount1
-    ; Encoding.word p.fees0; Encoding.word p.fees1
-    ; Encoding.int_word (if p.deleted then 1 else 0)
-    ; Bytes.make (2 * 32) '\000' (* dynamic-array bookkeeping *) ]
+let write_position_entry p dst =
+  Position_id.write p.pos_id dst 0;
+  Encoding.write_address_word p.owner dst 32;
+  Bytes.fill dst 64 32 '\000';
+  Encoding.write_int_word p.lower_tick dst 96;
+  Encoding.write_int_word p.upper_tick dst 128;
+  Encoding.write_word p.liquidity dst 160;
+  Encoding.write_word p.amount0 dst 192;
+  Encoding.write_word p.amount1 dst 224;
+  Encoding.write_word p.fees0 dst 256;
+  Encoding.write_word p.fees1 dst 288;
+  Encoding.write_int_word (if p.deleted then 1 else 0) dst 320;
+  Bytes.fill dst 352 (2 * 32) '\000' (* dynamic-array bookkeeping *)
 
-(* Selector, then 8 head words: epoch, pool, two balances, four array
-   offsets and lengths; then the next committee's vk. *)
-let abi_head_size = Encoding.selector_size + (8 * 32) + Amm_crypto.Bls.public_key_size
+(* Writes each piece into [scratch] and passes its length to [emit], which
+   must consume it before the next piece overwrites it. *)
+let iter_abi t scratch emit =
+  write_head t scratch;
+  emit abi_head_size;
+  List.iter (fun e -> write_user_entry e scratch; emit abi_user_entry_size) t.users;
+  List.iter
+    (fun p -> write_position_entry p scratch; emit abi_position_entry_size)
+    t.positions
 
-let abi_encode t =
-  let head =
-    [ Bytes.make Encoding.selector_size '\xab'
-    ; Encoding.int_word t.epoch; Encoding.int_word t.pool
-    ; Encoding.word t.pool_balance0; Encoding.word t.pool_balance1
-    ; Bytes.make (4 * 32) '\000' (* array offsets and lengths *)
-    ; Amm_crypto.Bls.public_key_to_bytes t.next_committee_vk ]
-  in
-  Bytes.concat Bytes.empty
-    (head @ List.map abi_user_entry t.users @ List.map abi_position_entry t.positions)
+let scratch_size =
+  Stdlib.max abi_head_size (Stdlib.max abi_user_entry_size abi_position_entry_size)
 
 (* Closed form of [Bytes.length (abi_encode t)] plus the signature: the
    calldata is ~5 MB at 10k users, and every sync prices it several
@@ -88,7 +107,20 @@ let abi_size t =
   + (abi_position_entry_size * List.length t.positions)
   + Amm_crypto.Bls.signature_size
 
-let signing_bytes t = Amm_crypto.Sha256.digest (abi_encode t)
+let abi_encode t =
+  let buf = Buffer.create (abi_size t - Amm_crypto.Bls.signature_size) in
+  let scratch = Bytes.create scratch_size in
+  iter_abi t scratch (fun len -> Buffer.add_subbytes buf scratch 0 len);
+  Buffer.to_bytes buf
+
+(* [Sha256.digest (abi_encode t)], with the pieces fed to the context as
+   they are written: three call sites hash each summary, and none of them
+   builds its calldata. *)
+let signing_bytes t =
+  let ctx = Amm_crypto.Sha256.init () in
+  let scratch = Bytes.create scratch_size in
+  iter_abi t scratch (fun len -> Amm_crypto.Sha256.feed_sub ctx scratch 0 len);
+  Amm_crypto.Sha256.finalize ctx
 
 let storage_words t =
   (* Positions persist as 6 words each (192 B, Table 6); deleted entries

@@ -43,7 +43,10 @@ type t = {
 }
 
 val signing_bytes : t -> bytes
-(** Canonical bytes the committee threshold-signs. *)
+(** Canonical bytes the committee threshold-signs: equal to
+    [Sha256.digest (abi_encode t)], but builds no calldata. Each entry is
+    written into one small scratch buffer and fed to the hash, so a
+    summary of any size costs a few hundred bytes of allocation. *)
 
 val abi_encode : t -> bytes
 (** Mainchain ABI encoding of the Sync calldata: 352 B per user entry,

@@ -132,6 +132,89 @@ let test_tx_id_depends_on_round () =
   let t2 = Tx.create ~issuer:addr ~issuer_pk:pk ~pool:0 ~issued_round:2 ~issued_at:0.0 payload in
   Alcotest.(check bool) "distinct ids" false (Ids.Tx_id.equal t1.Tx.id t2.Tx.id)
 
+(* [Tx.create] streams its field words through a scratch buffer, and
+   [Tx.wire] reads the same writer. No fingerprint reads a tx id, so the
+   word-list construction they replaced is kept here as their oracle. *)
+let ref_tick_word tick =
+  if tick >= 0 then Encoding.int_word tick
+  else Encoding.word (U256.sub U256.zero (U256.of_int (-tick)))
+
+let ref_fields_of ~issuer ~pool payload =
+  let addr = Encoding.address_word issuer in
+  let pool_w = Encoding.int_word pool in
+  match payload with
+  | Tx.Swap s ->
+    let flags = (if s.zero_for_one then 1 else 0) lor (match s.kind with Tx.Exact_input -> 0 | Tx.Exact_output -> 2) in
+    [ addr; pool_w; Encoding.int_word flags; Encoding.word s.amount_specified;
+      Encoding.word s.amount_limit; Encoding.word s.sqrt_price_limit;
+      Encoding.int_word s.deadline ]
+  | Tx.Mint m ->
+    let target_w =
+      match m.target with
+      | Tx.New_position -> Encoding.int_word 0
+      | Tx.Existing_position pid -> Encoding.bytes32_word (Ids.Position_id.to_bytes pid)
+    in
+    [ addr; pool_w; ref_tick_word m.lower_tick; ref_tick_word m.upper_tick;
+      Encoding.word m.amount0_desired; Encoding.word m.amount1_desired; target_w ]
+  | Tx.Burn b ->
+    [ addr; pool_w; Encoding.bytes32_word (Ids.Position_id.to_bytes b.burn_position);
+      Encoding.word b.amount0_requested; Encoding.word b.amount1_requested ]
+  | Tx.Collect c ->
+    [ addr; pool_w; Encoding.bytes32_word (Ids.Position_id.to_bytes c.collect_position);
+      Encoding.word c.fees0_requested; Encoding.word c.fees1_requested ]
+
+let gen_tx_u256 =
+  QCheck2.Gen.(oneof [ return U256.zero; return U256.max_value; map U256.of_int nat ])
+
+let gen_position_id =
+  QCheck2.Gen.map
+    (fun i -> Ids.Position_id.of_hash (Amm_crypto.Sha256.digest_string (string_of_int i)))
+    QCheck2.Gen.nat
+
+let gen_tx_payload =
+  let open QCheck2.Gen in
+  oneof
+    [ (let+ zero_for_one = bool and+ exact_in = bool and+ amount_specified = gen_tx_u256
+       and+ amount_limit = gen_tx_u256 and+ sqrt_price_limit = gen_tx_u256
+       and+ deadline = nat in
+       Tx.Swap
+         { zero_for_one; kind = (if exact_in then Tx.Exact_input else Tx.Exact_output);
+           amount_specified; amount_limit; sqrt_price_limit; deadline });
+      (let+ lower_tick = int_range (-887272) 887272 and+ width = int_range 1 1000
+       and+ amount0_desired = gen_tx_u256 and+ amount1_desired = gen_tx_u256
+       and+ target = option gen_position_id in
+       Tx.Mint
+         { lower_tick; upper_tick = lower_tick + width; amount0_desired; amount1_desired;
+           target =
+             (match target with
+             | None -> Tx.New_position
+             | Some pid -> Tx.Existing_position pid) });
+      (let+ burn_position = gen_position_id and+ amount0_requested = gen_tx_u256
+       and+ amount1_requested = gen_tx_u256 in
+       Tx.Burn { burn_position; amount0_requested; amount1_requested });
+      (let+ collect_position = gen_position_id and+ fees0_requested = gen_tx_u256
+       and+ fees1_requested = gen_tx_u256 in
+       Tx.Collect { collect_position; fees0_requested; fees1_requested }) ]
+
+let tx_stream_props =
+  let _, pk, _ = user () in
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name:"tx id and wire = word-list construction"
+         QCheck2.Gen.(quad (int_range 0 99) (int_range 0 3) nat gen_tx_payload)
+         (fun (who, pool, round, payload) ->
+           let issuer = Address.of_label (string_of_int who) in
+           let tx =
+             Tx.create ~issuer ~issuer_pk:pk ~pool ~issued_round:round ~issued_at:0.0 payload
+           in
+           let fields = ref_fields_of ~issuer ~pool payload in
+           let op = Tx.op_of_payload payload in
+           Bytes.equal (Ids.Tx_id.to_bytes tx.Tx.id)
+             (Amm_crypto.Sha256.digest
+                (Bytes.concat Bytes.empty (fields @ [ Encoding.int_word round ])))
+           && Bytes.equal (Tx.wire tx)
+                (Encoding.transaction_wire ~op ~fields
+                   ~padding:(Encoding.universal_router_padding op)))) ]
+
 let test_word_encodings () =
   Alcotest.(check int) "word size" 32 (Bytes.length (Encoding.word U256.one));
   let addr = Address.of_label "x" in
@@ -259,7 +342,8 @@ let () =
           Alcotest.test_case "signature" `Quick test_tx_signature;
           Alcotest.test_case "id freshness" `Quick test_tx_id_depends_on_round;
           Alcotest.test_case "word encodings" `Quick test_word_encodings;
-          Alcotest.test_case "wire size = encoded wire" `Quick test_tx_wire_size_matches_wire ] );
+          Alcotest.test_case "wire size = encoded wire" `Quick test_tx_wire_size_matches_wire ]
+        @ tx_stream_props );
       ( "ledger",
         [ Alcotest.test_case "append/confirm" `Quick test_ledger_append_confirm;
           Alcotest.test_case "rollback" `Quick test_ledger_rollback;

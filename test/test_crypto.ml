@@ -534,6 +534,20 @@ let sha256_oracle_props =
         Bytes.equal (Sha256.finalize ctx) expect
         && Bytes.equal (Sha256.concat parts) expect) ]
 
+(* [feed_sub] hashes exactly its range, wherever the range starts. *)
+let feed_sub_props =
+  [ prop "feed_sub = feed of the range"
+      QCheck2.Gen.(triple (string_size (int_range 0 300)) (int_range 0 300) (int_range 0 300))
+      (fun (m, a, b) ->
+        let m = Bytes.of_string m and n = String.length m in
+        let off = Stdlib.min a n in
+        let len = Stdlib.min b (n - off) in
+        let cut = len / 2 in
+        let ctx = Sha256.init () in
+        Sha256.feed_sub ctx m off cut;
+        Sha256.feed_sub ctx m (off + cut) (len - cut);
+        Bytes.equal (Sha256.finalize ctx) (R.digest (Bytes.sub m off len))) ]
+
 let le64 n =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 (Int64.of_int n);
@@ -695,6 +709,58 @@ let test_rng_golden () =
     "3156bf77f67fc57e9c32503cb5800981cb9701c1fa8cb94e1756af8681e6720c"
     (Hex.of_bytes (Rng.bytes c 32))
 
+(* ------------------------------------------------------------------ *)
+(* Keccak-256 against its oracle: [Ref_keccak256] is the earlier       *)
+(* implementation over an [int64 array] state.                         *)
+(* ------------------------------------------------------------------ *)
+
+module RK = Ref_keccak256
+
+(* Every length from 0 to 600 crosses the 136-byte rate boundary four
+   times (135/136/137, 271/272 among them). *)
+let test_keccak_oracle_lengths () =
+  let ctx = Keccak256.init () in
+  for n = 0 to 600 do
+    let m = pattern n in
+    let expect = RK.digest m in
+    let what name = Printf.sprintf "%s, length %d" name n in
+    check_bytes (what "digest") expect (Keccak256.digest m);
+    check_bytes (what "digest_string") expect (Keccak256.digest_string (Bytes.to_string m));
+    let step = (n mod 137) + 1 in
+    let pos = ref 0 in
+    while !pos < n do
+      let take = Stdlib.min step (n - !pos) in
+      Keccak256.feed ctx (Bytes.sub m !pos take);
+      pos := !pos + take
+    done;
+    check_bytes (what "streamed") expect (Keccak256.finalize ctx)
+  done
+
+let keccak_oracle_props =
+  [ prop "oracle chunkings" gen_chunked (fun ((m, _) as input) ->
+        let ctx = Keccak256.init () in
+        List.iter (Keccak256.feed ctx) (chunks_of input);
+        Bytes.equal (Keccak256.finalize ctx) (RK.digest (Bytes.of_string m))) ]
+
+(* Minor-heap words of one call, after a warm-up call has created the
+   domain-local context. *)
+let words_of_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_keccak_allocation () =
+  let result = words_of_call (fun () -> Bytes.create 32) in
+  List.iter
+    (fun n ->
+      let m = pattern n in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "digest of %d B allocates only its result" n)
+        result
+        (words_of_call (fun () -> Keccak256.digest m)))
+    [ 64; 1024 ]
+
 let () =
   Alcotest.run "crypto"
     [ ( "sha256",
@@ -702,11 +768,15 @@ let () =
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
           Alcotest.test_case "oracle lengths 0-2000" `Quick test_sha256_oracle_lengths ]
         @ sha256_oracle_props
-        @ [ Alcotest.test_case "counter blocks" `Quick test_sha256_counter_blocks ] );
+        @ [ Alcotest.test_case "counter blocks" `Quick test_sha256_counter_blocks ]
+        @ feed_sub_props );
       ( "keccak256",
         [ Alcotest.test_case "vectors" `Quick test_keccak_vectors;
           Alcotest.test_case "rate boundaries" `Quick test_keccak_rate_boundaries ]
-        @ hash_props @ streaming_props );
+        @ hash_props @ streaming_props
+        @ [ Alcotest.test_case "oracle lengths 0-600" `Quick test_keccak_oracle_lengths ]
+        @ keccak_oracle_props
+        @ [ Alcotest.test_case "allocates only its result" `Quick test_keccak_allocation ] );
       ( "field",
         [ Alcotest.test_case "fermat" `Quick test_field_pow;
           Alcotest.test_case "inversion edges" `Quick test_field_inv_edges ]

@@ -698,6 +698,74 @@ let abi_size_props =
            Sync_payload.abi_size p
            = Bytes.length (Sync_payload.abi_encode p) + Bls.signature_size)) ]
 
+(* [signing_bytes] streams the calldata's pieces into SHA-256 instead of
+   building it. The signer, the bank and the monitor all call it, so a
+   wrong stream would agree with itself everywhere else: the calldata is
+   its oracle here, and the calldata's own oracle is the word-list
+   construction it replaced, kept below. *)
+let ref_tick_word tick =
+  if tick >= 0 then Chain.Encoding.int_word tick
+  else Chain.Encoding.word (U256.sub U256.zero (U256.of_int (-tick)))
+
+let ref_abi_encode (t : Sync_payload.t) =
+  let open Chain.Encoding in
+  let user (e : Sync_payload.user_entry) =
+    [ address_word e.user; Bytes.make 32 '\000'; word e.payin0; word e.payin1;
+      word e.payout0; word e.payout1; Bytes.make (5 * 32) '\000' ]
+  in
+  let position (p : Sync_payload.position_entry) =
+    [ bytes32_word (Chain.Ids.Position_id.to_bytes p.pos_id); address_word p.owner;
+      Bytes.make 32 '\000'; ref_tick_word p.lower_tick; ref_tick_word p.upper_tick;
+      word p.liquidity; word p.amount0; word p.amount1; word p.fees0; word p.fees1;
+      int_word (if p.deleted then 1 else 0); Bytes.make (2 * 32) '\000' ]
+  in
+  Bytes.concat Bytes.empty
+    ([ Bytes.make selector_size '\xab'; int_word t.epoch; int_word t.pool;
+       word t.pool_balance0; word t.pool_balance1; Bytes.make (4 * 32) '\000';
+       Bls.public_key_to_bytes t.next_committee_vk ]
+    @ List.concat_map user t.users @ List.concat_map position t.positions)
+
+(* 0-50 users and 0-20 positions; every amount zero, [U256.max_value] or
+   small, ticks of either sign, deleted flags both ways. *)
+let gen_stream_payload =
+  let open QCheck2.Gen in
+  let vk = snd (Bls.keygen (Amm_crypto.Rng.create "signing-stream-vk")) in
+  let gen_user =
+    let+ i = int_range 0 999 and+ payin0 = gen_u256 and+ payin1 = gen_u256
+    and+ payout0 = gen_u256 and+ payout1 = gen_u256 in
+    user_entry (Address.of_label (string_of_int i)) ~payin0 ~payin1 ~payout0 ~payout1
+  in
+  let gen_position =
+    let+ i = nat and+ owner = int_range 0 999
+    and+ lower_tick = int_range (-887272) 887272 and+ width = int_range 1 1000
+    and+ liquidity = gen_u256 and+ amount0 = gen_u256 and+ amount1 = gen_u256
+    and+ fees0 = gen_u256 and+ fees1 = gen_u256 and+ deleted = bool in
+    { Sync_payload.pos_id =
+        Chain.Ids.Position_id.of_hash (Amm_crypto.Sha256.digest_string (string_of_int i));
+      owner = Address.of_label (string_of_int owner); lower_tick;
+      upper_tick = lower_tick + width; liquidity; amount0; amount1; fees0; fees1; deleted }
+  in
+  let+ epoch = int_range 0 10_000 and+ pool = int_range 0 3
+  and+ pool_balance0 = gen_u256 and+ pool_balance1 = gen_u256
+  and+ users = list_size (int_range 0 50) gen_user
+  and+ positions = list_size (int_range 0 20) gen_position in
+  { Sync_payload.epoch; pool; pool_balance0; pool_balance1; users; positions;
+    next_committee_vk = vk }
+
+let signing_stream_props =
+  let print (p : Sync_payload.t) =
+    Printf.sprintf "%d users, %d positions" (List.length p.users) (List.length p.positions)
+  in
+  let test name f =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name ~print gen_stream_payload f)
+  in
+  [ test "signing_bytes = sha256 (abi_encode)" (fun p ->
+        Bytes.equal (Sync_payload.signing_bytes p)
+          (Amm_crypto.Sha256.digest (Sync_payload.abi_encode p)));
+    test "abi_encode = word-list encoding" (fun p ->
+        Bytes.equal (Sync_payload.abi_encode p) (ref_abi_encode p)) ]
+
 (* ------------------------------------------------------------------ *)
 (* Deposit order                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1247,7 +1315,7 @@ let () =
         [ Alcotest.test_case "abi sizes" `Quick test_abi_sizes;
           Alcotest.test_case "erc20" `Quick test_erc20_semantics;
           Alcotest.test_case "gas meter" `Quick test_gas_meter ]
-        @ abi_size_props );
+        @ abi_size_props @ signing_stream_props );
       ( "deposit order",
         [ Alcotest.test_case "deposits_for_epoch sorted" `Quick
             test_deposits_for_epoch_sorted;
