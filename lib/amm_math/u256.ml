@@ -36,6 +36,12 @@ let fresh19 (z : int) =
 let of_small n =
   [| n land mask; (n lsr limb_bits) land mask; n lsr (2 * limb_bits); 0; 0; 0; 0; 0; 0 |]
 
+let set_small dst n =
+  dst.%(0) <- n land mask;
+  dst.%(1) <- (n lsr limb_bits) land mask;
+  dst.%(2) <- n lsr (2 * limb_bits);
+  dst.%(3) <- 0; dst.%(4) <- 0; dst.%(5) <- 0; dst.%(6) <- 0; dst.%(7) <- 0; dst.%(8) <- 0
+
 let zero = fresh 0
 let one = of_small 1
 let two = of_small 2
@@ -48,6 +54,10 @@ let max_value = [| mask; mask; mask; mask; mask; mask; mask; mask; top_mask |]
 let of_int n =
   if n < 0 then invalid_arg "U256.of_int: negative";
   of_small n
+
+let of_int_into ~dst n =
+  if n < 0 then invalid_arg "U256.of_int: negative";
+  set_small dst n
 
 let of_int64 n =
   let l0 = Int64.to_int n land mask in
@@ -127,6 +137,13 @@ let max a b = if ge a b then a else b
 let copy x = [| x.%(0); x.%(1); x.%(2); x.%(3); x.%(4); x.%(5); x.%(6); x.%(7); x.%(8) |]
 let scratch () = fresh 0
 
+(* Written out, like [copy]: a nine-step loop costs a division a tenth
+   of its time. *)
+let copy_into ~dst x =
+  dst.%(0) <- x.%(0); dst.%(1) <- x.%(1); dst.%(2) <- x.%(2);
+  dst.%(3) <- x.%(3); dst.%(4) <- x.%(4); dst.%(5) <- x.%(5);
+  dst.%(6) <- x.%(6); dst.%(7) <- x.%(7); dst.%(8) <- x.%(8)
+
 (* Number of limbs up to and including the highest nonzero one. *)
 let rec len_of a n = if n > 0 && a.%(n - 1) = 0 then len_of a (n - 1) else n
 
@@ -148,6 +165,7 @@ let add_into_carry dst a b =
   s lsr top_bits
 
 let add_into ~dst a b = ignore (add_into_carry dst a b)
+let checked_add_into ~dst a b = if add_into_carry dst a b <> 0 then raise Overflow
 
 let add a b =
   let r = fresh 0 in
@@ -156,7 +174,7 @@ let add a b =
 
 let checked_add a b =
   let r = fresh 0 in
-  if add_into_carry r a b <> 0 then raise Overflow;
+  checked_add_into ~dst:r a b;
   r
 
 (* dst <- (a - b) mod 2^256; returns 1 when a < b. A negative limb
@@ -211,18 +229,25 @@ let mul a b =
   r.%(8) <- r.%(8) land top_mask;
   r
 
-let checked_mul a b =
+(* [dst] must not alias [a] or [b]: column k reads limbs of both inputs
+   that earlier columns have already overwritten in [dst]. *)
+let check_mul_alias what dst a b =
+  if dst == a || dst == b then invalid_arg (what ^ ": dst aliases an input")
+
+let checked_mul_into ~dst a b =
+  check_mul_alias "U256.checked_mul_into" dst a b;
   let la = len_of a 9 and lb = len_of b 9 in
   (* The nonzero product of the top limbs lands in column la + lb - 2. *)
   if la + lb > 10 then raise Overflow;
+  if mul_columns dst a la b lb 9 <> 0 || dst.%(8) > top_mask then raise Overflow
+
+let checked_mul a b =
   let r = fresh 0 in
-  if mul_columns r a la b lb 9 <> 0 || r.%(8) > top_mask then raise Overflow;
+  checked_mul_into ~dst:r a b;
   r
 
-(* [dst] must not alias [a] or [b]: column k reads limbs of both inputs
-   that earlier columns have already overwritten in [dst]. *)
 let mul_into ~dst a b =
-  if dst == a || dst == b then invalid_arg "U256.mul_into: dst aliases an input";
+  check_mul_alias "U256.mul_into" dst a b;
   ignore (mul_columns dst a (len_of a 9) b (len_of b 9) 9);
   dst.%(8) <- dst.%(8) land top_mask
 
@@ -253,8 +278,9 @@ let bit_length d =
 
 (* q[0..m-n] <- u / v and r[0..n) <- u mod v, for u[0..m) and v[0..n)
    with v[n-1] <> 0 and n <= 9. [u] needs room for m + 1 limbs and is
-   destroyed; [q] and [r] must arrive zeroed. *)
-let divmod_limbs ~q ~r u m v n =
+   destroyed; [q] and [r] must arrive zeroed; [vn] (nine limbs) receives
+   the normalized divisor. *)
+let divmod_limbs ~vn ~q ~r u m v n =
   if m < n then
     for i = 0 to m - 1 do
       r.%(i) <- u.%(i)
@@ -264,7 +290,6 @@ let divmod_limbs ~q ~r u m v n =
     (* Normalize: shift both so the divisor's top limb has bit 28 set. *)
     let s = limb_bits - bit_length v.%(n - 1) in
     let rs = limb_bits - s in
-    let vn = fresh 0 in
     for i = n - 1 downto 1 do
       vn.%(i) <- ((v.%(i) lsl s) lor (v.%(i - 1) lsr rs)) land mask
     done;
@@ -319,55 +344,89 @@ let divmod_limbs ~q ~r u m v n =
     done
   end
 
-let divmod_into ~q ~r a b =
+(* The scratch of a division: [u] the dividend or the 512-bit product
+   (destroyed), [q] the quotient (up to 18 limbs), [r] the remainder and
+   [vn] the normalized divisor. Nothing survives between calls. *)
+type ws = { u : int array; q : int array; r : t; vn : t }
+
+let workspace () = { u = fresh19 0; q = fresh19 0; r = fresh 0; vn = fresh 0 }
+
+(* The immutable division family runs in a domain-local workspace, so
+   each call allocates only its result. No operation here calls back
+   into another while it holds the workspace. *)
+let shared_ws = Domain.DLS.new_key workspace
+let shared () = Domain.DLS.get shared_ws
+
+let clear (a : int array) n =
+  for i = 0 to n - 1 do
+    a.%(i) <- 0
+  done
+
+(* ws.q <- a / b and ws.r <- a mod b; the quotient fits limbs 0-8. *)
+let divmod_ws ws a b =
   let n = len_of b 9 in
   if n = 0 then raise Division_by_zero;
-  let u = [| a.%(0); a.%(1); a.%(2); a.%(3); a.%(4); a.%(5); a.%(6); a.%(7); a.%(8); 0 |] in
-  divmod_limbs ~q ~r u (len_of a 9) b n
+  copy_into ~dst:ws.u a;
+  copy_into ~dst:ws.q zero;
+  copy_into ~dst:ws.r zero;
+  divmod_limbs ~vn:ws.vn ~q:ws.q ~r:ws.r ws.u (len_of a 9) b n
+
+(* dst <- dst + 1 when the remainder is nonzero; raises {!Overflow} on
+   carry out. *)
+let round_up_into ws ~dst =
+  if (not (is_zero ws.r)) && add_into_carry dst dst one <> 0 then raise Overflow
+
+let div_into ws ~dst a b =
+  divmod_ws ws a b;
+  copy_into ~dst ws.q
+
+let div_rounding_up_into ws ~dst a b =
+  div_into ws ~dst a b;
+  round_up_into ws ~dst
 
 let divmod a b =
-  let q = fresh 0 and r = fresh 0 in
-  divmod_into ~q ~r a b;
-  (q, r)
+  let ws = shared () in
+  divmod_ws ws a b;
+  (copy ws.q, copy ws.r)
 
 let div a b =
   let q = fresh 0 in
-  divmod_into ~q ~r:(fresh 0) a b;
+  div_into (shared ()) ~dst:q a b;
   q
 
 let rem a b =
-  let r = fresh 0 in
-  divmod_into ~q:(fresh 0) ~r a b;
-  r
+  let ws = shared () in
+  divmod_ws ws a b;
+  copy ws.r
 
 let div_rounding_up a b =
-  let q = fresh 0 and r = fresh 0 in
-  divmod_into ~q ~r a b;
-  if is_zero r then q else checked_add q one
+  let q = fresh 0 in
+  div_rounding_up_into (shared ()) ~dst:q a b;
+  q
 
-(* a*b divided by c through the full 512-bit product: q (19 limbs)
-   receives the quotient and r (9 limbs) the remainder. *)
-let wide_divmod ~q ~r a b c =
+(* ws.q <- a*b / c and ws.r <- a*b mod c, through the full 512-bit
+   product. Returns how many limbs of ws.q hold the quotient: at least
+   nine, and only those are cleared and written. *)
+let wide_divmod ws a b c =
   let n = len_of c 9 in
   if n = 0 then raise Division_by_zero;
   let la = len_of a 9 and lb = len_of b 9 in
-  let u = fresh19 0 in
-  ignore (mul_columns u a la b lb (la + lb));
-  divmod_limbs ~q ~r u (len_of u (la + lb)) c n
-
-(* Low nine limbs of a wide quotient; raises {!Overflow} if it needs
-   more than 256 bits. *)
-let fit_256 q =
-  if len_of q 19 > 9 || q.%(8) > top_mask then raise Overflow;
-  [| q.%(0); q.%(1); q.%(2); q.%(3); q.%(4); q.%(5); q.%(6); q.%(7); q.%(8) |]
+  ignore (mul_columns ws.u a la b lb (la + lb));
+  let m = len_of ws.u (la + lb) in
+  let qlen = imax 9 (m - n + 1) in
+  clear ws.q qlen;
+  copy_into ~dst:ws.r zero;
+  divmod_limbs ~vn:ws.vn ~q:ws.q ~r:ws.r ws.u m c n;
+  qlen
 
 (* Shared body of the mul_div family. When a*b fits in a native int the
    512-bit product/divide machinery is overkill; when b == c (Q96
-   scale/unscale round-trips) a*b/b = a exactly. *)
-let mul_div_gen ~round_up a b c =
+   scale/unscale round-trips) a*b/b = a exactly. Every input is read
+   before [dst] is written, so [dst] may be any of them. *)
+let mul_div_gen_into ws ~round_up ~dst a b c =
   if b == c then begin
     if is_zero c then raise Division_by_zero;
-    a
+    copy_into ~dst a
   end
   else begin
     let ia = small a and ib = small b in
@@ -376,26 +435,37 @@ let mul_div_gen ~round_up a b c =
       if ic = 0 then raise Division_by_zero;
       if ic < 0 then
         (* c needs more than 62 bits (so c > a*b): quotient 0. *)
-        of_small (if round_up && p <> 0 then 1 else 0)
+        set_small dst (if round_up && p <> 0 then 1 else 0)
       else
         let q = p / ic in
-        of_small (if round_up && p mod ic <> 0 then q + 1 else q)
+        set_small dst (if round_up && p mod ic <> 0 then q + 1 else q)
     end
     else begin
-      let q = fresh19 0 and r = fresh 0 in
-      wide_divmod ~q ~r a b c;
-      let q = fit_256 q in
-      if round_up && not (is_zero r) then checked_add q one else q
+      let qlen = wide_divmod ws a b c in
+      (* The quotient must fit in 256 bits. *)
+      if len_of ws.q qlen > 9 || ws.q.%(8) > top_mask then raise Overflow;
+      copy_into ~dst ws.q;
+      if round_up then round_up_into ws ~dst
     end
   end
 
-let mul_div a b c = mul_div_gen ~round_up:false a b c
-let mul_div_rounding_up a b c = mul_div_gen ~round_up:true a b c
+let mul_div_into ws ~dst a b c = mul_div_gen_into ws ~round_up:false ~dst a b c
+let mul_div_rounding_up_into ws ~dst a b c = mul_div_gen_into ws ~round_up:true ~dst a b c
+
+let mul_div a b c =
+  let r = fresh 0 in
+  mul_div_into (shared ()) ~dst:r a b c;
+  r
+
+let mul_div_rounding_up a b c =
+  let r = fresh 0 in
+  mul_div_rounding_up_into (shared ()) ~dst:r a b c;
+  r
 
 let mul_mod a b c =
-  let r = fresh 0 in
-  wide_divmod ~q:(fresh19 0) ~r a b c;
-  r
+  let ws = shared () in
+  ignore (wide_divmod ws a b c);
+  copy ws.r
 
 let pow x n =
   if n < 0 then invalid_arg "U256.pow: negative exponent";
@@ -529,20 +599,26 @@ let logxor a b =
 
 let lognot a = logxor a max_value
 
-let shift_left x k =
+(* Limbs are written from the top down and each reads only limbs at or
+   below its own index, so [dst] may be [x]. *)
+let shift_left_into ~dst x k =
   if k < 0 then invalid_arg "U256.shift_left";
-  if k >= 256 then zero
+  if k >= 256 then clear dst 9
   else begin
     let ls = k / limb_bits and bs = k mod limb_bits in
     let rs = limb_bits - bs in
-    let r = fresh 0 in
-    r.%(ls) <- (x.%(0) lsl bs) land mask;
-    for i = ls + 1 to 8 do
-      r.%(i) <- ((x.%(i - ls) lsl bs) lor (x.%(i - ls - 1) lsr rs)) land mask
+    for i = 8 downto ls + 1 do
+      dst.%(i) <- ((x.%(i - ls) lsl bs) lor (x.%(i - ls - 1) lsr rs)) land mask
     done;
-    r.%(8) <- r.%(8) land top_mask;
-    r
+    dst.%(ls) <- (x.%(0) lsl bs) land mask;
+    clear dst ls;
+    dst.%(8) <- dst.%(8) land top_mask
   end
+
+let shift_left x k =
+  let r = fresh 0 in
+  shift_left_into ~dst:r x k;
+  r
 
 let shift_right x k =
   if k < 0 then invalid_arg "U256.shift_right";
@@ -653,14 +729,25 @@ let check_offset what b off =
 (* The 32 bytes are four big-endian 64-bit words; w0 holds bits 0-63.
    Limb k covers bits [29k, 29k + 29), so limbs 2, 4 and 6 straddle two
    words. The Int64 values stay unboxed: no allocation but the result. *)
-let read_be b off =
+let read_be_into ~dst b off =
   check_offset "U256.read_be" b off;
   let w3 = Bytes.get_int64_be b off and w2 = Bytes.get_int64_be b (off + 8) in
   let w1 = Bytes.get_int64_be b (off + 16) and w0 = Bytes.get_int64_be b (off + 24) in
   let lo w = Int64.to_int w and hi w k = Int64.to_int (Int64.shift_right_logical w k) in
-  [| lo w0 land mask; hi w0 29 land mask; hi w0 58 lor ((lo w1 land 0x7FFFFF) lsl 6);
-     hi w1 23 land mask; hi w1 52 lor ((lo w2 land 0x1FFFF) lsl 12); hi w2 17 land mask;
-     hi w2 46 lor ((lo w3 land 0x7FF) lsl 18); hi w3 11 land mask; hi w3 40 |]
+  dst.%(0) <- lo w0 land mask;
+  dst.%(1) <- hi w0 29 land mask;
+  dst.%(2) <- hi w0 58 lor ((lo w1 land 0x7FFFFF) lsl 6);
+  dst.%(3) <- hi w1 23 land mask;
+  dst.%(4) <- hi w1 52 lor ((lo w2 land 0x1FFFF) lsl 12);
+  dst.%(5) <- hi w2 17 land mask;
+  dst.%(6) <- hi w2 46 lor ((lo w3 land 0x7FF) lsl 18);
+  dst.%(7) <- hi w3 11 land mask;
+  dst.%(8) <- hi w3 40
+
+let read_be b off =
+  let r = fresh 0 in
+  read_be_into ~dst:r b off;
+  r
 
 let of_bytes_be b =
   let len = Bytes.length b in

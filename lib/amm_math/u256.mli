@@ -6,8 +6,9 @@
     last holding bits 232-255: a 10-word block. A limb product is below
     2^58, so a product column of up to nine of them plus its carry stays
     under 2^62 and every intermediate fits OCaml's native [int]. Comparisons
-    and {!is_zero} allocate nothing; {!add}, {!sub}, {!of_int} and {!copy}
-    allocate exactly the result. *)
+    and {!is_zero} allocate nothing; {!add}, {!sub}, {!of_int}, {!copy} and
+    the division family ({!div}, {!mul_div}, ...) allocate exactly the
+    result: divisions work in a domain-local {!ws}. *)
 
 type t
 
@@ -127,11 +128,18 @@ val pow : t -> int -> t
 (** {1 Destination-passing variants}
 
     Hot loops can avoid per-operation allocation by writing into a scratch
-    value they own. Only ever mutate values obtained from {!scratch} or
-    {!copy}: every other [t] (including the constants above and anything
-    returned by the functions in this interface) must be treated as
-    immutable — several operations return inputs or cached values by
-    physical sharing. *)
+    value they own (a {e register}). Only ever mutate values obtained from
+    {!scratch} or {!copy}: every other [t] (including the constants above
+    and anything returned by the functions in this interface) must be
+    treated as immutable — several operations return inputs or cached
+    values by physical sharing — and a register must never be handed out
+    where an immutable value is expected; publish a {!copy} instead.
+
+    Each [*_into] operation below computes exactly what its allocating
+    namesake returns, and raises the same exceptions. When it raises,
+    [dst] holds an unspecified value. Unless an entry says otherwise,
+    [dst] may be physically equal to any input: every input is read
+    before [dst] is written. *)
 
 val scratch : unit -> t
 (** A fresh mutable value, initially zero. *)
@@ -139,9 +147,21 @@ val scratch : unit -> t
 val copy : t -> t
 (** A private mutable copy of [x]. *)
 
+val copy_into : dst:t -> t -> unit
+(** [copy_into ~dst x] makes [dst] equal to [x]. *)
+
+val of_int_into : dst:t -> int -> unit
+(** {!of_int} into [dst]. *)
+
+val read_be_into : dst:t -> bytes -> int -> unit
+(** {!read_be} into [dst]. *)
+
 val add_into : dst:t -> t -> t -> unit
 (** [add_into ~dst a b] stores the wrapping sum in [dst]. [dst] may be
     physically equal to [a] and/or [b]. *)
+
+val checked_add_into : dst:t -> t -> t -> unit
+(** {!checked_add} into [dst]; aliasing allowed as for {!add_into}. *)
 
 val sub_into : dst:t -> t -> t -> unit
 (** [sub_into ~dst a b] stores the wrapping difference in [dst]; aliasing
@@ -151,6 +171,36 @@ val mul_into : dst:t -> t -> t -> unit
 (** [mul_into ~dst a b] stores the wrapping product in [dst]. Raises
     [Invalid_argument] if [dst] is physically equal to [a] or [b] (the
     product accumulates in place, so aliasing would corrupt it). *)
+
+val checked_mul_into : dst:t -> t -> t -> unit
+(** {!checked_mul} into [dst]. Like {!mul_into}, raises
+    [Invalid_argument] if [dst] is physically equal to [a] or [b]. *)
+
+val shift_left_into : dst:t -> t -> int -> unit
+(** {!shift_left} into [dst]; [dst] may be the shifted value. *)
+
+type ws
+(** The scratch of a division: room for a 512-bit product, its quotient,
+    a remainder and a normalized divisor. The division family below
+    works in a [ws] the caller owns instead of allocating one per call;
+    a [ws] holds nothing between calls, so one can serve any number of
+    operations run one after another. *)
+
+val workspace : unit -> ws
+(** A fresh workspace (about 60 words). *)
+
+val div_into : ws -> dst:t -> t -> t -> unit
+(** {!div} into [dst]; [dst] may be either input. *)
+
+val div_rounding_up_into : ws -> dst:t -> t -> t -> unit
+(** {!div_rounding_up} into [dst]; [dst] may be either input. *)
+
+val mul_div_into : ws -> dst:t -> t -> t -> t -> unit
+(** {!mul_div} into [dst]; [dst] may be any of the three inputs. *)
+
+val mul_div_rounding_up_into : ws -> dst:t -> t -> t -> t -> unit
+(** {!mul_div_rounding_up} into [dst]; [dst] may be any of the three
+    inputs. *)
 
 val sqrt : t -> t
 (** Integer square root (floor). *)

@@ -14,6 +14,7 @@ let write t dst off = Bytes.blit t 0 dst off 20
 let to_hex t = "0x" ^ Amm_crypto.Hex.of_bytes t
 let equal = Bytes.equal
 let compare = Bytes.compare
+let hash (t : t) = Hashtbl.hash t
 let pp fmt t = Format.pp_print_string fmt (to_hex t)
 
 module Ord = struct
@@ -29,5 +30,5 @@ module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
-  let hash (t : t) = Hashtbl.hash t
+  let hash = hash
 end)

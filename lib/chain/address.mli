@@ -20,6 +20,10 @@ val write : t -> bytes -> int -> unit
 val to_hex : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val hash : t -> int
+(** [Hashtbl.hash (to_bytes a)], without the copy. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t

@@ -14,6 +14,10 @@ module type ID = sig
   val short : t -> string
   val equal : t -> t -> bool
   val compare : t -> t -> int
+
+  val hash : t -> int
+  (** [Hashtbl.hash (to_bytes id)], without the copy. *)
+
   val pp : Format.formatter -> t -> unit
 
   module Map : Map.S with type key = t
@@ -33,6 +37,7 @@ module Make () : ID = struct
   let short t = String.sub (to_hex t) 0 8
   let equal = Bytes.equal
   let compare = Bytes.compare
+  let hash (t : t) = Hashtbl.hash t
   let pp fmt t = Format.pp_print_string fmt (short t)
 
   module Ord = struct

@@ -19,10 +19,11 @@ struct
 
   let count t = t.count
 
+  (* A hit allocates nothing: [H.find] returns the index unboxed. *)
   let intern t k =
-    match H.find_opt t.index k with
-    | Some i -> i
-    | None ->
+    match H.find t.index k with
+    | i -> i
+    | exception Not_found ->
       let i = t.count in
       let cap = Array.length t.keys in
       if i >= cap then begin

@@ -19,7 +19,8 @@ end) : sig
   val count : t -> int
 
   val intern : t -> K.t -> int
-  (** The key's index, assigning the next free one on first sight. *)
+  (** The key's index, assigning the next free one on first sight. A
+      key already seen costs no allocation beyond what [K.hash] makes. *)
 
   val find : t -> K.t -> int option
   val mem : t -> K.t -> bool

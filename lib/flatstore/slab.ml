@@ -70,6 +70,10 @@ let get_u256 t ~row ~slot =
   check t row slot;
   U256.read_be t.data (off t row slot)
 
+let get_u256_into t ~row ~slot ~dst =
+  check t row slot;
+  U256.read_be_into ~dst t.data (off t row slot)
+
 let set_u256 t ~row ~slot v =
   check t row slot;
   U256.write_be v t.data (off t row slot);

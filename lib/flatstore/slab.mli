@@ -34,6 +34,10 @@ val alloc : t -> int
     dirty. *)
 
 val get_u256 : t -> row:int -> slot:int -> Amm_math.U256.t
+
+val get_u256_into : t -> row:int -> slot:int -> dst:Amm_math.U256.t -> unit
+(** {!get_u256} into a register the caller owns, allocating nothing. *)
+
 val set_u256 : t -> row:int -> slot:int -> Amm_math.U256.t -> unit
 
 val get_int : t -> row:int -> slot:int -> int

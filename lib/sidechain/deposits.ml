@@ -14,7 +14,7 @@ module Reg = Flatstore.Registry.Make (struct
   type t = Address.t
 
   let equal = Address.equal
-  let hash a = Hashtbl.hash (Address.to_bytes a)
+  let hash = Address.hash
 end)
 
 module Slab = Flatstore.Slab
@@ -33,19 +33,16 @@ type t = {
   mutable sorted_len : int;
   (* Summary candidates: rows whose payin/payout could be nonzero, i.e.
      rows some balance mutation touched since epoch start. Marked at
-     inclusion time by [consume]/[refund]/[credit_side] (and by
+     inclusion time by [consume]/[credit_side] (and by
      [corrupt_bit], so injected corruption flows into the summary the
      same way a legitimate write does). Distinct from the slab's dirty
      rows, which the twin audit owns and clears mid-epoch. *)
   mutable cand_bits : Bytes.t; (* bit per row *)
   mutable cand_rows : int list; (* marked rows, most recent first *)
-}
-
-type consumption = {
-  from_main0 : U256.t;
-  from_side0 : U256.t;
-  from_main1 : U256.t;
-  from_side1 : U256.t;
+  (* Registers for the in-place balance updates: a slot is read into one,
+     updated there and written back. None holds a value between calls. *)
+  ra : U256.t;
+  rb : U256.t;
 }
 
 (* Binary-search insertion into the sorted index. A sorted snapshot
@@ -95,7 +92,7 @@ let create ~snapshot =
   let t =
     { reg; slab; sorted = [||]; sorted_len = 0;
       cand_bits = Bytes.make (Stdlib.max 2 ((n / 8) + 1)) '\000';
-      cand_rows = [] }
+      cand_rows = []; ra = U256.scratch (); rb = U256.scratch () }
   in
   List.iter
     (fun (user, (d0, d1)) ->
@@ -130,11 +127,6 @@ let users_sorted t =
   done;
   !out
 
-let available t user =
-  let row = row_of t user in
-  ( U256.add (get t row s_main0) (get t row s_side0),
-    U256.add (get t row s_main1) (get t row s_side1) )
-
 let side_balance t user =
   let row = row_of t user in
   (get t row s_side0, get t row s_side1)
@@ -145,41 +137,56 @@ let insufficient user reason =
     reason;
   Error reason
 
-let consume t user ~amount0 ~amount1 =
+(* Whether main + side covers [amount] on one token's slots. *)
+let covers_slots t row ~main ~side amount =
+  Slab.get_u256_into t.slab ~row ~slot:main ~dst:t.ra;
+  Slab.get_u256_into t.slab ~row ~slot:side ~dst:t.rb;
+  U256.add_into ~dst:t.ra t.ra t.rb;
+  U256.ge t.ra amount
+
+let covers t user ~amount0 ~amount1 =
   let row = row_of t user in
-  let main0 = get t row s_main0 and main1 = get t row s_main1 in
-  let side0 = get t row s_side0 and side1 = get t row s_side1 in
-  if U256.lt (U256.add main0 side0) amount0 then
-    insufficient user "deposit: token0 not covered"
-  else if U256.lt (U256.add main1 side1) amount1 then
-    insufficient user "deposit: token1 not covered"
+  covers_slots t row ~main:s_main0 ~side:s_side0 amount0
+  && covers_slots t row ~main:s_main1 ~side:s_side1 amount1
+
+(* Takes a covered [amount] out of one token's slots, mainchain first. *)
+let drain t row ~main ~side amount =
+  Slab.get_u256_into t.slab ~row ~slot:main ~dst:t.ra;
+  if U256.ge t.ra amount then begin
+    U256.sub_into ~dst:t.ra t.ra amount;
+    set t row main t.ra
+  end
   else begin
-    let split main amount =
-      if U256.ge main amount then (amount, U256.zero)
-      else (main, U256.sub amount main)
-    in
-    let from_main0, from_side0 = split main0 amount0 in
-    let from_main1, from_side1 = split main1 amount1 in
-    set t row s_main0 (U256.sub main0 from_main0);
-    set t row s_side0 (U256.sub side0 from_side0);
-    set t row s_main1 (U256.sub main1 from_main1);
-    set t row s_side1 (U256.sub side1 from_side1);
-    mark_row t row;
-    Ok { from_main0; from_side0; from_main1; from_side1 }
+    (* The side deposit pays what the mainchain one cannot. *)
+    U256.sub_into ~dst:t.ra amount t.ra;
+    Slab.get_u256_into t.slab ~row ~slot:side ~dst:t.rb;
+    U256.sub_into ~dst:t.rb t.rb t.ra;
+    set t row main U256.zero;
+    set t row side t.rb
   end
 
-let refund t user c =
+let consume t user ~amount0 ~amount1 =
   let row = row_of t user in
-  set t row s_main0 (U256.add (get t row s_main0) c.from_main0);
-  set t row s_side0 (U256.add (get t row s_side0) c.from_side0);
-  set t row s_main1 (U256.add (get t row s_main1) c.from_main1);
-  set t row s_side1 (U256.add (get t row s_side1) c.from_side1);
-  mark_row t row
+  if not (covers_slots t row ~main:s_main0 ~side:s_side0 amount0) then
+    insufficient user "deposit: token0 not covered"
+  else if not (covers_slots t row ~main:s_main1 ~side:s_side1 amount1) then
+    insufficient user "deposit: token1 not covered"
+  else begin
+    drain t row ~main:s_main0 ~side:s_side0 amount0;
+    drain t row ~main:s_main1 ~side:s_side1 amount1;
+    mark_row t row;
+    Ok ()
+  end
+
+let credit t row slot amount =
+  Slab.get_u256_into t.slab ~row ~slot ~dst:t.ra;
+  U256.add_into ~dst:t.ra t.ra amount;
+  set t row slot t.ra
 
 let credit_side t user ~amount0 ~amount1 =
   let row = row_of t user in
-  set t row s_side0 (U256.add (get t row s_side0) amount0);
-  set t row s_side1 (U256.add (get t row s_side1) amount1);
+  credit t row s_side0 amount0;
+  credit t row s_side1 amount1;
   mark_row t row
 
 let payin t user =
@@ -282,7 +289,7 @@ let of_bytes b =
             { reg = Reg.create ~capacity:(Stdlib.max 64 (2 * n)) (); slab;
               sorted = [||]; sorted_len = 0;
               cand_bits = Bytes.make (Stdlib.max 2 ((n / 8) + 1)) '\000';
-              cand_rows = [] }
+              cand_rows = []; ra = U256.scratch (); rb = U256.scratch () }
           in
           let ok = ref true in
           (try

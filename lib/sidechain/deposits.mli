@@ -11,13 +11,6 @@ module Address = Chain.Address
 
 type t
 
-type consumption = {
-  from_main0 : U256.t;
-  from_side0 : U256.t;
-  from_main1 : U256.t;
-  from_side1 : U256.t;
-}
-
 val create : snapshot:(Address.t * (U256.t * U256.t)) list -> t
 (** Loads the epoch-start mainchain deposits (SnapshotBank). *)
 
@@ -27,16 +20,19 @@ val users_sorted : t -> Address.t list
     it with the few mid-epoch accounts instead of sorting everything. *)
 
 
-val available : t -> Address.t -> U256.t * U256.t
-(** Total spendable (main + side) per token. *)
+(** {1 Balance updates}
 
-val consume :
-  t -> Address.t -> amount0:U256.t -> amount1:U256.t -> (consumption, string) result
+    These three work on the account's slab slots in place: each slot is
+    read into a register of the table, compared or updated there and
+    written back, so a user who already has a row costs no allocation. *)
+
+val covers : t -> Address.t -> amount0:U256.t -> amount1:U256.t -> bool
+(** Whether the spendable balance (main + side) of each token covers its
+    amount. *)
+
+val consume : t -> Address.t -> amount0:U256.t -> amount1:U256.t -> (unit, string) result
 (** Atomically consumes both token amounts (mainchain first); fails
     without any change when either is uncovered. *)
-
-val refund : t -> Address.t -> consumption -> unit
-(** Returns a consumption (e.g. a rejected trade) to where it came from. *)
 
 val credit_side : t -> Address.t -> amount0:U256.t -> amount1:U256.t -> unit
 
@@ -57,11 +53,11 @@ val mem : t -> Address.t -> bool
 (** Whether the user already has an account row. Pure: never interns. *)
 
 val candidate_users : t -> Address.t list
-(** Users marked by a balance mutation ({!consume}, {!refund},
-    {!credit_side}, {!corrupt_bit}) since epoch start, in first-marked
-    order — the only accounts whose summary entry can be nonzero. A
-    superset of the entries the summary reports (a consume+refund pair
-    nets to zero); the builder still diffs each candidate. Unrelated to
+(** Users marked by a balance mutation ({!consume}, {!credit_side},
+    {!corrupt_bit}) since epoch start, in first-marked order — the only
+    accounts whose summary entry can be nonzero. A superset of the
+    entries the summary reports (a zero-amount update marks a row
+    without changing it); the builder still diffs each candidate. Unrelated to
     the twin's slab dirty marks, which are cleared mid-epoch. *)
 
 (** {1 Audit surface}

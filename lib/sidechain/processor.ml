@@ -103,13 +103,11 @@ let reject t ~tx reason =
 let needed_amounts ~zero_for_one amount =
   if zero_for_one then (amount, U256.zero) else (U256.zero, amount)
 
-let covered t user ~amount0 ~amount1 =
-  let a0, a1 = Deposits.available t.deposits user in
-  U256.ge a0 amount0 && U256.ge a1 amount1
+let covered t user ~amount0 ~amount1 = Deposits.covers t.deposits user ~amount0 ~amount1
 
 let consume_exn t user ~amount0 ~amount1 =
   match Deposits.consume t.deposits user ~amount0 ~amount1 with
-  | Ok _ -> ()
+  | Ok () -> ()
   | Error e ->
     (* Coverage was pre-checked; failure here is a processor bug. *)
     failwith ("Processor.consume: " ^ e)

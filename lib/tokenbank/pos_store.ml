@@ -7,7 +7,7 @@ module Reg = Flatstore.Registry.Make (struct
   type t = Position_id.t
 
   let equal = Position_id.equal
-  let hash id = Hashtbl.hash (Position_id.to_bytes id)
+  let hash = Position_id.hash
 end)
 
 (* Row layout, 8 slots of 32 bytes. *)

@@ -47,7 +47,30 @@ type t = {
   op_ticks : (int, unit) Hashtbl.t;
   audit_pos : (Position_id.t, unit) Hashtbl.t;
   audit_ticks : (int, unit) Hashtbl.t;
+  regs : regs;
 }
+
+(* The swap loop's register file: the step's scratch and results, the
+   amount still to swap, the running totals and the fee-growth
+   increment. Registers are mutated in place and never leave the pool:
+   every value the pool publishes — a field, a swap result — is a fresh
+   copy, because [Tick.update], [clone] and the sync payload keep the
+   published values by reference. *)
+and regs = {
+  scratch : Swap_math.scratch;
+  step : Swap_math.step_result;
+  remaining : U256.t;
+  consumed : U256.t;
+  total_in : U256.t;
+  total_out : U256.t;
+  total_fee : U256.t;
+  growth : U256.t;
+}
+
+let registers () =
+  { scratch = Swap_math.scratch (); step = Swap_math.registers ();
+    remaining = U256.scratch (); consumed = U256.scratch (); total_in = U256.scratch ();
+    total_out = U256.scratch (); total_fee = U256.scratch (); growth = U256.scratch () }
 
 let create ~pool_id ~token0 ~token1 ~fee_pips ~tick_spacing ~sqrt_price =
   if U256.lt sqrt_price Tick_math.min_sqrt_ratio || U256.ge sqrt_price Tick_math.max_sqrt_ratio
@@ -63,7 +86,8 @@ let create ~pool_id ~token0 ~token1 ~fee_pips ~tick_spacing ~sqrt_price =
     dirty = Hashtbl.create 64; in_range = Hashtbl.create 64;
     bounds_index = Hashtbl.create 64; fee_marked = false;
     op_pos = Hashtbl.create 16; op_ticks = Hashtbl.create 16;
-    audit_pos = Hashtbl.create 64; audit_ticks = Hashtbl.create 64 }
+    audit_pos = Hashtbl.create 64; audit_ticks = Hashtbl.create 64;
+    regs = registers () }
 
 let clone t =
   let copy_tbl src =
@@ -82,7 +106,8 @@ let clone t =
   { t with ticks = Tick.clone t.ticks; position_table;
     dirty = copy_tbl t.dirty; in_range = copy_tbl t.in_range; bounds_index;
     op_pos = copy_tbl t.op_pos; op_ticks = copy_tbl t.op_ticks;
-    audit_pos = copy_tbl t.audit_pos; audit_ticks = copy_tbl t.audit_ticks }
+    audit_pos = copy_tbl t.audit_pos; audit_ticks = copy_tbl t.audit_ticks;
+    regs = registers () }
 
 (* ------------------------------------------------------------------ *)
 (* Change tracking                                                     *)
@@ -217,9 +242,12 @@ type swap_result = {
   ticks_crossed : int;
 }
 
+(* Shared constants: [swap] only reads its limit. *)
+let min_price_limit = U256.add Tick_math.min_sqrt_ratio U256.one
+let max_price_limit = U256.sub Tick_math.max_sqrt_ratio U256.one
+
 let default_price_limit ~zero_for_one =
-  if zero_for_one then U256.add Tick_math.min_sqrt_ratio U256.one
-  else U256.sub Tick_math.max_sqrt_ratio U256.one
+  if zero_for_one then min_price_limit else max_price_limit
 
 let swap t ~zero_for_one ~amount ~sqrt_price_limit =
   let valid_limit =
@@ -228,39 +256,36 @@ let swap t ~zero_for_one ~amount ~sqrt_price_limit =
     else
       U256.gt sqrt_price_limit t.sqrt_price && U256.lt sqrt_price_limit Tick_math.max_sqrt_ratio
   in
-  let specified_positive =
-    match amount with
-    | Swap_math.Exact_in a | Swap_math.Exact_out a -> not (U256.is_zero a)
-  in
+  let exact_in = match amount with Swap_math.Exact_in _ -> true | Swap_math.Exact_out _ -> false in
+  let specified = match amount with Swap_math.Exact_in a | Swap_math.Exact_out a -> a in
   if not valid_limit then Error "pool: invalid price limit"
-  else if not specified_positive then Error "pool: zero amount"
+  else if U256.is_zero specified then Error "pool: zero amount"
   else begin
     (* Every position in range anywhere along the swap path may accrue
        fees: mark the current set now, entrants as ticks are crossed. *)
     mark_fee_bearing t;
-    let remaining = ref amount in
-    let total_in = ref U256.zero and total_out = ref U256.zero in
-    let total_fee = ref U256.zero in
+    let r = t.regs in
+    let step = r.step in
+    U256.copy_into ~dst:r.remaining specified;
+    U256.copy_into ~dst:r.total_in U256.zero;
+    U256.copy_into ~dst:r.total_out U256.zero;
+    U256.copy_into ~dst:r.total_fee U256.zero;
     let crossed = ref 0 in
     let finished = ref false in
     while not !finished do
-      let exhausted =
-        match !remaining with
-        | Swap_math.Exact_in a | Swap_math.Exact_out a -> U256.is_zero a
-      in
-      if exhausted || U256.equal t.sqrt_price sqrt_price_limit then finished := true
+      if U256.is_zero r.remaining || U256.equal t.sqrt_price sqrt_price_limit then
+        finished := true
       else begin
         (* Find the next initialized tick in the swap direction; the pool
            edge acts as a final pseudo-tick. *)
-        let tick_next, initialized =
-          if zero_for_one then
-            match Tick.next_initialized t.ticks ~from_tick:t.tick ~lte:true with
-            | Some tk -> (Stdlib.max tk Tick_math.min_tick, true)
-            | None -> (Tick_math.min_tick, false)
-          else
-            match Tick.next_initialized t.ticks ~from_tick:t.tick ~lte:false with
-            | Some tk -> (Stdlib.min tk Tick_math.max_tick, true)
-            | None -> (Tick_math.max_tick, false)
+        let next = Tick.next_initialized t.ticks ~from_tick:t.tick ~lte:zero_for_one in
+        let initialized = Option.is_some next in
+        let tick_next =
+          match next with
+          | Some tk ->
+            if zero_for_one then Stdlib.max tk Tick_math.min_tick
+            else Stdlib.min tk Tick_math.max_tick
+          | None -> if zero_for_one then Tick_math.min_tick else Tick_math.max_tick
         in
         let sqrt_tick_next = Tick_math.get_sqrt_ratio_at_tick tick_next in
         let target =
@@ -271,30 +296,24 @@ let swap t ~zero_for_one ~amount ~sqrt_price_limit =
           (* No liquidity left in the direction of travel. *)
           finished := true
         else begin
-          let step =
-            Swap_math.compute_swap_step ~sqrt_price_current:t.sqrt_price
-              ~sqrt_price_target:target ~liquidity:t.liquidity
-              ~amount_remaining:!remaining ~fee_pips:t.fee_pips
-          in
-          t.sqrt_price <- step.Swap_math.sqrt_price_next;
-          let consumed_in = U256.add step.amount_in step.fee_amount in
-          total_in := U256.add !total_in consumed_in;
-          total_out := U256.add !total_out step.amount_out;
-          total_fee := U256.add !total_fee step.fee_amount;
-          (remaining :=
-             match !remaining with
-             | Swap_math.Exact_in a ->
-               Swap_math.Exact_in
-                 (if U256.ge consumed_in a then U256.zero else U256.sub a consumed_in)
-             | Swap_math.Exact_out a ->
-               Swap_math.Exact_out
-                 (if U256.ge step.amount_out a then U256.zero else U256.sub a step.amount_out));
+          Swap_math.compute_swap_step_into r.scratch ~dst:step
+            ~sqrt_price_current:t.sqrt_price ~sqrt_price_target:target ~liquidity:t.liquidity
+            ~exact_in ~amount_remaining:r.remaining ~fee_pips:t.fee_pips;
+          t.sqrt_price <- U256.copy step.Swap_math.sqrt_price_next;
+          U256.add_into ~dst:r.consumed step.amount_in step.fee_amount;
+          U256.add_into ~dst:r.total_in r.total_in r.consumed;
+          U256.add_into ~dst:r.total_out r.total_out step.amount_out;
+          U256.add_into ~dst:r.total_fee r.total_fee step.fee_amount;
+          let used = if exact_in then r.consumed else step.amount_out in
+          if U256.ge used r.remaining then U256.copy_into ~dst:r.remaining U256.zero
+          else U256.sub_into ~dst:r.remaining r.remaining used;
           (* The fee accrues to in-range liquidity on the input token side. *)
           if not (U256.is_zero t.liquidity) then begin
-            let growth = U256.mul_div step.fee_amount Q96.q128 t.liquidity in
+            U256.mul_div_into (Swap_math.workspace r.scratch) ~dst:r.growth step.fee_amount
+              Q96.q128 t.liquidity;
             if zero_for_one then
-              t.fee_growth_global0 <- U256.add t.fee_growth_global0 growth
-            else t.fee_growth_global1 <- U256.add t.fee_growth_global1 growth
+              t.fee_growth_global0 <- U256.add t.fee_growth_global0 r.growth
+            else t.fee_growth_global1 <- U256.add t.fee_growth_global1 r.growth
           end;
           if U256.equal t.sqrt_price sqrt_tick_next then begin
             if initialized then begin
@@ -319,21 +338,21 @@ let swap t ~zero_for_one ~amount ~sqrt_price_limit =
         end
       end
     done;
-    if U256.is_zero !total_in && U256.is_zero !total_out then
+    if U256.is_zero r.total_in && U256.is_zero r.total_out then
       Error "pool: insufficient liquidity"
     else begin
       if zero_for_one then begin
-        t.balance0 <- U256.add t.balance0 !total_in;
-        t.balance1 <- U256.checked_sub t.balance1 !total_out
+        t.balance0 <- U256.add t.balance0 r.total_in;
+        t.balance1 <- U256.checked_sub t.balance1 r.total_out
       end
       else begin
-        t.balance1 <- U256.add t.balance1 !total_in;
-        t.balance0 <- U256.checked_sub t.balance0 !total_out
+        t.balance1 <- U256.add t.balance1 r.total_in;
+        t.balance0 <- U256.checked_sub t.balance0 r.total_out
       end;
       Ok
-        { amount_in = !total_in; amount_out = !total_out; fee_paid = !total_fee;
-          sqrt_price_after = t.sqrt_price; tick_after = t.tick;
-          ticks_crossed = !crossed }
+        { amount_in = U256.copy r.total_in; amount_out = U256.copy r.total_out;
+          fee_paid = U256.copy r.total_fee; sqrt_price_after = t.sqrt_price;
+          tick_after = t.tick; ticks_crossed = !crossed }
     end
   end
 

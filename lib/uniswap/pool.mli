@@ -72,7 +72,8 @@ val swap :
     protection on top). *)
 
 val default_price_limit : zero_for_one:bool -> U256.t
-(** The loosest legal limit for the direction. *)
+(** The loosest legal limit for the direction: one of two shared
+    constants, [min_sqrt_ratio + 1] and [max_sqrt_ratio - 1]. *)
 
 (** {1 Liquidity management} *)
 

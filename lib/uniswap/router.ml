@@ -14,14 +14,12 @@ type swap_outcome = {
 
 let ( let* ) = Result.bind
 
-let limit_or_default pool ~zero_for_one = function
+let limit_or_default ~zero_for_one = function
   | Some l -> l
-  | None ->
-    ignore pool;
-    Pool.default_price_limit ~zero_for_one
+  | None -> Pool.default_price_limit ~zero_for_one
 
 let exact_input pool ~zero_for_one ~amount_in ~min_amount_out ?sqrt_price_limit () =
-  let sqrt_price_limit = limit_or_default pool ~zero_for_one sqrt_price_limit in
+  let sqrt_price_limit = limit_or_default ~zero_for_one sqrt_price_limit in
   let* r =
     Pool.swap pool ~zero_for_one ~amount:(Swap_math.Exact_in amount_in) ~sqrt_price_limit
   in
@@ -32,7 +30,7 @@ let exact_input pool ~zero_for_one ~amount_in ~min_amount_out ?sqrt_price_limit 
          ticks_crossed = r.Pool.ticks_crossed }
 
 let exact_output pool ~zero_for_one ~amount_out ~max_amount_in ?sqrt_price_limit () =
-  let sqrt_price_limit = limit_or_default pool ~zero_for_one sqrt_price_limit in
+  let sqrt_price_limit = limit_or_default ~zero_for_one sqrt_price_limit in
   let* r =
     Pool.swap pool ~zero_for_one ~amount:(Swap_math.Exact_out amount_out) ~sqrt_price_limit
   in

@@ -329,12 +329,25 @@ let mempool_props =
         let total = List.fold_left (fun acc (_, sz) -> acc + sz) 0 taken in
         total <= 60 || List.length taken = 1) ]
 
+(* Registries hash an address or id itself; the value must be the one
+   they got from hashing a copy, so buckets and outputs stay put. *)
+let key_hash_props =
+  let gen n = QCheck2.Gen.bytes_size (QCheck2.Gen.return n) in
+  [ prop "Address.hash = hash of to_bytes" (gen 20) (fun b ->
+        let a = Chain.Address.of_bytes b in
+        Chain.Address.hash a = Hashtbl.hash (Chain.Address.to_bytes a));
+    prop "Ids hash = hash of to_bytes" (gen 32) (fun b ->
+        let p = Chain.Ids.Position_id.of_hash b and t = Chain.Ids.Tx_id.of_hash b in
+        Chain.Ids.Position_id.hash p = Hashtbl.hash (Chain.Ids.Position_id.to_bytes p)
+        && Chain.Ids.Tx_id.hash t = Hashtbl.hash (Chain.Ids.Tx_id.to_bytes t)) ]
+
 let () =
   Alcotest.run "chain"
     [ ( "token/address",
         [ Alcotest.test_case "token" `Quick test_token;
           Alcotest.test_case "address derivation" `Quick test_address_derivation;
-          Alcotest.test_case "address bad length" `Quick test_address_bad_length ] );
+          Alcotest.test_case "address bad length" `Quick test_address_bad_length ]
+        @ key_hash_props );
       ( "tx/encoding",
         [ Alcotest.test_case "wire sizes" `Quick test_tx_wire_sizes;
           Alcotest.test_case "table 8 sizes" `Quick test_tx_table8_sizes;

@@ -306,6 +306,228 @@ let liquidity_props =
         && U256.le (U256.sub u0 f0) U256.one
         && U256.le (U256.sub u1 f1) U256.one) ]
 
+(* ------------------------------------------------------------------ *)
+(* In place against the oracle formulas                                *)
+(* ------------------------------------------------------------------ *)
+
+module R = Ref_swap_math
+
+(* A value of [lo]..[hi] significant bits (0 bits: zero). *)
+let gen_bits lo hi =
+  QCheck2.Gen.(
+    map2
+      (fun bits b ->
+        if bits = 0 then U256.zero
+        else
+          U256.logor
+            (U256.shift_right (U256.of_bytes_be b) (256 - bits))
+            (U256.shift_left U256.one (bits - 1)))
+      (int_range lo hi)
+      (bytes_size (return 32)))
+
+(* A legal sqrt price: a tick's ratio plus a small offset. *)
+let gen_price =
+  QCheck2.Gen.(
+    map2
+      (fun t off ->
+        let p = U256.add (Tick_math.get_sqrt_ratio_at_tick t) (U256.of_int off) in
+        if U256.ge p Tick_math.max_sqrt_ratio then U256.sub Tick_math.max_sqrt_ratio U256.one
+        else p)
+      tick_gen (int_range 0 1000))
+
+(* Amounts past 2^62 leave the native-int fast paths; past ~2^160 a
+   token0 amount times a price overflows 256 bits. *)
+let gen_amount = QCheck2.Gen.(frequency [ (2, gen_bits 0 62); (3, gen_bits 63 255) ])
+let gen_liquidity = QCheck2.Gen.(frequency [ (1, return U256.zero); (5, gen_bits 1 128) ])
+
+(* A value, or the exception that replaced it. *)
+let outcome f = match f () with v -> Ok (U256.to_string v) | exception e -> Error (Printexc.to_string e)
+
+(* One scratch and one register file for every case, as a pool keeps
+   them: a value left behind by an earlier case must not leak into a
+   later one. *)
+let math = Sqrt_price_math.scratch ()
+let step_scratch = Swap_math.scratch ()
+let step_regs = Swap_math.registers ()
+
+let show_step (r : Swap_math.step_result) =
+  String.concat ","
+    (List.map U256.to_string [ r.sqrt_price_next; r.amount_in; r.amount_out; r.fee_amount ])
+
+let step_into ~current ~target ~liquidity ~exact_in ~amount ~fee =
+  match
+    Swap_math.compute_swap_step_into step_scratch ~dst:step_regs ~sqrt_price_current:current
+      ~sqrt_price_target:target ~liquidity ~exact_in ~amount_remaining:amount ~fee_pips:fee
+  with
+  | () -> Ok (show_step step_regs)
+  | exception e -> Error (Printexc.to_string e)
+
+let step_ref ~current ~target ~liquidity ~exact_in ~amount ~fee =
+  let amount_remaining =
+    if exact_in then R.Swap_math.Exact_in amount else R.Swap_math.Exact_out amount
+  in
+  match
+    R.Swap_math.compute_swap_step ~sqrt_price_current:current ~sqrt_price_target:target
+      ~liquidity ~amount_remaining ~fee_pips:fee
+  with
+  | r -> Ok (show_step r)
+  | exception e -> Error (Printexc.to_string e)
+
+let gen_step =
+  QCheck2.Gen.(
+    tup6 gen_price gen_price gen_liquidity bool gen_amount
+      (oneofl [ 0; 1; 500; 3000; 10000; 999_999; 1_000_000; 1_000_001 ]))
+
+let show_step_case (current, target, liquidity, exact_in, amount, fee) =
+  Printf.sprintf "current %s target %s L %s %s %s fee %d" (U256.to_string current)
+    (U256.to_string target) (U256.to_string liquidity)
+    (if exact_in then "in" else "out")
+    (U256.to_string amount) fee
+
+(* Which input a formula writes over, to check the aliasing rule: 0 none,
+   1 the price or [sqrt_a], 2 the liquidity, 3 the amount or [sqrt_b]. *)
+let aliased which inputs =
+  match which with
+  | 0 -> (U256.scratch (), inputs)
+  | k ->
+    let copies = List.map U256.copy inputs in
+    (List.nth copies (k - 1), copies)
+
+let formula_props =
+  let gen = QCheck2.Gen.(tup5 gen_price gen_price gen_liquidity gen_amount (pair bool (int_range 0 3))) in
+  let into which (a, b, c) f =
+    let dst, args = aliased which [ a; b; c ] in
+    match args with
+    | [ a; b; c ] -> (
+      match f ~dst a b c with
+      | () -> Ok (U256.to_string dst)
+      | exception e -> Error (Printexc.to_string e))
+    | _ -> assert false
+  in
+  [ prop "next price from input = oracle" gen (fun (p, _, l, a, (z, which)) ->
+        into which (p, l, a) (fun ~dst sqrt_price liquidity amount_in ->
+            Sqrt_price_math.get_next_sqrt_price_from_input_into math ~dst ~sqrt_price
+              ~liquidity ~amount_in ~zero_for_one:z)
+        = outcome (fun () ->
+              R.Sqrt_price_math.get_next_sqrt_price_from_input ~sqrt_price:p ~liquidity:l
+                ~amount_in:a ~zero_for_one:z));
+    prop "next price from output = oracle" gen (fun (p, _, l, a, (z, which)) ->
+        into which (p, l, a) (fun ~dst sqrt_price liquidity amount_out ->
+            Sqrt_price_math.get_next_sqrt_price_from_output_into math ~dst ~sqrt_price
+              ~liquidity ~amount_out ~zero_for_one:z)
+        = outcome (fun () ->
+              R.Sqrt_price_math.get_next_sqrt_price_from_output ~sqrt_price:p ~liquidity:l
+                ~amount_out:a ~zero_for_one:z));
+    prop "amount0 delta = oracle" gen (fun (sa, sb, l, _, (round_up, which)) ->
+        into which (sa, l, sb) (fun ~dst sqrt_a liquidity sqrt_b ->
+            Sqrt_price_math.get_amount0_delta_into math ~dst ~sqrt_a ~sqrt_b ~liquidity ~round_up)
+        = outcome (fun () ->
+              R.Sqrt_price_math.get_amount0_delta ~sqrt_a:sa ~sqrt_b:sb ~liquidity:l ~round_up));
+    prop "amount1 delta = oracle" gen (fun (sa, sb, l, _, (round_up, which)) ->
+        into which (sa, l, sb) (fun ~dst sqrt_a liquidity sqrt_b ->
+            Sqrt_price_math.get_amount1_delta_into math ~dst ~sqrt_a ~sqrt_b ~liquidity ~round_up)
+        = outcome (fun () ->
+              R.Sqrt_price_math.get_amount1_delta ~sqrt_a:sa ~sqrt_b:sb ~liquidity:l ~round_up));
+    prop "immutable wrappers = oracle" gen (fun (sa, sb, l, a, (z, _)) ->
+        outcome (fun () ->
+            Sqrt_price_math.get_next_sqrt_price_from_amount0_rounding_up ~sqrt_price:sa
+              ~liquidity:l ~amount:a ~add:z)
+        = outcome (fun () ->
+              R.Sqrt_price_math.get_next_sqrt_price_from_amount0_rounding_up ~sqrt_price:sa
+                ~liquidity:l ~amount:a ~add:z)
+        && outcome (fun () ->
+               Sqrt_price_math.get_amount0_delta ~sqrt_a:sa ~sqrt_b:sb ~liquidity:l ~round_up:z)
+           = outcome (fun () ->
+                 R.Sqrt_price_math.get_amount0_delta ~sqrt_a:sa ~sqrt_b:sb ~liquidity:l
+                   ~round_up:z));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:2000 ~name:"in-place step = oracle step" ~print:show_step_case
+         gen_step (fun (current, target, liquidity, exact_in, amount, fee) ->
+           step_into ~current ~target ~liquidity ~exact_in ~amount ~fee
+           = step_ref ~current ~target ~liquidity ~exact_in ~amount ~fee));
+    prop "immutable step = oracle step" gen_step
+      (fun (current, target, liquidity, exact_in, amount, fee) ->
+        let amount_remaining =
+          if exact_in then Swap_math.Exact_in amount else Swap_math.Exact_out amount
+        in
+        (match
+           Swap_math.compute_swap_step ~sqrt_price_current:current ~sqrt_price_target:target
+             ~liquidity ~amount_remaining ~fee_pips:fee
+         with
+        | r -> Ok (show_step r)
+        | exception e -> Error (Printexc.to_string e))
+        = step_ref ~current ~target ~liquidity ~exact_in ~amount ~fee) ]
+
+(* The rare paths, each pinned by one case the random ones may miss. *)
+let test_step_rare_paths () =
+  let check name ~current ~target ~liquidity ~exact_in ~amount ~fee =
+    Alcotest.(check (result string string))
+      name
+      (step_ref ~current ~target ~liquidity ~exact_in ~amount ~fee)
+      (step_into ~current ~target ~liquidity ~exact_in ~amount ~fee)
+  in
+  (* amount * price overflows 256 bits, yet stays short of the target:
+     get_next_sqrt_price_from_amount0_rounding_up's division-first
+     fallback. *)
+  let amount = U256.shift_left U256.one 170 and liquidity = U256.shift_left U256.one 120 in
+  Alcotest.check_raises "product overflows" U256.Overflow (fun () ->
+      ignore (U256.checked_mul amount price_1));
+  check "checked_mul fallback" ~current:price_1 ~target:Tick_math.min_sqrt_ratio ~liquidity
+    ~exact_in:true ~amount ~fee:3000;
+  Alcotest.(check bool) "short of the target" true
+    (U256.gt step_regs.Swap_math.sqrt_price_next Tick_math.min_sqrt_ratio);
+  (* Exact-out short of the target: the output rounds past the request
+     and is capped to it. *)
+  let amount = u "1000000000000000000" in
+  check "exact-out cap" ~current:price_1
+    ~target:(Tick_math.get_sqrt_ratio_at_tick (-60000))
+    ~liquidity:liquidity_1e21 ~exact_in:false ~amount ~fee:3000;
+  Alcotest.check check_u256 "capped to the request" amount step_regs.Swap_math.amount_out;
+  check "zero liquidity" ~current:price_1 ~target:(Tick_math.get_sqrt_ratio_at_tick 600)
+    ~liquidity:U256.zero ~exact_in:true ~amount ~fee:3000;
+  check "whole fee: the fee branch divides by zero" ~current:price_1
+    ~target:(Tick_math.get_sqrt_ratio_at_tick (-600))
+    ~liquidity:liquidity_1e21 ~exact_in:false ~amount ~fee:1_000_000;
+  check "fee past the denominator" ~current:price_1 ~target:Tick_math.min_sqrt_ratio
+    ~liquidity:liquidity_1e21 ~exact_in:true ~amount ~fee:1_000_001
+
+(* Minor-heap words per call, averaged over 1 000 calls after a warm-up. *)
+let words_per_call f =
+  let n = 1_000 in
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Float.round ((Gc.minor_words () -. before) /. float n)
+
+let test_step_allocation () =
+  (* Wide values: every mul_div takes the 512-bit path. *)
+  let liquidity = u "123456789012345678901234567890" in
+  let amount = u "98765432109876543210987654321" in
+  List.iter
+    (fun (name, target, exact_in) ->
+      Alcotest.(check (float 0.))
+        name 0.
+        (words_per_call (fun () ->
+             Swap_math.compute_swap_step_into step_scratch ~dst:step_regs
+               ~sqrt_price_current:price_1 ~sqrt_price_target:target ~liquidity ~exact_in
+               ~amount_remaining:amount ~fee_pips:3000)))
+    [ ("exact in, 0 -> 1", Tick_math.get_sqrt_ratio_at_tick (-60000), true);
+      ("exact in, 1 -> 0", Tick_math.get_sqrt_ratio_at_tick 60000, true);
+      ("exact out, 0 -> 1", Tick_math.get_sqrt_ratio_at_tick (-60000), false);
+      ("exact out, 1 -> 0", Tick_math.get_sqrt_ratio_at_tick 60000, false);
+      ("reaches target", Tick_math.get_sqrt_ratio_at_tick (-1), true) ]
+
+let test_memo_hit_allocation () =
+  Alcotest.(check (float 0.))
+    "ratio at a cached tick" 0.
+    (words_per_call (fun () -> Tick_math.get_sqrt_ratio_at_tick 123456));
+  let ratio = Tick_math.get_sqrt_ratio_at_tick (-4567) in
+  Alcotest.(check (float 0.))
+    "tick at a ratio whose search path is cached" 0.
+    (words_per_call (fun () -> Tick_math.get_tick_at_sqrt_ratio ratio))
+
 let () =
   Alcotest.run "amm_math"
     [ ( "tick_math",
@@ -333,6 +555,11 @@ let () =
           Alcotest.test_case "zero liquidity" `Quick test_swap_step_zero_liquidity_jumps_to_target;
           Alcotest.test_case "fee monotone" `Quick test_swap_step_fee_monotone_in_fee_pips ]
         @ swap_props );
+      ( "in place math",
+        [ Alcotest.test_case "rare paths" `Quick test_step_rare_paths;
+          Alcotest.test_case "step allocates nothing" `Quick test_step_allocation;
+          Alcotest.test_case "memo hit allocates nothing" `Quick test_memo_hit_allocation ]
+        @ formula_props );
       ( "liquidity_math",
         [ Alcotest.test_case "amounts in range" `Quick test_liquidity_for_amounts_in_range;
           Alcotest.test_case "one-sided range" `Quick test_liquidity_one_sided;

@@ -32,11 +32,18 @@ let deposits () =
 let test_deposits_consume_main_first () =
   let d = deposits () in
   Deposits.credit_side d alice ~amount0:one_e18 ~amount1:U256.zero;
-  (match Deposits.consume d alice ~amount0:(U256.mul one_e18 U256.two) ~amount1:U256.zero with
-  | Ok c ->
-    Alcotest.check check_u256 "main drained first" one_e18 c.Deposits.from_main0;
-    Alcotest.check check_u256 "side covers rest" one_e18 c.Deposits.from_side0
+  (* Half the mainchain deposit: the sidechain one is not touched. *)
+  let half = U256.div one_e18 U256.two in
+  (match Deposits.consume d alice ~amount0:half ~amount1:U256.zero with
+  | Ok () -> ()
   | Error e -> Alcotest.fail e);
+  Alcotest.check check_u256 "main pays first" half (fst (Deposits.payin d alice));
+  Alcotest.check check_u256 "side untouched" one_e18 (fst (Deposits.payout d alice));
+  (match Deposits.consume d alice ~amount0:(U256.add half one_e18) ~amount1:U256.zero with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "both drained" false
+    (Deposits.covers d alice ~amount0:U256.one ~amount1:U256.zero);
   Alcotest.check check_u256 "payin = initial main consumed" one_e18
     (fst (Deposits.payin d alice));
   Alcotest.check check_u256 "payout = remaining side" U256.zero
@@ -48,24 +55,44 @@ let test_deposits_atomic_failure () =
   (match Deposits.consume d alice ~amount0:one_e18 ~amount1:(U256.mul one_e18 U256.two) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "uncovered consume accepted");
-  Alcotest.check check_u256 "token0 untouched" one_e18 (fst (Deposits.available d alice))
-
-let test_deposits_refund () =
-  let d = deposits () in
-  (match Deposits.consume d alice ~amount0:one_e18 ~amount1:U256.zero with
-  | Ok c ->
-    Deposits.refund d alice c;
-    Alcotest.check check_u256 "restored" one_e18 (fst (Deposits.available d alice));
-    Alcotest.check check_u256 "payin back to zero" U256.zero (fst (Deposits.payin d alice))
-  | Error e -> Alcotest.fail e)
+  Alcotest.check check_u256 "token0 untouched" U256.zero (fst (Deposits.payin d alice));
+  Alcotest.(check bool) "token0 still covered" true
+    (Deposits.covers d alice ~amount0:one_e18 ~amount1:U256.zero)
 
 let test_deposits_unknown_user_empty () =
   let d = deposits () in
   let stranger = Address.of_label "stranger" in
-  Alcotest.check check_u256 "no balance" U256.zero (fst (Deposits.available d stranger));
+  Alcotest.(check bool) "no balance" false
+    (Deposits.covers d stranger ~amount0:U256.one ~amount1:U256.zero);
   match Deposits.consume d stranger ~amount0:U256.one ~amount1:U256.zero with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "stranger spent"
+
+(* A covered swap's deposit traffic — the coverage check, the consume of
+   its input and the credit of its output — reads and writes the slab
+   slots in place: once the user's row exists and is marked, it costs no
+   allocation at all. *)
+let test_deposits_in_place_allocation () =
+  let d = deposits () in
+  let amount = u "1000" in
+  let swap () =
+    if Deposits.covers d alice ~amount0:amount ~amount1:U256.zero then begin
+      (match Deposits.consume d alice ~amount0:amount ~amount1:U256.zero with
+      | Ok () -> ()
+      | Error e -> failwith e);
+      Deposits.credit_side d alice ~amount0:U256.zero ~amount1:amount
+    end
+  in
+  swap ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    swap ()
+  done;
+  Alcotest.(check (float 0.)) "words" 0. (Gc.minor_words () -. before);
+  Alcotest.check check_u256 "101 swaps consumed" (U256.mul amount (U256.of_int 101))
+    (fst (Deposits.payin d alice));
+  Alcotest.check check_u256 "and credited" (U256.mul amount (U256.of_int 101))
+    (snd (Deposits.payout d alice))
 
 (* The incrementally-maintained sorted index must agree with a plain
    sort of every user ever touched, across any interleaving of a
@@ -95,7 +122,7 @@ let users_sorted_prop =
              let u = addr i in
              if k mod 2 = 0 then
                Deposits.credit_side d u ~amount0:U256.one ~amount1:U256.zero
-             else ignore (Deposits.available d u))
+             else ignore (Deposits.covers d u ~amount0:U256.zero ~amount1:U256.zero))
            mid_ids;
          let oracle =
            List.sort_uniq Address.compare
@@ -805,8 +832,9 @@ let () =
     [ ( "deposits",
         [ Alcotest.test_case "main first" `Quick test_deposits_consume_main_first;
           Alcotest.test_case "atomic failure" `Quick test_deposits_atomic_failure;
-          Alcotest.test_case "refund" `Quick test_deposits_refund;
           Alcotest.test_case "unknown user" `Quick test_deposits_unknown_user_empty;
+          Alcotest.test_case "in place allocates nothing" `Quick
+            test_deposits_in_place_allocation;
           users_sorted_prop ] );
       ( "codec",
         [ Alcotest.test_case "entry sizes" `Quick test_codec_entry_sizes;

@@ -782,7 +782,17 @@ let test_allocation_budget () =
   check "copy" 10. (fun () -> U256.copy a);
   let buf = U256.to_bytes_be a in
   check "read_be" 10. (fun () -> U256.read_be buf 0);
-  check "write_be" 0. (fun () -> U256.write_be b buf 0)
+  check "write_be" 0. (fun () -> U256.write_be b buf 0);
+  (* The division family works in a domain-local workspace: the 512-bit
+     path allocates only its result, and its in-place form nothing. *)
+  let c = u "0x1234567890abcdef1234567890abcdef1234567890abcdef12" in
+  check "div" 10. (fun () -> U256.div a c);
+  check "mul_div" 10. (fun () -> U256.mul_div a b c);
+  check "mul_div_rounding_up" 10. (fun () -> U256.mul_div_rounding_up a b c);
+  let ws = U256.workspace () and dst = U256.scratch () in
+  check "mul_div_into" 0. (fun () -> U256.mul_div_into ws ~dst a b c);
+  check "div_rounding_up_into" 0. (fun () -> U256.div_rounding_up_into ws ~dst a c);
+  check "read_be_into" 0. (fun () -> U256.read_be_into ~dst buf 0)
 
 let () =
   Alcotest.run "u256"

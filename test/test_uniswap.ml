@@ -5,6 +5,7 @@
 
 module U256 = Amm_math.U256
 module Q96 = Amm_math.Q96
+module Swap_math = Amm_math.Swap_math
 open Uniswap
 
 let u = U256.of_string
@@ -571,6 +572,303 @@ let invariant_props =
         done;
         !ok) ]
 
+(* ------------------------------------------------------------------ *)
+(* The in-place swap against the oracle pool                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A value of [lo]..[hi] significant bits: the top one set, the rest
+   random. *)
+let gen_u256_bits lo hi =
+  QCheck2.Gen.(
+    map2
+      (fun bits b ->
+        let v = U256.shift_right (U256.of_bytes_be b) (256 - bits) in
+        U256.logor v (U256.shift_left U256.one (bits - 1)))
+      (int_range lo hi)
+      (bytes_size (return 32)))
+
+type op =
+  | Mint of int * int * U256.t  (* lower (spacings from the price), width, liquidity *)
+  | Supplement of int * U256.t  (* existing position, liquidity *)
+  | Burn of int * int  (* existing position, percent of its liquidity *)
+  | Collect of int * U256.t * U256.t
+  | Swap of bool * bool * U256.t * int
+      (* zero_for_one, exact_in, amount, limit: 0 the default, 1-999 that
+         many thousandths of the way to the edge, 1000 an invalid one *)
+
+let show_op = function
+  | Mint (k, w, l) -> Printf.sprintf "mint %d+%d %s" k w (U256.to_string l)
+  | Supplement (i, l) -> Printf.sprintf "supplement #%d %s" i (U256.to_string l)
+  | Burn (i, pct) -> Printf.sprintf "burn #%d %d%%" i pct
+  | Collect (i, a, b) ->
+    Printf.sprintf "collect #%d %s %s" i (U256.to_string a) (U256.to_string b)
+  | Swap (z, e, a, l) ->
+    Printf.sprintf "swap %s %s %s limit %d" (if z then "0->1" else "1->0")
+      (if e then "in" else "out") (U256.to_string a) l
+
+let gen_op =
+  let open QCheck2.Gen in
+  let liquidity = frequency [ (3, gen_u256_bits 1 80); (2, gen_u256_bits 60 128) ] in
+  (* Amounts past 2^62 leave every native-int fast path; past ~2^160 a
+     token0 input overflows amount * sqrt_price. *)
+  let amount =
+    frequency [ (3, gen_u256_bits 1 62); (3, gen_u256_bits 63 140); (2, gen_u256_bits 140 255) ]
+  in
+  let owed = frequency [ (3, gen_u256_bits 1 100); (1, return U256.max_value) ] in
+  frequency
+    [ ( 3,
+        map3
+          (fun k w l -> Mint (k, w, l))
+          (frequency [ (4, int_range (-40) 40); (1, return max_int) ])
+          (int_range 1 40) liquidity );
+      (1, map2 (fun i l -> Supplement (i, l)) (int_range 0 1000) liquidity);
+      (2, map2 (fun i pct -> Burn (i, pct)) (int_range 0 1000) (int_range 1 100));
+      (1, map3 (fun i a b -> Collect (i, a, b)) (int_range 0 1000) owed owed);
+      ( 8,
+        map2
+          (fun (z, e) (a, l) -> Swap (z, e, a, l))
+          (pair bool bool)
+          (pair amount (frequency [ (3, return 0); (3, int_range 1 999); (1, return 1000) ])) ) ]
+
+let gen_scenario =
+  QCheck2.Gen.(
+    quad
+      (oneofl [ 0; 100; 500; 3000; 10000; 1_000_000 ])
+      (oneofl [ 1; 10; 60; 200 ])
+      (int_range (-200_000) 200_000)
+      (list_size (int_range 1 40) gen_op))
+
+let show_scenario (fee, spacing, tick, ops) =
+  Printf.sprintf "fee %d spacing %d tick %d:\n  %s" fee spacing tick
+    (String.concat "\n  " (List.map show_op ops))
+
+(* A value, or the exception that replaced it. *)
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let show_amounts (a, b) = U256.to_string a ^ "," ^ U256.to_string b
+
+let pool_scalars pool =
+  List.map U256.to_string
+    [ Pool.sqrt_price pool; Pool.liquidity pool; Pool.fee_growth_global0 pool;
+      Pool.fee_growth_global1 pool; Pool.balance0 pool; Pool.balance1 pool ]
+  @ [ string_of_int (Pool.current_tick pool) ]
+
+let ref_scalars (r : Ref_pool.t) =
+  List.map U256.to_string
+    [ r.sqrt_price; r.liquidity; r.fee_growth_global0; r.fee_growth_global1; r.balance0;
+      r.balance1 ]
+  @ [ string_of_int r.tick ]
+
+(* Runs the op on both pools and says whether their outcomes and images
+   still agree. A library call that returns [Error] has changed nothing,
+   so the oracle (which checks no argument) does not run. *)
+let run_op ~spacing pool (oracle : Ref_pool.t) ~positions ~ticks ~n op =
+  let owner = addr "oracle-lp" in
+  let align_down t = if t >= 0 then t / spacing * spacing else -((-t + spacing - 1) / spacing * spacing) in
+  let lo_edge = -(Amm_math.Tick_math.max_tick / spacing * spacing) in
+  let hi_edge = Amm_math.Tick_math.max_tick / spacing * spacing in
+  let live () = List.filter (fun id -> Pool.find_position pool id <> None) !positions in
+  let pick i = match live () with [] -> None | l -> Some (List.nth l (i mod List.length l)) in
+  let same_amounts lib run =
+    match lib with
+    | Ok (Error _) -> true
+    | Ok (Ok v) -> (
+      match outcome run with Ok w -> show_amounts v = show_amounts w | Error _ -> false)
+    | Error e -> (match outcome run with Error e' -> e = e' | Ok _ -> false)
+  in
+  let agree =
+    match op with
+    | Mint (k, w, liquidity) ->
+      let lower, upper =
+        if k = max_int then (lo_edge, hi_edge)
+        else
+          let lower = align_down (Pool.current_tick pool) + (k * spacing) in
+          (Stdlib.max lo_edge lower, Stdlib.min hi_edge (lower + (w * spacing)))
+      in
+      incr n;
+      let id = pid (Printf.sprintf "oracle-%d" !n) in
+      positions := id :: !positions;
+      ticks := lower :: upper :: !ticks;
+      same_amounts
+        (outcome (fun () ->
+             Pool.mint pool ~position_id:id ~owner ~lower_tick:lower ~upper_tick:upper ~liquidity))
+        (fun () ->
+          Ref_pool.mint oracle ~position_id:id ~owner ~lower_tick:lower ~upper_tick:upper
+            ~liquidity)
+    | Supplement (i, liquidity) -> (
+      match pick i with
+      | None -> true
+      | Some id ->
+        let p = Option.get (Pool.find_position pool id) in
+        let lower = p.Position.lower_tick and upper = p.Position.upper_tick in
+        same_amounts
+          (outcome (fun () ->
+               Pool.mint pool ~position_id:id ~owner ~lower_tick:lower ~upper_tick:upper
+                 ~liquidity))
+          (fun () ->
+            Ref_pool.mint oracle ~position_id:id ~owner ~lower_tick:lower ~upper_tick:upper
+              ~liquidity))
+    | Burn (i, pct) -> (
+      match pick i with
+      | None -> true
+      | Some id ->
+        let held = (Option.get (Pool.find_position pool id)).Position.liquidity in
+        let liquidity = U256.mul_div held (U256.of_int pct) (U256.of_int 100) in
+        let liquidity = if U256.is_zero liquidity then held else liquidity in
+        same_amounts
+          (outcome (fun () -> Pool.burn pool ~position_id:id ~liquidity))
+          (fun () -> Ref_pool.burn oracle ~position_id:id ~liquidity))
+    | Collect (i, amount0_requested, amount1_requested) -> (
+      match pick i with
+      | None -> true
+      | Some id ->
+        same_amounts
+          (outcome (fun () ->
+               Pool.collect pool ~position_id:id ~amount0_requested ~amount1_requested))
+          (fun () ->
+            Ref_pool.collect oracle ~position_id:id ~amount0_requested ~amount1_requested))
+    | Swap (zero_for_one, exact_in, a, limit) ->
+      let amount = if exact_in then Swap_math.Exact_in a else Swap_math.Exact_out a in
+      let sqrt_price_limit =
+        if limit = 0 then Pool.default_price_limit ~zero_for_one
+        else if limit = 1000 then Pool.sqrt_price pool
+        else
+          let here = Pool.current_tick pool in
+          let edge = if zero_for_one then Amm_math.Tick_math.min_tick else Amm_math.Tick_math.max_tick in
+          let tick = here + ((edge - here) * limit / 1000) in
+          Amm_math.Tick_math.get_sqrt_ratio_at_tick
+            (Stdlib.max Amm_math.Tick_math.min_tick (Stdlib.min Amm_math.Tick_math.max_tick tick))
+      in
+      let show_lib (r : Pool.swap_result) =
+        String.concat ","
+          (List.map U256.to_string [ r.amount_in; r.amount_out; r.fee_paid; r.sqrt_price_after ]
+          @ List.map string_of_int [ r.tick_after; r.ticks_crossed ])
+      in
+      let show_ref (r : Ref_pool.swap_result) =
+        String.concat ","
+          (List.map U256.to_string [ r.amount_in; r.amount_out; r.fee_paid; r.sqrt_price_after ]
+          @ List.map string_of_int [ r.tick_after; r.ticks_crossed ])
+      in
+      let lib = outcome (fun () -> Pool.swap pool ~zero_for_one ~amount ~sqrt_price_limit) in
+      let orc = outcome (fun () -> Ref_pool.swap oracle ~zero_for_one ~amount ~sqrt_price_limit) in
+      (match (lib, orc) with
+      | Ok (Ok r), Ok (Ok r') -> show_lib r = show_ref r'
+      | Ok (Error e), Ok (Error e') -> e = e'
+      | Error e, Error e' -> e = e'
+      | _ -> false)
+  in
+  agree
+  && pool_scalars pool = ref_scalars oracle
+  && List.for_all
+       (fun id -> Pool.position_bytes pool id = Ref_pool.position_bytes oracle id)
+       !positions
+  && List.for_all (fun tk -> Pool.tick_bytes pool tk = Ref_pool.tick_bytes oracle tk) !ticks
+
+let oracle_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"in-place swap = oracle pool" ~print:show_scenario
+       gen_scenario (fun (fee, spacing, tick, ops) ->
+         let sqrt_price = Amm_math.Tick_math.get_sqrt_ratio_at_tick tick in
+         let pool =
+           Pool.create ~pool_id:0
+             ~token0:(Chain.Token.make ~id:0 ~symbol:"TKA")
+             ~token1:(Chain.Token.make ~id:1 ~symbol:"TKB")
+             ~fee_pips:fee ~tick_spacing:spacing ~sqrt_price
+         in
+         let oracle = Ref_pool.create ~fee_pips:fee ~tick_spacing:spacing ~sqrt_price in
+         let positions = ref [] and ticks = ref [] and n = ref 0 in
+         List.for_all (run_op ~spacing pool oracle ~positions ~ticks ~n) ops))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation and aliasing                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words of [f ()], after one warm-up call. *)
+let words_of_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_swap_allocation () =
+  (* A full-range pool deep enough that a 1e18 swap stays within one
+     step: the loop's registers carry the step, the totals and the fee
+     growth, so what is left is the published copies (price, fee growth,
+     balances, the three totals) and the result record. *)
+  let pool = seeded_pool () in
+  let flip = ref true in
+  let last = ref (Error "no swap") in
+  let swap () =
+    flip := not !flip;
+    last :=
+      Pool.swap pool ~zero_for_one:!flip ~amount:(Swap_math.Exact_in one_e18)
+        ~sqrt_price_limit:(Pool.default_price_limit ~zero_for_one:!flip)
+  in
+  (* The first swaps each way fill the tick memo along the search paths
+     of the prices they reach. *)
+  for _ = 1 to 4 do
+    swap ()
+  done;
+  let words = words_of_call swap in
+  (match !last with
+  | Ok r -> Alcotest.(check int) "no tick crossed" 0 r.Pool.ticks_crossed
+  | Error e -> Alcotest.fail e);
+  if words > 100. then Alcotest.failf "one-step swap allocated %.0f words (budget 100)" words
+
+let test_clone_unaffected_by_swaps () =
+  let pool = seeded_pool () in
+  (match
+     Router.mint pool ~position_id:(pid "narrow") ~owner:(addr "lp") ~lower_tick:(-600)
+       ~upper_tick:600 ~amount0_desired:one_e21 ~amount1_desired:one_e21
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let swap zero_for_one amount =
+    ignore
+      (Router.exact_input pool ~zero_for_one ~amount_in:amount ~min_amount_out:U256.zero ())
+  in
+  swap true one_e18;
+  let clone = Pool.clone pool in
+  let images p =
+    ( Durable.State_codec.pool_bytes p,
+      List.map (Pool.position_bytes p) [ pid "genesis"; pid "narrow" ],
+      List.map (Pool.tick_bytes p) [ -887220; -600; 600; 887220 ] )
+  in
+  let before = images clone in
+  (* Cross the narrow range both ways: every scalar, both positions' fee
+     growth and all four ticks' outside values move in the original. *)
+  swap true (U256.mul one_e21 (U256.of_int 50));
+  swap false (U256.mul one_e21 (U256.of_int 100));
+  Alcotest.(check bool) "original moved" false (images pool = before);
+  Alcotest.(check bool) "clone's images unchanged" true (images clone = before)
+
+let test_tick_keeps_fee_growth_outside () =
+  let pool = seeded_pool () in
+  let swap zero_for_one =
+    ignore
+      (Router.exact_input pool ~zero_for_one ~amount_in:one_e18 ~min_amount_out:U256.zero ())
+  in
+  swap true;
+  swap false;
+  (* Ticks at or below the price take the global fee growth as their
+     outside value, by reference. *)
+  (match
+     Router.mint pool ~position_id:(pid "below") ~owner:(addr "lp") ~lower_tick:(-1200)
+       ~upper_tick:1200 ~amount0_desired:one_e21 ~amount1_desired:one_e21
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let before = Pool.tick_bytes pool (-1200) in
+  Alcotest.(check (option bytes)) "outside = global"
+    (Some (U256.to_bytes_be (Pool.fee_growth_global0 pool)))
+    (Option.map (fun b -> Bytes.sub b 65 32) before);
+  swap true;
+  swap false;
+  Alcotest.(check bool) "fees accrued" true
+    (not (U256.is_zero (Pool.fee_growth_global0 pool)));
+  Alcotest.(check (option bytes)) "fee_growth_outside bytes kept" before
+    (Pool.tick_bytes pool (-1200))
+
 let () =
   Alcotest.run "uniswap"
     [ ( "tick table",
@@ -599,5 +897,11 @@ let () =
           Alcotest.test_case "fees proportional" `Quick test_fees_proportional_to_liquidity;
           Alcotest.test_case "out of range no fees" `Quick test_out_of_range_position_earns_nothing ] );
       ("invariants", invariant_props);
+      ( "in place pool",
+        [ oracle_prop;
+          Alcotest.test_case "one-step swap allocation" `Quick test_swap_allocation;
+          Alcotest.test_case "clone unaffected by swaps" `Quick test_clone_unaffected_by_swaps;
+          Alcotest.test_case "tick keeps fee growth outside" `Quick
+            test_tick_keeps_fee_growth_outside ] );
       ( "LP fee credit",
         [ Alcotest.test_case "sole LP earns the whole fee" `Quick test_sole_lp_earns_whole_fee ] ) ]
