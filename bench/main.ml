@@ -1,32 +1,34 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (one sub-command per table; no argument runs everything) and
-   runs Bechamel micro-benchmarks of the hot primitives.
+   evaluation and the recovery drills (one target per experiment; no
+   argument runs every default target) and runs Bechamel micro-benchmarks
+   of the hot primitives.
 
-   Simulator experiments run concurrently on OCaml 5 domains: the job
-   count comes from -j N / --jobs N, else the machine's recommended domain
-   count. Each experiment computes against a private telemetry sink and
-   returns a printer; printing happens sequentially in command-line order
-   afterwards, so stdout is byte-identical at any job count (timing lines
-   go to stderr). The micro benchmark, the scale sweep and the twin
-   overhead cell measure time or memory process-wide, so each runs
-   serially, with the domain pool shut down, at its position in the
-   target list.
+   Every experiment is an Experiments.experiment value; adding one means
+   adding a value to Experiments.experiments (or Experiments.opt_in for a
+   target that runs only when named). The one experiment built here is
+   micro, because the library does not depend on Bechamel. All of them
+   take one path: run against a private telemetry sink, then print, write
+   and judge. Runs fan out on OCaml 5 domains: the job count comes from
+   -j N / --jobs N, else the machine's recommended domain count. Printing
+   happens sequentially in command-line order afterwards, so stdout is
+   byte-identical at any job count (timing lines go to stderr). A serial
+   experiment (micro, the scale sweep, the twin overhead cell) measures
+   time or memory process-wide, so it runs alone, with the domain pool
+   shut down, at its position in the target list.
 
-   Tables 1-5 and the drills chaos, exit-drill and twin-audit are
-   Experiments.table values, which one path below runs, prints and
-   judges; the crash drill keeps its own rows and printer, and is judged
-   the same way. After the results file is written, each verdict that
-   failed is named on stderr as "verdict failed: <experiment>: <verdict>"
-   and the process exits 1. An unknown experiment name, or an --out that
-   names no directory, exits 2 before anything runs.
+   After the results file is written, each verdict that failed is named
+   on stderr as "verdict failed: <experiment>: <verdict>" and the process
+   exits 1. An unknown experiment name, or an --out that names no
+   directory, exits 2 before anything runs.
 
    Files: none, unless --out DIR is given. Then DIR receives
    BENCH_results.json (wall, CPU, RSS and GC per experiment, and the micro
    ns/run), <experiment>.metrics.json (one telemetry snapshot per
-   experiment), observe.json and report.md (the observe run's growth
-   series, which CI's growth gate compares with OBSERVE_baseline.json, and
-   its run report), sweep.json, twin.json, and crash-drill/ (the crash
-   drill's durable directories, kept for inspection).
+   experiment), and the files each experiment writes: observe.json and
+   report.md (the observe run's growth series, which CI's growth gate
+   compares with OBSERVE_baseline.json, and its run report), sweep.json,
+   twin.json, and crash-drill/ (the crash drill's durable directories,
+   kept for inspection).
 
    Environment: AMMBOOST_BENCH_SCALE=<n> divides the daily traffic volumes
    by n for quicker runs (1 = the paper's full volumes; observe, the
@@ -219,121 +221,19 @@ let print_micro rows =
       | None -> Printf.printf "  %-32s (no estimate)\n" name)
     rows
 
-(* ------------------------------------------------------------------ *)
-(* Output files                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The --out directory, set before anything runs. Without one the bench
-   writes no file. *)
-let out_dir = ref None
-
-let write_out name text =
-  Option.iter
-    (fun dir ->
-      let path = Filename.concat dir name in
-      Out_channel.with_open_text path (fun oc -> output_string oc text);
-      Printf.eprintf "  [%s written]\n%!" path)
-    !out_dir
-
-(* ------------------------------------------------------------------ *)
-(* Experiment dispatch                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Each experiment is compute/print split: [compute sink] performs the
-   runs (this part fans out over domains) and returns a printer closure
-   over the finished rows. *)
-
-(* (experiment, verdict) for every failed drill verdict. Only printers
-   append, and printers run one at a time. *)
-let failures = ref []
-
-let judge name verdicts runs =
-  failures := !failures @ List.map (fun v -> (name, v)) (E.failed verdicts runs)
-
-let compute_table name (t : E.table) sink =
-  let rows, runs = E.run_table ~sink t in
-  fun () ->
-    E.print_perf_table t rows;
-    judge name t.E.verdicts runs
-
-let compute_table6 sink =
-  let t = E.table6_gas_itemized ~sink ~scale () in
-  fun () -> E.print_table6 t
-
-let compute_table7 _sink =
-  let t = E.table7_storage () in
-  fun () -> E.print_table7 t
-
-let compute_table8 _sink =
-  let rows = E.table8_stats ~scale in
-  fun () -> E.print_table8 rows
-
-let compute_fig6 sink =
-  let f = E.fig6_overall ~sink ~scale () in
-  fun () -> E.print_fig6 f
-
-let compute_ablations sink =
-  let ablations = E.ablations ~sink ~scale () in
-  fun () -> E.print_ablations ablations
-
-let compute_crash_drill sink =
-  let d = E.crash_drill ~scale in
-  let root = Option.map (fun dir -> Filename.concat dir "crash-drill") !out_dir in
-  let rows = E.run_crash_drill ~sink ?root d in
-  fun () ->
-    E.print_crash_drill rows;
-    judge "crash-drill" d.E.cd_verdicts rows
-
-let compute_observe sink =
-  let o = E.observe ~sink () in
-  fun () ->
-    E.print_observe o;
-    write_out "observe.json" o.E.obs_series_json;
-    write_out "report.md" o.E.obs_report
-
-let compute_twin_overhead sink =
-  let o = E.twin_overhead ~sink ~users:twin_users () in
-  fun () ->
-    E.print_twin_overhead o;
-    write_out "twin.json" (E.twin_overhead_json o ^ "\n")
-
-let compute_scale_sweep sink =
-  let rows = E.scale_sweep ~sink ~users:sweep_users () in
-  fun () ->
-    E.print_scale_sweep rows;
-    write_out "sweep.json" (E.sweep_json rows ^ "\n")
-
 (* Every micro run's rows, for the results file. *)
 let micro_rows = ref []
 
-let compute_micro _sink =
-  let rows = run_micro () in
-  micro_rows := !micro_rows @ rows;
-  fun () -> print_micro rows
+let micro =
+  { E.name = "micro"; serial = true;
+    run =
+      (fun ~sink:_ ~out:_ ->
+        let rows = run_micro () in
+        micro_rows := !micro_rows @ rows;
+        { E.print = (fun () -> print_micro rows); files = []; failed = [] }) }
 
-type experiment =
-  | Sim of (Telemetry.Report.sink -> unit -> unit)
-  | Serial of (Telemetry.Report.sink -> unit -> unit)
-      (** measures wall time or peak RSS, which a concurrent experiment
-          would skew *)
-
-let table name make = (name, Sim (compute_table name (make ~scale)))
-
-(* The default target list. "scale-sweep" is opt-in only (see
-   [extra_experiments]): its 10k-user cell is far heavier than any
-   table and its measurements want an otherwise quiet process. *)
-let all_experiments =
-  [ table "table1" E.table1; table "table2" E.table2; table "table3" E.table3;
-    table "table4" E.table4; table "table5" E.table5;
-    ("table6", Sim compute_table6); ("table7", Sim compute_table7);
-    ("table8", Sim compute_table8); ("fig6", Sim compute_fig6);
-    ("ablations", Sim compute_ablations);
-    table "chaos" E.chaos; table "exit-drill" E.exit_drill;
-    ("crash-drill", Sim compute_crash_drill); table "twin-audit" E.twin_audit;
-    ("twin-overhead", Serial compute_twin_overhead);
-    ("observe", Sim compute_observe); ("micro", Serial compute_micro) ]
-
-let extra_experiments = [ ("scale-sweep", Serial compute_scale_sweep) ]
+let default_targets = E.experiments ~scale ~twin_users @ [ micro ]
+let known = default_targets @ E.opt_in ~sweep_users
 
 (* ------------------------------------------------------------------ *)
 (* Orchestration                                                       *)
@@ -341,7 +241,7 @@ let extra_experiments = [ ("scale-sweep", Serial compute_scale_sweep) ]
 
 type outcome = {
   o_name : string;
-  o_print : unit -> unit;
+  o_report : E.report;
   o_sink : Telemetry.Report.sink;
   o_wall : float;
   o_cpu : float;
@@ -358,21 +258,31 @@ type outcome = {
    the driving domain only (workers allocate in their own heaps), which
    still tracks the serial experiments exactly and trends for the rest.
    Peak RSS is process-wide and monotone. *)
-let run_measured (name, compute) =
+let run_measured ~out (e : E.experiment) =
   let sink = Telemetry.Report.sink () in
   let sw = Telemetry.Clock.stopwatch () in
   let g0 = Gc.quick_stat () in
-  let print = compute sink in
+  let report = e.E.run ~sink ~out in
   let g1 = Gc.quick_stat () in
-  { o_name = name; o_print = print; o_sink = sink;
+  { o_name = e.E.name; o_report = report; o_sink = sink;
     o_wall = Telemetry.Clock.elapsed_wall sw;
     o_cpu = Telemetry.Clock.elapsed_cpu sw;
     o_rss_kb = E.peak_rss_kb ();
     o_major_words = g1.Gc.major_words -. g0.Gc.major_words;
     o_promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words }
 
-let finish outcome =
-  outcome.o_print ();
+(* Without an --out directory the bench writes no file. *)
+let write_out ~out name text =
+  Option.iter
+    (fun dir ->
+      let path = Filename.concat dir name in
+      Out_channel.with_open_text path (fun oc -> output_string oc text);
+      Printf.eprintf "  [%s written]\n%!" path)
+    out
+
+let finish ~out outcome =
+  outcome.o_report.E.print ();
+  List.iter (fun (name, text) -> write_out ~out name text) outcome.o_report.E.files;
   flush stdout;
   (* Timing depends on load and job count: stderr, so stdout stays
      byte-identical across -j values. *)
@@ -384,31 +294,29 @@ let finish outcome =
     (fun dir ->
       Telemetry.Report.write_metrics outcome.o_sink
         ~path:(Filename.concat dir (outcome.o_name ^ ".metrics.json")))
-    !out_dir
+    out
 
-(* Simulator experiments between two serial ones execute as one parallel
-   batch; printing stays in command-line order. *)
-let run_targets targets =
+(* Experiments between two serial ones execute as one parallel batch;
+   printing stays in command-line order. *)
+let run_targets ~out targets =
   let rec go acc = function
     | [] -> List.rev acc
-    | (name, Serial f) :: rest ->
+    | (e : E.experiment) :: rest when e.E.serial ->
       (* Even idle pool domains degrade minor-GC pauses; join them so the
          measurement describes this experiment alone. The pool restarts
-         lazily if more simulator experiments follow. *)
+         lazily if more experiments follow. *)
       Parallel.shutdown ();
-      let o = run_measured (name, f) in
-      finish o;
+      let o = run_measured ~out e in
+      finish ~out o;
       go (o :: acc) rest
-    | (_, Sim _) :: _ as l ->
-      let sims, rest =
-        let rec split acc = function
-          | (name, Sim f) :: tl -> split ((name, f) :: acc) tl
-          | tl -> (List.rev acc, tl)
-        in
-        split [] l
+    | l ->
+      let rec batch acc = function
+        | (e : E.experiment) :: tl when not e.E.serial -> batch (e :: acc) tl
+        | tl -> (List.rev acc, tl)
       in
-      let outcomes = Parallel.map_list run_measured sims in
-      List.iter finish outcomes;
+      let concurrent, rest = batch [] l in
+      let outcomes = Parallel.map_list (run_measured ~out) concurrent in
+      List.iter (finish ~out) outcomes;
       go (List.rev_append outcomes acc) rest
   in
   go [] targets
@@ -417,7 +325,7 @@ let run_targets targets =
 (* Machine-readable results                                            *)
 (* ------------------------------------------------------------------ *)
 
-let write_results ~jobs outcomes =
+let write_results ~out ~jobs outcomes =
   let ns_obj rows =
     Json.obj
       (List.filter_map
@@ -443,7 +351,7 @@ let write_results ~jobs outcomes =
         ("experiments", experiments);
         ("micro_ns", ns_obj !micro_rows) ]
   in
-  write_out "BENCH_results.json" (doc ^ "\n")
+  write_out ~out "BENCH_results.json" (doc ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -452,7 +360,7 @@ let write_results ~jobs outcomes =
 let usage () =
   Printf.eprintf
     "usage: main.exe [-j N | --jobs N] [--out DIR] [experiment ...]\navailable experiments: %s\n"
-    (String.concat ", " (List.map fst (all_experiments @ extra_experiments)));
+    (String.concat ", " (List.map (fun e -> e.E.name) known));
   exit 2
 
 let parse_jobs s =
@@ -488,18 +396,18 @@ let () =
   let jobs_flag, out, names = parse_argv Sys.argv in
   (match jobs_flag with Some n -> Parallel.set_default_domains n | None -> ());
   let jobs = Parallel.default_domains () in
-  let names = if names = [] then List.map fst all_experiments else names in
-  let known = all_experiments @ extra_experiments in
   let targets =
-    List.map
-      (fun name ->
-        match List.assoc_opt name known with
-        | Some kind -> (name, kind)
-        | None ->
-          Printf.eprintf "unknown experiment %S; available: %s\n" name
-            (String.concat ", " (List.map fst known));
-          exit 2)
-      names
+    if names = [] then default_targets
+    else
+      List.map
+        (fun name ->
+          match List.find_opt (fun e -> e.E.name = name) known with
+          | Some e -> e
+          | None ->
+            Printf.eprintf "unknown experiment %S; available: %s\n" name
+              (String.concat ", " (List.map (fun e -> e.E.name) known));
+            exit 2)
+        names
   in
   Option.iter
     (fun dir ->
@@ -509,11 +417,13 @@ let () =
         exit 2
       end)
     out;
-  out_dir := out;
   Printf.printf "ammBoost benchmark harness (volumes = paper volumes / %.0f)\n" scale;
   Printf.eprintf "  [running %d experiment(s) with %d job(s)]\n%!"
     (List.length targets) jobs;
-  let outcomes = run_targets targets in
-  write_results ~jobs outcomes;
-  List.iter (fun (name, v) -> Printf.eprintf "verdict failed: %s: %s\n" name v) !failures;
-  if !failures <> [] then exit 1
+  let outcomes = run_targets ~out targets in
+  write_results ~out ~jobs outcomes;
+  let failures =
+    List.concat_map (fun o -> List.map (fun v -> (o.o_name, v)) o.o_report.E.failed) outcomes
+  in
+  List.iter (fun (name, v) -> Printf.eprintf "verdict failed: %s: %s\n" name v) failures;
+  if failures <> [] then exit 1

@@ -4,7 +4,10 @@
      dune exec bin/ammboost_sim.exe -- baseline --volume 500000
      dune exec bin/ammboost_sim.exe -- compare --volume 500000
      dune exec bin/ammboost_sim.exe -- run --interrupt silent:1 --interrupt rollback:2
-     dune exec bin/ammboost_sim.exe -- gate growth OBSERVE_baseline.json fresh.json *)
+     dune exec bin/ammboost_sim.exe -- gate growth OBSERVE_baseline.json fresh.json
+     dune exec bin/ammboost_sim.exe -- gate micro BENCH_results.json fresh/BENCH_results.json
+     dune exec bin/ammboost_sim.exe -- gate sweep SWEEP_baseline.json fresh/sweep.json
+     dune exec bin/ammboost_sim.exe -- gate twin SWEEP_baseline.json fresh/twin.json *)
 
 open Cmdliner
 open Ammboost
@@ -300,42 +303,72 @@ let compare_cmd =
   Cmd.v (Cmd.info "compare" ~doc)
     Term.(const compare $ config_term $ telemetry_term $ report_out)
 
-(* CI gates over a run's checked-in artifacts. *)
+(* CI's gates over a run's artifacts, each against a checked-in baseline
+   given first. One path for all four: read both files, check, print the
+   ungated notes, each violation and a count, and exit 1 on a violation,
+   an unreadable file, a parse error or nothing compared. *)
 let gate_cmd =
   let file n docv = Arg.(required & pos n (some string) None & info [] ~docv) in
-  let growth baseline fresh =
+  let gate name ~compared check baseline fresh =
     let read path =
       try Ok (In_channel.with_open_bin path In_channel.input_all)
       with Sys_error e -> Error e
     in
     let verdict =
       Result.bind (read baseline) (fun baseline ->
-          Result.bind (read fresh) (fun fresh ->
-              Observe.Growth_guard.compare_json ~baseline ~fresh ()))
+          Result.bind (read fresh) (fun fresh -> check ~baseline ~fresh))
     in
     match verdict with
     | Error e ->
-      Printf.eprintf "ammboost-sim: gate growth: %s\n" e;
+      Printf.eprintf "ammboost-sim: gate %s: %s\n" name e;
       exit 1
     | Ok v ->
-      List.iter (Printf.printf "violation: %s\n") v.Observe.Growth_guard.violations;
-      Printf.printf "%d (epoch, key) pairs checked, %d violations\n" v.checked
+      List.iter print_endline v.Observe.Growth_guard.notes;
+      List.iter (Printf.printf "violation: %s\n") v.violations;
+      Printf.printf "%d %s checked, %d violations\n" v.checked compared
         (List.length v.violations);
       if v.checked = 0 || v.violations <> [] then exit 1
   in
-  let growth_cmd =
-    let doc =
-      "Compare a fresh growth-ledger series (ammboost-observe/1 JSON) against a \
-       baseline: any per-epoch byte, gas or storage-word value more than 1% above its \
-       baseline (64 units for values at or below 64), or any epoch or key missing \
-       from the fresh run, is a violation. Exits 1 on a violation, an unreadable \
-       file or when no pairs were compared."
-    in
-    Cmd.v (Cmd.info "growth" ~doc)
-      Term.(const growth $ file 0 "BASELINE" $ file 1 "FRESH")
+  let sub name ~doc ~compared (baseline, fresh) check =
+    let run = gate name ~compared check in
+    Cmd.v (Cmd.info name ~doc) Term.(const run $ file 0 baseline $ file 1 fresh)
   in
-  Cmd.group (Cmd.info "gate" ~doc:"Check a run's artifacts against a baseline.")
-    [ growth_cmd ]
+  let exits =
+    " Exits 1 on a violation, an unreadable file, a parse error or when nothing was \
+     compared."
+  in
+  Cmd.group (Cmd.info "gate" ~doc:"Check a run's artifacts against a checked-in baseline.")
+    [ sub "growth" ~compared:"(epoch, key) pairs" ("BASELINE", "FRESH")
+        (fun ~baseline ~fresh -> Observe.Growth_guard.compare_json ~baseline ~fresh ())
+        ~doc:
+          ("Compare a fresh growth-ledger series (ammboost-observe/1 JSON) against a \
+            baseline: any per-epoch byte, gas or storage-word value more than 1% above its \
+            baseline (64 units for values at or below 64), or any epoch or key missing \
+            from the fresh run, is a violation." ^ exits);
+      sub "micro" ~compared:"rows" ("BASELINE", "FRESH")
+        Observe.Bench_gate.(of_json micro)
+        ~doc:
+          ("Compare the micro_ns of a fresh bench results file (ammboost-bench/1 JSON) \
+            against a committed one: an empty fresh micro_ns, a fresh row without a \
+            committed value, or a committed row missing from the fresh run or above 3x \
+            its committed ns/run is a violation." ^ exits);
+      sub "sweep" ~compared:"cells" ("BASELINE", "FRESH")
+        Observe.Bench_gate.(of_json sweep)
+        ~doc:
+          ("Compare a fresh scale sweep (ammboost-sweep/2 JSON) against a baseline: a \
+            schema or epoch-count mismatch, a baseline cell missing from the fresh run, \
+            any deterministic column (generated, processed, epochs_applied, \
+            storage_words, summary_users, summary_users_max) not equal, summary_users \
+            reaching epochs_applied x users, wall_s above 3x, rss_peak_kb above 1.5x, or \
+            at 100000 users gc_pause_max_ms above 3x is a violation." ^ exits);
+      sub "twin" ~compared:"cells" ("SWEEP_BASELINE", "TWIN")
+        Observe.Bench_gate.(of_json twin)
+        ~doc:
+          ("Check a twin-overhead cell (ammboost-twin/1 JSON) against a scale-sweep \
+            baseline: a wrong schema, any divergence, an inconsistent audit, an \
+            epoch-count mismatch, no baseline cell with the same users, or wall_on_s \
+            above 1.10x that cell's wall_s is a violation. The self-relative on/off \
+            ratio is printed, not gated." ^ exits) ]
 
 let () =
   let doc = "ammBoost: state growth control for AMMs (simulation)" in

@@ -92,7 +92,7 @@ let run_watchdog_scene name scenario ~expect_final ~expect_exits =
       max_faulty = 4;
       faults = { Faults.Fault_plan.none with Faults.Fault_plan.scenario };
       watchdog =
-        { Config.default_watchdog with Config.wd_stall_degraded = 2; wd_stall_halted = 4 };
+        { Config.wd_stall_degraded = 2; wd_stall_halted = 4 };
       seed = "drill-" ^ name }
   in
   let r = System.run cfg in

@@ -15,24 +15,15 @@ type distribution = {
 let uniswap_distribution =
   { swap_pct = 93.19; mint_pct = 2.14; burn_pct = 2.38; collect_pct = 2.27 }
 
-(* Liveness-watchdog thresholds. "Stall" is the number of produced-but-
-   unapplied summary epochs at an epoch boundary; one epoch of lag is the
-   steady-state pipeline depth, so thresholds start at 2. *)
+(* Liveness-watchdog stall thresholds. "Stall" is the number of produced-
+   but-unapplied summary epochs at an epoch boundary; one epoch of lag is
+   the steady-state pipeline depth, so thresholds start at 2. *)
 type watchdog = {
   wd_stall_degraded : int;     (* stalled epochs before Normal → Degraded *)
   wd_stall_halted : int;       (* stalled epochs before → Halted *)
-  wd_retry_degraded : int;     (* consecutive sync retries before Degraded *)
-  wd_retry_halted : int;       (* consecutive sync retries before Halted *)
-  wd_signing_streak : int;     (* consecutive degraded-quorum signings
-                                  before Degraded *)
 }
 
-let default_watchdog =
-  { wd_stall_degraded = 3;
-    wd_stall_halted = 6;
-    wd_retry_degraded = 4;
-    wd_retry_halted = 8;
-    wd_signing_streak = 4 }
+let default_watchdog = { wd_stall_degraded = 3; wd_stall_halted = 6 }
 
 type t = {
   seed : string;
@@ -92,8 +83,12 @@ let default =
     mc_confirmations = 1;
     watchdog = default_watchdog }
 
-(* Fixed by the paper's setup; no experiment varies them. *)
+(* Fixed by the paper's setup (the watchdog thresholds by the simulator);
+   no experiment varies them. *)
 let mc_block_interval = 12.0
+let wd_retry_degraded = 4
+let wd_retry_halted = 8
+let wd_signing_streak = 4
 let consensus =
   { Consensus.Latency_model.mean_delay = 0.011; bandwidth_bytes = 125_000_000.0 }
 let lp_fraction = 0.2

@@ -10,17 +10,14 @@ type distribution = {
   collect_pct : float;
 }
 
-(** Liveness-watchdog thresholds ({!System}'s operating-mode machine).
-    "Stall" counts produced-but-unapplied summary epochs at an epoch
-    boundary; the steady-state pipeline depth is one epoch of lag, so
-    meaningful thresholds start at 2. *)
+(** Liveness-watchdog stall thresholds ({!System}'s operating-mode
+    machine). "Stall" counts produced-but-unapplied summary epochs at an
+    epoch boundary; the steady-state pipeline depth is one epoch of lag,
+    so meaningful thresholds start at 2. The retry and signing thresholds
+    are fixed parameters below. *)
 type watchdog = {
   wd_stall_degraded : int;   (** stalled epochs before Normal → Degraded *)
   wd_stall_halted : int;     (** stalled epochs before → Halted *)
-  wd_retry_degraded : int;   (** consecutive Sync retries before Degraded *)
-  wd_retry_halted : int;     (** consecutive Sync retries before Halted *)
-  wd_signing_streak : int;   (** consecutive degraded-quorum signings before
-                                 Degraded *)
 }
 
 val default_watchdog : watchdog
@@ -70,10 +67,20 @@ val default : t
 
 (** {1 Fixed parameters}
 
-    The paper's setup (§6) fixes these, and no experiment varies them. *)
+    The paper's setup (§6) fixes these, and no experiment varies them;
+    the three watchdog thresholds are the simulator's own. *)
 
 val mc_block_interval : float
 (** Mainchain block interval: 12 s. *)
+
+val wd_retry_degraded : int
+(** Consecutive Sync retries before the watchdog degrades: 4. *)
+
+val wd_retry_halted : int
+(** Consecutive Sync retries before the watchdog halts: 8. *)
+
+val wd_signing_streak : int
+(** Consecutive degraded-quorum signings before the watchdog degrades: 4. *)
 
 val consensus : Consensus.Latency_model.params
 (** The committee network behind the latency model: 11 ms mean one-way

@@ -1,10 +1,11 @@
 (* One harness per table and figure of the paper's evaluation (§6), plus
    the ablations called out in DESIGN.md and the §4.2 recovery drills.
-   Each experiment returns structured rows and can print itself in the
-   paper's shape; absolute numbers are compared against the paper in
-   EXPERIMENTS.md. What a run varies (the volume divisor, user counts, a
-   drill directory) arrives as an argument: nothing here reads the
-   environment. *)
+   Each is an [experiment] value: running it yields a printer for its
+   stdout section in the paper's shape, the files it writes, and the
+   names of its failed verdicts. Absolute numbers are compared against
+   the paper in EXPERIMENTS.md. What a run varies (the volume divisor,
+   user counts, a drill directory) arrives as an argument: nothing here
+   reads the environment. *)
 
 module U256 = Amm_math.U256
 
@@ -88,9 +89,9 @@ let run_table ?sink ?domains t =
     runs )
 
 (* A System.run/Baseline.run pair for the comparison experiments. *)
-let run_vs_baseline ?sink ?domains cfg =
+let run_vs_baseline ?sink cfg =
   let r, b =
-    Parallel.run_pair ?domains
+    Parallel.run_pair
       (fun () -> System.run ~trace:(tracing sink) cfg)
       (fun () -> Baseline.run cfg)
   in
@@ -121,6 +122,37 @@ let print_perf_table t rows =
           rows;
         print_newline ())
       first.extra)
+
+(* ------------------------------------------------------------------ *)
+(* Experiments: what the bench runs, prints, writes and judges         *)
+(* ------------------------------------------------------------------ *)
+
+(* A finished experiment: its stdout section, the files it writes under
+   the bench's --out (name, contents), and its failed verdicts. *)
+type report = {
+  print : unit -> unit;
+  files : (string * string) list;
+  failed : string list;
+}
+
+(* [serial] experiments measure time or RSS process-wide, so the bench
+   runs them alone. [out] is the bench's --out directory, if any. *)
+type experiment = {
+  name : string;
+  serial : bool;
+  run : sink:Telemetry.Report.sink -> out:string option -> report;
+}
+
+let printed print = { print; files = []; failed = [] }
+
+(* An experiment that runs alongside others and reads no directory. *)
+let concurrent name run = { name; serial = false; run = (fun ~sink ~out:_ -> run sink) }
+
+let of_table name t =
+  concurrent name (fun sink ->
+      let rows, runs = run_table ~sink t in
+      { print = (fun () -> print_perf_table t rows); files = [];
+        failed = failed t.verdicts runs })
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: scalability across daily volumes                           *)
@@ -242,24 +274,11 @@ let table5 ~scale =
 (* Table 6: itemized gas and latency                                   *)
 (* ------------------------------------------------------------------ *)
 
-type table6 = {
-  deposit_gas : float;
-  deposit_latency : float;
-  sync_payout_each : int;
-  sync_storage_per_word : int;
-  sync_keccak_base : int;
-  sync_keccak_per_word : int;
-  sync_ec_mul : int;
-  sync_pairing : int;
-  sync_latency : float;
-  sync_gas_breakdown : (string * int) list;
-  uniswap_gas : (string * int) list;      (* per-op averages *)
-  uniswap_latency : (string * float) list;
-}
-
-let table6_gas_itemized ?sink ?domains ~scale () =
+(* The ammBoost run and the Uniswap baseline run execute concurrently
+   (they are independent simulations over the same config). *)
+let table6 ~scale sink =
   let cfg = { base with daily_volume = scaled ~scale 500_000; seed = base.seed ^ "-t6" } in
-  let r, b = run_vs_baseline ?sink ?domains cfg in
+  let r, b = run_vs_baseline ~sink cfg in
   let breakdown =
     match r.System.last_sync_receipt with
     | Some receipt -> Mainchain.Gas.breakdown receipt.Tokenbank.Token_bank.gas
@@ -281,135 +300,77 @@ let table6_gas_itemized ?sink ?domains ~scale () =
         (label, total / n))
       gas_by_op
   in
-  { deposit_gas = r.System.deposit_gas_mean;
-    deposit_latency = r.System.deposit_latency_mean;
-    sync_payout_each = Mainchain.Gas.payout_transfer;
-    sync_storage_per_word = Mainchain.Gas.sstore_word;
-    sync_keccak_base = Mainchain.Gas.keccak_base;
-    sync_keccak_per_word = Mainchain.Gas.keccak_per_word;
-    sync_ec_mul = Mainchain.Gas.ec_mul;
-    sync_pairing = Mainchain.Gas.pairing_check;
-    sync_latency = r.System.sync_latency_mean;
-    sync_gas_breakdown = breakdown;
-    uniswap_gas = per_op b.Baseline.gas_by_op;
-    uniswap_latency = b.Baseline.latency_by_op }
-
-let print_table6 t =
-  Printf.printf "\n=== Table 6: itemized gas cost and latency ===\n";
-  Printf.printf "ammBoost deposit: %.0f gas, latency %.2f s\n" t.deposit_gas
-    t.deposit_latency;
-  Printf.printf
-    "ammBoost Sync components: payout %d gas each | storage %d/word | keccak %d+%d/word | ecMul %d | pairing %d\n"
-    t.sync_payout_each t.sync_storage_per_word t.sync_keccak_base t.sync_keccak_per_word
-    t.sync_ec_mul t.sync_pairing;
-  Printf.printf "ammBoost Sync latency: %.2f s; last receipt breakdown:\n" t.sync_latency;
-  List.iter (fun (k, v) -> Printf.printf "    %-22s %10d gas\n" k v) t.sync_gas_breakdown;
-  Printf.printf "Baseline Uniswap per-operation averages:\n";
-  List.iter
-    (fun (op, gas) ->
-      let lat = Option.value ~default:0.0 (List.assoc_opt op t.uniswap_latency) in
-      Printf.printf "    %-8s %10d gas   latency %6.2f s\n" op gas lat)
-    (List.sort compare t.uniswap_gas)
+  let uniswap_gas = per_op b.Baseline.gas_by_op in
+  fun () ->
+    Printf.printf "\n=== Table 6: itemized gas cost and latency ===\n";
+    Printf.printf "ammBoost deposit: %.0f gas, latency %.2f s\n" r.System.deposit_gas_mean
+      r.System.deposit_latency_mean;
+    Printf.printf
+      "ammBoost Sync components: payout %d gas each | storage %d/word | keccak %d+%d/word | ecMul %d | pairing %d\n"
+      Mainchain.Gas.payout_transfer Mainchain.Gas.sstore_word Mainchain.Gas.keccak_base
+      Mainchain.Gas.keccak_per_word Mainchain.Gas.ec_mul Mainchain.Gas.pairing_check;
+    Printf.printf "ammBoost Sync latency: %.2f s; last receipt breakdown:\n"
+      r.System.sync_latency_mean;
+    List.iter (fun (k, v) -> Printf.printf "    %-22s %10d gas\n" k v) breakdown;
+    Printf.printf "Baseline Uniswap per-operation averages:\n";
+    List.iter
+      (fun (op, gas) ->
+        let lat = Option.value ~default:0.0 (List.assoc_opt op b.Baseline.latency_by_op) in
+        Printf.printf "    %-8s %10d gas   latency %6.2f s\n" op gas lat)
+      (List.sort compare uniswap_gas)
 
 (* ------------------------------------------------------------------ *)
 (* Table 7: per-operation storage overhead                             *)
 (* ------------------------------------------------------------------ *)
 
-type table7 = {
-  sync_swap_entry_mainchain : int;
-  sync_position_entry_mainchain : int;
-  vk_size : int;
-  signature_size : int;
-  swap_entry_sidechain : int;
-  position_entry_sidechain : int;
-  uniswap_sepolia : (string * int) list;
-  uniswap_ethereum : (string * int) list;
-}
-
-let table7_storage () =
-  { sync_swap_entry_mainchain = Tokenbank.Sync_payload.abi_user_entry_size;
-    sync_position_entry_mainchain = Tokenbank.Sync_payload.abi_position_entry_size;
-    vk_size = Amm_crypto.Bls.public_key_size;
-    signature_size = Amm_crypto.Bls.signature_size;
-    swap_entry_sidechain = Sidechain.Codec.user_entry_size;
-    position_entry_sidechain = Sidechain.Codec.position_entry_size;
-    uniswap_sepolia =
-      List.map
-        (fun (name, op) -> (name, Chain.Encoding.sepolia_op_size op))
-        [ ("Swap", Chain.Encoding.Op_swap); ("Mint", Chain.Encoding.Op_mint);
-          ("Burn", Chain.Encoding.Op_burn); ("Collect", Chain.Encoding.Op_collect) ];
-    uniswap_ethereum =
-      List.map
-        (fun (name, op) -> (name, Chain.Encoding.ethereum_op_size op))
-        [ ("Swap", Chain.Encoding.Op_swap); ("Mint", Chain.Encoding.Op_mint);
-          ("Burn", Chain.Encoding.Op_burn); ("Collect", Chain.Encoding.Op_collect) ] }
-
-let print_table7 t =
+let print_table7 () =
+  let uniswap size =
+    String.concat " | "
+      (List.map
+         (fun (name, op) -> Printf.sprintf "%s %d" name (size op))
+         [ ("Swap", Chain.Encoding.Op_swap); ("Mint", Chain.Encoding.Op_mint);
+           ("Burn", Chain.Encoding.Op_burn); ("Collect", Chain.Encoding.Op_collect) ])
+  in
   Printf.printf "\n=== Table 7: operation storage overhead (bytes) ===\n";
   Printf.printf "ammBoost Sync on mainchain : swap entry %d | position entry %d | vk %d | signature %d\n"
-    t.sync_swap_entry_mainchain t.sync_position_entry_mainchain t.vk_size t.signature_size;
+    Tokenbank.Sync_payload.abi_user_entry_size Tokenbank.Sync_payload.abi_position_entry_size
+    Amm_crypto.Bls.public_key_size Amm_crypto.Bls.signature_size;
   Printf.printf "ammBoost on sidechain      : swap entry %d | position entry %d\n"
-    t.swap_entry_sidechain t.position_entry_sidechain;
-  Printf.printf "Uniswap on Sepolia         : %s\n"
-    (String.concat " | "
-       (List.map (fun (n, v) -> Printf.sprintf "%s %d" n v) t.uniswap_sepolia));
-  Printf.printf "Uniswap on Ethereum        : %s\n"
-    (String.concat " | "
-       (List.map (fun (n, v) -> Printf.sprintf "%s %d" n v) t.uniswap_ethereum))
+    Sidechain.Codec.user_entry_size Sidechain.Codec.position_entry_size;
+  Printf.printf "Uniswap on Sepolia         : %s\n" (uniswap Chain.Encoding.sepolia_op_size);
+  Printf.printf "Uniswap on Ethereum        : %s\n" (uniswap Chain.Encoding.ethereum_op_size)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: overall gas and chain-growth comparison                   *)
 (* ------------------------------------------------------------------ *)
 
-type fig6 = {
-  ammboost_gas : int;
-  baseline_gas : int;
-  gas_reduction_pct : float;
-  ammboost_growth : int;
-  baseline_growth_sepolia : int;
-  baseline_growth_ethereum : int;
-  growth_reduction_vs_sepolia_pct : float;
-  growth_reduction_vs_ethereum_pct : float;
-  ammboost_result : System.result;
-  baseline_result : Baseline.result;
-}
-
-let fig6_overall ?sink ?domains ~scale () =
+let fig6 ~scale sink =
   let cfg = { base with daily_volume = scaled ~scale 500_000; seed = base.seed ^ "-fig6" } in
-  let r, b = run_vs_baseline ?sink ?domains cfg in
+  let r, b = run_vs_baseline ~sink cfg in
   let reduction ours theirs =
     100.0 *. (1.0 -. (float_of_int ours /. float_of_int (Stdlib.max 1 theirs)))
   in
-  { ammboost_gas = r.System.mc_gas_total;
-    baseline_gas = b.Baseline.gas_total;
-    gas_reduction_pct = reduction r.System.mc_gas_total b.Baseline.gas_total;
-    ammboost_growth = r.System.mc_tx_bytes;
-    baseline_growth_sepolia = b.Baseline.mc_tx_bytes;
-    baseline_growth_ethereum = b.Baseline.mc_tx_bytes_ethereum;
-    growth_reduction_vs_sepolia_pct = reduction r.System.mc_tx_bytes b.Baseline.mc_tx_bytes;
-    growth_reduction_vs_ethereum_pct =
-      reduction r.System.mc_tx_bytes b.Baseline.mc_tx_bytes_ethereum;
-    ammboost_result = r;
-    baseline_result = b }
-
-let print_fig6 f =
-  Printf.printf "\n=== Figure 6: overall comparison (V_D = 10x Uniswap) ===\n";
-  Printf.printf "Total mainchain gas  : ammBoost %12d | Uniswap %12d  -> %.2f%% reduction (paper: 94.53%%)\n"
-    f.ammboost_gas f.baseline_gas f.gas_reduction_pct;
-  Printf.printf "Mainchain growth (B) : ammBoost %12d | Uniswap %12d  -> %.2f%% reduction vs Sepolia (paper: 80.25%%)\n"
-    f.ammboost_growth f.baseline_growth_sepolia f.growth_reduction_vs_sepolia_pct;
-  Printf.printf "                      vs production Ethereum %12d -> %.2f%% reduction (paper: 92.80%%)\n"
-    f.baseline_growth_ethereum f.growth_reduction_vs_ethereum_pct;
-  Printf.printf "ammBoost gas by label: %s\n"
-    (String.concat ", "
-       (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-          (List.sort compare f.ammboost_result.System.mc_gas_by_label)))
+  fun () ->
+    Printf.printf "\n=== Figure 6: overall comparison (V_D = 10x Uniswap) ===\n";
+    Printf.printf "Total mainchain gas  : ammBoost %12d | Uniswap %12d  -> %.2f%% reduction (paper: 94.53%%)\n"
+      r.System.mc_gas_total b.Baseline.gas_total
+      (reduction r.System.mc_gas_total b.Baseline.gas_total);
+    Printf.printf "Mainchain growth (B) : ammBoost %12d | Uniswap %12d  -> %.2f%% reduction vs Sepolia (paper: 80.25%%)\n"
+      r.System.mc_tx_bytes b.Baseline.mc_tx_bytes
+      (reduction r.System.mc_tx_bytes b.Baseline.mc_tx_bytes);
+    Printf.printf "                      vs production Ethereum %12d -> %.2f%% reduction (paper: 92.80%%)\n"
+      b.Baseline.mc_tx_bytes_ethereum
+      (reduction r.System.mc_tx_bytes b.Baseline.mc_tx_bytes_ethereum);
+    Printf.printf "ammBoost gas by label: %s\n"
+      (String.concat ", "
+         (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+            (List.sort compare r.System.mc_gas_by_label)))
 
 (* ------------------------------------------------------------------ *)
 (* Table 8: traffic distribution statistics                            *)
 (* ------------------------------------------------------------------ *)
 
-let table8_stats ~scale =
+let table8 ~scale =
   let cfg =
     { base with daily_volume = scaled ~scale 500_000; epochs = 4; seed = base.seed ^ "-t8" }
   in
@@ -425,23 +386,21 @@ let table8_stats ~scale =
       (Traffic.generate_round traffic ~round
          ~time:(float_of_int round *. cfg.Config.sc_round_duration))
   done;
-  Traffic.table8_stats traffic
-
-let print_table8 rows =
-  Printf.printf "\n=== Table 8: transaction type breakdown ===\n";
-  Printf.printf "%-10s %12s %18s %14s\n" "Type" "% of traffic" "Volume per 24h" "Avg size (B)";
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %11.2f%% %18.0f %14.2f\n" r.Traffic.ts_name r.Traffic.ts_share_pct
-        r.Traffic.ts_daily_volume r.Traffic.ts_avg_size)
-    rows
+  let rows = Traffic.table8_stats traffic in
+  fun () ->
+    Printf.printf "\n=== Table 8: transaction type breakdown ===\n";
+    Printf.printf "%-10s %12s %18s %14s\n" "Type" "% of traffic" "Volume per 24h" "Avg size (B)";
+    List.iter
+      (fun r ->
+        Printf.printf "%-10s %11.2f%% %18.0f %14.2f\n" r.Traffic.ts_name r.Traffic.ts_share_pct
+          r.Traffic.ts_daily_volume r.Traffic.ts_avg_size)
+      rows
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md §6)                                            *)
 (* ------------------------------------------------------------------ *)
 
-type ablation_row = { ab_label : string; ab_value : float; ab_unit : string }
-type ablation = { ab_title : string; ab_rows : ablation_row list }
+(* Each ablation's rows are (label, value, unit). *)
 
 (* Sync authentication cost: gas with vs without the threshold-signature
    quorum certificate. *)
@@ -457,11 +416,9 @@ let authentication_rows (r : System.result) =
           if String.length k >= 4 && String.sub k 0 4 = "auth" then acc + v else acc)
         0 items
     in
-    [ { ab_label = "sync gas with QC auth"; ab_value = float_of_int total; ab_unit = "gas" };
-      { ab_label = "sync gas without QC auth"; ab_value = float_of_int (total - auth);
-        ab_unit = "gas" };
-      { ab_label = "QC auth overhead"; ab_value = 100.0 *. float_of_int auth /. float_of_int total;
-        ab_unit = "%" } ]
+    [ ("sync gas with QC auth", float_of_int total, "gas");
+      ("sync gas without QC auth", float_of_int (total - auth), "gas");
+      ("QC auth overhead", 100.0 *. float_of_int auth /. float_of_int total, "%") ]
 
 (* Summary aggregation: the Sync's per-user aggregation vs naively posting
    every processed transaction on the mainchain (batched but
@@ -479,27 +436,22 @@ let aggregation_rows (r : System.result) =
     + (r.System.burns * Chain.Encoding.sepolia_op_size Chain.Encoding.Op_burn)
     + (r.System.collects * Chain.Encoding.sepolia_op_size Chain.Encoding.Op_collect)
   in
-  [ { ab_label = "mainchain bytes, summarized sync"; ab_value = float_of_int summarized;
-      ab_unit = "B" };
-    { ab_label = "mainchain bytes, per-tx posting"; ab_value = float_of_int naive;
-      ab_unit = "B" };
-    { ab_label = "summarization saving";
-      ab_value = 100.0 *. (1.0 -. (float_of_int summarized /. float_of_int (Stdlib.max 1 naive)));
-      ab_unit = "%" } ]
+  [ ("mainchain bytes, summarized sync", float_of_int summarized, "B");
+    ("mainchain bytes, per-tx posting", float_of_int naive, "B");
+    ( "summarization saving",
+      100.0 *. (1.0 -. (float_of_int summarized /. float_of_int (Stdlib.max 1 naive))),
+      "%" ) ]
 
 (* Pruning: sidechain bytes stored with and without meta-block pruning. *)
 let pruning_rows (r : System.result) =
-  [ { ab_label = "sidechain bytes without pruning";
-      ab_value = float_of_int r.System.sc_cumulative_bytes; ab_unit = "B" };
-    { ab_label = "sidechain bytes with pruning";
-      ab_value = float_of_int r.System.sc_stored_bytes; ab_unit = "B" };
-    { ab_label = "pruning saving";
-      ab_value =
-        100.0
-        *. (1.0
-           -. (float_of_int r.System.sc_stored_bytes
-              /. float_of_int (Stdlib.max 1 r.System.sc_cumulative_bytes)));
-      ab_unit = "%" } ]
+  [ ("sidechain bytes without pruning", float_of_int r.System.sc_cumulative_bytes, "B");
+    ("sidechain bytes with pruning", float_of_int r.System.sc_stored_bytes, "B");
+    ( "pruning saving",
+      100.0
+      *. (1.0
+         -. (float_of_int r.System.sc_stored_bytes
+            /. float_of_int (Stdlib.max 1 r.System.sc_cumulative_bytes))),
+      "%" ) ]
 
 (* Each ablation is one independent run under its own seed suffix. *)
 let ablation_specs =
@@ -507,27 +459,27 @@ let ablation_specs =
     ("summary aggregation vs per-tx posting", "-abg", aggregation_rows);
     ("meta-block pruning", "-abp", pruning_rows) ]
 
-let ablations ?sink ?domains ~scale () =
+(* The three runs fan out like table cells and are absorbed into [sink]
+   in this order, so the rows and the snapshot are identical at any
+   domain count. *)
+let ablations ~scale sink =
   let results =
-    run_all ?sink ?domains
+    run_all ~sink
       (List.map
          (fun (_, suffix, _) ->
            { base with
              daily_volume = scaled ~scale 500_000; epochs = 4; seed = base.seed ^ suffix })
          ablation_specs)
   in
-  List.map2
-    (fun (title, _, rows) r -> { ab_title = title; ab_rows = rows r })
-    ablation_specs results
-
-let print_ablations ablations =
-  List.iter
-    (fun a ->
-      Printf.printf "\n=== Ablation: %s ===\n" a.ab_title;
-      List.iter
-        (fun r -> Printf.printf "  %-36s %14.2f %s\n" r.ab_label r.ab_value r.ab_unit)
-        a.ab_rows)
-    ablations
+  let ablations = List.map2 (fun (title, _, rows) r -> (title, rows r)) ablation_specs results in
+  fun () ->
+    List.iter
+      (fun (title, rows) ->
+        Printf.printf "\n=== Ablation: %s ===\n" title;
+        List.iter
+          (fun (label, value, unit) -> Printf.printf "  %-36s %14.2f %s\n" label value unit)
+          rows)
+      ablations
 
 (* ------------------------------------------------------------------ *)
 (* Chaos soak: fault-rate sweep with recovery + twin-audit report      *)
@@ -664,9 +616,7 @@ let exit_drill ~scale =
               committee_size = 13;
               max_faulty = 4;
               faults = { Faults.Fault_plan.none with Faults.Fault_plan.scenario };
-              watchdog =
-                { Config.default_watchdog with
-                  Config.wd_stall_degraded = 2; wd_stall_halted = 4 };
+              watchdog = { Config.wd_stall_degraded = 2; wd_stall_halted = 4 };
               seed = base.seed ^ "-exit-drill" })
         exit_drill_scenarios;
     (* Positional over the three scenarios: stall=2 rides it out, stall=4
@@ -986,15 +936,6 @@ let observe_cfg =
     users = 24;
     seed = base.Config.seed ^ "-observe" }
 
-type observe_run = {
-  obs_ledger : Observe.Growth_ledger.t;
-  obs_series_json : string; (* the ledger in guard-baseline form *)
-  obs_report : string;      (* the markdown run-report *)
-  obs_sampled : int;
-  obs_seen : int;
-  obs_result : System.result;
-}
-
 let observe_report ?counterfactual (r : System.result) =
   let cfg = r.System.cfg in
   Observe.Run_report.render ~title:"ammBoost run report"
@@ -1029,39 +970,40 @@ let observe_report ?counterfactual (r : System.result) =
           r.System.faults_injected)
     ()
 
-let observe ?sink () =
+(* Writes the growth series in guard-baseline form (observe.json, which
+   CI's growth gate compares with OBSERVE_baseline.json) and the run
+   report (report.md). *)
+let observe sink =
   let r = System.run observe_cfg in
-  absorb sink r;
-  { obs_ledger = r.System.growth;
-    obs_series_json = Observe.Growth_ledger.to_json r.System.growth;
-    obs_report = observe_report r;
-    obs_sampled = r.System.lifecycle_sampled;
-    obs_seen = r.System.lifecycle_seen;
-    obs_result = r }
-
-let print_observe o =
-  Printf.printf "\n=== State-growth observatory (seed %s) ===\n"
-    o.obs_result.System.cfg.Config.seed;
-  let headline =
-    [ "mc.bytes.total"; "mc.gas.total"; "sc.cumulative_bytes"; "sc.stored_bytes";
-      "bank.storage_words"; "baseline.bytes.sepolia" ]
+  absorb (Some sink) r;
+  let print () =
+    Printf.printf "\n=== State-growth observatory (seed %s) ===\n" observe_cfg.Config.seed;
+    let headline =
+      [ "mc.bytes.total"; "mc.gas.total"; "sc.cumulative_bytes"; "sc.stored_bytes";
+        "bank.storage_words"; "baseline.bytes.sepolia" ]
+    in
+    Printf.printf "%-6s" "epoch";
+    List.iter (fun k -> Printf.printf "%24s" k) headline;
+    print_newline ();
+    List.iter
+      (fun (row : Observe.Growth_ledger.row) ->
+        Printf.printf "%-6d" row.Observe.Growth_ledger.ge_epoch;
+        List.iter
+          (fun k ->
+            match Observe.Growth_ledger.field row k with
+            | Some v -> Printf.printf "%24.0f" v
+            | None -> Printf.printf "%24s" "-")
+          headline;
+        print_newline ())
+      (Observe.Growth_ledger.rows r.System.growth);
+    Printf.printf "lifecycle: %d of %d included ops sampled (1 in 8)\n"
+      r.System.lifecycle_sampled r.System.lifecycle_seen
   in
-  Printf.printf "%-6s" "epoch";
-  List.iter (fun k -> Printf.printf "%24s" k) headline;
-  print_newline ();
-  List.iter
-    (fun (row : Observe.Growth_ledger.row) ->
-      Printf.printf "%-6d" row.Observe.Growth_ledger.ge_epoch;
-      List.iter
-        (fun k ->
-          match Observe.Growth_ledger.field row k with
-          | Some v -> Printf.printf "%24.0f" v
-          | None -> Printf.printf "%24s" "-")
-        headline;
-      print_newline ())
-    (Observe.Growth_ledger.rows o.obs_ledger);
-  Printf.printf "lifecycle: %d of %d included ops sampled (1 in 8)\n" o.obs_sampled
-    o.obs_seen
+  { print;
+    files =
+      [ ("observe.json", Observe.Growth_ledger.to_json r.System.growth);
+        ("report.md", observe_report r) ];
+    failed = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Scale sweep: users vs wall-seconds vs peak RSS                      *)
@@ -1133,59 +1075,7 @@ let peak_rss_kb () =
            else acc)
          0
 
-let scale_sweep ?sink ~users () =
-  (* Sequential by design — never fanned across domains: peak RSS is a
-     process-wide high-water mark, so cells run one at a time in
-     ascending user order for the measurement to be attributable. *)
-  let gc_pause = Telemetry.Gc_pause.start () in
-  ignore (Telemetry.Gc_pause.poll gc_pause); (* drop pre-sweep noise *)
-  List.map
-    (fun users ->
-      let cfg = sweep_cfg ~users in
-      let sw = Telemetry.Clock.stopwatch () in
-      let g0 = Gc.quick_stat () in
-      let r = System.run cfg in
-      let g1 = Gc.quick_stat () in
-      let wall = Telemetry.Clock.elapsed_wall sw in
-      let pauses = Telemetry.Gc_pause.poll gc_pause in
-      absorb sink r;
-      let storage_words =
-        match List.rev (Observe.Growth_ledger.rows r.System.growth) with
-        | last :: _ ->
-          Option.value ~default:0.0
-            (Observe.Growth_ledger.field last "bank.storage_words")
-        | [] -> 0.0
-      in
-      let minor_words = g1.Gc.minor_words -. g0.Gc.minor_words in
-      let major_words = g1.Gc.major_words -. g0.Gc.major_words in
-      let promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words in
-      let allocated = minor_words +. major_words -. promoted_words in
-      let ms ns = Int64.to_float ns /. 1_000_000.0 in
-      let row =
-        { sw_users = users; sw_generated = r.System.generated;
-          sw_processed = r.System.processed; sw_throughput = r.System.throughput;
-          sw_epochs_applied = r.System.epochs_applied;
-          sw_epochs_run = r.System.epochs_run; sw_storage_words = storage_words;
-          sw_wall_s = wall; sw_rss_kb = peak_rss_kb ();
-          sw_major_words = major_words; sw_promoted_words = promoted_words;
-          sw_minor_words = minor_words;
-          sw_alloc_rate_mw_s =
-            (if wall > 0.0 then allocated /. wall /. 1_000_000.0 else 0.0);
-          sw_summary_users = r.System.summary_user_entries;
-          sw_summary_users_max = r.System.summary_user_entries_max;
-          sw_gc_pauses = pauses.Telemetry.Gc_pause.pauses;
-          sw_gc_pause_total_ms = ms pauses.Telemetry.Gc_pause.total_ns;
-          sw_gc_pause_max_ms = ms pauses.Telemetry.Gc_pause.max_ns }
-      in
-      (* Wall/RSS vary run to run: stderr only, stdout stays identical. *)
-      Printf.eprintf
-        "  [sweep users=%d: %.1fs wall, rss peak %dKB, %.0f major words, \
-         %.0f Mw/s alloc, gc max pause %.2fms, %d summary user entries]\n%!"
-        users wall row.sw_rss_kb row.sw_major_words row.sw_alloc_rate_mw_s
-        row.sw_gc_pause_max_ms row.sw_summary_users;
-      row)
-    users
-
+(* Deterministic fields only: the measurements stay off stdout. *)
 let print_scale_sweep rows =
   Printf.printf "\n=== Scale sweep (epochs=%d) ===\n" sweep_epochs;
   Printf.printf "%-10s%14s%14s%18s%10s%16s%16s\n" "users" "generated" "processed"
@@ -1198,6 +1088,8 @@ let print_scale_sweep rows =
         c.sw_summary_users_max)
     rows
 
+(* sweep.json, which `ammboost_sim gate sweep` compares with the
+   checked-in SWEEP_baseline.json. *)
 let sweep_json rows =
   let cell c =
     Telemetry.Json.obj_of_fields
@@ -1222,6 +1114,66 @@ let sweep_json rows =
     [ ("schema", Telemetry.Json.string "ammboost-sweep/2");
       ("epochs", string_of_int sweep_epochs);
       ("cells", Telemetry.Json.array (List.map cell rows)) ]
+
+(* One cell per entry of [users], sequentially in list order — never
+   fanned across domains: peak RSS is a process-wide high-water mark, so
+   cells run one at a time in ascending user order for the measurement to
+   be attributable. Simulation outputs are deterministic; wall, RSS and
+   GC fields are measurements and go to stderr and sweep.json only. *)
+let scale_sweep ~users sink =
+  let gc_pause = Telemetry.Gc_pause.start () in
+  ignore (Telemetry.Gc_pause.poll gc_pause); (* drop pre-sweep noise *)
+  let rows =
+    List.map
+      (fun users ->
+        let cfg = sweep_cfg ~users in
+        let sw = Telemetry.Clock.stopwatch () in
+        let g0 = Gc.quick_stat () in
+        let r = System.run cfg in
+        let g1 = Gc.quick_stat () in
+        let wall = Telemetry.Clock.elapsed_wall sw in
+        let pauses = Telemetry.Gc_pause.poll gc_pause in
+        absorb (Some sink) r;
+        let storage_words =
+          match List.rev (Observe.Growth_ledger.rows r.System.growth) with
+          | last :: _ ->
+            Option.value ~default:0.0
+              (Observe.Growth_ledger.field last "bank.storage_words")
+          | [] -> 0.0
+        in
+        let minor_words = g1.Gc.minor_words -. g0.Gc.minor_words in
+        let major_words = g1.Gc.major_words -. g0.Gc.major_words in
+        let promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words in
+        let allocated = minor_words +. major_words -. promoted_words in
+        let ms ns = Int64.to_float ns /. 1_000_000.0 in
+        let row =
+          { sw_users = users; sw_generated = r.System.generated;
+            sw_processed = r.System.processed; sw_throughput = r.System.throughput;
+            sw_epochs_applied = r.System.epochs_applied;
+            sw_epochs_run = r.System.epochs_run; sw_storage_words = storage_words;
+            sw_wall_s = wall; sw_rss_kb = peak_rss_kb ();
+            sw_major_words = major_words; sw_promoted_words = promoted_words;
+            sw_minor_words = minor_words;
+            sw_alloc_rate_mw_s =
+              (if wall > 0.0 then allocated /. wall /. 1_000_000.0 else 0.0);
+            sw_summary_users = r.System.summary_user_entries;
+            sw_summary_users_max = r.System.summary_user_entries_max;
+            sw_gc_pauses = pauses.Telemetry.Gc_pause.pauses;
+            sw_gc_pause_total_ms = ms pauses.Telemetry.Gc_pause.total_ns;
+            sw_gc_pause_max_ms = ms pauses.Telemetry.Gc_pause.max_ns }
+        in
+        (* Wall/RSS vary run to run: stderr only, stdout stays identical. *)
+        Printf.eprintf
+          "  [sweep users=%d: %.1fs wall, rss peak %dKB, %.0f major words, \
+           %.0f Mw/s alloc, gc max pause %.2fms, %d summary user entries]\n%!"
+          users wall row.sw_rss_kb row.sw_major_words row.sw_alloc_rate_mw_s
+          row.sw_gc_pause_max_ms row.sw_summary_users;
+        row)
+      users
+  in
+  { print = (fun () -> print_scale_sweep rows);
+    files = [ ("sweep.json", sweep_json rows ^ "\n") ];
+    failed = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Twin-audit drill: scripted silent corruption vs the continuous      *)
@@ -1347,63 +1299,77 @@ let twin_audit ~scale =
         ("some report bisected", List.exists (fun r -> twin_bisected r > 0));
         ("every run audited", List.for_all (fun r -> r.System.twin_audits > 0)) ] }
 
-(* The overhead measurement behind the CI wall-clock gate: the same
-   sweep cell run twice in this process — twin off, then twin on — so
-   the ratio sees identical machine conditions. Wall times are
-   measurements: stderr and the twin JSON only, never stdout. *)
-type twin_overhead = {
-  tov_users : int;
-  tov_epochs : int;
-  tov_wall_off : float;
-  tov_wall_on : float;
-  tov_overhead_pct : float;
-  tov_audits : int;
-  tov_divergences : int;
-  tov_consistent : bool;
-}
-
-let twin_overhead ?sink ~users () =
+(* The overhead measurement behind CI's twin gate: one {!sweep_cfg}
+   cell of [users] run twice in this process — twin off, then twin on —
+   so the ratio sees identical machine conditions. Wall times are
+   measurements: stderr and twin.json only, never stdout. *)
+let twin_overhead ~users sink =
   let cfg = sweep_cfg ~users in
   let measure twin_on =
     let cfg = { cfg with Config.twin_audit = twin_on } in
     let sw = Telemetry.Clock.stopwatch () in
     let r = System.run cfg in
     let wall = Telemetry.Clock.elapsed_wall sw in
-    absorb sink r;
+    absorb (Some sink) r;
     (r, wall)
   in
   let _, wall_off = measure false in
-  let r_on, wall_on = measure true in
-  let o =
-    { tov_users = users; tov_epochs = cfg.Config.epochs;
-      tov_wall_off = wall_off; tov_wall_on = wall_on;
-      tov_overhead_pct = 100.0 *. ((wall_on /. Float.max 1e-9 wall_off) -. 1.0);
-      tov_audits = r_on.System.twin_audits;
-      tov_divergences = r_on.System.twin_divergences;
-      tov_consistent = r_on.System.twin_consistent }
-  in
+  let r, wall_on = measure true in
+  let overhead_pct = 100.0 *. ((wall_on /. Float.max 1e-9 wall_off) -. 1.0) in
+  let epochs = cfg.Config.epochs in
   Printf.eprintf
     "  [twin overhead users=%d: off %.2fs, on %.2fs (%+.1f%%), %d audits]\n%!"
-    users wall_off wall_on o.tov_overhead_pct o.tov_audits;
-  o
+    users wall_off wall_on overhead_pct r.System.twin_audits;
+  let print () =
+    Printf.printf "\n=== Twin-audit overhead cell (users=%d, epochs=%d) ===\n" users epochs;
+    Printf.printf "  audits run        %14d\n" r.System.twin_audits;
+    Printf.printf "  divergent keys    %14d\n" r.System.twin_divergences;
+    Printf.printf "  fault-free audit  %14s\n"
+      (if r.System.twin_consistent then "pass" else "FAIL")
+  in
+  let json =
+    Telemetry.Json.obj
+      [ ("schema", Telemetry.Json.string "ammboost-twin/1");
+        ("users", string_of_int users);
+        ("epochs", string_of_int epochs);
+        ("wall_off_s", Telemetry.Json.float wall_off);
+        ("wall_on_s", Telemetry.Json.float wall_on);
+        ("overhead_pct", Telemetry.Json.float overhead_pct);
+        ("audits", string_of_int r.System.twin_audits);
+        ("divergences", string_of_int r.System.twin_divergences);
+        ("consistent", if r.System.twin_consistent then "true" else "false") ]
+  in
+  { print; files = [ ("twin.json", json ^ "\n") ]; failed = [] }
 
-let print_twin_overhead o =
-  (* Deterministic fields only; the wall ratio lives on stderr/JSON. *)
-  Printf.printf "\n=== Twin-audit overhead cell (users=%d, epochs=%d) ===\n"
-    o.tov_users o.tov_epochs;
-  Printf.printf "  audits run        %14d\n" o.tov_audits;
-  Printf.printf "  divergent keys    %14d\n" o.tov_divergences;
-  Printf.printf "  fault-free audit  %14s\n"
-    (if o.tov_consistent then "pass" else "FAIL")
+(* ------------------------------------------------------------------ *)
+(* The bench's targets                                                 *)
+(* ------------------------------------------------------------------ *)
 
-let twin_overhead_json o =
-  Telemetry.Json.obj
-    [ ("schema", Telemetry.Json.string "ammboost-twin/1");
-      ("users", string_of_int o.tov_users);
-      ("epochs", string_of_int o.tov_epochs);
-      ("wall_off_s", Telemetry.Json.float o.tov_wall_off);
-      ("wall_on_s", Telemetry.Json.float o.tov_wall_on);
-      ("overhead_pct", Telemetry.Json.float o.tov_overhead_pct);
-      ("audits", string_of_int o.tov_audits);
-      ("divergences", string_of_int o.tov_divergences);
-      ("consistent", if o.tov_consistent then "true" else "false") ]
+let experiments ~scale ~twin_users =
+  [ of_table "table1" (table1 ~scale); of_table "table2" (table2 ~scale);
+    of_table "table3" (table3 ~scale); of_table "table4" (table4 ~scale);
+    of_table "table5" (table5 ~scale);
+    concurrent "table6" (fun sink -> printed (table6 ~scale sink));
+    concurrent "table7" (fun _ -> printed print_table7);
+    concurrent "table8" (fun _ -> printed (table8 ~scale));
+    concurrent "fig6" (fun sink -> printed (fig6 ~scale sink));
+    concurrent "ablations" (fun sink -> printed (ablations ~scale sink));
+    of_table "chaos" (chaos ~scale); of_table "exit-drill" (exit_drill ~scale);
+    { name = "crash-drill"; serial = false;
+      run =
+        (fun ~sink ~out ->
+          let d = crash_drill ~scale in
+          let root = Option.map (fun dir -> Filename.concat dir "crash-drill") out in
+          let rows = run_crash_drill ~sink ?root d in
+          { print = (fun () -> print_crash_drill rows); files = [];
+            failed = failed d.cd_verdicts rows }) };
+    of_table "twin-audit" (twin_audit ~scale);
+    { name = "twin-overhead"; serial = true;
+      run = (fun ~sink ~out:_ -> twin_overhead ~users:twin_users sink) };
+    concurrent "observe" observe ]
+
+(* The scale sweep's 10k-user cell is far heavier than any table, and its
+   measurements want an otherwise quiet process. *)
+let opt_in ~sweep_users =
+  [ { name = "scale-sweep"; serial = true;
+      run = (fun ~sink ~out:_ -> scale_sweep ~users:sweep_users sink) } ]

@@ -116,12 +116,10 @@ let make_tele sink =
     c_twin_audits = Tmetrics.counter reg "twin.audits";
     c_twin_divergences = Tmetrics.counter reg "twin.divergences" }
 
-type submission_status = Pending | Applied | Failed
-
+(* A Sync submission is in flight until it applies, fails or is dropped. *)
 type submission = {
   sub_epochs : int list;
-  sub_tag : string;
-  mutable status : submission_status;
+  mutable in_flight : bool;
 }
 
 (* Keep the raw signing material per epoch so fault injection can decide,
@@ -272,6 +270,9 @@ type t = {
   mutable committees : committee_record list;
   signed_payloads : (int, Sync_payload.t * Bls.signature) Hashtbl.t;
   mutable submissions : submission list;
+      (* newest first; settled ones leave at the next submission *)
+  mutable sync_attempts : int;
+      (* Sync submissions so far: numbers each tag and drop decision *)
   mutable pending_confirm : (int list * int * float) list;
       (* epochs, inclusion height, inclusion time *)
   mutable checkpoints :
@@ -323,7 +324,6 @@ type t = {
   tele : tele;
   rejections : (string, int) Hashtbl.t;
   mutable last_sync_receipt : Token_bank.sync_receipt option;
-  mutable sync_count : int;  (* syncs applied, reorged-out ones included *)
   mutable audit_trail : audit_entry list;
 }
 
@@ -512,7 +512,7 @@ let create ~trace ?durable cfg =
       mempool = Chain.Mempool.create ~size:(fun tx -> tx.Tx.wire_size);
       payouts = Metrics.payout_tracker ();
       committee_keys = Hashtbl.create 16; committees = [];
-      signed_payloads = Hashtbl.create 16; submissions = [];
+      signed_payloads = Hashtbl.create 16; submissions = []; sync_attempts = 0;
       pending_confirm = []; checkpoints = []; bank_ops = 0;
       deposits_submitted_until = -1;
       rollbacks_done = Hashtbl.create 4;
@@ -523,7 +523,7 @@ let create ~trace ?durable cfg =
             { Monitor.lag_warning =
                 Stdlib.max 1 (cfg.Config.watchdog.Config.wd_stall_degraded - 1);
               lag_degraded = cfg.Config.watchdog.Config.wd_stall_degraded;
-              signing_streak_degraded = cfg.Config.watchdog.Config.wd_signing_streak }
+              signing_streak_degraded = Config.wd_signing_streak }
           sink;
       durable;
       mode = Normal; mode_transitions = []; signing_streak = 0;
@@ -539,7 +539,7 @@ let create ~trace ?durable cfg =
           ~seed:cfg.Config.seed ();
       counterfactual_bytes = 0;
       tele = make_tele sink; rejections = Hashtbl.create 8;
-      last_sync_receipt = None; sync_count = 0; audit_trail = [] }
+      last_sync_receipt = None; audit_trail = [] }
   in
   Hashtbl.replace t.committee_keys 0 keys0;
   (* Faucet + unlimited approvals (users sign them once; the per-epoch
@@ -669,9 +669,8 @@ let record_rejections t stats =
     stats.Processor.rejection_reasons
 
 let epochs_in_flight t =
-  List.concat_map
-    (fun s -> if s.status = Pending then s.sub_epochs else [])
-    t.submissions
+  t.submissions <- List.filter (fun s -> s.in_flight) t.submissions;
+  List.concat_map (fun s -> s.sub_epochs) t.submissions
 
 let submit_sync t ~epoch ~at ~corrupt =
   let applied = Token_bank.last_synced_epoch t.bank in
@@ -717,9 +716,10 @@ let submit_sync t ~epoch ~at ~corrupt =
     let size =
       List.fold_left (fun acc (p, _) -> acc + Sync_payload.abi_size p) 0 signed
     in
-    let attempt = List.length t.submissions in
+    let attempt = t.sync_attempts in
+    t.sync_attempts <- attempt + 1;
     let tag = Printf.sprintf "sync-%d-%d" epoch attempt in
-    let submission = { sub_epochs = wanted; sub_tag = tag; status = Pending } in
+    let submission = { sub_epochs = wanted; in_flight = true } in
     t.submissions <- submission :: t.submissions;
     Tmetrics.inc t.tele.c_sync_submitted;
     let span_name = if mass then "mass-sync" else "sync" in
@@ -735,7 +735,7 @@ let submit_sync t ~epoch ~at ~corrupt =
       (* Mempool eviction (random drop, or a scripted quorum-starvation
          window): the transaction never reaches a block. The leader
          notices the missing receipt and retries with backoff. *)
-      submission.status <- Failed;
+      submission.in_flight <- false;
       Tmetrics.inc t.tele.c_sync_failed;
       Trace.complete t.tele.tr ~cat:"mainchain" ~tid:2
         ~args:(span_args "dropped") ~name:span_name ~ts:at ~dur:0.0 ();
@@ -762,9 +762,8 @@ let submit_sync t ~epoch ~at ~corrupt =
                 let time = if time > at then time else at in
                 match Token_bank.sync t.bank ~signed with
                 | Ok receipt ->
-                  submission.status <- Applied;
+                  submission.in_flight <- false;
                   t.last_sync_receipt <- Some receipt;
-                  t.sync_count <- t.sync_count + 1;
                   emit t (Durable.Record.Sync signed);
                   Tmetrics.inc t.tele.c_sync_applied;
                   List.iter
@@ -789,7 +788,7 @@ let submit_sync t ~epoch ~at ~corrupt =
                     (receipt.Token_bank.epochs_covered, height, time)
                     :: t.pending_confirm
                 | Error rejection ->
-                  submission.status <- Failed;
+                  submission.in_flight <- false;
                   Tmetrics.inc t.tele.c_sync_failed;
                   let reg = t.tele.sink.Telemetry.Report.metrics in
                   Tmetrics.inc
@@ -920,8 +919,9 @@ let settle_confirmed t =
 
 (* Fork switch abandoning every block from [height] to the tip: restore
    TokenBank (and the bank-op count) to the paired pre-sync checkpoint,
-   fail every sync the fork orphaned, and arm the retry machinery; the
-   re-submission happens via retry or the normal mass-sync path. *)
+   forget the orphaned syncs' pending confirmations, and arm the retry
+   machinery; the re-submission happens via retry or the normal
+   mass-sync path. *)
 let rollback_to t ~height =
   let n = Eth.height t.eth - height + 1 in
   if n > 0 then begin
@@ -944,20 +944,7 @@ let rollback_to t ~height =
     | None -> ());
     (* Checkpoints at or past the fork point refer to abandoned blocks. *)
     t.checkpoints <- List.filter (fun (h, _, _, _) -> h < height) t.checkpoints;
-    let gone, keep =
-      List.partition (fun (_, h', _) -> h' >= height) t.pending_confirm
-    in
-    t.pending_confirm <- keep;
-    List.iter
-      (fun (epochs, _, _) ->
-        List.iter
-          (fun s ->
-            if
-              s.status = Applied
-              && List.exists (fun e -> List.mem e s.sub_epochs) epochs
-            then s.status <- Failed)
-          t.submissions)
-      gone;
+    t.pending_confirm <- List.filter (fun (_, h', _) -> h' < height) t.pending_confirm;
     schedule_retry t ~now:(Eth.now t.eth)
   end
 
@@ -1176,7 +1163,7 @@ let watchdog_tick t ~epoch:e ~now ~committee_live =
     else if stall >= w.Config.wd_stall_halted then
       enter_halt t ~now
         ~reason:(Printf.sprintf "sync stalled for %d epochs" stall)
-    else if t.retry_attempt >= w.Config.wd_retry_halted then
+    else if t.retry_attempt >= Config.wd_retry_halted then
       enter_halt t ~now
         ~reason:(Printf.sprintf "sync retries exhausted (%d)" t.retry_attempt)
     else begin
@@ -1184,9 +1171,9 @@ let watchdog_tick t ~epoch:e ~now ~committee_live =
         if degraded_violation then Some "monitor: degraded violation"
         else if stall >= w.Config.wd_stall_degraded then
           Some (Printf.sprintf "sync stalled for %d epochs" stall)
-        else if t.retry_attempt >= w.Config.wd_retry_degraded then
+        else if t.retry_attempt >= Config.wd_retry_degraded then
           Some (Printf.sprintf "%d consecutive sync retries" t.retry_attempt)
-        else if t.signing_streak >= w.Config.wd_signing_streak then
+        else if t.signing_streak >= Config.wd_signing_streak then
           Some
             (Printf.sprintf "%d consecutive degraded-quorum signings"
                t.signing_streak)
@@ -1197,7 +1184,7 @@ let watchdog_tick t ~epoch:e ~now ~committee_live =
       | None ->
         if
           t.mode = Degraded && stall <= 1
-          && t.retry_attempt < w.Config.wd_retry_degraded
+          && t.retry_attempt < Config.wd_retry_degraded
         then set_mode t Normal ~now ~reason:"stall cleared; audit clean"
     end
   | Halted -> submit_reconcile t ~epoch:e ~at:now
@@ -1862,7 +1849,7 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
     deposit_latency_mean = Option.value ~default:0.0 (Eth.mean_latency t.eth "deposit");
     sync_latency_mean = Option.value ~default:0.0 (Eth.mean_latency t.eth "sync");
     last_sync_receipt = t.last_sync_receipt;
-    sync_count = t.sync_count;
+    sync_count = count tele.c_sync_applied;
     epochs_run = !epoch;
     epochs_applied = Token_bank.last_synced_epoch t.bank + 1;
     mass_syncs = count tele.c_mass_syncs;

@@ -8,6 +8,7 @@
 type verdict = {
   violations : string list; (* empty = pass *)
   checked : int; (* (epoch, key) pairs compared *)
+  notes : string list; (* ungated readings, printed before the violations *)
 }
 
 let ok v = v.violations = []
@@ -45,7 +46,7 @@ let compare_ledgers ?(tolerance = 0.01) ?(abs_floor = 64.0) ~baseline ~fresh () 
           b.Growth_ledger.ge_fields)
     (Growth_ledger.rows baseline);
   if fresh_rows = [] then note "fresh run sampled no epochs";
-  { violations = List.rev !violations; checked = !checked }
+  { violations = List.rev !violations; checked = !checked; notes = [] }
 
 let compare_json ?tolerance ?abs_floor ~baseline ~fresh () =
   match (Growth_ledger.of_json baseline, Growth_ledger.of_json fresh) with

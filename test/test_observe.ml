@@ -1,7 +1,9 @@
 (* State-growth observatory: ledger JSON roundtrip and metric mirroring,
    growth-guard verdicts (pass, regression, absolute floor, missing
    epochs/keys), deterministic lifecycle sampling and stage flow, report
-   rendering, and the ledger invariants of an instrumented System run. *)
+   rendering, the ledger invariants of an instrumented System run, and
+   the bench gates against the committed baselines and seeded
+   regressions. *)
 
 module GL = Observe.Growth_ledger
 module GG = Observe.Growth_guard
@@ -366,6 +368,115 @@ let test_system_ledger_deterministic () =
   Alcotest.(check string) "ledger JSON byte-identical across runs" (run ())
     (run ())
 
+(* ------------------------------------------------------------------ *)
+(* Bench gates                                                         *)
+(* ------------------------------------------------------------------ *)
+
+module BG = Observe.Bench_gate
+module Json = Telemetry.Json
+
+(* The committed baselines the gates read in CI: one level up under
+   `dune runtest`, in the working directory under `dune exec` from the
+   repo root. *)
+let committed name =
+  let path = if Sys.file_exists ("../" ^ name) then "../" ^ name else name in
+  match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok v -> v
+  | Error e -> Alcotest.fail (name ^ ": " ^ e)
+
+(* [doc] with member [key] mapped through [f]. *)
+let update key f = function
+  | Json.Jobject fields ->
+    Json.Jobject (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields)
+  | v -> v
+
+let times k = function Json.Jnumber x -> Json.Jnumber (k *. x) | v -> v
+let plus n = function Json.Jnumber x -> Json.Jnumber (x +. n) | v -> v
+let set v _ = v
+let num x = Json.Jnumber x
+
+let members f = function Json.Jobject fields -> Json.Jobject (f fields) | v -> v
+let micro_row name f = update "micro_ns" (update name f)
+let cells f = update "cells" (function Json.Jarray cs -> Json.Jarray (f cs) | v -> v)
+let cell_of users f =
+  cells (List.map (fun c -> if Json.member "users" c = Some (num users) then f c else c))
+
+(* The gate's verdict on [fresh]: (passes, violations). *)
+let judge gate ~baseline fresh =
+  match gate ~baseline ~fresh with
+  | v -> (GG.ok v && v.GG.checked > 0, v.GG.violations)
+
+let expect name want gate ~baseline fresh =
+  let passes, violations = judge gate ~baseline fresh in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s %s (violations: %s)" name (if want then "passes" else "fails")
+       (String.concat "; " violations))
+    want passes
+
+let test_gate_micro () =
+  let baseline = committed "BENCH_results.json" in
+  let row = "ammboost/u256 sqrt" in
+  let expect name want fresh = expect name want BG.micro ~baseline fresh in
+  expect "committed baseline" true baseline;
+  expect "a row at 3.2x" false (micro_row row (times 3.2) baseline);
+  expect "a row at 2.9x" true (micro_row row (times 2.9) baseline);
+  expect "a missing committed row" false
+    (update "micro_ns" (members (List.remove_assoc row)) baseline);
+  expect "an extra fresh row" false
+    (update "micro_ns" (members (fun rows -> rows @ [ ("ammboost/new", num 1.0) ])) baseline);
+  expect "an empty micro_ns" false (update "micro_ns" (set (Json.Jobject [])) baseline)
+
+let test_gate_sweep () =
+  let baseline = committed "SWEEP_baseline.json" in
+  let expect name want fresh = expect name want BG.sweep ~baseline fresh in
+  expect "committed baseline" true baseline;
+  expect "10k wall at 3.1x" false (cell_of 10_000. (update "wall_s" (times 3.1)) baseline);
+  expect "processed + 1" false (cell_of 1_000. (update "processed" (plus 1.0)) baseline);
+  expect "RSS at 1.6x" false (cell_of 100. (update "rss_peak_kb" (times 1.6)) baseline);
+  expect "100k GC pause at 3.5x" false
+    (cell_of 100_000. (update "gc_pause_max_ms" (times 3.5)) baseline);
+  expect "10k GC pause at 3.5x" true
+    (cell_of 10_000. (update "gc_pause_max_ms" (times 3.5)) baseline);
+  expect "a missing cell" false
+    (cells (List.filter (fun c -> Json.member "users" c <> Some (num 1_000.))) baseline);
+  (* Population-sized in both files, so only the delta rule can fire. *)
+  let population = cell_of 1_000. (update "summary_users" (set (num 4_000.))) baseline in
+  let passes, violations = judge BG.sweep ~baseline:population population in
+  Alcotest.(check bool) "population-sized summary_users fails" false passes;
+  Alcotest.(check bool) "by the delta rule" true
+    (List.exists (fun v -> contains v "population-sized") violations);
+  expect "an epochs drift" false (update "epochs" (plus 1.0) baseline);
+  expect "a wrong schema" false (update "schema" (set (Json.Jstring "ammboost-sweep/1")) baseline)
+
+let test_gate_twin () =
+  let baseline = committed "SWEEP_baseline.json" in
+  let twin ?(divergences = 0.0) ?(consistent = true) ?(epochs = 3.0) users wall_on =
+    Json.Jobject
+      [ ("schema", Json.Jstring "ammboost-twin/1"); ("users", num users);
+        ("epochs", num epochs); ("wall_off_s", num (wall_on /. 1.1));
+        ("wall_on_s", num wall_on); ("overhead_pct", num 10.0); ("audits", num 4.0);
+        ("divergences", num divergences); ("consistent", Json.Jbool consistent) ]
+  in
+  let expect name want fresh = expect name want BG.twin ~baseline fresh in
+  (* The 1k cell's wall is 0.613 s, the 10k cell's 4.805 s. *)
+  expect "within 1.10x of the 1k cell" true (twin 1_000. 0.67);
+  expect "above 1.10x of the 1k cell" false (twin 1_000. 0.68);
+  expect "divergences = 1" false (twin ~divergences:1.0 1_000. 0.5);
+  expect "an inconsistent audit" false (twin ~consistent:false 1_000. 0.5);
+  expect "a 10k cell at 5.2 s" true (twin 10_000. 5.2);
+  expect "a 10k cell at 5.4 s" false (twin 10_000. 5.4);
+  expect "an epochs drift" false (twin ~epochs:4.0 1_000. 0.5);
+  expect "no baseline cell" false (twin 2_000. 0.5)
+
+let test_gate_malformed () =
+  let baseline = committed "SWEEP_baseline.json" in
+  (match BG.of_json BG.sweep ~baseline:"{" ~fresh:"{}" with
+  | Ok _ -> Alcotest.fail "bad baseline JSON must be an error"
+  | Error e -> Alcotest.(check bool) "error names the side" true (contains e "baseline"));
+  match BG.of_json BG.twin ~baseline:(Json.to_string baseline) ~fresh:"{\"users\": 1000}" with
+  | Ok _ -> Alcotest.fail "a twin file without its keys must be an error"
+  | Error e -> Alcotest.(check bool) "error names the key" true (contains e "schema")
+
 let () =
   Alcotest.run "observe"
     [ ("ledger",
@@ -393,4 +504,9 @@ let () =
        [ Alcotest.test_case "growth ledger invariants" `Quick
            test_system_growth_ledger;
          Alcotest.test_case "ledger deterministic" `Quick
-           test_system_ledger_deterministic ]) ]
+           test_system_ledger_deterministic ]);
+      ("bench gates",
+       [ Alcotest.test_case "micro" `Quick test_gate_micro;
+         Alcotest.test_case "sweep" `Quick test_gate_sweep;
+         Alcotest.test_case "twin" `Quick test_gate_twin;
+         Alcotest.test_case "malformed input" `Quick test_gate_malformed ]) ]

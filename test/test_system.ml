@@ -632,7 +632,7 @@ let watchdog_cfg scenario =
     epochs = 8;
     faults = { Faults.Fault_plan.none with Faults.Fault_plan.scenario };
     watchdog =
-      { Config.default_watchdog with Config.wd_stall_degraded = 2; wd_stall_halted = 4 };
+      { Config.wd_stall_degraded = 2; wd_stall_halted = 4 };
     seed = "system-watchdog" }
 
 let test_nominal_stays_normal () =

@@ -360,7 +360,7 @@ let test_twin_covers_halt_exit_reconcile () =
           Faults.Fault_plan.scenario =
             { Faults.Fault_plan.quorum_starvation = Some (2, 5); committee_loss = None } };
       watchdog =
-        { Config.default_watchdog with Config.wd_stall_degraded = 2; wd_stall_halted = 4 };
+        { Config.wd_stall_degraded = 2; wd_stall_halted = 4 };
       seed = "twin-halt-cycle" }
   in
   let r = System.run cfg in
