@@ -10,11 +10,13 @@ type distribution = {
   collect_pct : float;
 }
 
-(** Liveness-watchdog stall thresholds ({!System}'s operating-mode
-    machine). "Stall" counts produced-but-unapplied summary epochs at an
-    epoch boundary; the steady-state pipeline depth is one epoch of lag,
-    so meaningful thresholds start at 2. The retry and signing thresholds
-    are fixed parameters below. *)
+(** The liveness watchdog's stall thresholds, the two that experiments
+    set. "Stall" counts summary epochs the bank is behind an epoch
+    boundary; the steady-state pipeline depth is one epoch of lag, so
+    meaningful thresholds start at 2. [Watchdog] reads them and holds
+    every other watchdog threshold (retries, signing streak, twin
+    divergence); it also derives the liveness findings' Warning lag
+    from [wd_stall_degraded]. *)
 type watchdog = {
   wd_stall_degraded : int;   (** stalled epochs before Normal → Degraded *)
   wd_stall_halted : int;     (** stalled epochs before → Halted *)
@@ -67,20 +69,10 @@ val default : t
 
 (** {1 Fixed parameters}
 
-    The paper's setup (§6) fixes these, and no experiment varies them;
-    the three watchdog thresholds are the simulator's own. *)
+    The paper's setup (§6) fixes these, and no experiment varies them. *)
 
 val mc_block_interval : float
 (** Mainchain block interval: 12 s. *)
-
-val wd_retry_degraded : int
-(** Consecutive Sync retries before the watchdog degrades: 4. *)
-
-val wd_retry_halted : int
-(** Consecutive Sync retries before the watchdog halts: 8. *)
-
-val wd_signing_streak : int
-(** Consecutive degraded-quorum signings before the watchdog degrades: 4. *)
 
 val consensus : Consensus.Latency_model.params
 (** The committee network behind the latency model: 11 ms mean one-way

@@ -150,22 +150,6 @@ type committee_record = {
   leader : int;
 }
 
-(* The liveness watchdog's operating modes. Normal → Degraded on
-   sustained sync lag, retry pressure or degraded-quorum signing;
-   → Halted when the watchdog gives up on the committee (the bank
-   freezes and parties exit on chain); Halted → Recovering when a
-   reconciliation of the pending certified summaries lands; Recovering
-   → Normal after a clean invariant audit. *)
-type mode = Normal | Degraded | Halted | Recovering
-
-let mode_name = function
-  | Normal -> "normal"
-  | Degraded -> "degraded"
-  | Halted -> "halted"
-  | Recovering -> "recovering"
-
-let mode_rank = function Normal -> 0 | Degraded -> 1 | Halted -> 2 | Recovering -> 3
-
 type result = {
   cfg : Config.t;
   generated : int;
@@ -245,21 +229,18 @@ type result = {
          [twin_reports] *)
   twin_view : Twin.view option;
       (* sealed-epoch snapshots for time-travel queries (custody_at,
-         read_at, position_fees); None when the twin is off *)
+         read_at); None when the twin is off *)
   telemetry : Telemetry.Report.sink;
       (* the run's own sink; the counts above are read from its registry *)
 }
 
 type t = {
   cfg : Config.t;
-  rng_traffic : Rng.t;
   rng_keys : Rng.t;
   rng_net : Rng.t;
   users : Party.user array;
   miners : Party.miner array;
   eth : Eth.t;
-  erc0 : Erc20.t;
-  erc1 : Erc20.t;
   bank : Token_bank.t;
   pool : Uniswap.Pool.t;
   sc_chain : Blocks.t;
@@ -287,8 +268,6 @@ type t = {
       (* the state twin (cfg.twin_audit): advanced from the same op
          stream the live system applies, byte-compared against the flat
          stores at every epoch boundary *)
-  mutable twin_divergence_streak : int;
-      (* consecutive epoch audits ending in divergence; 2 halts the run *)
   mutable twin_reports : Twin.report list;     (* newest first *)
   mutable twin_injections : (int * string) list;  (* newest first *)
   monitor : Monitor.t;
@@ -297,15 +276,12 @@ type t = {
          through the durable session (WAL verify-or-append), snapshots
          are taken at epoch boundaries, and the fault plan may kill the
          run at a round boundary via Session.maybe_crash *)
-  mutable mode : mode;
-  mutable mode_transitions : (float * mode) list;  (* newest first *)
-  mutable signing_streak : int;
-      (* consecutive epoch summaries signed with withheld shares *)
-  mutable halted_at : float option;
-  mutable recovered_at : float option;
+  mutable wd : Watchdog.t;
+      (* the watchdog's mode, transitions and streaks; [watchdog_tick]
+         and [twin_audit_epoch] run the effects it decides *)
   mutable dissolved : bool;
-      (* the sidechain stopped for good: post-halt, or scripted
-         permanent committee loss after the halt *)
+      (* the sidechain stopped for good: set by every halt, never
+         cleared, so it holds whenever the watchdog is Halted *)
   mutable reconcile_inflight : bool;
   mutable reconciliation : Token_bank.reconciliation option;
   mutable last_summary_epoch : int;
@@ -405,7 +381,7 @@ let committee_keys t ~epoch =
 let sign_payload t ~epoch keys msg =
   match keys.signer with
   | Plain_key sk ->
-    t.signing_streak <- 0;
+    t.wd <- Watchdog.signed t.wd ~degraded:false;
     Bls.sign sk msg
   | Shared { shares; threshold } ->
     let n = List.length shares in
@@ -441,9 +417,9 @@ let sign_payload t ~epoch keys msg =
     if caught > 0 then Tmetrics.inc ~by:caught t.tele.c_corrupted_partial;
     match Bls.combine ~threshold verified with
     | Some signature ->
-      if withheld = [] && caught = 0 then t.signing_streak <- 0
-      else begin
-        t.signing_streak <- t.signing_streak + 1;
+      let degraded = withheld <> [] || caught > 0 in
+      t.wd <- Watchdog.signed t.wd ~degraded;
+      if degraded then begin
         Tmetrics.inc t.tele.c_degraded_signing;
         Log.warn ~scope
           ~fields:
@@ -504,7 +480,7 @@ let create ~trace ?durable cfg =
       ~tick_spacing:Config.tick_spacing ~sqrt_price:Amm_math.Q96.q96
   in
   let t =
-    { cfg; rng_traffic; rng_keys; rng_net; users; miners; eth; erc0; erc1; bank; pool;
+    { cfg; rng_keys; rng_net; users; miners; eth; bank; pool;
       sc_chain =
         Blocks.create
           ~mainchain_ref:(Amm_crypto.Sha256.digest_string (cfg.Config.seed ^ "/genesis"));
@@ -516,18 +492,10 @@ let create ~trace ?durable cfg =
       pending_confirm = []; checkpoints = []; bank_ops = 0;
       deposits_submitted_until = -1;
       rollbacks_done = Hashtbl.create 4;
-      plan; twin; twin_divergence_streak = 0; twin_reports = []; twin_injections = [];
-      monitor =
-        Monitor.create
-          ~thresholds:
-            { Monitor.lag_warning =
-                Stdlib.max 1 (cfg.Config.watchdog.Config.wd_stall_degraded - 1);
-              lag_degraded = cfg.Config.watchdog.Config.wd_stall_degraded;
-              signing_streak_degraded = Config.wd_signing_streak }
-          sink;
+      plan; twin; twin_reports = []; twin_injections = [];
+      monitor = Monitor.create sink;
       durable;
-      mode = Normal; mode_transitions = []; signing_streak = 0;
-      halted_at = None; recovered_at = None; dissolved = false;
+      wd = Watchdog.initial; dissolved = false;
       reconcile_inflight = false; reconciliation = None;
       last_summary_epoch = -1; retry_attempt = 0; next_retry_at = Float.infinity;
       outage_start = None;
@@ -814,8 +782,7 @@ let maybe_retry_sync t ~now =
   if t.next_retry_at <= now then begin
     t.next_retry_at <- Float.infinity;
     if
-      t.mode <> Halted && (not t.dissolved)
-      && t.last_summary_epoch >= 0
+      (not t.dissolved) && t.last_summary_epoch >= 0
       && Token_bank.last_synced_epoch t.bank < t.last_summary_epoch
     then begin
       Tmetrics.inc t.tele.c_sync_retries;
@@ -956,7 +923,7 @@ let rollback_to t ~height =
 let inject_reorgs t =
   (* Past a halt the checkpoints no longer describe the system state
      (the halt and the exits are not in them), so reorgs stop. *)
-  if t.mode = Halted || t.dissolved then ()
+  if t.dissolved then ()
   else
     match
     List.find_map
@@ -984,25 +951,25 @@ let inject_reorgs t =
 (* ------------------------------------------------------------------ *)
 
 let set_mode t m ~now ~reason =
-  if m <> t.mode then begin
+  if m <> t.wd.Watchdog.mode then begin
+    let name = Watchdog.mode_name m in
     Log.warn ~scope ~t:now
       ~fields:
-        [ ("from", Json.String (mode_name t.mode));
-          ("to", Json.String (mode_name m));
+        [ ("from", Json.String (Watchdog.mode_name t.wd.Watchdog.mode));
+          ("to", Json.String name);
           ("reason", Json.String reason) ]
       "watchdog: operating-mode transition";
     Trace.instant t.tele.tr ~cat:"watchdog" ~tid:2
-      ~args:[ ("to", Json.String (mode_name m)); ("reason", Json.String reason) ]
+      ~args:[ ("to", Json.String name); ("reason", Json.String reason) ]
       ~name:"mode-transition" ~ts:now ();
     Tmetrics.inc t.tele.c_mode_transitions;
-    Tmetrics.set t.tele.g_mode (float_of_int (mode_rank m));
-    t.mode <- m;
-    t.mode_transitions <- (now, m) :: t.mode_transitions
+    Tmetrics.set t.tele.g_mode (float_of_int (Watchdog.mode_rank m));
+    t.wd <- Watchdog.enter t.wd m ~now
   end
 
-(* Certified summaries the bank has not applied, oldest first — the
-   monitor audits their certificate chain and a reconciliation replays
-   them wholesale. *)
+(* Certified summaries the bank has not applied, oldest first: a
+   reconciliation replays them wholesale, the durable snapshot keeps
+   them, and the next summary carries their entries. *)
 let pending_signed t =
   let applied = Token_bank.last_synced_epoch t.bank in
   List.filter_map
@@ -1063,10 +1030,7 @@ let submit_exit t (u : Party.user) ~at =
    sidechain (pending traffic is void — parties are made whole on the
    mainchain instead) and submit every party's exit. *)
 let enter_halt t ~now ~reason =
-  set_mode t Halted ~now ~reason;
-  (* Both timestamps describe the latest halt. *)
-  t.halted_at <- Some now;
-  t.recovered_at <- None;
+  set_mode t Watchdog.Halted ~now ~reason;
   t.dissolved <- true;
   Chain.Mempool.clear t.mempool;
   t.next_retry_at <- Float.infinity;
@@ -1108,7 +1072,6 @@ let submit_reconcile t ~epoch ~at =
                 match Token_bank.reconcile t.bank ~signed:pending with
                 | Ok r ->
                   t.reconciliation <- Some r;
-                  t.recovered_at <- Some time;
                   emit t (Durable.Record.Reconcile pending);
                   Tmetrics.inc ~by:r.Token_bank.rec_users_applied
                     t.tele.c_reconcile_applied;
@@ -1127,7 +1090,7 @@ let submit_reconcile t ~epoch ~at =
                         ("users_applied", Json.Int r.Token_bank.rec_users_applied);
                         ("users_voided", Json.Int r.Token_bank.rec_users_voided) ]
                     "reconciliation applied: bank un-halted";
-                  set_mode t Recovering ~now:time
+                  set_mode t Watchdog.Recovering ~now:time
                     ~reason:"pending summaries reconciled"
                 | Error rejection ->
                   Log.warn ~scope ~t:time
@@ -1138,59 +1101,33 @@ let submit_reconcile t ~epoch ~at =
     end
   end
 
-(* The per-epoch watchdog tick: run the cross-layer audit, then drive
-   the operating-mode machine from its verdicts plus the sync-stall and
-   retry pressure. "Stall" counts summary epochs the bank is behind the
-   wall clock; the steady-state pipeline depth is one epoch. *)
+(* The effects of a watchdog decision. *)
+let run_action t ~epoch ~now = function
+  | Watchdog.Stay -> ()
+  | Watchdog.Enter (m, reason) -> set_mode t m ~now ~reason
+  | Watchdog.Halt reason -> enter_halt t ~now ~reason
+  | Watchdog.Reconcile -> submit_reconcile t ~epoch ~at:now
+
+(* The per-epoch watchdog tick: the monitor's safety audit, then the
+   watchdog's liveness findings, recorded on the monitor after the
+   audit's own, and the decision it draws from both. *)
 let watchdog_tick t ~epoch:e ~now ~committee_live =
-  let report =
+  let safety =
     Monitor.audit t.monitor ~epoch:e ~now ~bank:t.bank ~pool:t.pool
-      ~last_summary_epoch:t.last_summary_epoch ~pending:(pending_signed t)
       ~deposit_horizon:t.deposits_submitted_until
-      ~degraded_signing_streak:t.signing_streak ~committee_live
   in
-  let w = t.cfg.Config.watchdog in
-  let stall = e - 1 - Token_bank.last_synced_epoch t.bank in
-  let fatal = Monitor.has_fatal report in
-  let degraded_violation =
-    List.exists
-      (fun v -> v.Monitor.v_severity = Monitor.Degraded)
-      report.Monitor.r_violations
+  let findings, action =
+    Watchdog.tick t.cfg.Config.watchdog t.wd ~safety
+      { Watchdog.epoch = e; last_summary_epoch = t.last_summary_epoch;
+        last_synced_epoch = Token_bank.last_synced_epoch t.bank;
+        retry_attempt = t.retry_attempt; committee_live }
   in
-  match t.mode with
-  | Normal | Degraded ->
-    if fatal then enter_halt t ~now ~reason:"monitor: fatal invariant violation"
-    else if stall >= w.Config.wd_stall_halted then
-      enter_halt t ~now
-        ~reason:(Printf.sprintf "sync stalled for %d epochs" stall)
-    else if t.retry_attempt >= Config.wd_retry_halted then
-      enter_halt t ~now
-        ~reason:(Printf.sprintf "sync retries exhausted (%d)" t.retry_attempt)
-    else begin
-      let degrade_reason =
-        if degraded_violation then Some "monitor: degraded violation"
-        else if stall >= w.Config.wd_stall_degraded then
-          Some (Printf.sprintf "sync stalled for %d epochs" stall)
-        else if t.retry_attempt >= Config.wd_retry_degraded then
-          Some (Printf.sprintf "%d consecutive sync retries" t.retry_attempt)
-        else if t.signing_streak >= Config.wd_signing_streak then
-          Some
-            (Printf.sprintf "%d consecutive degraded-quorum signings"
-               t.signing_streak)
-        else None
-      in
-      match degrade_reason with
-      | Some reason -> set_mode t Degraded ~now ~reason
-      | None ->
-        if
-          t.mode = Degraded && stall <= 1
-          && t.retry_attempt < Config.wd_retry_degraded
-        then set_mode t Normal ~now ~reason:"stall cleared; audit clean"
-    end
-  | Halted -> submit_reconcile t ~epoch:e ~at:now
-  | Recovering ->
-    if report.Monitor.r_violations = [] then
-      set_mode t Normal ~now ~reason:"clean audit after reconciliation"
+  List.iter
+    (fun (v : Monitor.violation) ->
+      Monitor.record_external t.monitor ~now ~epoch:e ~severity:v.v_severity
+        ~layer:v.v_layer ~check:v.v_check ~detail:v.v_detail)
+    findings;
+  run_action t ~epoch:e ~now action
 
 (* ------------------------------------------------------------------ *)
 (* The state twin: op capture, fault injection, epoch-boundary audit   *)
@@ -1273,9 +1210,8 @@ let inject_corruption t ~deposits ~epoch ~round =
    shadow against the live flat stores over exactly the keys written
    this window (by ops or by the live side's own dirty marks), then
    seal the epoch and clear the live audit surfaces. Divergence is
-   forensically logged, surfaces through the monitor as a Degraded
-   violation, and a repeat halts the system — a corrupted store must
-   never reach the mainchain twice. *)
+   forensically logged and recorded on the monitor as a Degraded
+   violation, and the watchdog escalates it (Watchdog.audited). *)
 let twin_audit_epoch t ~deposits ~epoch ~now =
   match t.twin with
   | None -> ()
@@ -1305,11 +1241,14 @@ let twin_audit_epoch t ~deposits ~epoch ~now =
     Tokenbank.Pos_store.clear_dirty (Token_bank.positions_store t.bank);
     Option.iter Sidechain.Deposits.clear_dirty deposits;
     Tmetrics.inc t.tele.c_twin_audits;
+    let wd, action =
+      Watchdog.audited t.wd ~diverged:(reports <> []) ~dissolved:t.dissolved
+    in
+    t.wd <- wd;
     (match reports with
-    | [] -> t.twin_divergence_streak <- 0
+    | [] -> ()
     | _ :: _ ->
       t.twin_reports <- List.rev_append reports t.twin_reports;
-      t.twin_divergence_streak <- t.twin_divergence_streak + 1;
       Tmetrics.inc ~by:(List.length reports) t.tele.c_twin_divergences;
       List.iter
         (fun r ->
@@ -1319,12 +1258,8 @@ let twin_audit_epoch t ~deposits ~epoch ~now =
         reports;
       Monitor.record_external t.monitor ~now ~epoch ~severity:Monitor.Degraded
         ~layer:Monitor.Twin ~check:"twin.divergence"
-        ~detail:(Twin.report_to_string (List.hd reports));
-      if not t.dissolved then begin
-        if t.twin_divergence_streak >= 2 then
-          enter_halt t ~now ~reason:"twin: repeated state divergence"
-        else set_mode t Degraded ~now ~reason:"twin: state divergence detected"
-      end)
+        ~detail:(Twin.report_to_string (List.hd reports)));
+    run_action t ~epoch ~now action
 
 (* ------------------------------------------------------------------ *)
 (* The main loop                                                       *)
@@ -1672,7 +1607,7 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
   (* Whatever recovery found wrong on disk — rejected snapshots, torn
      WAL tails — surfaces as durability violations before the run
      starts. Warning severity: the data was recovered or healed, and the
-     watchdog only reacts to audit-report violations. *)
+     watchdog never reads recorded violations. *)
   (match t.durable with
   | Some s ->
     List.iter
@@ -1720,12 +1655,12 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
   Eth.advance_to t.eth final_time;
   (* Recovery passes in case the final epochs were interrupted; bounded
      retries because the plan may also drop the recovery submissions. *)
-  if t.mode <> Halted then
+  if t.wd.Watchdog.mode <> Watchdog.Halted then
     submit_sync t ~epoch:(!epoch - 1) ~at:final_time ~corrupt:false;
   Eth.advance_to t.eth (final_time +. (5.0 *. Config.mc_block_interval));
   let recovery_tries = ref 0 in
   while
-    t.mode <> Halted
+    t.wd.Watchdog.mode <> Watchdog.Halted
     && t.last_summary_epoch >= 0
     && Token_bank.last_synced_epoch t.bank < t.last_summary_epoch
     && !recovery_tries < 5
@@ -1739,7 +1674,9 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
      the reconciliation a bounded number of times (the starvation window
      may cover the whole run, in which case the halt is terminal). *)
   let reconcile_tries = ref 0 in
-  while t.mode = Halted && pending_signed t <> [] && !reconcile_tries < 5 do
+  while
+    t.wd.Watchdog.mode = Watchdog.Halted && pending_signed t <> [] && !reconcile_tries < 5
+  do
     incr reconcile_tries;
     let now = Eth.now t.eth in
     submit_reconcile t ~epoch:(int_of_float (now /. epoch_dur)) ~at:now;
@@ -1813,7 +1750,8 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
     | None -> []
   in
   List.iter (fun (name, v) -> final_gauge name (float_of_int v)) durability;
-  final_gauge "watchdog.final_mode" (float_of_int (mode_rank t.mode));
+  final_gauge "watchdog.final_mode"
+    (float_of_int (Watchdog.mode_rank t.wd.Watchdog.mode));
   final_gauge "exit.conservation" (if exit_conservation then 1.0 else 0.0);
   List.iter
     (fun (label, n) -> Tmetrics.inc ~by:n (Tmetrics.counter reg ("faults." ^ label)))
@@ -1862,9 +1800,9 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
       sorted_assoc (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.rejections []);
     custody_consistent;
     audit_passed;
-    final_mode = mode_name t.mode;
+    final_mode = Watchdog.mode_name t.wd.Watchdog.mode;
     mode_transitions =
-      List.rev_map (fun (ts, m) -> (ts, mode_name m)) t.mode_transitions;
+      List.rev_map (fun (ts, m) -> (ts, Watchdog.mode_name m)) t.wd.Watchdog.transitions;
     monitor_audits = Monitor.audits_run t.monitor;
     monitor_violations = Monitor.violation_totals t.monitor;
     durability;
@@ -1873,11 +1811,8 @@ let run ?(trace = false) ?durable ?at_boundary cfg =
     exit_claims1;
     exit_gas_mean;
     exit_conservation;
-    halted_at = t.halted_at;
-    recovery_latency =
-      (match (t.halted_at, t.recovered_at) with
-      | Some h, Some r -> Some (r -. h)
-      | _ -> None);
+    halted_at = Watchdog.halted_at t.wd;
+    recovery_latency = Watchdog.recovery_latency t.wd;
     reconciliation = t.reconciliation;
     committees = List.rev t.committees;
     swaps = count tele.c_swaps; mints = count tele.c_mints;

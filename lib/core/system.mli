@@ -19,19 +19,6 @@ type committee_record = {
   leader : int;
 }
 
-(** The liveness watchdog's operating modes. [Normal → Degraded] on
-    sustained sync lag, retry pressure or degraded-quorum signing;
-    [→ Halted] when the watchdog gives up on the committee — the
-    TokenBank freezes and parties withdraw on chain via the emergency
-    exit; [Halted → Recovering] when a reconciliation of the pending
-    certified summaries lands; [Recovering → Normal] after a clean
-    invariant audit. *)
-type mode = Normal | Degraded | Halted | Recovering
-
-val mode_name : mode -> string
-(** ["normal"], ["degraded"], ["halted"], ["recovering"] — the strings
-    used in {!result.final_mode} and the structured logs. *)
-
 type result = {
   cfg : Config.t;
   generated : int;
@@ -79,7 +66,8 @@ type result = {
   audit_passed : bool option;
       (** with [Config.self_audit]: every epoch's summary re-derived from
           its meta-blocks by {!Sidechain.Auditor} and matched *)
-  final_mode : string;          (** {!mode_name} of the final operating mode *)
+  final_mode : string;
+      (** {!Watchdog.mode_name} of the final operating mode *)
   mode_transitions : (float * string) list;
       (** (time, mode entered), oldest first; empty if never left Normal *)
   monitor_audits : int;         (** cross-layer invariant audits run *)

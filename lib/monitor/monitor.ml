@@ -1,15 +1,14 @@
-(* Cross-layer runtime invariant auditor (see monitor.mli).
+(* Cross-layer safety audit and violation ledger (see monitor.mli).
 
-   Each audit re-derives, from first principles, the invariants the
-   simulator's safety argument rests on, against the live state of every
-   layer at an epoch boundary. Checks are pure reads: the monitor never
-   mutates the state it audits. *)
+   Each audit re-derives, from first principles, the custody and
+   solvency invariants the simulator's safety argument rests on, against
+   the live state of the bank and the pool at an epoch boundary. Checks
+   are pure reads: the monitor never mutates the state it audits. *)
 
 module U256 = Amm_math.U256
 module Token_bank = Tokenbank.Token_bank
 module Sync_payload = Tokenbank.Sync_payload
 module Pool = Uniswap.Pool
-module Bls = Amm_crypto.Bls
 module Tmetrics = Telemetry.Metrics
 module Log = Telemetry.Log
 module Json = Telemetry.Json
@@ -28,7 +27,6 @@ type violation = {
 
 type report = {
   r_epoch : int;
-  r_checks : int;
   r_violations : violation list;
 }
 
@@ -46,41 +44,18 @@ let layer_to_string = function
   | Durability -> "durability"
   | Twin -> "twin"
 
-let severity_rank = function Warning -> 0 | Degraded -> 1 | Fatal -> 2
-
-let worst r =
-  List.fold_left
-    (fun acc v ->
-      match acc with
-      | None -> Some v.v_severity
-      | Some s ->
-        if severity_rank v.v_severity > severity_rank s then Some v.v_severity
-        else acc)
-    None r.r_violations
-
 let has_fatal r = List.exists (fun v -> v.v_severity = Fatal) r.r_violations
 
-type thresholds = {
-  lag_warning : int;
-  lag_degraded : int;
-  signing_streak_degraded : int;
-}
-
-let default_thresholds =
-  { lag_warning = 2; lag_degraded = 3; signing_streak_degraded = 4 }
-
 type t = {
-  thresholds : thresholds;
   c_audits : Tmetrics.counter;
   c_warning : Tmetrics.counter;
   c_degraded : Tmetrics.counter;
   c_fatal : Tmetrics.counter;
 }
 
-let create ?(thresholds = default_thresholds) (sink : Telemetry.Report.sink) =
+let create (sink : Telemetry.Report.sink) =
   let reg = sink.Telemetry.Report.metrics in
-  { thresholds;
-    c_audits = Tmetrics.counter reg "monitor.audits";
+  { c_audits = Tmetrics.counter reg "monitor.audits";
     c_warning = Tmetrics.counter reg "monitor.violations.warning";
     c_degraded = Tmetrics.counter reg "monitor.violations.degraded";
     c_fatal = Tmetrics.counter reg "monitor.violations.fatal" }
@@ -168,62 +143,6 @@ let check_amm ~pool =
   in
   a @ b
 
-(* Liveness of the summary pipeline. Steady state at an epoch-e boundary:
-   the summary for e-1 exists (produced lag 0) and the bank has applied
-   through e-2 (applied lag 1). *)
-let check_liveness t ~epoch ~bank ~last_summary_epoch =
-  let th = t.thresholds in
-  let lag_violation ~check ~layer ~lag ~what =
-    if lag >= th.lag_degraded then
-      [ { v_check = check; v_layer = layer; v_severity = Degraded;
-          v_detail = Printf.sprintf "%s lag %d epochs" what lag } ]
-    else if lag >= th.lag_warning then
-      [ { v_check = check; v_layer = layer; v_severity = Warning;
-          v_detail = Printf.sprintf "%s lag %d epochs" what lag } ]
-    else []
-  in
-  let produced_lag = (epoch - 1) - last_summary_epoch in
-  let applied_lag = last_summary_epoch - Token_bank.last_synced_epoch bank in
-  lag_violation ~check:"summary-liveness" ~layer:Sidechain ~lag:produced_lag
-    ~what:"summary production"
-  (* one epoch of applied lag is the pipeline depth, so shift by one *)
-  @ lag_violation ~check:"sync-liveness" ~layer:Mainchain ~lag:(applied_lag - 1)
-      ~what:"sync application"
-
-(* Pending quorum certificates: epochs must chain contiguously from the
-   bank's synced frontier and every signature must verify under the key
-   chain starting at the bank's recorded committee vk. *)
-let check_certificates ~bank ~pending =
-  let rec go vk expected = function
-    | [] -> []
-    | (p, signature) :: rest ->
-      if p.Sync_payload.epoch <> expected then
-        [ { v_check = "epoch-contiguity"; v_layer = Mainchain; v_severity = Fatal;
-            v_detail =
-              Printf.sprintf "pending summary chain expected epoch %d, got %d"
-                expected p.Sync_payload.epoch } ]
-      else if not (Bls.verify vk (Sync_payload.signing_bytes p) signature) then
-        [ { v_check = "quorum-certificate"; v_layer = Sidechain; v_severity = Fatal;
-            v_detail =
-              Printf.sprintf "invalid quorum certificate for epoch %d"
-                p.Sync_payload.epoch } ]
-      else go p.Sync_payload.next_committee_vk (expected + 1) rest
-  in
-  go (Token_bank.committee_vk bank) (Token_bank.last_synced_epoch bank + 1) pending
-
-let check_signing t ~degraded_signing_streak =
-  if degraded_signing_streak >= t.thresholds.signing_streak_degraded then
-    [ { v_check = "degraded-signing"; v_layer = Consensus; v_severity = Degraded;
-        v_detail =
-          Printf.sprintf "%d consecutive degraded-quorum signings"
-            degraded_signing_streak } ]
-  else if degraded_signing_streak >= 1 then
-    [ { v_check = "degraded-signing"; v_layer = Consensus; v_severity = Warning;
-        v_detail =
-          Printf.sprintf "%d consecutive degraded-quorum signings"
-            degraded_signing_streak } ]
-  else []
-
 (* ------------------------------------------------------------------ *)
 (* The audit                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -247,38 +166,24 @@ let emit ~now ~epoch v =
   | Fatal -> Log.error ~scope ~t:now ~fields "monitor.violation"
   | Degraded | Warning -> Log.warn ~scope ~t:now ~fields "monitor.violation"
 
-(* Out-of-band violations observed by other subsystems (e.g. the durable
-   store finding a corrupt snapshot during recovery). Counted and
-   emitted exactly like audit findings, but attached to no report. *)
+(* Violations found by another checker: the watchdog's liveness
+   findings, the twin's divergence, the durable store's recovery notes.
+   Counted and emitted exactly like audit findings, but attached to no
+   report. *)
 let record_external t ~now ~epoch ~severity ~layer ~check ~detail =
   let v = { v_check = check; v_layer = layer; v_severity = severity;
             v_detail = detail } in
   count t v;
   emit ~now ~epoch v
 
-let audit t ~epoch ~now ~bank ~pool ~last_summary_epoch ~pending ~deposit_horizon
-    ~degraded_signing_streak ~committee_live =
+let audit t ~epoch ~now ~bank ~pool ~deposit_horizon =
   Tmetrics.inc t.c_audits;
-  let liveness =
-    (* A committee that was deliberately dissolved (post-halt) or is
-       scripted as permanently lost makes the liveness lags meaningless:
-       only the safety checks still apply. *)
-    if committee_live then
-      check_liveness t ~epoch ~bank ~last_summary_epoch
-      @ check_signing t ~degraded_signing_streak
-    else []
-  in
   let violations =
-    check_custody ~bank ~deposit_horizon
-    @ check_bank_solvency ~bank
-    @ check_amm ~pool
-    @ liveness
-    @ check_certificates ~bank ~pending
+    check_custody ~bank ~deposit_horizon @ check_bank_solvency ~bank @ check_amm ~pool
   in
   List.iter
     (fun v ->
       count t v;
       emit ~now ~epoch v)
     violations;
-  { r_epoch = epoch; r_checks = (if committee_live then 7 else 5);
-    r_violations = violations }
+  { r_epoch = epoch; r_violations = violations }

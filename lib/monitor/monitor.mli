@@ -1,20 +1,22 @@
-(** Cross-layer runtime invariant auditor.
+(** Cross-layer safety audit and the run's violation ledger.
 
-    Once per epoch the simulator hands the monitor a consistent view of
-    every layer — the live AMM pool, the mainchain TokenBank, the
-    sidechain's summary frontier and its pending quorum certificates —
-    and the monitor re-checks the invariants that the safety argument
-    rests on: token conservation across ledger / bank / pool reserves,
-    pool solvency against the aggregate position value, epoch contiguity
-    of the summary chain, and the validity of every pending quorum
-    certificate.
+    Once per epoch the simulator hands the monitor the live AMM pool and
+    the mainchain TokenBank, and the monitor re-checks the safety
+    invariants it owns: token conservation across ledger / bank / pool
+    reserves ([custody-conservation]), pool solvency against the
+    aggregate position value ([pool-solvency]), and the pool's own
+    structural invariants ([amm-liquidity], [amm-owed-solvency]). Each is
+    [Fatal]: a broken safety invariant, on which the watchdog halts a
+    Normal or Degraded system.
 
-    Violations are classified by severity. [Warning] is an expected
-    transient (one epoch of sync lag, a degraded-quorum signature);
-    [Degraded] is sustained lag that the watchdog should react to;
-    [Fatal] is a broken safety invariant — conservation, solvency or an
-    invalid certificate — and immediately halts the system. Every
-    violation is exported as a [monitor.violation] structured event plus
+    The monitor is not the only checker. The TokenBank alone judges
+    quorum certificates (at sync and at reconcile), the watchdog
+    ([Ammboost.Watchdog]) alone grades liveness, and the state twin
+    audits the stores. Their findings enter the same ledger through
+    {!record_external}. [Warning] is an expected transient (a short sync
+    lag, a degraded-quorum signature, a healed durable record); [Degraded] is sustained lag or a twin divergence that the
+    watchdog reacts to. Every violation, audited or recorded, is
+    exported as a [monitor.violation] structured event plus
     severity-bucketed counters on the run's telemetry sink. *)
 
 type severity = Warning | Degraded | Fatal
@@ -29,28 +31,16 @@ type violation = {
 
 type report = {
   r_epoch : int;
-  r_checks : int;               (** checks evaluated in this audit *)
   r_violations : violation list;
 }
 
 val layer_to_string : layer -> string
 
-val worst : report -> severity option
-(** The highest severity in the report, [None] if it is clean. *)
-
 val has_fatal : report -> bool
-
-(** Lag thresholds for the contiguity / liveness checks. *)
-type thresholds = {
-  lag_warning : int;   (** unapplied summary epochs before a Warning *)
-  lag_degraded : int;  (** … before a Degraded violation *)
-  signing_streak_degraded : int;
-      (** consecutive degraded-quorum signings before a Degraded *)
-}
 
 type t
 
-val create : ?thresholds:thresholds -> Telemetry.Report.sink -> t
+val create : Telemetry.Report.sink -> t
 
 val audit :
   t ->
@@ -58,19 +48,14 @@ val audit :
   now:float ->
   bank:Tokenbank.Token_bank.t ->
   pool:Uniswap.Pool.t ->
-  last_summary_epoch:int ->
-  pending:(Tokenbank.Sync_payload.t * Amm_crypto.Bls.signature) list ->
   deposit_horizon:int ->
-  degraded_signing_streak:int ->
-  committee_live:bool ->
   report
-(** Runs every check against the epoch-start state. [last_summary_epoch]
-    is the newest quorum-certified summary the sidechain has produced;
-    [pending] is the chain of certified payloads not yet applied by the
-    bank, oldest first; [deposit_horizon] bounds the epochs whose
-    deposits can still be outstanding (for the conservation sum).
-    [committee_live = false] (permanent loss or post-halt dissolution)
-    skips the liveness checks — only the safety invariants still apply. *)
+(** Runs the four safety checks against the epoch-start state, in the
+    order custody, bank solvency, pool liquidity, pool owed-solvency,
+    and counts and emits each violation. [deposit_horizon] bounds the
+    epochs whose deposits can still be outstanding (for the
+    conservation sum). The checks hold whether or not the committee is
+    live. *)
 
 val custody_holds : bank:Tokenbank.Token_bank.t -> deposit_horizon:int -> bool
 (** The audit's token-conservation check on its own: the bank's ERC20
@@ -86,11 +71,12 @@ val record_external :
   check:string ->
   detail:string ->
   unit
-(** Record a violation observed out-of-band by another subsystem (e.g.
-    the durable store finding a corrupt snapshot during recovery).
-    Counted and emitted exactly like an audit finding, but attached to
-    no report — in particular it never drives the watchdog, which reacts
-    only to audit reports. *)
+(** Record a violation found by another checker: the watchdog's
+    liveness findings (recorded after the epoch's audit), the twin's
+    divergence, the durable store's recovery notes. Counted and emitted
+    exactly like an audit finding, but attached to no report. The
+    watchdog judges its own findings and the twin's divergence itself;
+    a recorded violation never reaches it through the monitor. *)
 
 val audits_run : t -> int
 (** Audits run so far, read from the sink's [monitor.audits] counter. *)

@@ -480,22 +480,4 @@ let read_at v ~epoch k =
     | Pool_layer -> Kmap.find_opt k s.snap_pool
     | Deposits_layer -> Kmap.find_opt k s.snap_deps)
 
-(* Pool position image layout (see Pool.position_bytes): owner 20,
-   ticks 2×8, then liquidity / fee checkpoints / owed, 32 bytes each. *)
-let owed_of_image b =
-  if Bytes.length b <> 196 then None else Some (U256.read_be b 132, U256.read_be b 164)
-
-let position_fees v ~from_epoch ~until_epoch pid =
-  match
-    ( read_at v ~epoch:from_epoch (Pool_pos pid),
-      read_at v ~epoch:until_epoch (Pool_pos pid) )
-  with
-  | Some b0, Some b1 -> (
-    match (owed_of_image b0, owed_of_image b1) with
-    | Some (a0, a1), Some (u0, u1) ->
-      let sat a b = if U256.ge b a then U256.sub b a else U256.zero in
-      Some (sat a0 u0, sat a1 u1)
-    | _ -> None)
-  | _ -> None
-
 let epochs_sealed v = List.sort compare (List.map (fun s -> s.snap_epoch) v)

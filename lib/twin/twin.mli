@@ -22,7 +22,7 @@
        this shadow keeps it O(written keys).}}
 
     The persistent maps make epoch snapshots O(1), which is what funds
-    the time-travel queries ({!custody_at}, {!position_fees}). *)
+    the time-travel queries ({!custody_at}, {!read_at}). *)
 
 module U256 = Amm_math.U256
 module Address = Chain.Address
@@ -167,13 +167,6 @@ val custody_at : view -> epoch:int -> (U256.t * U256.t) option
 
 val read_at : view -> epoch:int -> key -> bytes option
 (** The audited after-image of any key at an epoch seal. *)
-
-val position_fees :
-  view -> from_epoch:int -> until_epoch:int -> Position_id.t -> (U256.t * U256.t) option
-(** Growth of the position's uncollected [tokens_owed] between the two
-    epoch seals, saturating at zero per token (collections inside the
-    window reduce the owed balance). [None] unless the position exists
-    at both seals. *)
 
 val epochs_sealed : view -> int list
 (** Ascending epochs with a sealed snapshot. *)

@@ -893,8 +893,21 @@ let drill_runs make =
   let t = make ~scale:1.0 in
   (t.Experiments.verdicts, snd (Experiments.run_table t))
 
+(* Each run's violation ledger and mode trajectory, pinned: a change to
+   a checker or to the watchdog that moves either shows here. *)
+let check_ledger drill runs expected =
+  let ledger (r : System.result) =
+    ( String.concat "; "
+        (List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) r.System.monitor_violations),
+      List.map snd r.System.mode_transitions )
+  in
+  Alcotest.(check (list (pair string (list string))))
+    (drill ^ ": violations and modes") expected (List.map ledger runs)
+
 let test_chaos_verdicts () =
   let verdicts, runs = drill_runs Experiments.chaos in
+  let drifted = ("degraded 1; warning 3", [ "degraded" ]) in
+  check_ledger "chaos" runs [ ("", []); drifted; drifted; drifted ];
   check_drill "chaos" verdicts runs
     [ ("twin audit passes", at 3 (fun r -> { r with System.twin_consistent = false }));
       ( "every epoch applied",
@@ -909,6 +922,10 @@ let test_chaos_verdicts () =
 
 let test_exit_drill_verdicts () =
   let verdicts, runs = drill_runs Experiments.exit_drill in
+  check_ledger "exit-drill" runs
+    [ ("degraded 1; warning 1", [ "degraded"; "normal" ]);
+      ("degraded 2; warning 1", [ "degraded"; "halted"; "recovering"; "normal" ]);
+      ("", [ "degraded"; "halted" ]) ];
   let reconciled = (List.nth runs 1).System.reconciliation in
   check_drill "exit-drill" verdicts runs
     [ ("final modes", at 2 (fun r -> { r with System.final_mode = "normal" }));
@@ -940,6 +957,12 @@ let test_crash_drill_verdicts () =
 
 let test_twin_audit_verdicts () =
   let verdicts, runs = drill_runs Experiments.twin_audit in
+  check_ledger "twin-audit" runs
+    [ ("", []);
+      ("degraded 2; warning 1", [ "degraded"; "normal"; "degraded" ]);
+      ("degraded 1", [ "degraded"; "normal" ]);
+      ("degraded 1; fatal 3", [ "degraded"; "halted"; "recovering" ]);
+      ("degraded 3", [ "degraded"; "normal"; "halted" ]) ];
   check_drill "twin-audit" verdicts runs
     [ ("twin verdict passes", at 0 (fun r -> { r with System.twin_consistent = false }));
       ( "every injection caught in its epoch",
